@@ -24,16 +24,15 @@
 //! comparable hardware.
 
 use bench::trajectory::{
-    compare, par_speedups, proc_speedups, BenchReport, PhaseSplit, SimTelemetry, WorkloadResult,
+    compare, par_speedups, BenchReport, PhaseSplit, SimTelemetry, WorkloadResult,
 };
-use ibfat_driver::ProcSimulator;
 use ibfat_routing::{
     all_to_all_loads, all_to_all_loads_oracle, LidSpace, MlidScheme, Routing, RoutingKind,
     RoutingScheme, SlidScheme,
 };
 use ibfat_sim::{
-    run_observed, run_once, run_once_par, CalendarKind, PhaseProfile, RouteBackend, RunSpec,
-    SimConfig, TrafficPattern,
+    run_observed, run_once, run_once_par, PhaseProfile, RouteBackend, RunSpec, SimConfig,
+    TrafficPattern,
 };
 use ibfat_topology::{Network, TreeParams};
 use std::time::Instant;
@@ -168,8 +167,6 @@ fn result(name: String, wall_ns: u64, events: u64, iters: u32) -> WorkloadResult
         events_per_sec,
         iters,
         threads_available: 0,
-        worker_rss_kb: 0,
-        bridge_bytes: 0,
         phases: Vec::new(),
         sim_telemetry: None,
     }
@@ -181,38 +178,24 @@ fn run_workloads(opts: &Opts) -> Vec<WorkloadResult> {
 
     println!("sim_engine ({} ns simulated, load 0.5):", sim_time_ns);
     for &(m, n, vls) in &SIM_CONFIGS {
-        // Both calendars on every configuration: the `_heap` twin rows
-        // keep the wheel-vs-heap gap visible in the committed trajectory.
-        let rows = [
-            ("sim_engine", CalendarKind::TimingWheel),
-            ("sim_engine_heap", CalendarKind::BinaryHeap),
-        ]
-        .map(|(prefix, calendar)| (format!("{prefix}/{m}x{n}/vl{vls}"), calendar));
-        if !rows.iter().any(|(name, _)| opts.wanted(name)) {
+        let name = format!("sim_engine/{m}x{n}/vl{vls}");
+        if !opts.wanted(&name) {
             continue;
         }
         let net = Network::mport_ntree(TreeParams::new(m, n).expect("valid configs"));
         let routing = Routing::build(&net, RoutingKind::Mlid);
-        for (name, calendar) in rows {
-            if !opts.wanted(&name) {
-                continue;
-            }
-            let cfg = SimConfig {
-                calendar,
-                ..SimConfig::paper(vls)
-            };
-            let (wall, events) = best_of(opts.iters, || {
-                run_once(
-                    &net,
-                    &routing,
-                    cfg.clone(),
-                    TrafficPattern::Uniform,
-                    RunSpec::new(0.5, sim_time_ns),
-                )
-                .events_processed
-            });
-            out.push(result(name, wall, events, opts.iters));
-        }
+        let cfg = SimConfig::paper(vls);
+        let (wall, events) = best_of(opts.iters, || {
+            run_once(
+                &net,
+                &routing,
+                cfg.clone(),
+                TrafficPattern::Uniform,
+                RunSpec::new(0.5, sim_time_ns),
+            )
+            .events_processed
+        });
+        out.push(result(name, wall, events, opts.iters));
     }
 
     // The table-free data plane: every per-hop forwarding decision is
@@ -313,125 +296,6 @@ fn run_workloads(opts: &Opts) -> Vec<WorkloadResult> {
                     edge_cut: tel.edge_cut as u64,
                     event_imbalance: tel.event_imbalance(),
                 });
-                out.push(row);
-            }
-        }
-    }
-
-    // The headline configuration across real worker processes: each
-    // shard range a spawned worker behind the length-prefixed pipe
-    // bridge. Reports are bit-identical to the sequential and threaded
-    // engines (pinned by `crates/driver/tests/proc_equivalence.rs`), so
-    // these rows measure pure transport cost: spawn, per-worker
-    // injection pre-pass, and every cross-shard message serialized
-    // through a pipe. p1 is a real spawned worker too (`force_spawn`),
-    // so the p2/p4 deltas isolate the bridge rather than mixing in the
-    // spawn overhead — and its VmHWM is a clean single-process memory
-    // baseline. Wall times track the host's core count exactly like the
-    // `sim_engine_par` rows: compare to their own history only.
-    println!("sim_engine_proc (8x3/vl4, multi-process driver):");
-    {
-        let threads_available = std::thread::available_parallelism()
-            .map(|n| n.get() as u32)
-            .unwrap_or(0);
-        let rows = [1usize, 2, 4].map(|p| (format!("sim_engine_proc/8x3/vl4/p{p}"), p));
-        if rows.iter().any(|(name, _)| opts.wanted(name)) {
-            let cfg = SimConfig::paper(4);
-            for (name, processes) in rows {
-                if !opts.wanted(&name) {
-                    continue;
-                }
-                let sim = || {
-                    ProcSimulator::new(
-                        8,
-                        3,
-                        RoutingKind::Mlid,
-                        cfg.clone(),
-                        TrafficPattern::Uniform,
-                        0.5,
-                        sim_time_ns,
-                        0,
-                        4,
-                        processes,
-                    )
-                    .force_spawn(true)
-                };
-                let mut stats = ibfat_driver::ProcStats::default();
-                let (wall, events) = best_of(opts.iters, || {
-                    let (report, s) = sim().run_stats().expect("multi-process run failed");
-                    stats = s;
-                    report.events_processed
-                });
-                let mut row = result(name, wall, events, opts.iters);
-                row.threads_available = threads_available;
-                row.worker_rss_kb = stats.max_worker_rss_kb;
-                row.bridge_bytes = stats.bridge_bytes;
-                println!(
-                    "    p{processes}: {} windows, {} bridge bytes, peak worker RSS {} kB",
-                    stats.windows, stats.bridge_bytes, stats.max_worker_rss_kb
-                );
-                // One extra untimed run with the engine's self-telemetry
-                // on, mirroring the par rows: structural context stamped
-                // next to the wall time it explains (bridge waits land in
-                // `barrier_wait_ns` — same synchronization point, pipe
-                // transport instead of a thread barrier).
-                let (_, _, tel) = sim()
-                    .run_telemetry()
-                    .expect("telemetry run matches the timed configuration");
-                row.sim_telemetry = Some(SimTelemetry {
-                    threads: tel.threads as u32,
-                    windows: tel.windows(),
-                    barrier_wait_ns: tel.barrier_wait_ns(),
-                    msgs: tel.total_msgs(),
-                    edge_cut: tel.edge_cut as u64,
-                    event_imbalance: tel.event_imbalance(),
-                });
-                out.push(row);
-            }
-        }
-
-        // The scale-out fabric, where the driver's per-worker subfabric
-        // views pay off in memory: each worker builds forwarding state
-        // for its own shard range only, so the hungriest worker's VmHWM
-        // shrinks as the process count grows — on a fabric whose full
-        // MLID table set is the dominant allocation. One iteration (like
-        // `loads_all_to_all/32x3`): the row exists for its deterministic
-        // `worker_rss_kb` column, and the runs are long.
-        let rows = [1usize, 2, 4].map(|p| (format!("sim_engine_proc/16x3/vl1/p{p}"), p));
-        if rows.iter().any(|(name, _)| opts.wanted(name)) {
-            let cfg = SimConfig::paper(1);
-            for (name, processes) in rows {
-                if !opts.wanted(&name) {
-                    continue;
-                }
-                let mut stats = ibfat_driver::ProcStats::default();
-                let (wall, events) = best_of(1, || {
-                    let (report, s) = ProcSimulator::new(
-                        16,
-                        3,
-                        RoutingKind::Mlid,
-                        cfg.clone(),
-                        TrafficPattern::Uniform,
-                        0.5,
-                        sim_time_ns,
-                        0,
-                        4,
-                        processes,
-                    )
-                    .force_spawn(true)
-                    .run_stats()
-                    .expect("multi-process run failed");
-                    stats = s;
-                    report.events_processed
-                });
-                let mut row = result(name, wall, events, 1);
-                row.threads_available = threads_available;
-                row.worker_rss_kb = stats.max_worker_rss_kb;
-                row.bridge_bytes = stats.bridge_bytes;
-                println!(
-                    "    p{processes}: {} windows, {} bridge bytes, peak worker RSS {} kB",
-                    stats.windows, stats.bridge_bytes, stats.max_worker_rss_kb
-                );
                 out.push(row);
             }
         }
@@ -745,10 +609,6 @@ fn run_workloads(opts: &Opts) -> Vec<WorkloadResult> {
 }
 
 fn main() {
-    // The `sim_engine_proc` rows re-exec this binary as bridge workers;
-    // if the supervisor spawned us, speak the worker protocol and exit
-    // before any option parsing.
-    ibfat_driver::maybe_run_worker();
     let opts = parse_opts();
     let workloads = run_workloads(&opts);
     if workloads.is_empty() {
@@ -780,72 +640,6 @@ fn main() {
             for (name, threads, speedup) in &speedups {
                 if *threads > 1 && *speedup < 1.0 {
                     println!("  warning: {name} is slower than its t1 twin on a {cores}-core host");
-                }
-            }
-        }
-    }
-
-    let proc = proc_speedups(&report);
-    if !proc.is_empty() {
-        let cores = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        println!("\nmulti-process speedup over its p1 row (this host, {cores} core(s)):");
-        for (name, processes, speedup) in &proc {
-            println!("  {name:<28} {processes} process(es)  {speedup:>5.2}x");
-        }
-        if cores == 1 {
-            println!(
-                "  (1-CPU host: pN rows measure bridge overhead only; speedup warnings skipped)"
-            );
-        } else {
-            for (name, processes, speedup) in &proc {
-                if *processes > 1 && *speedup < 1.0 {
-                    println!("  warning: {name} is slower than its p1 twin on a {cores}-core host");
-                }
-            }
-        }
-        // The subfabric-view memory mandate: on the scale-out fabric the
-        // hungriest multi-process worker must sit below the single-worker
-        // resident set (each worker only builds forwarding state for its
-        // own shard range).
-        if let Some(p1) = report.get("sim_engine_proc/16x3/vl1/p1") {
-            for pn in ["p2", "p4"] {
-                if let Some(w) = report.get(&format!("sim_engine_proc/16x3/vl1/{pn}")) {
-                    if p1.worker_rss_kb > 0 && w.worker_rss_kb > 0 {
-                        println!(
-                            "  16x3 peak worker RSS {pn}: {} kB vs p1 {} kB ({:.2}x)",
-                            w.worker_rss_kb,
-                            p1.worker_rss_kb,
-                            w.worker_rss_kb as f64 / p1.worker_rss_kb as f64
-                        );
-                        if w.worker_rss_kb >= p1.worker_rss_kb {
-                            println!(
-                                "  warning: {pn} worker RSS did not drop below the p1 worker — subfabric views missing their win"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // The fly-time-sized wheel's mandate, checked on every run that
-    // measured both calendars on the calibration fabric: the wheel must
-    // not lose to the binary-heap twin it replaced as the default.
-    for vls in [1u8, 4] {
-        let (wheel, heap) = (
-            report.get(&format!("sim_engine/4x3/vl{vls}")),
-            report.get(&format!("sim_engine_heap/4x3/vl{vls}")),
-        );
-        if let (Some(w), Some(h)) = (wheel, heap) {
-            if w.wall_ns > 0 {
-                println!(
-                    "\nsim_engine/4x3/vl{vls}: wheel is {:.2}x the heap twin",
-                    h.wall_ns as f64 / w.wall_ns as f64
-                );
-                if w.wall_ns > h.wall_ns {
-                    println!("  warning: timing wheel slower than the binary heap on this host");
                 }
             }
         }
@@ -896,7 +690,6 @@ fn main() {
                     // a ~21 MB LFT). The oracle rows have settled history
                     // and gate like the plain engine rows now.
                     if d.name.starts_with("sim_engine_par")
-                        || d.name.starts_with("sim_engine_proc")
                         || d.name.starts_with("lft_build")
                         || d.name.starts_with("loads_all_to_all")
                         || d.name.starts_with("workload_")

@@ -68,16 +68,6 @@ pub struct WorkloadResult {
     /// JSON when 0 (host-independent rows, pre-recording snapshots), so
     /// the schema version stands.
     pub threads_available: u32,
-    /// Peak resident set (VmHWM, kB) of the hungriest worker process,
-    /// for the multi-process `sim_engine_proc` rows — the number that
-    /// shows the per-worker subfabric views paying off on big fabrics.
-    /// Omitted from the JSON when 0 (in-process rows, pre-driver
-    /// snapshots), so the schema version stands.
-    pub worker_rss_kb: u64,
-    /// Bytes serialized through the inter-process bridge, summed over
-    /// workers, for the `sim_engine_proc` rows; 0 elsewhere and omitted
-    /// from the JSON, so the schema version stands.
-    pub bridge_bytes: u64,
     /// Per-phase breakdown of the best iteration; empty for workloads
     /// that do not self-profile. Omitted from the JSON when empty, and
     /// absent in pre-profiling snapshots, so the schema version stands.
@@ -130,12 +120,6 @@ impl BenchReport {
             let _ = writeln!(out, "      \"events_per_sec\": {:.1},", w.events_per_sec);
             if w.threads_available > 0 {
                 let _ = writeln!(out, "      \"threads_available\": {},", w.threads_available);
-            }
-            if w.worker_rss_kb > 0 {
-                let _ = writeln!(out, "      \"worker_rss_kb\": {},", w.worker_rss_kb);
-            }
-            if w.bridge_bytes > 0 {
-                let _ = writeln!(out, "      \"bridge_bytes\": {},", w.bridge_bytes);
             }
             if let Some(t) = &w.sim_telemetry {
                 let _ = writeln!(
@@ -244,16 +228,6 @@ impl BenchReport {
                     Err(_) => 0,
                     Ok(v) => v.as_u64("threads_available")? as u32,
                 },
-                // Absent in snapshots that predate the multi-process
-                // driver — 0 means "not a process row".
-                worker_rss_kb: match w.field("worker_rss_kb") {
-                    Err(_) => 0,
-                    Ok(v) => v.as_u64("worker_rss_kb")?,
-                },
-                bridge_bytes: match w.field("bridge_bytes") {
-                    Err(_) => 0,
-                    Ok(v) => v.as_u64("bridge_bytes")?,
-                },
                 phases,
                 sim_telemetry,
             });
@@ -342,36 +316,6 @@ pub fn par_speedups(report: &BenchReport) -> Vec<(String, u32, f64)> {
         .collect()
 }
 
-/// Speedup of every `sim_engine_proc/…/pN` workload over its own `p1`
-/// twin on the same snapshot: `(name, processes, p1_wall / pN_wall)`.
-///
-/// The multi-process analogue of [`par_speedups`]: derived from wall
-/// times already in the report, nothing extra persisted. Rows without a
-/// `p1` twin, with an unparsable process suffix, or with a zero wall
-/// time are skipped; the `p1` row itself is included (speedup 1.0) so
-/// tables print a complete column.
-pub fn proc_speedups(report: &BenchReport) -> Vec<(String, u32, f64)> {
-    report
-        .workloads
-        .iter()
-        .filter_map(|w| {
-            let (stem, p) = w.name.rsplit_once("/p")?;
-            if !stem.starts_with("sim_engine_proc") {
-                return None;
-            }
-            let processes: u32 = p.parse().ok()?;
-            let base = report.get(&format!("{stem}/p1"))?;
-            (base.wall_ns > 0 && w.wall_ns > 0).then(|| {
-                (
-                    w.name.clone(),
-                    processes,
-                    base.wall_ns as f64 / w.wall_ns as f64,
-                )
-            })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,8 +329,6 @@ mod tests {
                 events_per_sec: 8_100_000.5,
                 iters: 3,
                 threads_available: 0,
-                worker_rss_kb: 0,
-                bridge_bytes: 0,
                 phases: Vec::new(),
                 sim_telemetry: None,
             },
@@ -397,8 +339,6 @@ mod tests {
                 events_per_sec: 0.0,
                 iters: 5,
                 threads_available: 0,
-                worker_rss_kb: 0,
-                bridge_bytes: 0,
                 phases: Vec::new(),
                 sim_telemetry: None,
             },
@@ -464,28 +404,6 @@ mod tests {
             BenchReport::parse(&old).unwrap().workloads[0].threads_available,
             0
         );
-    }
-
-    #[test]
-    fn proc_fields_round_trip_and_tolerate_absence() {
-        let mut report = sample();
-        report.workloads[0].worker_rss_kb = 18_432;
-        report.workloads[0].bridge_bytes = 77_000;
-        let text = report.to_json();
-        assert!(text.contains("\"worker_rss_kb\": 18432"));
-        assert!(text.contains("\"bridge_bytes\": 77000"));
-        // In-process rows (0) omit both keys entirely.
-        assert_eq!(text.matches("worker_rss_kb").count(), 1);
-        assert_eq!(text.matches("bridge_bytes").count(), 1);
-        let back = BenchReport::parse(&text).unwrap();
-        assert_eq!(back, report);
-        assert_eq!(back.to_json(), text);
-        // Snapshots from before the driver existed still parse.
-        let old = sample().to_json();
-        assert!(!old.contains("worker_rss_kb"));
-        let parsed = BenchReport::parse(&old).unwrap();
-        assert_eq!(parsed.workloads[0].worker_rss_kb, 0);
-        assert_eq!(parsed.workloads[0].bridge_bytes, 0);
     }
 
     #[test]
@@ -578,8 +496,6 @@ mod tests {
             events_per_sec: 1.0,
             iters: 3,
             threads_available: 0,
-            worker_rss_kb: 0,
-            bridge_bytes: 0,
             phases: Vec::new(),
             sim_telemetry: None,
         };
@@ -594,35 +510,6 @@ mod tests {
         assert_eq!(speedups.len(), 3);
         assert_eq!(speedups[0], ("sim_engine_par/8x3/vl4/t1".into(), 1, 1.0));
         assert_eq!(speedups[1], ("sim_engine_par/8x3/vl4/t2".into(), 2, 2.0));
-        assert_eq!(speedups[2].1, 4);
-        assert!((speedups[2].2 - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn proc_speedups_derive_from_the_p1_twin() {
-        let row = |name: &str, wall_ns: u64| WorkloadResult {
-            name: name.into(),
-            wall_ns,
-            events: 1_000,
-            events_per_sec: 1.0,
-            iters: 3,
-            threads_available: 0,
-            worker_rss_kb: 0,
-            bridge_bytes: 0,
-            phases: Vec::new(),
-            sim_telemetry: None,
-        };
-        let report = BenchReport::new(vec![
-            row("sim_engine_par/8x3/vl4/t2", 45), // thread row: ignored here
-            row("sim_engine_proc/8x3/vl4/p1", 120),
-            row("sim_engine_proc/8x3/vl4/p2", 60),
-            row("sim_engine_proc/8x3/vl4/p4", 80),
-            row("sim_engine_proc/16x3/vl1/p2", 10), // no p1 twin: skipped
-        ]);
-        let speedups = proc_speedups(&report);
-        assert_eq!(speedups.len(), 3);
-        assert_eq!(speedups[0], ("sim_engine_proc/8x3/vl4/p1".into(), 1, 1.0));
-        assert_eq!(speedups[1], ("sim_engine_proc/8x3/vl4/p2".into(), 2, 2.0));
         assert_eq!(speedups[2].1, 4);
         assert!((speedups[2].2 - 1.5).abs() < 1e-9);
     }

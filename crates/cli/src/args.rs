@@ -47,13 +47,6 @@ options:
   --threads N                    simulation worker threads (default 1;
                                  0 = all cores; any N yields
                                  bit-identical results)
-  --processes N                  simulate/run: split the sharded engine
-                                 across N worker processes (composes
-                                 with --threads: the shard count is
-                                 max(threads, processes), placed N
-                                 workers wide; reports stay
-                                 bit-identical at any process count;
-                                 pristine fabric only)
   --partition fat-tree|block     parallel shard partitioner
                                  (default fat-tree)
   --route-backend table|oracle   simulate/run, sweep, counters, workload,
@@ -131,8 +124,6 @@ pub struct Cmd {
     pub seed: Option<u64>,
     /// Simulation worker threads (1 = sequential engine, 0 = all cores).
     pub threads: usize,
-    /// Worker processes for `simulate` (1 = in-process engine).
-    pub processes: usize,
     /// Shard partitioner for the parallel engine.
     pub partition: PartitionKind,
     /// Forwarding-state backend for the packet engine (table or oracle).
@@ -290,7 +281,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
         time_ns: 200_000,
         seed: None,
         threads: 1,
-        processes: 1,
         partition: PartitionKind::FatTree,
         route_backend: RouteBackend::Table,
         fail_links: Vec::new(),
@@ -328,23 +318,30 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                     other => return Err(format!("unknown pattern '{other}'")),
                 };
             }
-            "--load" => cmd.load = parse_num(next_value(&mut it, arg)?, "load")?,
+            "--load" => cmd.load = parse_load(next_value(&mut it, arg)?)?,
             "--loads" => {
                 cmd.loads = next_value(&mut it, arg)?
                     .split(',')
-                    .map(|s| parse_num(s, "load"))
+                    .map(parse_load)
                     .collect::<Result<_, _>>()?;
             }
             "--vls" => {
-                cmd.vls = next_value(&mut it, arg)?
+                let vls: u8 = next_value(&mut it, arg)?
                     .parse()
                     .map_err(|_| "bad --vls value".to_string())?;
+                if !(1..=15).contains(&vls) {
+                    return Err(format!("--vls must be in 1..=15 (IBA data VLs), got {vls}"));
+                }
+                cmd.vls = vls;
             }
             "--time-us" => {
                 let us: u64 = next_value(&mut it, arg)?
                     .parse()
                     .map_err(|_| "bad --time-us value".to_string())?;
-                cmd.time_ns = us * 1_000;
+                if us == 0 {
+                    return Err("--time-us must be positive".into());
+                }
+                cmd.time_ns = us.checked_mul(1_000).ok_or("--time-us is too large")?;
             }
             "--seed" => {
                 cmd.seed = Some(
@@ -357,15 +354,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                 cmd.threads = next_value(&mut it, arg)?
                     .parse()
                     .map_err(|_| "bad --threads value".to_string())?;
-            }
-            "--processes" => {
-                let p: usize = next_value(&mut it, arg)?
-                    .parse()
-                    .map_err(|_| "bad --processes value".to_string())?;
-                if p == 0 {
-                    return Err("--processes must be positive".into());
-                }
-                cmd.processes = p;
             }
             "--partition" => {
                 cmd.partition = match next_value(&mut it, arg)?.as_str() {
@@ -549,8 +537,13 @@ fn next_value<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&
     it.next().ok_or_else(|| format!("missing value for {flag}"))
 }
 
-fn parse_num(s: &str, what: &str) -> Result<f64, String> {
-    s.parse().map_err(|_| format!("bad {what} '{s}'"))
+/// An offered load: a positive, finite number.
+fn parse_load(s: &str) -> Result<f64, String> {
+    match s.parse::<f64>() {
+        Ok(load) if load > 0.0 && load.is_finite() => Ok(load),
+        Ok(_) => Err(format!("load must be positive and finite, got '{s}'")),
+        Err(_) => Err(format!("bad load '{s}'")),
+    }
 }
 
 #[cfg(test)]
@@ -665,21 +658,6 @@ mod tests {
         let cmd = parse(&argv("run 4x2 --threads 0")).unwrap();
         assert_eq!(cmd.threads, 0);
         assert!(parse(&argv("run 4x2 --threads lots")).is_err());
-    }
-
-    #[test]
-    fn parses_processes() {
-        let cmd = parse(&argv("run 8x3 --processes 2")).unwrap();
-        assert_eq!(cmd.processes, 2);
-        assert_eq!(cmd.threads, 1);
-        // Composes with --threads: both survive parsing untouched.
-        let cmd = parse(&argv("run 8x3 --threads 4 --processes 2")).unwrap();
-        assert_eq!((cmd.threads, cmd.processes), (4, 2));
-        // Default is the in-process engine.
-        let cmd = parse(&argv("run 8x3")).unwrap();
-        assert_eq!(cmd.processes, 1);
-        assert!(parse(&argv("run 8x3 --processes 0")).is_err());
-        assert!(parse(&argv("run 8x3 --processes many")).is_err());
     }
 
     #[test]

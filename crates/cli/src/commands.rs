@@ -9,12 +9,6 @@ use ib_fabric::{EngineTelemetry, FaultPolicy, SwitchId};
 
 /// Run a parsed command.
 pub fn run(cmd: Cmd) -> Result<(), String> {
-    if cmd.processes > 1 && !matches!(cmd.action, Action::Simulate | Action::Faults) {
-        return Err("--processes is only supported for simulate/run and faults \
-             (pattern mode); workload, counters and the other commands run \
-             in-process — use --threads there"
-            .into());
-    }
     let fabric = build_fabric(&cmd)?;
     match cmd.action {
         Action::Info => info(&cmd, &fabric),
@@ -259,81 +253,24 @@ pub fn collect_telemetry(
     Ok(experiment.run_telemetry())
 }
 
-/// Run `simulate` on the multi-process driver: the same shard engine,
-/// each contiguous shard range in its own worker process behind the
-/// deterministic message bridge. Reports are bit-identical to the
-/// in-process engines; workers materialize only their own switches'
-/// forwarding state.
-fn simulate_proc(
-    cmd: &Cmd,
-    fabric: &Fabric,
-) -> Result<(SimReport, Option<EngineTelemetry>), String> {
-    if !cmd.fail_links.is_empty() {
-        return Err(
-            "--processes requires a pristine fabric (workers rebuild the \
-             topology from its parameters); drop --fail-links or run \
-             in-process with --threads"
-                .into(),
-        );
-    }
-    let mut cfg = ibfat_sim::SimConfig {
-        num_vls: cmd.vls,
-        partition: cmd.partition,
-        route_backend: cmd.route_backend,
-        ..ibfat_sim::SimConfig::default()
-    };
-    if let Some(seed) = cmd.seed {
-        cfg.seed = seed;
-    }
-    let threads = if cmd.threads == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        cmd.threads
-    };
-    let sim = ibfat_driver::ProcSimulator::new(
-        cmd.m,
-        cmd.n,
-        cmd.scheme,
-        cfg,
-        pattern_of(cmd, fabric),
-        cmd.load,
-        cmd.time_ns,
-        cmd.time_ns / 5,
-        threads.max(cmd.processes),
-        cmd.processes,
-    );
-    if cmd.telemetry {
-        let (report, _, tel) = sim.run_telemetry().map_err(|e| e.to_string())?;
-        Ok((report, Some(tel)))
-    } else {
-        Ok((sim.run().map_err(|e| e.to_string())?, None))
-    }
-}
-
 fn simulate(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
-    let (report, telemetry) = if cmd.processes > 1 {
-        simulate_proc(cmd, fabric)?
+    let mut experiment = fabric
+        .experiment()
+        .virtual_lanes(cmd.vls)
+        .traffic(pattern_of(cmd, fabric))
+        .offered_load(cmd.load)
+        .duration_ns(cmd.time_ns)
+        .threads(cmd.threads)
+        .partition(cmd.partition)
+        .route_backend(cmd.route_backend);
+    if let Some(seed) = cmd.seed {
+        experiment = experiment.seed(seed);
+    }
+    let (report, telemetry) = if cmd.telemetry {
+        let (r, t) = experiment.run_telemetry();
+        (r, Some(t))
     } else {
-        let mut experiment = fabric
-            .experiment()
-            .virtual_lanes(cmd.vls)
-            .traffic(pattern_of(cmd, fabric))
-            .offered_load(cmd.load)
-            .duration_ns(cmd.time_ns)
-            .threads(cmd.threads)
-            .partition(cmd.partition)
-            .route_backend(cmd.route_backend);
-        if let Some(seed) = cmd.seed {
-            experiment = experiment.seed(seed);
-        }
-        if cmd.telemetry {
-            let (r, t) = experiment.run_telemetry();
-            (r, Some(t))
-        } else {
-            (experiment.run(), None)
-        }
+        (experiment.run(), None)
     };
     if cmd.json {
         println!("{}", report_to_json(&report));
@@ -1116,9 +1053,9 @@ pub struct FaultsReport {
 }
 
 /// Build the seeded fault plan, run the degraded-fabric scenario on the
-/// configured engine (sequential, threaded or multi-process — reports
-/// are bit-identical across all three) and derive the disruption
-/// analysis. Exposed for tests.
+/// configured engine (sequential or threaded — reports are
+/// bit-identical across both) and derive the disruption analysis.
+/// Exposed for tests.
 pub fn collect_faults(cmd: &Cmd, fabric: &Fabric) -> Result<FaultsReport, String> {
     use ib_fabric::FaultPlan;
     if !cmd.fail_links.is_empty() {
@@ -1159,54 +1096,20 @@ pub fn collect_faults(cmd: &Cmd, fabric: &Fabric) -> Result<FaultsReport, String
     plan.per_switch_ns = cmd.per_switch_ns;
     plan.validate(net)?;
 
-    let report = if cmd.processes > 1 {
-        let mut cfg = ibfat_sim::SimConfig {
-            num_vls: cmd.vls,
-            partition: cmd.partition,
-            route_backend: cmd.route_backend,
-            faults: plan.clone(),
-            ..ibfat_sim::SimConfig::default()
-        };
-        if let Some(seed) = cmd.seed {
-            cfg.seed = seed;
-        }
-        let threads = if cmd.threads == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            cmd.threads
-        };
-        ibfat_driver::ProcSimulator::new(
-            cmd.m,
-            cmd.n,
-            cmd.scheme,
-            cfg,
-            pattern_of(cmd, fabric),
-            cmd.load,
-            cmd.time_ns,
-            cmd.time_ns / 5,
-            threads.max(cmd.processes),
-            cmd.processes,
-        )
-        .run()
-        .map_err(|e| e.to_string())?
-    } else {
-        let mut experiment = fabric
-            .experiment()
-            .virtual_lanes(cmd.vls)
-            .traffic(pattern_of(cmd, fabric))
-            .offered_load(cmd.load)
-            .duration_ns(cmd.time_ns)
-            .threads(cmd.threads)
-            .partition(cmd.partition)
-            .route_backend(cmd.route_backend)
-            .faults(plan.clone());
-        if let Some(seed) = cmd.seed {
-            experiment = experiment.seed(seed);
-        }
-        experiment.run()
-    };
+    let mut experiment = fabric
+        .experiment()
+        .virtual_lanes(cmd.vls)
+        .traffic(pattern_of(cmd, fabric))
+        .offered_load(cmd.load)
+        .duration_ns(cmd.time_ns)
+        .threads(cmd.threads)
+        .partition(cmd.partition)
+        .route_backend(cmd.route_backend)
+        .faults(plan.clone());
+    if let Some(seed) = cmd.seed {
+        experiment = experiment.seed(seed);
+    }
+    let report = experiment.run();
     let disruption = ib_fabric::disruption_report(net, fabric.routing(), &plan, &report);
     Ok(FaultsReport {
         plan,
@@ -1229,7 +1132,7 @@ fn fault_action_parts(action: ib_fabric::FaultAction) -> (&'static str, u32) {
 /// Render a [`FaultsReport`] as JSON. Deliberately excludes the
 /// wall-clock throughput fields (`events_per_sec`, `packets_per_sec`):
 /// everything here is deterministic, so the output is byte-identical
-/// at any `--threads`/`--processes` setting.
+/// at any `--threads` setting.
 pub fn faults_to_json(cmd: &Cmd, fabric: &Fabric, out: &FaultsReport) -> String {
     fn survival(j: &mut JsonBuf, key: &str, s: &ib_fabric::PathSurvival) {
         j.key(key);

@@ -15,10 +15,6 @@
 use ibfat_cli::{args, commands};
 
 fn main() {
-    // `--processes` re-execs this binary as bridge workers; if the
-    // supervisor spawned us, speak the worker protocol and exit before
-    // any argument parsing.
-    ibfat_driver::maybe_run_worker();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match args::parse(&argv) {
         Ok(cmd) => {

@@ -163,8 +163,8 @@ fn faults_disruption_pins_the_mlid_survival_story() {
 #[test]
 fn faults_json_is_byte_identical_across_engines() {
     // End-to-end through the real binary: the faults JSON deliberately
-    // excludes wall-clock fields, so sequential, threaded and
-    // multi-process runs must print the exact same bytes.
+    // excludes wall-clock fields, so sequential and threaded runs must
+    // print the exact same bytes.
     let exe = env!("CARGO_BIN_EXE_ibfat");
     let out = |extra: &[&str]| {
         let mut args = vec![
@@ -193,11 +193,33 @@ fn faults_json_is_byte_identical_across_engines() {
     let seq = out(&[]);
     assert!(!seq.is_empty());
     assert_eq!(out(&["--threads", "2"]), seq, "threads changed the bytes");
-    assert_eq!(
-        out(&["--processes", "2"]),
-        seq,
-        "processes changed the bytes"
-    );
+}
+
+#[test]
+fn malformed_run_inputs_are_clean_errors_not_panics() {
+    // Each of these once reached an assertion inside the engine and
+    // exited 101; they must fail up front with an `error:` line.
+    let exe = env!("CARGO_BIN_EXE_ibfat");
+    for line in [
+        "run 4x3 --time-us 0",
+        "run 4x3 --vls 16",
+        "run 4x3 --vls 0",
+        "run 4x3 --load 0",
+        "run 4x3 --load nan",
+        "sweep 4x3 --loads -1",
+    ] {
+        let o = std::process::Command::new(exe)
+            .args(line.split_whitespace())
+            .output()
+            .unwrap();
+        let code = o.status.code();
+        assert!(
+            matches!(code, Some(1 | 2)),
+            "`ibfat {line}` exited {code:?}"
+        );
+        let stderr = String::from_utf8_lossy(&o.stderr);
+        assert!(stderr.contains("error:"), "`ibfat {line}`: {stderr}");
+    }
 }
 
 #[test]

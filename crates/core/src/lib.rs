@@ -59,12 +59,11 @@ pub use ibfat_routing::{
 };
 pub use ibfat_sim::{
     aggregate, disruption_report, generators, json, traces_to_jsonl, workload_trace, Aggregate,
-    ClosedLoopKind, CongestionView, DisruptionReport, EngineTelemetry, FabricCounters, FaultAction,
-    FaultEvent, FaultPlan, FaultPolicy, FaultSummary, HotPort, InjectionProcess, LevelLoad,
-    LinkUse, NoopProbe, PacketTrace, ParProbe, PartitionKind, PathSelection, PathSurvival, Phase,
-    PhaseProfile, Probe, RouteBackend, RunSpec, ShardTelemetry, SimConfig, SimReport, TraceEvent,
-    TraceSampling, TrafficPattern, VlArbitration, VlAssignment, WindowPolicy, Workload,
-    WorkloadReport,
+    ClosedLoopKind, DisruptionReport, EngineTelemetry, FabricCounters, FaultAction, FaultEvent,
+    FaultPlan, FaultPolicy, FaultSummary, HotPort, InjectionProcess, LevelLoad, LinkUse, NoopProbe,
+    PacketTrace, ParProbe, PartitionKind, PathSelection, PathSurvival, Phase, PhaseProfile, Probe,
+    RouteBackend, RunSpec, ShardTelemetry, SimConfig, SimReport, TraceEvent, TraceSampling,
+    TrafficPattern, VlArbitration, VlAssignment, WindowPolicy, Workload, WorkloadReport,
 };
 pub use ibfat_sm::SubnetManager;
 pub use ibfat_topology::{

@@ -316,7 +316,7 @@ pub fn repair_fault_tolerant(
     let params = net.params();
     assert_eq!(prev.kind(), kind, "repair must continue the same scheme");
     assert!(
-        prev.has_tables() && !prev.is_view(),
+        prev.has_tables(),
         "incremental repair needs the full previous tables"
     );
     let space = lid_space_for(net, kind);

@@ -21,15 +21,6 @@ impl Lft {
         }
     }
 
-    /// A zero-slot placeholder: the table of a switch outside a
-    /// subfabric view (see [`crate::Routing::build_view`]). Every lookup
-    /// misses; [`is_empty`](Lft::is_empty) distinguishes it from a real
-    /// (possibly unpopulated) table, which always has `max_lid + 1 ≥ 1`
-    /// slots.
-    pub fn empty() -> Self {
-        Lft { ports: Vec::new() }
-    }
-
     /// Set the output port for a DLID.
     ///
     /// # Panics

@@ -1,5 +1,5 @@
 use crate::{Lft, Lid, LidSpace, MlidScheme, Route, RoutingError, SlidScheme};
-use ibfat_topology::{Network, NodeId, SwitchId};
+use ibfat_topology::{Network, NodeId};
 use serde::{Deserialize, Serialize};
 
 /// A deterministic routing scheme for an InfiniBand subnet: it decides the
@@ -122,74 +122,6 @@ impl Routing {
         }
     }
 
-    /// Run a scheme end-to-end but materialize forwarding tables only
-    /// for the switches marked in `owned` — a *subfabric view* for
-    /// sharded worker processes, each resident-setting only its slice of
-    /// the O(switches × LIDs) table state (the memory-scaling win of the
-    /// multi-process driver). Unowned switches get a zero-slot
-    /// placeholder ([`Lft::empty`]): `lfts().len()` still equals
-    /// `net.num_switches()`, so switch indexing is unchanged, and
-    /// `select_dlid` / `lid_space` are exact (neither consults tables).
-    /// Owned rows are bit-identical to the same rows of
-    /// [`build`](Routing::build); a worker never forwards through an
-    /// unowned switch, so the placeholders are never consulted.
-    pub fn build_view(net: &Network, kind: RoutingKind, owned: &[bool]) -> Routing {
-        assert_eq!(owned.len(), net.num_switches(), "one owned flag per switch");
-        let params = net.params();
-        let per_switch: Option<fn(ibfat_topology::TreeParams, &LidSpace, SwitchId) -> Lft> =
-            match kind {
-                RoutingKind::Slid => Some(SlidScheme::build_switch_lft),
-                RoutingKind::Mlid => Some(MlidScheme::build_switch_lft),
-                RoutingKind::UpDown => None,
-            };
-        match per_switch {
-            Some(build_one) => {
-                let scheme: Box<dyn RoutingScheme> = match kind {
-                    RoutingKind::Slid => Box::new(SlidScheme),
-                    RoutingKind::Mlid => Box::new(MlidScheme),
-                    RoutingKind::UpDown => unreachable!(),
-                };
-                let space = scheme.lid_space(net);
-                let lfts = (0..net.num_switches())
-                    .map(|sw| {
-                        if owned[sw] {
-                            build_one(params, &space, SwitchId(sw as u32))
-                        } else {
-                            Lft::empty()
-                        }
-                    })
-                    .collect();
-                Routing {
-                    kind,
-                    params,
-                    space,
-                    lfts,
-                }
-            }
-            None => {
-                // Up*/down* is a graph-global algorithm with no per-switch
-                // builder: build everything, then drop the unowned rows.
-                // The transient peak is acceptable — it runs at LMC = 0,
-                // so its tables are two orders of magnitude smaller than
-                // the MLID LID space.
-                let mut routing = Routing::build(net, kind);
-                for (sw, lft) in routing.lfts.iter_mut().enumerate() {
-                    if !owned[sw] {
-                        *lft = Lft::empty();
-                    }
-                }
-                routing
-            }
-        }
-    }
-
-    /// Whether this routing is a subfabric view
-    /// ([`build_view`](Routing::build_view)): at least one switch row is
-    /// a zero-slot placeholder.
-    pub fn is_view(&self) -> bool {
-        self.lfts.iter().any(|l| l.is_empty())
-    }
-
     /// Which scheme produced this routing.
     #[inline]
     pub fn kind(&self) -> RoutingKind {
@@ -273,41 +205,5 @@ impl Routing {
     /// through the programmed tables.
     pub fn trace(&self, net: &Network, src: NodeId, dlid: Lid) -> Result<Route, RoutingError> {
         crate::path::trace(net, &self.space, &self.lfts, src, dlid)
-    }
-}
-
-#[cfg(test)]
-mod view_tests {
-    use super::*;
-    use ibfat_topology::TreeParams;
-
-    #[test]
-    fn view_rows_match_the_full_build() {
-        let net = Network::mport_ntree(TreeParams::new(4, 3).unwrap());
-        for kind in RoutingKind::ALL {
-            let full = Routing::build(&net, kind);
-            let owned: Vec<bool> = (0..net.num_switches()).map(|sw| sw % 3 == 1).collect();
-            let view = Routing::build_view(&net, kind, &owned);
-            assert!(view.is_view(), "{kind}");
-            assert!(!full.is_view(), "{kind}");
-            assert!(view.has_tables(), "{kind}: a view still carries tables");
-            assert_eq!(view.lfts().len(), net.num_switches());
-            assert_eq!(view.lid_space(), full.lid_space(), "{kind}");
-            for sw in 0..net.num_switches() {
-                if owned[sw] {
-                    assert_eq!(
-                        view.lfts()[sw],
-                        full.lfts()[sw],
-                        "{kind}: owned row {sw} must be bit-identical"
-                    );
-                } else {
-                    assert!(view.lfts()[sw].is_empty(), "{kind}: unowned row {sw}");
-                }
-            }
-            assert!(
-                view.table_bytes() < full.table_bytes(),
-                "{kind}: the view must resident-set less table state"
-            );
-        }
     }
 }

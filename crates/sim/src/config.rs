@@ -1,4 +1,3 @@
-use crate::engine::CalendarKind;
 use crate::VlArbitration;
 use serde::{Deserialize, Serialize};
 
@@ -234,12 +233,6 @@ pub struct SimConfig {
     /// achievable with LFT lookup (the paper's setting) and it reorders
     /// flows. Valid on intact fat trees only.
     pub adaptive_up: bool,
-    /// Which event-calendar implementation backs the run. Purely a
-    /// performance knob: both calendars obey the same `(time, insertion
-    /// order)` contract, so reports are bit-identical across them for a
-    /// given seed (the equivalence tests assert exactly that).
-    #[serde(default)]
-    pub calendar: CalendarKind,
     /// Shard partitioner for the parallel engine (ignored by the
     /// sequential one). Bit-identical reports across choices.
     #[serde(default)]
@@ -254,7 +247,7 @@ pub struct SimConfig {
     pub route_backend: RouteBackend,
     /// Scheduled mid-run fabric failures (empty = subsystem disabled).
     /// Requires the table backend and a non-adaptive MLID/SLID routing;
-    /// reports stay bit-identical at any thread or process count.
+    /// reports stay bit-identical at any thread count.
     #[serde(default)]
     pub faults: crate::FaultPlan,
 }
@@ -277,7 +270,6 @@ impl Default for SimConfig {
             trace_first_packets: 0,
             trace_sampling: TraceSampling::default(),
             adaptive_up: false,
-            calendar: CalendarKind::default(),
             partition: PartitionKind::default(),
             window_policy: WindowPolicy::default(),
             route_backend: RouteBackend::default(),
@@ -317,19 +309,6 @@ impl SimConfig {
     #[inline]
     pub fn lookahead_ns(&self) -> u64 {
         self.fly_time_ns
-    }
-
-    /// Timing-wheel sizing hint, in ns: the largest constant event delta
-    /// the model produces (wire flight + routing stage + one packet
-    /// serialization, plus one so the bound is inclusive). The calendar
-    /// rounds this up to a power of two; at the paper's constants
-    /// (20 + 100 + 256 + 1 = 377) that is a 512-slot wheel instead of
-    /// the 4096-slot default — small enough to stay cache-resident on
-    /// small fabrics, where the fixed-size wheel measurably lost to the
-    /// heap oracle. Wheel size never affects pop order.
-    #[inline]
-    pub fn wheel_horizon_hint(&self) -> u64 {
-        self.fly_time_ns + self.routing_time_ns + self.packet_time_ns() + 1
     }
 
     /// Mean packet inter-arrival time (ns) for a normalized offered load

@@ -174,23 +174,6 @@ pub struct FabricCounters {
     /// Most recent in-flight count seen by `tick` (for the final sample).
     last_in_flight: u64,
 
-    // --- streaming congestion signals (see `CongestionView`) ---
-    /// EWMA smoothing factor in `(0, 1]`; 0 disables the stream.
-    ewma_alpha: f64,
-    /// Serialization time per byte (ns), converting interval bytes to
-    /// link utilization.
-    byte_time_ns: u64,
-    /// Per-port EWMA of interval link utilization in `[0, 1]`.
-    ewma_util: Vec<f64>,
-    /// Per-port EWMA of the credit-stalled fraction of each interval.
-    ewma_stall: Vec<f64>,
-    /// Cumulative per-port (VL-summed) credit-stall ns, for deltas.
-    port_stall_ns: Vec<u64>,
-    /// `port_stall_ns` as of the previous sample.
-    last_port_stall: Vec<u64>,
-    /// Simulated time of the previous sample flush.
-    last_sample_t: Time,
-
     end_time: Time,
 }
 
@@ -224,13 +207,6 @@ impl FabricCounters {
             port_xmit_bytes: vec![0; num_switches * ports],
             last_port_xmit: vec![0; num_switches * ports],
             last_in_flight: 0,
-            ewma_alpha: 0.0,
-            byte_time_ns: 0,
-            ewma_util: vec![0.0; num_switches * ports],
-            ewma_stall: vec![0.0; num_switches * ports],
-            port_stall_ns: vec![0; num_switches * ports],
-            last_port_stall: vec![0; num_switches * ports],
-            last_sample_t: 0,
             end_time: 0,
         }
     }
@@ -253,30 +229,6 @@ impl FabricCounters {
     /// [`samples_dropped`](FabricCounters::samples_dropped).
     pub fn with_sample_capacity(mut self, cap: usize) -> FabricCounters {
         self.max_samples = cap.max(1);
-        self
-    }
-
-    /// Enable streaming congestion signals: per-port EWMAs of link
-    /// utilization and credit-stall rate, updated incrementally at each
-    /// sample flush and read through [`congestion`](Self::congestion).
-    /// `alpha` in `(0, 1]` weights the newest interval; `byte_time_ns`
-    /// is the link's serialization time per byte (see
-    /// `SimConfig::byte_time_ns`), converting interval bytes to
-    /// utilization.
-    ///
-    /// # Panics
-    /// Panics unless [`with_sampling`](Self::with_sampling) was enabled
-    /// first (the EWMAs ride the sampling clock), or on an out-of-range
-    /// `alpha`, or a zero `byte_time_ns`.
-    pub fn with_congestion(mut self, alpha: f64, byte_time_ns: u64) -> FabricCounters {
-        assert!(
-            self.sample_interval_ns > 0,
-            "congestion signals ride the sampling clock: call with_sampling first"
-        );
-        assert!(alpha > 0.0 && alpha <= 1.0, "EWMA alpha must be in (0, 1]");
-        assert!(byte_time_ns > 0, "byte time must be positive");
-        self.ewma_alpha = alpha;
-        self.byte_time_ns = byte_time_ns;
         self
     }
 
@@ -453,40 +405,14 @@ impl FabricCounters {
             latency_p99_ns: p.p99,
             top_ports,
         });
-        // Streaming congestion EWMAs: decay every port by the interval's
-        // observation before the xmit snapshot below overwrites the
-        // deltas. A stall interval still open at the flush contributes
-        // when it closes (clamped to 1.0), so long stalls register late
-        // but are never lost.
-        if self.ewma_alpha > 0.0 {
-            let span = now.saturating_sub(self.last_sample_t).max(1) as f64;
-            let a = self.ewma_alpha;
-            let byte_ns = self.byte_time_ns as f64;
-            for i in 0..self.port_xmit_bytes.len() {
-                let bytes = (self.port_xmit_bytes[i] - self.last_port_xmit[i]) as f64;
-                let util = (bytes * byte_ns / span).min(1.0);
-                self.ewma_util[i] = a * util + (1.0 - a) * self.ewma_util[i];
-                let stall =
-                    ((self.port_stall_ns[i] - self.last_port_stall[i]) as f64 / span).min(1.0);
-                self.ewma_stall[i] = a * stall + (1.0 - a) * self.ewma_stall[i];
-            }
-            self.last_port_stall.copy_from_slice(&self.port_stall_ns);
-        }
         self.interval_delivered_pkts = 0;
         self.interval_delivered_bytes = 0;
         self.interval_events = 0;
         self.interval_latency = LatencyStats::new();
         self.last_port_xmit.copy_from_slice(&self.port_xmit_bytes);
-        self.last_sample_t = now;
         // Re-align to the grid; a quiet stretch yields one late sample
         // covering the whole gap, not a burst of empty ones.
         self.next_sample = (now / self.sample_interval_ns + 1) * self.sample_interval_ns;
-    }
-
-    /// Streaming congestion signals over this probe's EWMAs (empty
-    /// unless [`with_congestion`](Self::with_congestion) was enabled).
-    pub fn congestion(&self) -> CongestionView<'_> {
-        CongestionView { c: self }
     }
 
     // ----- JSON export --------------------------------------------------
@@ -494,7 +420,7 @@ impl FabricCounters {
     /// Serialize everything to JSON (via the shared [`crate::json`]
     /// writer; schema documented in EXPERIMENTS.md § Observability).
     /// Per-VL breakdowns are included only when more than one VL is in
-    /// use; the `congestion` array only when the EWMA stream is enabled.
+    /// use.
     pub fn to_json(&self) -> String {
         let mut j = JsonBuf::with_capacity(4096);
         j.begin_obj();
@@ -572,24 +498,6 @@ impl FabricCounters {
             j.end_obj();
         }
         j.end_arr();
-
-        if self.ewma_alpha > 0.0 {
-            j.field_f64("ewma_alpha", self.ewma_alpha, 4);
-            j.key("congestion");
-            j.begin_arr();
-            for i in 0..self.ewma_util.len() {
-                if self.ewma_util[i] == 0.0 && self.ewma_stall[i] == 0.0 {
-                    continue;
-                }
-                j.begin_obj();
-                j.field_u64("sw", (i / self.ports_per_switch) as u64);
-                j.field_u64("port", (i % self.ports_per_switch) as u64 + 1);
-                j.field_f64("util", self.ewma_util[i], 4);
-                j.field_f64("stall_rate", self.ewma_stall[i], 4);
-                j.end_obj();
-            }
-            j.end_arr();
-        }
         j.end_obj();
         j.into_string()
     }
@@ -604,77 +512,6 @@ fn write_counter_fields(j: &mut JsonBuf, c: &PortVlCounters) {
     j.field_u64("credit_stall_ns", c.credit_stall_ns);
     j.field_u64("in_buf_high_water", u64::from(c.in_buf_high_water));
     j.field_u64("out_buf_high_water", u64::from(c.out_buf_high_water));
-}
-
-/// Read-only view over [`FabricCounters`]' streaming congestion EWMAs —
-/// the sensor seam an adaptive MLID path-selection policy consumes
-/// (ROADMAP item 1). Rates are dimensionless in `[0, 1]`: `utilization`
-/// is the EWMA of each interval's transmitted-bytes serialization time
-/// over the interval span; `stall_rate` is the EWMA of the
-/// credit-stalled fraction of the interval.
-///
-/// Under the parallel engine each port's series is computed wholly on
-/// the shard owning its switch, so per-port values are exact sums at
-/// merge time — but the sampling grid is shard-local, so values may
-/// differ (harmlessly) from a sequential run, like the time-series
-/// samples themselves.
-#[derive(Debug, Clone, Copy)]
-pub struct CongestionView<'a> {
-    c: &'a FabricCounters,
-}
-
-impl CongestionView<'_> {
-    /// Whether the stream was enabled (`with_congestion`).
-    pub fn enabled(&self) -> bool {
-        self.c.ewma_alpha > 0.0
-    }
-
-    /// The EWMA smoothing factor (0 when disabled).
-    pub fn alpha(&self) -> f64 {
-        self.c.ewma_alpha
-    }
-
-    /// EWMA link utilization of one (switch, 0-based port).
-    pub fn utilization(&self, sw: u32, port: u8) -> f64 {
-        self.c.ewma_util[self.c.pcell(sw, port)]
-    }
-
-    /// EWMA credit-stall rate of one (switch, 0-based port).
-    pub fn stall_rate(&self, sw: u32, port: u8) -> f64 {
-        self.c.ewma_stall[self.c.pcell(sw, port)]
-    }
-
-    /// The `k` ports with the highest EWMA utilization, descending
-    /// (ties toward the lower `(sw, port)`; idle ports never listed).
-    /// Ports are IB 1-based.
-    pub fn hottest(&self, k: usize) -> Vec<(u32, u8, f64)> {
-        self.top_by(k, &self.c.ewma_util)
-    }
-
-    /// The `k` ports with the highest EWMA credit-stall rate.
-    pub fn most_stalled(&self, k: usize) -> Vec<(u32, u8, f64)> {
-        self.top_by(k, &self.c.ewma_stall)
-    }
-
-    fn top_by(&self, k: usize, series: &[f64]) -> Vec<(u32, u8, f64)> {
-        let mut ranked: Vec<(f64, usize)> = series
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &v)| (v > 0.0).then_some((v, i)))
-            .collect();
-        ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
-        ranked.truncate(k);
-        ranked
-            .into_iter()
-            .map(|(v, i)| {
-                (
-                    (i / self.c.ports_per_switch) as u32,
-                    (i % self.c.ports_per_switch) as u8 + 1,
-                    v,
-                )
-            })
-            .collect()
-    }
 }
 
 impl Probe for FabricCounters {
@@ -766,7 +603,6 @@ impl Probe for FabricCounters {
         if start != Time::MAX {
             self.stall_start[cell] = Time::MAX;
             self.per_vl[cell].credit_stall_ns += now - start;
-            self.port_stall_ns[cell / self.num_vls] += now - start;
         }
     }
 
@@ -798,7 +634,6 @@ impl Probe for FabricCounters {
             if ss != Time::MAX {
                 self.stall_start[cell] = Time::MAX;
                 self.per_vl[cell].credit_stall_ns += now - ss;
-                self.port_stall_ns[cell / self.num_vls] += now - ss;
             }
         }
         if self.sample_interval_ns > 0
@@ -855,13 +690,6 @@ impl ParProbe for FabricCounters {
             port_xmit_bytes: vec![0; pcells],
             last_port_xmit: vec![0; pcells],
             last_in_flight: 0,
-            ewma_alpha: self.ewma_alpha,
-            byte_time_ns: self.byte_time_ns,
-            ewma_util: vec![0.0; pcells],
-            ewma_stall: vec![0.0; pcells],
-            port_stall_ns: vec![0; pcells],
-            last_port_stall: vec![0; pcells],
-            last_sample_t: 0,
             end_time: 0,
         }
     }
@@ -882,18 +710,6 @@ impl ParProbe for FabricCounters {
         }
         for (p, o) in self.port_xmit_bytes.iter_mut().zip(&child.port_xmit_bytes) {
             *p += o;
-        }
-        for (p, o) in self.port_stall_ns.iter_mut().zip(&child.port_stall_ns) {
-            *p += o;
-        }
-        // Each port's EWMA is computed wholly on the shard owning its
-        // switch; other shards contribute exact zeros, so addition is
-        // exact.
-        for (e, o) in self.ewma_util.iter_mut().zip(&child.ewma_util) {
-            *e += o;
-        }
-        for (e, o) in self.ewma_stall.iter_mut().zip(&child.ewma_stall) {
-            *e += o;
         }
         self.end_time = self.end_time.max(child.end_time);
         self.samples_dropped += child.samples_dropped;
@@ -1025,58 +841,5 @@ mod tests {
         let doc = crate::json::parse(&json).expect("valid JSON");
         let obj = doc.as_object("counters").unwrap();
         assert_eq!(obj.field("schema").unwrap().as_u64("schema").unwrap(), 1);
-    }
-
-    #[test]
-    fn congestion_ewma_tracks_utilization_and_stalls() {
-        // Port (0, p2): 500 bytes/interval at 1 ns/byte over 1000 ns
-        // intervals -> utilization 0.5 per interval.
-        let mut c = counters().with_sampling(1_000, 2).with_congestion(0.5, 1);
-        c.sw_xmit(100, 0, 2, 0, 500);
-        c.credit_stall_start(0, 0, 3, 0);
-        c.credit_stall_end(250, 0, 3, 0); // stalled 25% of the interval
-        c.tick(1_000, 1);
-        {
-            let v = c.congestion();
-            assert!(v.enabled());
-            assert!((v.utilization(0, 2) - 0.25).abs() < 1e-9); // 0.5 * 0.5
-            assert!((v.stall_rate(0, 3) - 0.125).abs() < 1e-9); // 0.5 * 0.25
-        }
-        // Second, idle interval decays both EWMAs.
-        c.tick(2_000, 1);
-        let v = c.congestion();
-        assert!((v.utilization(0, 2) - 0.125).abs() < 1e-9);
-        assert!((v.stall_rate(0, 3) - 0.0625).abs() < 1e-9);
-        let hot = v.hottest(4);
-        assert_eq!((hot[0].0, hot[0].1), (0, 3)); // 1-based port
-        let stalled = v.most_stalled(4);
-        assert_eq!((stalled[0].0, stalled[0].1), (0, 4));
-        // The export grows a congestion section.
-        let json = c.to_json();
-        assert!(json.contains("\"congestion\":["));
-        crate::json::parse(&json).expect("valid JSON");
-    }
-
-    #[test]
-    fn congestion_absorb_is_exact_for_disjoint_ports() {
-        let parent = counters().with_sampling(1_000, 2).with_congestion(0.5, 1);
-        let mut a = ParProbe::fork(&parent);
-        let mut b = ParProbe::fork(&parent);
-        a.sw_xmit(100, 0, 2, 0, 500);
-        a.tick(1_000, 1);
-        b.sw_xmit(100, 1, 0, 0, 1_000);
-        b.tick(1_000, 1);
-        let mut merged = parent.clone();
-        merged.absorb(a);
-        merged.absorb(b);
-        let v = merged.congestion();
-        assert!((v.utilization(0, 2) - 0.25).abs() < 1e-9);
-        assert!((v.utilization(1, 0) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "with_sampling")]
-    fn congestion_without_sampling_panics() {
-        let _ = counters().with_congestion(0.5, 1);
     }
 }

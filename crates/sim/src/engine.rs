@@ -1,307 +1,23 @@
 //! The discrete-event core: a monotonically ordered event calendar.
 //!
 //! Events at equal timestamps are processed in insertion order, so a
-//! simulation is a pure function of its inputs and seed. Two calendar
-//! implementations share that contract:
+//! simulation is a pure function of its inputs and seed. Two types share
+//! that contract:
 //!
-//! * [`TimingWheel`] — the default. Event deltas in this simulator are
-//!   tiny discrete nanosecond quanta (20 ns fly, 100 ns route, 1 ns/byte
-//!   serialization), so almost every event lands within a few microseconds
-//!   of the cursor. A wheel of 1-ns FIFO buckets over a 4096-ns horizon
-//!   turns the O(log n) heap push/pop into O(1) bucket appends/pops, with
-//!   a sorted overflow level (far-future events, e.g. low-load injections)
-//!   that migrates into the wheel as the cursor advances.
-//! * [`HeapCalendar`] — the classic `BinaryHeap` ordered by `(time, seq)`.
-//!   Kept as a differential oracle: the `heap-calendar` feature makes it
-//!   the default, and the equivalence tests drive both side by side.
+//! * [`HeapCalendar`] — a `BinaryHeap` ordered by `(time, seq)`.
+//! * [`ChainQueue`] — the sequential engine's calendar: four
+//!   constant-delay FIFO delay lines in front of a residual
+//!   [`HeapCalendar`].
 //!
 //! Tie-break order is part of the determinism contract (see
-//! `docs/MODEL.md` § Performance & determinism): both calendars pop equal
+//! `docs/MODEL.md` § Performance & determinism): both pop equal
 //! timestamps strictly in scheduling order.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Simulation time in nanoseconds.
 pub type Time = u64;
-
-/// Which calendar implementation backs an [`EventQueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CalendarKind {
-    /// Hierarchical timing wheel: O(1) schedule/pop for near-future
-    /// events, sorted overflow for far-future ones.
-    TimingWheel,
-    /// Binary heap ordered by `(time, seq)`: O(log n), the original
-    /// implementation, kept as a differential oracle.
-    BinaryHeap,
-}
-
-impl Default for CalendarKind {
-    /// The wheel, unless the `heap-calendar` feature flips the fallback
-    /// back on (used by CI equivalence runs).
-    fn default() -> Self {
-        if cfg!(feature = "heap-calendar") {
-            CalendarKind::BinaryHeap
-        } else {
-            CalendarKind::TimingWheel
-        }
-    }
-}
-
-/// Default wheel horizon in slots (= ns, one bucket per ns). Must be a
-/// power of two. 4096 ns comfortably covers every in-flight delta of the
-/// model (max ≈ fly + packet serialization) at the paper's constants;
-/// only injection events at very low offered load overflow.
-const WHEEL_SLOTS: usize = 1 << 12;
-
-/// Smallest wheel worth building: below this the slot array no longer
-/// dominates peek cost and shrinking further only grows overflow churn.
-const MIN_WHEEL_SLOTS: usize = 1 << 6;
-
-/// A calendar queue with 1-ns FIFO buckets over a sliding 4096-ns
-/// (`WHEEL_SLOTS`) horizon plus a sorted overflow level beyond it.
-///
-/// Invariants:
-/// * `cursor` never exceeds the earliest pending event's time.
-/// * every buffered event with `time < cursor + WHEEL_SLOTS` lives in
-///   `slots[time % WHEEL_SLOTS]` (so a bucket holds exactly one
-///   timestamp), later events live in `overflow`,
-/// * each bucket and each overflow entry is FIFO in scheduling order.
-#[derive(Debug)]
-pub struct TimingWheel<E> {
-    slots: Vec<VecDeque<E>>,
-    /// `slots.len() - 1`; slot count is a power of two so bucket index
-    /// is `time & mask`.
-    mask: u64,
-    /// Next candidate timestamp; everything earlier has been popped.
-    cursor: Time,
-    /// Events currently inside the wheel horizon.
-    near: usize,
-    /// Far-future events, FIFO per timestamp.
-    overflow: BTreeMap<Time, VecDeque<E>>,
-    /// Events currently in `overflow`.
-    far: usize,
-    /// Recycled overflow buckets: deques drained by `advance`/`refill`
-    /// keep their heap buffer here instead of dropping it, so steady-state
-    /// overflow churn (low-load injection events) allocates nothing.
-    spare: Vec<VecDeque<E>>,
-    /// Overflow buckets created without a recycled deque (diagnostics for
-    /// the alloc-count test).
-    #[cfg(test)]
-    fresh_buckets: u64,
-}
-
-/// Recycled-bucket pool cap: beyond this many spare deques the buffers are
-/// genuinely surplus (more than the peak number of simultaneous overflow
-/// timestamps) and get dropped instead of hoarded.
-const SPARE_BUCKETS: usize = 32;
-
-impl<E> TimingWheel<E> {
-    /// An empty wheel with the cursor at t = 0 and the default
-    /// ([`WHEEL_SLOTS`]) horizon.
-    pub fn new() -> Self {
-        TimingWheel::with_slots(WHEEL_SLOTS)
-    }
-
-    /// An empty wheel with an explicit slot count (must be a power of
-    /// two). A wheel sized to the fabric's actual delay horizon keeps the
-    /// slot array cache-resident and makes the O(slots) `peek_head` scan
-    /// proportionally cheaper; events past the horizon still land in the
-    /// sorted overflow level, so correctness never depends on the size.
-    pub fn with_slots(slots: usize) -> Self {
-        assert!(slots.is_power_of_two(), "wheel slot count must be 2^k");
-        TimingWheel {
-            slots: (0..slots).map(|_| VecDeque::new()).collect(),
-            mask: slots as u64 - 1,
-            cursor: 0,
-            near: 0,
-            overflow: BTreeMap::new(),
-            far: 0,
-            spare: Vec::new(),
-            #[cfg(test)]
-            fresh_buckets: 0,
-        }
-    }
-
-    /// An empty wheel sized for a fabric whose largest common event delta
-    /// is `horizon_ns`: the next power of two covering it, clamped to
-    /// [[`MIN_WHEEL_SLOTS`], [`WHEEL_SLOTS`]]. `horizon_ns == 0` (no
-    /// hint) yields the default size.
-    pub fn with_horizon(horizon_ns: u64) -> Self {
-        if horizon_ns == 0 {
-            return TimingWheel::new();
-        }
-        let slots = horizon_ns
-            .next_power_of_two()
-            .clamp(MIN_WHEEL_SLOTS as u64, WHEEL_SLOTS as u64) as usize;
-        TimingWheel::with_slots(slots)
-    }
-
-    /// The wheel's horizon in slots (diagnostics / tests).
-    pub fn num_slots(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Schedule `event` at absolute time `at`. Scheduling in the past
-    /// (before the last popped timestamp) is a logic error; debug builds
-    /// assert, release builds clamp to the cursor to keep monotonicity.
-    #[inline]
-    pub fn schedule(&mut self, at: Time, event: E) {
-        debug_assert!(
-            at >= self.cursor,
-            "scheduled {at} before cursor {}",
-            self.cursor
-        );
-        let at = at.max(self.cursor);
-        if at - self.cursor < self.slots.len() as u64 {
-            self.slots[(at & self.mask) as usize].push_back(event);
-            self.near += 1;
-        } else {
-            match self.overflow.entry(at) {
-                std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().push_back(event),
-                std::collections::btree_map::Entry::Vacant(v) => {
-                    #[cfg(test)]
-                    if self.spare.is_empty() {
-                        self.fresh_buckets += 1;
-                    }
-                    let mut q = self.spare.pop().unwrap_or_default();
-                    q.push_back(event);
-                    v.insert(q);
-                }
-            }
-            self.far += 1;
-        }
-    }
-
-    /// Retire a drained overflow bucket into the recycling pool.
-    #[inline]
-    fn recycle(&mut self, q: VecDeque<E>) {
-        debug_assert!(q.is_empty(), "recycling a non-empty bucket");
-        if self.spare.len() < SPARE_BUCKETS {
-            self.spare.push(q);
-        }
-    }
-
-    /// Pop the earliest event, if any.
-    #[inline]
-    pub fn pop(&mut self) -> Option<(Time, E)> {
-        loop {
-            if self.near == 0 {
-                if self.far == 0 {
-                    return None;
-                }
-                // The wheel is empty: jump straight to the earliest
-                // overflow timestamp and pull the new window in.
-                let (&t, _) = self.overflow.first_key_value().expect("far > 0");
-                self.cursor = t;
-                self.refill();
-                continue;
-            }
-            if let Some(ev) = self.slots[(self.cursor & self.mask) as usize].pop_front() {
-                self.near -= 1;
-                return Some((self.cursor, ev));
-            }
-            self.advance();
-        }
-    }
-
-    /// Timestamp of the earliest pending event. O(horizon) worst case —
-    /// for tests and diagnostics, not the hot path (the simulator only
-    /// pops).
-    pub fn peek_time(&self) -> Option<Time> {
-        self.peek_head().map(|(t, _)| t)
-    }
-
-    /// The earliest pending event without removing it. Non-mutating on
-    /// purpose: the cursor stays put, so events may still be scheduled at
-    /// any time ≥ the last *popped* timestamp afterwards. (A mutating peek
-    /// that advanced the cursor would make later schedules below the new
-    /// cursor clamp — see [`schedule`](TimingWheel::schedule) — which is
-    /// exactly what the fused-chain queue must avoid: chains deliver
-    /// events earlier than the wheel head, and dispatching them can
-    /// legally schedule residual events below it.) O(horizon) worst case,
-    /// like [`peek_time`](TimingWheel::peek_time).
-    pub fn peek_head(&self) -> Option<(Time, &E)> {
-        if self.near > 0 {
-            for i in 0..self.slots.len() as u64 {
-                let t = self.cursor + i;
-                if let Some(e) = self.slots[(t & self.mask) as usize].front() {
-                    return Some((t, e));
-                }
-            }
-            unreachable!("near > 0 but no occupied bucket in the horizon");
-        }
-        self.overflow
-            .first_key_value()
-            .map(|(&t, q)| (t, q.front().expect("empty overflow bucket")))
-    }
-
-    /// Number of pending events.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.near + self.far
-    }
-
-    /// Whether the calendar is drained.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Advance the cursor past an empty bucket. The window slides by one
-    /// ns, so exactly one new timestamp (`old cursor + slots`) becomes
-    /// coverable; its bucket is the one just vacated.
-    #[inline]
-    fn advance(&mut self) {
-        let new_edge = self.cursor + self.slots.len() as u64;
-        self.cursor += 1;
-        if self.far > 0 {
-            if let Some(entry) = self.overflow.first_entry() {
-                if *entry.key() == new_edge {
-                    let mut q = entry.remove();
-                    self.far -= q.len();
-                    self.near += q.len();
-                    let slot = &mut self.slots[(new_edge & self.mask) as usize];
-                    debug_assert!(slot.is_empty(), "migrating into an occupied bucket");
-                    slot.append(&mut q);
-                    self.recycle(q);
-                }
-            }
-        }
-    }
-
-    /// After a cursor jump, migrate every overflow entry that now falls
-    /// inside the horizon (FIFO order per timestamp is preserved).
-    fn refill(&mut self) {
-        let horizon = self.cursor + self.slots.len() as u64;
-        while let Some(entry) = self.overflow.first_entry() {
-            let t = *entry.key();
-            if t >= horizon {
-                break;
-            }
-            let mut q = entry.remove();
-            self.far -= q.len();
-            self.near += q.len();
-            self.slots[(t & self.mask) as usize].append(&mut q);
-            self.recycle(q);
-        }
-    }
-
-    /// Overflow buckets created from scratch (not served by the recycling
-    /// pool). Pinned by the alloc-count test: after warm-up, steady-state
-    /// overflow churn must be allocation-free.
-    #[cfg(test)]
-    pub(crate) fn fresh_overflow_buckets(&self) -> u64 {
-        self.fresh_buckets
-    }
-}
-
-impl<E> Default for TimingWheel<E> {
-    fn default() -> Self {
-        TimingWheel::new()
-    }
-}
 
 /// Binary-heap calendar ordered by the unique `(time, seq)` key.
 #[derive(Debug)]
@@ -394,107 +110,6 @@ impl<E> Default for HeapCalendar<E> {
     }
 }
 
-/// The event calendar. `E` is the simulator's event payload.
-///
-/// An enum (not a trait object) so the hot path stays monomorphized and
-/// branch-predictable; both variants obey the same `(time, insertion
-/// order)` pop contract.
-#[derive(Debug)]
-pub enum EventQueue<E> {
-    /// Timing-wheel calendar (default).
-    Wheel(TimingWheel<E>),
-    /// Binary-heap calendar (differential oracle / `heap-calendar`
-    /// feature fallback).
-    Heap(HeapCalendar<E>),
-}
-
-impl<E> EventQueue<E> {
-    /// An empty calendar of the default kind (see [`CalendarKind`]).
-    pub fn new() -> Self {
-        EventQueue::with_kind(CalendarKind::default())
-    }
-
-    /// An empty calendar of an explicit kind.
-    pub fn with_kind(kind: CalendarKind) -> Self {
-        EventQueue::with_kind_and_horizon(kind, 0)
-    }
-
-    /// An empty calendar of an explicit kind, with the wheel sized to
-    /// `horizon_ns` (see [`TimingWheel::with_horizon`]; `0` = default
-    /// size). The heap ignores the hint.
-    pub fn with_kind_and_horizon(kind: CalendarKind, horizon_ns: u64) -> Self {
-        match kind {
-            CalendarKind::TimingWheel => EventQueue::Wheel(TimingWheel::with_horizon(horizon_ns)),
-            CalendarKind::BinaryHeap => EventQueue::Heap(HeapCalendar::new()),
-        }
-    }
-
-    /// Which implementation this queue runs on.
-    pub fn kind(&self) -> CalendarKind {
-        match self {
-            EventQueue::Wheel(_) => CalendarKind::TimingWheel,
-            EventQueue::Heap(_) => CalendarKind::BinaryHeap,
-        }
-    }
-
-    /// Schedule `event` at absolute time `at`.
-    #[inline]
-    pub fn schedule(&mut self, at: Time, event: E) {
-        match self {
-            EventQueue::Wheel(w) => w.schedule(at, event),
-            EventQueue::Heap(h) => h.schedule(at, event),
-        }
-    }
-
-    /// Pop the earliest event, if any.
-    #[inline]
-    pub fn pop(&mut self) -> Option<(Time, E)> {
-        match self {
-            EventQueue::Wheel(w) => w.pop(),
-            EventQueue::Heap(h) => h.pop(),
-        }
-    }
-
-    /// Timestamp of the earliest pending event.
-    #[inline]
-    pub fn peek_time(&self) -> Option<Time> {
-        match self {
-            EventQueue::Wheel(w) => w.peek_time(),
-            EventQueue::Heap(h) => h.peek_time(),
-        }
-    }
-
-    /// The earliest pending event without removing it.
-    #[inline]
-    pub fn peek_head(&self) -> Option<(Time, &E)> {
-        match self {
-            EventQueue::Wheel(w) => w.peek_head(),
-            EventQueue::Heap(h) => h.peek_head(),
-        }
-    }
-
-    /// Number of pending events.
-    #[inline]
-    pub fn len(&self) -> usize {
-        match self {
-            EventQueue::Wheel(w) => w.len(),
-            EventQueue::Heap(h) => h.len(),
-        }
-    }
-
-    /// Whether the calendar is drained.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        EventQueue::new()
-    }
-}
-
 /// The fixed-latency event classes of the simulator's hot path. Every
 /// event a handler schedules at one of these four constant delays goes
 /// into a dedicated FIFO delay line instead of the general calendar —
@@ -513,64 +128,35 @@ pub enum ChainClass {
     FlyPkt,
 }
 
-/// Cached location of the residual calendar's head inside a
-/// [`ChainQueue`], so the wheel's O(horizon) peek is paid once per
-/// residual pop instead of once per event.
-#[derive(Debug, Clone, Copy)]
-enum RestHead {
-    /// The residual calendar is empty.
-    Empty,
-    /// Head key `(time, global seq)` is known.
-    Known(Time, u64),
-    /// Must be recomputed with `peek_head` before the next comparison.
-    Unknown,
-}
-
 /// A calendar specialized for the simulator's event mix: four constant-
 /// delay FIFO delay lines (one per [`ChainClass`]) in front of a residual
-/// [`EventQueue`] for everything else (injections, busy-link retries,
+/// [`HeapCalendar`] for everything else (injections, busy-link retries,
 /// discard drains).
 ///
 /// Because dispatch time is monotone and each chain's delay is a run
 /// constant, every chain is `(time, seq)`-sorted by construction — a
 /// `schedule` is a plain `push_back` and the earliest event is one of at
-/// most five FIFO heads. A single global sequence number, stamped at
-/// schedule time across chains *and* the residual calendar, reproduces
-/// the exact `(time, insertion order)` pop contract of a single
-/// [`EventQueue`] — same events, same order, same `events_processed`;
-/// only the per-event calendar cost changes. The calendar-equivalence
-/// and parallel-equivalence suites pin exactly that.
+/// most five heads. A single global sequence number, stamped at schedule
+/// time across chains *and* the residual calendar, reproduces the exact
+/// `(time, insertion order)` pop contract of a single [`HeapCalendar`] —
+/// same events, same order, same `events_processed`; only the per-event
+/// calendar cost changes. The calendar-equivalence and
+/// parallel-equivalence suites pin exactly that.
 #[derive(Debug)]
 pub struct ChainQueue<E> {
     chains: [VecDeque<(Time, u64, E)>; 4],
-    rest: EventQueue<(u64, E)>,
-    rest_head: RestHead,
+    rest: HeapCalendar<(u64, E)>,
     seq: u64,
 }
 
 impl<E> ChainQueue<E> {
-    /// An empty queue whose residual calendar uses the given kind.
-    pub fn with_kind(kind: CalendarKind) -> Self {
-        ChainQueue::with_kind_and_horizon(kind, 0)
-    }
-
-    /// An empty queue whose residual wheel (if a wheel) is sized to the
-    /// fabric's delay horizon (`0` = default size). Wheel size never
-    /// changes pop order — each bucket is FIFO per timestamp and the
-    /// overflow level is sorted — so this is purely a cache/scan-cost
-    /// knob.
-    pub fn with_kind_and_horizon(kind: CalendarKind, horizon_ns: u64) -> Self {
+    /// An empty queue.
+    pub fn new() -> Self {
         ChainQueue {
             chains: std::array::from_fn(|_| VecDeque::with_capacity(64)),
-            rest: EventQueue::with_kind_and_horizon(kind, horizon_ns),
-            rest_head: RestHead::Empty,
+            rest: HeapCalendar::new(),
             seq: 0,
         }
-    }
-
-    /// Which implementation backs the residual calendar.
-    pub fn kind(&self) -> CalendarKind {
-        self.rest.kind()
     }
 
     /// Schedule into the residual calendar (non-constant delays).
@@ -579,13 +165,6 @@ impl<E> ChainQueue<E> {
         let seq = self.seq;
         self.seq += 1;
         self.rest.schedule(at, (seq, event));
-        match self.rest_head {
-            RestHead::Empty => self.rest_head = RestHead::Known(at, seq),
-            // `seq` strictly increases, so the new entry only wins on a
-            // strictly earlier timestamp.
-            RestHead::Known(t, _) if at < t => self.rest_head = RestHead::Known(at, seq),
-            _ => {}
-        }
     }
 
     /// Schedule onto a constant-delay chain. The caller must pass the
@@ -608,7 +187,6 @@ impl<E> ChainQueue<E> {
     /// Pop the earliest event: the minimum `(time, seq)` over the four
     /// chain heads and the residual head.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        // Best chain candidate.
         let mut best: Option<(Time, u64, usize)> = None;
         for (i, chain) in self.chains.iter().enumerate() {
             if let Some(&(t, s, _)) = chain.front() {
@@ -617,23 +195,9 @@ impl<E> ChainQueue<E> {
                 }
             }
         }
-        // Residual candidate, through the head cache.
-        if let RestHead::Unknown = self.rest_head {
-            self.rest_head = match self.rest.peek_head() {
-                Some((t, &(s, _))) => RestHead::Known(t, s),
-                None => RestHead::Empty,
-            };
-        }
-        if let RestHead::Known(t, s) = self.rest_head {
+        if let Some((t, &(s, _))) = self.rest.peek_head() {
             if best.is_none_or(|(bt, bs, _)| (t, s) < (bt, bs)) {
-                let (at, (_, event)) = self.rest.pop().expect("cached head of empty calendar");
-                debug_assert_eq!(at, t);
-                self.rest_head = if self.rest.is_empty() {
-                    RestHead::Empty
-                } else {
-                    RestHead::Unknown
-                };
-                return Some((t, event));
+                return self.rest.pop().map(|(t, (_, event))| (t, event));
             }
         }
         best.map(|(_, _, i)| {
@@ -653,150 +217,69 @@ impl<E> ChainQueue<E> {
     }
 }
 
+impl<E> Default for ChainQueue<E> {
+    fn default() -> Self {
+        ChainQueue::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn both() -> [EventQueue<&'static str>; 2] {
-        [
-            EventQueue::with_kind(CalendarKind::TimingWheel),
-            EventQueue::with_kind(CalendarKind::BinaryHeap),
-        ]
-    }
-
     #[test]
     fn events_pop_in_time_order() {
-        for mut q in both() {
-            q.schedule(30, "c");
-            q.schedule(10, "a");
-            q.schedule(20, "b");
-            assert_eq!(q.pop(), Some((10, "a")), "{:?}", q.kind());
-            assert_eq!(q.pop(), Some((20, "b")));
-            assert_eq!(q.pop(), Some((30, "c")));
-            assert_eq!(q.pop(), None);
-        }
+        let mut q = HeapCalendar::new();
+        q.schedule(30, "c");
+        q.schedule(10, "a");
+        q.schedule(20, "b");
+        assert_eq!(q.pop(), Some((10, "a")));
+        assert_eq!(q.pop(), Some((20, "b")));
+        assert_eq!(q.pop(), Some((30, "c")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
-        for kind in [CalendarKind::TimingWheel, CalendarKind::BinaryHeap] {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(5, 1);
-            q.schedule(5, 2);
-            q.schedule(5, 3);
-            assert_eq!(q.pop(), Some((5, 1)), "{kind:?}");
-            assert_eq!(q.pop(), Some((5, 2)));
-            assert_eq!(q.pop(), Some((5, 3)));
-        }
+        let mut q = HeapCalendar::new();
+        q.schedule(5, 1);
+        q.schedule(5, 2);
+        q.schedule(5, 3);
+        assert_eq!(q.pop(), Some((5, 1)));
+        assert_eq!(q.pop(), Some((5, 2)));
+        assert_eq!(q.pop(), Some((5, 3)));
     }
 
     #[test]
     fn peek_and_len() {
-        for mut q in both() {
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
-            q.schedule(42, "x");
-            assert_eq!(q.peek_time(), Some(42));
-            assert_eq!(q.len(), 1);
-        }
-    }
-
-    #[test]
-    fn far_future_events_cross_the_horizon() {
-        let far = 10 * WHEEL_SLOTS as u64 + 17;
-        for kind in [CalendarKind::TimingWheel, CalendarKind::BinaryHeap] {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(far, 1u32);
-            q.schedule(3, 2);
-            q.schedule(far, 3);
-            q.schedule(far + 1, 4);
-            assert_eq!(q.peek_time(), Some(3), "{kind:?}");
-            assert_eq!(q.pop(), Some((3, 2)));
-            assert_eq!(q.peek_time(), Some(far));
-            assert_eq!(q.pop(), Some((far, 1)), "FIFO across the overflow");
-            assert_eq!(q.pop(), Some((far, 3)));
-            assert_eq!(q.pop(), Some((far + 1, 4)));
-            assert!(q.is_empty());
-        }
-    }
-
-    #[test]
-    fn overflow_merges_with_direct_inserts_at_the_same_time() {
-        let mut q = EventQueue::with_kind(CalendarKind::TimingWheel);
-        let t = WHEEL_SLOTS as u64 + 100;
-        q.schedule(t, 1u32); // beyond horizon: overflow
-        q.schedule(0, 0);
-        assert_eq!(q.pop(), Some((0, 0)));
-        // Walk the cursor close enough that t is inside the horizon, then
-        // insert directly into the (already migrated) bucket.
-        q.schedule(200, 2);
-        assert_eq!(q.pop(), Some((200, 2)));
-        q.schedule(t, 3); // same timestamp, later insertion
-        assert_eq!(q.pop(), Some((t, 1)), "migrated event pops first");
-        assert_eq!(q.pop(), Some((t, 3)));
+        let mut q = HeapCalendar::new();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        q.schedule(42, "x");
+        assert_eq!(q.peek_time(), Some(42));
+        assert_eq!(q.peek_head(), Some((42, &"x")));
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
     fn interleaved_schedule_pop_keeps_order() {
         // Schedule-while-popping at the current timestamp: the new event
         // must pop after everything already queued at that time.
-        for kind in [CalendarKind::TimingWheel, CalendarKind::BinaryHeap] {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(7, 1u32);
-            q.schedule(7, 2);
-            assert_eq!(q.pop(), Some((7, 1)));
-            q.schedule(7, 3); // "now" insert during dispatch
-            assert_eq!(q.pop(), Some((7, 2)), "{kind:?}");
-            assert_eq!(q.pop(), Some((7, 3)));
-        }
-    }
-
-    #[test]
-    fn overflow_buckets_are_recycled_not_reallocated() {
-        // Steady-state far-future churn: each cycle schedules an event
-        // beyond the horizon, then pops it (walking the cursor forward).
-        // After the first cycle the drained bucket's deque sits in the
-        // recycling pool, so no further fresh buckets are ever created.
-        let mut w = TimingWheel::new();
-        let mut t = 0u64;
-        let mut fresh_after_warmup = 0;
-        for cycle in 0..200 {
-            w.schedule(t + 2 * WHEEL_SLOTS as u64, cycle);
-            let (popped_t, popped) = w.pop().expect("event pending");
-            assert_eq!(popped, cycle);
-            assert_eq!(popped_t, t + 2 * WHEEL_SLOTS as u64);
-            t = popped_t;
-            if cycle == 0 {
-                fresh_after_warmup = w.fresh_overflow_buckets();
-            }
-        }
-        assert!(fresh_after_warmup >= 1, "first cycle allocates the bucket");
-        assert_eq!(
-            w.fresh_overflow_buckets(),
-            fresh_after_warmup,
-            "steady-state overflow churn must reuse recycled buckets"
-        );
-    }
-
-    #[test]
-    fn recycled_pool_is_bounded() {
-        // Burst of distinct overflow timestamps, then a full drain: the
-        // pool keeps at most SPARE_BUCKETS deques.
-        let mut w = TimingWheel::new();
-        for i in 0..(SPARE_BUCKETS as u64 + 50) {
-            w.schedule(2 * WHEEL_SLOTS as u64 + i * WHEEL_SLOTS as u64, i);
-        }
-        while w.pop().is_some() {}
-        assert!(w.spare.len() <= SPARE_BUCKETS);
-        assert!(w.is_empty());
+        let mut q = HeapCalendar::new();
+        q.schedule(7, 1u32);
+        q.schedule(7, 2);
+        assert_eq!(q.pop(), Some((7, 1)));
+        q.schedule(7, 3); // "now" insert during dispatch
+        assert_eq!(q.pop(), Some((7, 2)));
+        assert_eq!(q.pop(), Some((7, 3)));
     }
 
     #[test]
     fn chain_queue_matches_single_calendar_pop_order() {
         // Differential: an interleaved mix of chain and residual
         // schedules (with a monotone dispatch clock, as the simulator
-        // guarantees) must pop in exactly the order one shared calendar
-        // would produce — same times, same tie-breaks.
+        // guarantees) must pop in exactly the order one shared
+        // `HeapCalendar` would produce — same times, same tie-breaks.
         let classes = [
             ChainClass::Fly,
             ChainClass::Route,
@@ -804,90 +287,9 @@ mod tests {
             ChainClass::FlyPkt,
         ];
         let delays = [20u64, 100, 256, 276];
-        for kind in [CalendarKind::TimingWheel, CalendarKind::BinaryHeap] {
-            let mut cq = ChainQueue::with_kind(kind);
-            let mut eq = EventQueue::with_kind(kind);
-            let mut state = 0x9E37_79B9_7F4A_7C15u64;
-            let mut next = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            };
-            let mut now = 0u64;
-            let mut id = 0u32;
-            for _ in 0..500 {
-                for _ in 0..next() % 4 {
-                    id += 1;
-                    if next() % 3 == 0 {
-                        // Residual: arbitrary future delay (injections,
-                        // retries), occasionally far past the horizon.
-                        let at = now + next() % (2 * WHEEL_SLOTS as u64);
-                        cq.schedule(at, id);
-                        eq.schedule(at, id);
-                    } else {
-                        let c = (next() % 4) as usize;
-                        cq.schedule_chain(classes[c], now + delays[c], id);
-                        eq.schedule(now + delays[c], id);
-                    }
-                }
-                for _ in 0..next() % 4 {
-                    let a = cq.pop();
-                    assert_eq!(a, eq.pop(), "{kind:?}");
-                    if let Some((t, _)) = a {
-                        now = t;
-                    }
-                }
-            }
-            loop {
-                let a = cq.pop();
-                assert_eq!(a, eq.pop(), "{kind:?} drain");
-                if a.is_none() {
-                    break;
-                }
-            }
-            assert!(cq.is_empty());
-            assert_eq!(cq.len(), 0);
-        }
-    }
-
-    #[test]
-    fn peek_head_does_not_disturb_the_cursor() {
-        // peek_head must be non-mutating: scheduling an event earlier
-        // than the peeked head, after the peek, must still work (the
-        // chain queue relies on this exact sequence).
-        let mut w = TimingWheel::new();
-        w.schedule(3000, "far");
-        assert_eq!(w.peek_head(), Some((3000, &"far")));
-        w.schedule(5, "near");
-        assert_eq!(w.pop(), Some((5, "near")));
-        assert_eq!(w.pop(), Some((3000, "far")));
-        assert_eq!(w.peek_head(), None);
-    }
-
-    #[test]
-    fn horizon_hint_sizes_the_wheel() {
-        assert_eq!(TimingWheel::<u32>::with_horizon(0).num_slots(), WHEEL_SLOTS);
-        assert_eq!(
-            TimingWheel::<u32>::with_horizon(1).num_slots(),
-            MIN_WHEEL_SLOTS
-        );
-        assert_eq!(TimingWheel::<u32>::with_horizon(377).num_slots(), 512);
-        assert_eq!(TimingWheel::<u32>::with_horizon(512).num_slots(), 512);
-        assert_eq!(
-            TimingWheel::<u32>::with_horizon(1 << 20).num_slots(),
-            WHEEL_SLOTS,
-            "hint is clamped to the default maximum"
-        );
-    }
-
-    #[test]
-    fn small_wheel_keeps_order_across_overflow() {
-        // A 64-slot wheel with deltas straddling the horizon must pop in
-        // the same order as the heap oracle: size is a cost knob only.
-        let mut w = EventQueue::with_kind_and_horizon(CalendarKind::TimingWheel, 1);
-        let mut h = EventQueue::with_kind(CalendarKind::BinaryHeap);
-        let mut state = 0xDEAD_BEEFu64;
+        let mut cq = ChainQueue::new();
+        let mut hq = HeapCalendar::new();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
             state ^= state << 13;
             state ^= state >> 7;
@@ -895,35 +297,38 @@ mod tests {
             state
         };
         let mut now = 0u64;
-        for id in 0..2000u32 {
-            let at = now + next() % 200; // often past the 64-slot horizon
-            w.schedule(at, id);
-            h.schedule(at, id);
-            if next() % 3 == 0 {
-                let a = w.pop();
-                assert_eq!(a, h.pop());
+        let mut id = 0u32;
+        for _ in 0..500 {
+            for _ in 0..next() % 4 {
+                id += 1;
+                if next() % 3 == 0 {
+                    // Residual: arbitrary future delay (injections,
+                    // retries).
+                    let at = now + next() % 8192;
+                    cq.schedule(at, id);
+                    hq.schedule(at, id);
+                } else {
+                    let c = (next() % 4) as usize;
+                    cq.schedule_chain(classes[c], now + delays[c], id);
+                    hq.schedule(now + delays[c], id);
+                }
+            }
+            for _ in 0..next() % 4 {
+                let a = cq.pop();
+                assert_eq!(a, hq.pop());
                 if let Some((t, _)) = a {
                     now = t;
                 }
             }
         }
         loop {
-            let a = w.pop();
-            assert_eq!(a, h.pop());
+            let a = cq.pop();
+            assert_eq!(a, hq.pop(), "drain");
             if a.is_none() {
                 break;
             }
         }
-    }
-
-    #[test]
-    fn default_kind_follows_the_feature_flag() {
-        let expected = if cfg!(feature = "heap-calendar") {
-            CalendarKind::BinaryHeap
-        } else {
-            CalendarKind::TimingWheel
-        };
-        assert_eq!(EventQueue::<u32>::new().kind(), expected);
-        assert_eq!(CalendarKind::default(), expected);
+        assert!(cq.is_empty());
+        assert_eq!(cq.len(), 0);
     }
 }

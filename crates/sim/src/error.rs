@@ -27,12 +27,6 @@ pub enum SimError {
     /// release builds abort the run and surface this through the
     /// `try_run_*` entry points rather than panicking deep in a handler.
     EngineInvariant(String),
-    /// The multi-process bridge failed: a malformed or truncated frame,
-    /// a blob routed to the wrong worker, or a broken transport under a
-    /// live worker. A worker *process* dying is reported as
-    /// [`SimError::WorkerPanicked`] instead, mirroring the threaded
-    /// engine.
-    Bridge(String),
 }
 
 impl fmt::Display for SimError {
@@ -42,7 +36,6 @@ impl fmt::Display for SimError {
             SimError::InvalidWorkload(msg) => write!(f, "invalid workload: {msg}"),
             SimError::WorkerPanicked(msg) => write!(f, "parallel worker panicked: {msg}"),
             SimError::EngineInvariant(msg) => write!(f, "engine invariant violated: {msg}"),
-            SimError::Bridge(msg) => write!(f, "worker bridge failure: {msg}"),
         }
     }
 }

@@ -21,7 +21,7 @@
 //!
 //! Everything here is a pure function of `(network, routing kind,
 //! plan)` — no clocks, no RNG at runtime — which is what lets the
-//! sequential, threaded, and multi-process engines agree bit for bit:
+//! sequential and threaded engines agree bit for bit:
 //! each shard compiles the same plan and applies the same masks and
 //! patches at the same instants.
 //!
@@ -315,7 +315,7 @@ pub(crate) fn compile_full(
         "fault plans require the MLID/SLID schemes (up*/down* rebuilds natively)"
     );
     assert!(
-        routing.has_tables() && !routing.is_view(),
+        routing.has_tables(),
         "fault compilation needs the full base tables"
     );
     let num_sw = net.num_switches();
@@ -399,9 +399,8 @@ pub(crate) struct FaultState {
     pub(crate) policy: FaultPolicy,
     /// Per-node injection cut-off (`u64::MAX` = never).
     pub(crate) node_kill: Vec<Time>,
-    /// The compiled schedule. `None` only on view-routed shards until
-    /// the worker installs the shared runtime it compiled itself.
-    pub(crate) runtime: Option<Arc<FaultRuntime>>,
+    /// The compiled schedule.
+    pub(crate) runtime: Arc<FaultRuntime>,
     /// Live dead-port masks (updated by `FaultApply`).
     pub(crate) sw_dead: Vec<u64>,
     /// Live killed-switch flags (updated by `FaultApply`).
@@ -416,7 +415,7 @@ pub(crate) struct FaultState {
 }
 
 impl FaultState {
-    pub(crate) fn new(net: &Network, plan: &FaultPlan, runtime: Option<Arc<FaultRuntime>>) -> Self {
+    pub(crate) fn new(net: &Network, plan: &FaultPlan, runtime: Arc<FaultRuntime>) -> Self {
         FaultState {
             policy: plan.policy,
             node_kill: plan.node_kill_times(net),

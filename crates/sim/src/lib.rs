@@ -49,7 +49,6 @@
 pub mod bounds;
 mod config;
 mod counters;
-pub mod dist;
 mod engine;
 mod error;
 mod faults;
@@ -71,12 +70,9 @@ pub use config::{
     VlAssignment, WindowPolicy,
 };
 pub use counters::{
-    CongestionView, FabricCounters, HotPort, NodeCounters, PortVlCounters, Sample,
-    COUNTERS_SCHEMA_VERSION,
+    FabricCounters, HotPort, NodeCounters, PortVlCounters, Sample, COUNTERS_SCHEMA_VERSION,
 };
-pub use engine::{
-    CalendarKind, ChainClass, ChainQueue, EventQueue, HeapCalendar, Time, TimingWheel,
-};
+pub use engine::{ChainClass, ChainQueue, HeapCalendar, Time};
 pub use error::SimError;
 pub use faults::{
     disruption_report, DisruptionReport, FaultAction, FaultEvent, FaultPlan, FaultPolicy,

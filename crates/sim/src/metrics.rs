@@ -95,25 +95,6 @@ impl LatencyStats {
         }
     }
 
-    /// The raw fields `(count, sum, min, max, buckets)` for the
-    /// multi-process bridge codec. `min` is the *internal* sentinel-bearing
-    /// value (`u64::MAX` when empty), not the reader-facing
-    /// [`min`](LatencyStats::min).
-    pub(crate) fn raw_parts(&self) -> (u64, u64, u64, u64, &[u64]) {
-        (self.count, self.sum, self.min, self.max, &self.buckets)
-    }
-
-    /// Rebuild from [`raw_parts`](LatencyStats::raw_parts) output.
-    pub(crate) fn from_raw(count: u64, sum: u64, min: u64, max: u64, buckets: Vec<u64>) -> Self {
-        LatencyStats {
-            count,
-            sum,
-            min,
-            max,
-            buckets,
-        }
-    }
-
     /// Merge another set of samples into this one.
     pub fn merge(&mut self, other: &LatencyStats) {
         self.count += other.count;

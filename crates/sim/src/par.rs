@@ -122,7 +122,7 @@
 //! crossing costs a full wire flight). Probes fork one child per shard
 //! and absorb commutatively at the end ([`ParProbe`]).
 
-use crate::engine::{EventQueue, Time};
+use crate::engine::{HeapCalendar, Time};
 use crate::error::SimError;
 use crate::metrics::{LatencyStats, SimReport};
 use crate::packet::Packet;
@@ -194,17 +194,8 @@ impl EvKey {
 /// ancestries merge (shared `Arc` or both roots) or diverge in `sched`:
 /// two distinct events sharing a parent always differ in `tb` (same
 /// device, distinct counter values), so once the parents are *the same
-/// event* this level's `tb` decides. Distinct events never compare equal.
-///
-/// Merge detection is by `Arc` identity first (the in-process fast path)
-/// and by *value* as a fallback: lineage that crossed a process bridge is
-/// deserialized into fresh `Arc`s, and one common ancestor reached via
-/// two different channels materializes twice. A dispatched event is
-/// uniquely named by `(sched, tb)` — the per-device counter is issued
-/// once — so equal `(sched, tb)` means the same event, *except* that a
-/// priming key (`parent: None`, `sched: 0`) could collide with a t = 0
-/// dispatch-scheduled event of the same device and counter; requiring
-/// the two nodes to agree on rootedness excludes exactly that case.
+/// event* — one shared `Arc`, since every key is created exactly once —
+/// this level's `tb` decides. Distinct events never compare equal.
 pub(crate) fn cmp_key(a: &Arc<EvKey>, b: &Arc<EvKey>) -> std::cmp::Ordering {
     use std::cmp::Ordering::*;
     let (mut a, mut b) = (a, b);
@@ -218,11 +209,7 @@ pub(crate) fn cmp_key(a: &Arc<EvKey>, b: &Arc<EvKey>) -> std::cmp::Ordering {
             (None, Some(_)) => return Less,
             (Some(_), None) => return Greater,
             (Some(pa), Some(pb)) => {
-                if Arc::ptr_eq(pa, pb)
-                    || (pa.sched == pb.sched
-                        && pa.tb == pb.tb
-                        && pa.parent.is_none() == pb.parent.is_none())
-                {
+                if Arc::ptr_eq(pa, pb) {
                     return a.tb.cmp(&b.tb);
                 }
                 a = pa;
@@ -499,7 +486,7 @@ pub(crate) fn scheduling_dev(ev: &Ev, num_nodes: u32) -> (u64, u32) {
 
 /// The parallel engine's scheduler seam: handlers schedule through this
 /// (via [`Sched`]) exactly as they do through the sequential calendar;
-/// the queue keys each event, routes local ones into the shard's wheel
+/// the queue keys each event, routes local ones into the shard's calendar
 /// (or the running cohort, for zero-delay events) and stages cross-shard
 /// ones for the window-end mailbox flush.
 pub struct ShardQueue {
@@ -507,7 +494,7 @@ pub struct ShardQueue {
     map: Arc<ShardMap>,
     num_nodes: u32,
     lookahead: u64,
-    pub(crate) cal: EventQueue<ParEntry>,
+    pub(crate) cal: HeapCalendar<ParEntry>,
     /// Per-device schedule-call counters (nodes, then switches).
     seq: Vec<u32>,
     // --- context of the dispatch in progress, set by the driver ---
@@ -531,7 +518,7 @@ impl ShardQueue {
             map,
             num_nodes,
             lookahead: cfg.lookahead_ns(),
-            cal: EventQueue::with_kind_and_horizon(cfg.calendar, cfg.wheel_horizon_hint()),
+            cal: HeapCalendar::new(),
             seq: vec![0; (num_nodes + num_sw) as usize],
             cur_time: 0,
             parent_key: EvKey::initial(0),
@@ -610,16 +597,7 @@ impl Sched for ShardQueue {
 /// Sequential replay of exactly the injection subsequence: produces the
 /// per-node scripts of pre-drawn injections (identical RNG order to the
 /// sequential run) plus the globally assigned flight-recorder headers.
-///
-/// `keep` filters which nodes' scripts are *retained* (`None` keeps
-/// all). Every node is still replayed — the RNG sequence and the trace
-/// headers are global — but a caller that only injects at a subset of
-/// nodes (a multi-process worker with its shard range, the supervisor
-/// that only wants the headers) never materializes the rest, which is
-/// what keeps a worker's peak resident set proportional to its share
-/// of the fabric.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn injection_prepass(
+fn injection_prepass(
     net: &Network,
     routing: &Routing,
     cfg: &SimConfig,
@@ -627,7 +605,6 @@ pub(crate) fn injection_prepass(
     offered_load: f64,
     sim_time_ns: Time,
     warmup_ns: Time,
-    keep: Option<&[bool]>,
 ) -> (Vec<VecDeque<InjectRec>>, Vec<PacketTrace>) {
     let mut gen = Simulator::new(
         net,
@@ -660,9 +637,7 @@ pub(crate) fn injection_prepass(
         }
         gen.now = t;
         let (payload, next_at) = gen.draw_injection(node);
-        if keep.is_none_or(|k| k[node as usize]) {
-            scripts[node as usize].push_back(InjectRec { at: t, payload });
-        }
+        scripts[node as usize].push_back(InjectRec { at: t, payload });
         if let Some(at) = next_at {
             heap.push(Reverse((at, seq, node)));
             seq += 1;
@@ -681,12 +656,12 @@ pub(crate) fn injection_prepass(
 /// every dispatch-scheduled event — exactly where sequential FIFO places
 /// events scheduled by the pre-loop — and `(fault, k)` lexicographic
 /// order reproduces the sequential scheduling order at shared instants.
-pub(crate) fn schedule_fault_entries<P: Probe>(
+fn schedule_fault_entries<P: Probe>(
     sim: &mut Simulator<'_, P, ShardQueue>,
     map: &ShardMap,
     me: u32,
 ) {
-    let Some(rt) = sim.faults.as_ref().and_then(|f| f.runtime.clone()) else {
+    let Some(rt) = sim.faults.as_ref().map(|f| f.runtime.clone()) else {
         return;
     };
     for (fi, cf) in rt.faults.iter().enumerate() {
@@ -751,9 +726,7 @@ fn drain_inbound<P: Probe>(
 /// Schedule one source's inbound batch into the local calendar, in batch
 /// (publish) order — packet-slab insertion happens here, so a shard's
 /// slab id sequence is a pure function of its drain/dispatch history.
-/// Shared by the threaded drain above and the multi-process child loop
-/// ([`crate::dist`]), which must replay exactly this sequence.
-pub(crate) fn schedule_inbound<P: Probe>(
+fn schedule_inbound<P: Probe>(
     sim: &mut Simulator<'_, P, ShardQueue>,
     prev_bound: Time,
     msgs: impl Iterator<Item = Msg>,
@@ -789,9 +762,9 @@ pub(crate) fn schedule_inbound<P: Probe>(
 /// a time, in key order; cross-shard sends are staged into `outbox`.
 /// Returns the earliest still-pending local time (`u64::MAX` when the
 /// calendar drained), so the caller can skip the next window's
-/// dispatch — and these O(wheel-horizon) peeks — outright when nothing
-/// new arrives.
-pub(crate) fn dispatch_window<P: Probe>(
+/// dispatch — and its calendar peeks — outright when nothing new
+/// arrives.
+fn dispatch_window<P: Probe>(
     sim: &mut Simulator<'_, P, ShardQueue>,
     bound: Time,
     cohort: &mut Vec<ParEntry>,
@@ -968,7 +941,6 @@ fn run_shard<P: Probe>(
                     msgs_sent: sent,
                     msgs_recv: drained as u64,
                     barrier_wait_ns: t0.elapsed().as_nanos() as u64,
-                    bridge_wait_ns: 0,
                 },
                 dispatched,
             );
@@ -1101,78 +1073,10 @@ fn make_shard_telemetry(
         .collect()
 }
 
-/// Everything the report merge reads from one finished shard engine —
-/// the transport-generic seam between the in-process [`ParSimulator`]
-/// and the multi-process driver: a worker process serializes its
-/// `ShardPartial`s over the bridge and the parent feeds them through the
-/// *same* [`merge_partials`] the threaded engine uses, so the two paths
-/// produce bit-identical reports by construction.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct ShardPartial {
-    pub(crate) generated: u64,
-    pub(crate) dropped: u64,
-    pub(crate) total_generated: u64,
-    pub(crate) total_delivered: u64,
-    pub(crate) delivered: u64,
-    pub(crate) delivered_bytes: u64,
-    pub(crate) events_processed: u64,
-    pub(crate) out_of_order: u64,
-    pub(crate) fault_lost: u64,
-    pub(crate) fault_stalled: u64,
-    pub(crate) fault_rerouted: u64,
-    pub(crate) latency: LatencyStats,
-    pub(crate) network_latency: LatencyStats,
-    /// Per-(switch, port) link busy time, `sw * m + port` indexed over
-    /// the *whole* fabric (unowned devices contribute zeros; the merge
-    /// sums are disjoint because only the owning shard drives a device).
-    pub(crate) sw_busy: Vec<u64>,
-    /// Per-node injection-link busy time, whole fabric.
-    pub(crate) node_busy: Vec<u64>,
-    /// Flight-recorder events this shard recorded, per trace slot
-    /// (empty when tracing is off).
-    pub(crate) trace_events: Vec<Vec<(Time, crate::trace::TraceEvent)>>,
-}
-
-impl ShardPartial {
-    /// Extract the mergeable fields of a finished shard engine.
-    pub(crate) fn from_sim<P: Probe>(s: &Simulator<'_, P, ShardQueue>, m: usize) -> ShardPartial {
-        let mut sw_busy = vec![0u64; s.switches.len() * m];
-        for (sw, ports) in s.switches.iter().enumerate() {
-            for (port, p) in ports.iter().enumerate() {
-                sw_busy[sw * m + port] = p.busy_ns;
-            }
-        }
-        let trace_events = if s.cfg.trace_first_packets > 0 {
-            s.traces.iter().map(|tr| tr.events.clone()).collect()
-        } else {
-            Vec::new()
-        };
-        ShardPartial {
-            generated: s.generated_in_window,
-            dropped: s.dropped,
-            total_generated: s.total_generated,
-            total_delivered: s.total_delivered,
-            delivered: s.delivered_in_window,
-            delivered_bytes: s.delivered_bytes_in_window,
-            events_processed: s.events_processed,
-            out_of_order: s.out_of_order,
-            fault_lost: s.faults.as_ref().map_or(0, |f| f.lost),
-            fault_stalled: s.faults.as_ref().map_or(0, |f| f.stalled),
-            fault_rerouted: s.faults.as_ref().map_or(0, |f| f.rerouted),
-            latency: s.latency.clone(),
-            network_latency: s.network_latency.clone(),
-            sw_busy,
-            node_busy: s.nodes.iter().map(|n| n.busy_ns).collect(),
-            trace_events,
-        }
-    }
-}
-
-/// Fold per-shard partials into one report, reproducing the sequential
-/// `report()` computation field by field. Both the threaded engine and
-/// the multi-process driver call exactly this.
+/// Fold the finished shard engines into one report, reproducing the
+/// sequential `report()` computation field by field.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn merge_partials(
+fn merge_shards<P: Probe>(
     cfg: &SimConfig,
     offered_load: f64,
     sim_time: Time,
@@ -1180,7 +1084,7 @@ pub(crate) fn merge_partials(
     num_nodes: usize,
     num_sw: usize,
     m: usize,
-    partials: Vec<ShardPartial>,
+    shards: &[Simulator<'_, P, ShardQueue>],
     gen_traces: Vec<PacketTrace>,
     wall_secs: f64,
 ) -> SimReport {
@@ -1199,27 +1103,31 @@ pub(crate) fn merge_partials(
     let mut network_latency = LatencyStats::new();
     let mut sw_busy = vec![0u64; num_sw * m];
     let mut node_busy = vec![0u64; num_nodes];
-    for s in &partials {
-        generated += s.generated;
+    for s in shards {
+        generated += s.generated_in_window;
         dropped += s.dropped;
         total_generated += s.total_generated;
         total_delivered += s.total_delivered;
-        delivered += s.delivered;
-        delivered_bytes += s.delivered_bytes;
+        delivered += s.delivered_in_window;
+        delivered_bytes += s.delivered_bytes_in_window;
         events_processed += s.events_processed;
         out_of_order += s.out_of_order;
-        fault_lost += s.fault_lost;
-        fault_stalled += s.fault_stalled;
-        fault_rerouted += s.fault_rerouted;
+        if let Some(f) = &s.faults {
+            fault_lost += f.lost;
+            fault_stalled += f.stalled;
+            fault_rerouted += f.rerouted;
+        }
         latency.merge(&s.latency);
         network_latency.merge(&s.network_latency);
         // Only the owning shard ever drives a device, so these sums
         // are disjoint and exact.
-        for (i, &b) in s.sw_busy.iter().enumerate() {
-            sw_busy[i] += b;
+        for (sw, ports) in s.switches.iter().enumerate() {
+            for (port, p) in ports.iter().enumerate() {
+                sw_busy[sw * m + port] += p.busy_ns;
+            }
         }
-        for (n, &b) in s.node_busy.iter().enumerate() {
-            node_busy[n] += b;
+        for (n, node) in s.nodes.iter().enumerate() {
+            node_busy[n] += node.busy_ns;
         }
     }
 
@@ -1256,8 +1164,8 @@ pub(crate) fn merge_partials(
     let traces = (cfg.trace_first_packets > 0).then(|| {
         let mut out = gen_traces;
         for (slot, tr) in out.iter_mut().enumerate() {
-            for s in &partials {
-                tr.events.extend_from_slice(&s.trace_events[slot]);
+            for s in shards {
+                tr.events.extend_from_slice(&s.traces[slot].events);
             }
             // Stable by-time sort: same-time events of one packet are
             // always same-shard (a crossing costs a wire flight), so
@@ -1534,7 +1442,6 @@ impl<'a, P: ParProbe> ParSimulator<'a, P> {
             self.offered_load,
             self.sim_time_ns,
             self.warmup_ns,
-            None,
         );
         let map = Arc::new(ShardMap::build(self.net, shards, self.cfg.partition));
         let num_nodes = self.net.num_nodes();
@@ -1596,29 +1503,22 @@ impl<'a, P: ParProbe> ParSimulator<'a, P> {
     }
 
     /// Fold the finished shards into one report + probe, reproducing the
-    /// sequential `report()` computation field by field (through the
-    /// transport-generic [`ShardPartial`] seam the multi-process driver
-    /// shares, so the two paths cannot drift).
+    /// sequential `report()` computation field by field.
     fn merge(
         self,
         shards: Vec<Simulator<'a, P, ShardQueue>>,
         gen_traces: Vec<PacketTrace>,
         wall_secs: f64,
     ) -> (SimReport, P) {
-        let m = self.net.params().m() as usize;
-        let partials: Vec<ShardPartial> = shards
-            .iter()
-            .map(|s| ShardPartial::from_sim(s, m))
-            .collect();
-        let report = merge_partials(
+        let report = merge_shards(
             &self.cfg,
             self.offered_load,
             self.sim_time_ns,
             self.warmup_ns,
             self.net.num_nodes(),
             self.net.num_switches(),
-            m,
-            partials,
+            self.net.params().m() as usize,
+            &shards,
             gen_traces,
             wall_secs,
         );
@@ -1640,12 +1540,12 @@ impl<'a, P: ParProbe> ParSimulator<'a, P> {
     /// Drive `wl` to completion; return the report and the merged probe.
     ///
     /// Workload mode needs no injection pre-pass: all randomness was
-    /// drawn at build time ([`wl_check`](crate::workload) rejects the
-    /// rest), so the shards only exchange link events and fly-delayed
-    /// [`Ev::WlArm`] completion notifications. The run ends when the
-    /// agreed global next-event time passes the (unreachable) workload
-    /// horizon — i.e. every calendar is drained and nothing is in
-    /// flight — in the same window on every shard (see [`run_shard`]).
+    /// drawn at build time (`wl_check` rejects the rest), so the shards
+    /// only exchange link events and fly-delayed `Ev::WlArm` completion
+    /// notifications. The run ends when the agreed global next-event
+    /// time passes the (unreachable) workload horizon — i.e. every
+    /// calendar is drained and nothing is in flight — in the same window
+    /// on every shard (see `run_shard`).
     pub fn run_workload_observed(
         self,
         wl: &crate::Workload,

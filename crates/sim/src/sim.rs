@@ -25,7 +25,7 @@
 //! The simulation is single-threaded and fully deterministic for a given
 //! seed: events at equal timestamps fire in scheduling order.
 
-use crate::engine::{ChainClass, ChainQueue, EventQueue, Time};
+use crate::engine::{ChainClass, ChainQueue, Time};
 use crate::metrics::{LatencyStats, SimReport};
 use crate::packet::{Packet, PacketId, PacketSlab};
 use crate::probe::{NoopProbe, Phase, Probe};
@@ -59,13 +59,6 @@ pub trait Sched {
     fn schedule_chain(&mut self, class: ChainClass, at: Time, ev: Ev) {
         let _ = class;
         self.schedule(at, ev);
-    }
-}
-
-impl Sched for EventQueue<Ev> {
-    #[inline]
-    fn schedule(&mut self, at: Time, ev: Ev) {
-        EventQueue::schedule(self, at, ev);
     }
 }
 
@@ -175,17 +168,6 @@ pub(crate) enum RouteState {
     /// (`u8::MAX` = no entry). One allocation, stride-indexed, so the
     /// per-hop lookup stays in cache across switches.
     Table { lft: Vec<u8>, stride: usize },
-    /// Subfabric view of the flattened tables (a worker process in the
-    /// multi-process driver): only owned switches get a row, so the
-    /// resident table footprint scales with the shard, not the fabric.
-    /// `row_of[sw]` is the row index (`u32::MAX` = unowned; never
-    /// consulted, because a worker only dispatches events of switches it
-    /// owns).
-    TableView {
-        row_of: Vec<u32>,
-        lft: Vec<u8>,
-        stride: usize,
-    },
     /// Closed-form per-hop lookup (the paper's Eq. 1/Eq. 2) — no tables
     /// in memory. `route_hop` returns `None` exactly where a pristine
     /// table has no entry, so the drop semantics line up bit-for-bit
@@ -470,7 +452,6 @@ impl<'a, P: Probe> Simulator<'a, P> {
         warmup_ns: Time,
         probe: P,
     ) -> Simulator<'a, P> {
-        let queue = ChainQueue::with_kind_and_horizon(cfg.calendar, cfg.wheel_horizon_hint());
         Simulator::with_queue(
             net,
             routing,
@@ -479,7 +460,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
             offered_load,
             sim_time_ns,
             warmup_ns,
-            queue,
+            ChainQueue::new(),
             probe,
         )
     }
@@ -520,47 +501,17 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
                 );
                 // Flatten forwarding tables to 0-based ports for the hot
                 // path: one contiguous stride-indexed buffer across all
-                // switches. A subfabric view (a worker process of the
-                // multi-process driver) flattens only its owned rows, so
-                // the dominant O(switches × LIDs) buffer scales with the
-                // shard instead of the fabric.
+                // switches.
                 let stride = routing.lid_space().max_lid().index() + 1;
-                if routing.is_view() {
-                    let mut row_of = vec![u32::MAX; net.num_switches()];
-                    let mut rows = 0u32;
-                    for (sw, slot) in row_of.iter_mut().enumerate() {
-                        if !routing.lfts()[sw].is_empty() {
-                            *slot = rows;
-                            rows += 1;
-                        }
+                let mut lft = vec![u8::MAX; net.num_switches() * stride];
+                for sw in 0..net.num_switches() {
+                    let table = routing.lft(ibfat_topology::SwitchId(sw as u32));
+                    let row = &mut lft[sw * stride..(sw + 1) * stride];
+                    for (lid, port) in table.entries() {
+                        row[lid.index()] = port.0 - 1;
                     }
-                    let mut lft = vec![u8::MAX; rows as usize * stride];
-                    for (sw, &row) in row_of.iter().enumerate() {
-                        if row == u32::MAX {
-                            continue;
-                        }
-                        let table = routing.lft(ibfat_topology::SwitchId(sw as u32));
-                        let row = &mut lft[row as usize * stride..(row as usize + 1) * stride];
-                        for (lid, port) in table.entries() {
-                            row[lid.index()] = port.0 - 1;
-                        }
-                    }
-                    RouteState::TableView {
-                        row_of,
-                        lft,
-                        stride,
-                    }
-                } else {
-                    let mut lft = vec![u8::MAX; net.num_switches() * stride];
-                    for sw in 0..net.num_switches() {
-                        let table = routing.lft(ibfat_topology::SwitchId(sw as u32));
-                        let row = &mut lft[sw * stride..(sw + 1) * stride];
-                        for (lid, port) in table.entries() {
-                            row[lid.index()] = port.0 - 1;
-                        }
-                    }
-                    RouteState::Table { lft, stride }
                 }
+                RouteState::Table { lft, stride }
             }
             RouteBackend::Oracle => RouteState::Oracle(
                 RouteOracle::for_routing(routing)
@@ -689,22 +640,12 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
             (switches, nodes)
         });
 
-        // Fault-injection state. The schedule compiles eagerly when this
-        // simulator holds full tables; a view-routed shard (a worker of
-        // the multi-process driver) cannot compile from its partial
-        // tables, so its worker builds the full routing once, compiles,
-        // and installs the shared runtime before the run starts.
-        let faults = if cfg.faults.is_empty() {
-            None
-        } else {
-            let runtime = (routing.has_tables() && !routing.is_view())
-                .then(|| std::sync::Arc::new(crate::faults::compile(net, routing, &cfg.faults)));
-            Some(Box::new(crate::faults::FaultState::new(
-                net,
-                &cfg.faults,
-                runtime,
-            )))
-        };
+        // Fault-injection state: the plan compiles eagerly against the
+        // full tables (`validate` already demanded the table backend).
+        let faults = (!cfg.faults.is_empty()).then(|| {
+            let runtime = std::sync::Arc::new(crate::faults::compile(net, routing, &cfg.faults));
+            Box::new(crate::faults::FaultState::new(net, &cfg.faults, runtime))
+        });
 
         Simulator {
             pkt_ns: cfg.packet_time_ns(),
@@ -750,19 +691,6 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
             cfg,
             probe,
         }
-    }
-
-    /// Install the shared compiled fault schedule on a view-routed shard
-    /// (multi-process worker), which cannot compile it from its partial
-    /// tables. Must run before the first event dispatches.
-    pub(crate) fn install_fault_runtime(
-        &mut self,
-        rt: std::sync::Arc<crate::faults::FaultRuntime>,
-    ) {
-        self.faults
-            .as_mut()
-            .expect("installing a fault runtime without a fault plan")
-            .runtime = Some(rt);
     }
 }
 
@@ -901,11 +829,11 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
     /// Schedule the compiled fault plan into the event queue: per fault,
     /// one `FaultApply` at the fault instant and one `SwReprogram` per
     /// patched switch at the reprogram instant. Called once, right after
-    /// injection priming, by the sequential run loops; the parallel and
-    /// distributed engines seed their shard calendars with the same
-    /// events under synthetic deterministic keys instead.
+    /// injection priming, by the sequential run loops; the parallel
+    /// engine seeds its shard calendars with the same events under
+    /// synthetic deterministic keys instead.
     pub(crate) fn schedule_fault_events(&mut self) {
-        let Some(rt) = self.faults.as_ref().and_then(|f| f.runtime.clone()) else {
+        let Some(rt) = self.faults.as_ref().map(|f| f.runtime.clone()) else {
             return;
         };
         for (fi, cf) in rt.faults.iter().enumerate() {
@@ -939,10 +867,10 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
     fn fault_apply(&mut self, fault: u32) {
         // Fault events are control-plane bookkeeping shared by every
         // engine shard; keeping them out of the event count keeps
-        // `events_processed` identical across thread/process counts.
+        // `events_processed` identical across thread counts.
         self.events_processed -= 1;
         let f = self.faults.as_mut().expect("fault event without state");
-        let rt = f.runtime.clone().expect("fault event without runtime");
+        let rt = f.runtime.clone();
         let cf = &rt.faults[fault as usize];
         f.sw_dead.copy_from_slice(&cf.sw_dead);
         f.sw_killed.copy_from_slice(&cf.sw_killed);
@@ -957,7 +885,7 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
     fn sw_reprogram(&mut self, fault: u32, sw: u32) {
         self.events_processed -= 1;
         let st = self.faults.as_ref().expect("fault event without state");
-        let rt = st.runtime.clone().expect("fault event without runtime");
+        let rt = st.runtime.clone();
         let cf = &rt.faults[fault as usize];
         let patches = cf
             .patches
@@ -970,20 +898,6 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
                 let row = &mut lft[sw as usize * *stride..(sw as usize + 1) * *stride];
                 for &(lid, port) in patches {
                     row[lid as usize] = port;
-                }
-            }
-            RouteState::TableView {
-                row_of,
-                lft,
-                stride,
-            } => {
-                let r = row_of[sw as usize];
-                debug_assert_ne!(r, u32::MAX, "reprogramming an unowned switch");
-                if r != u32::MAX {
-                    let row = &mut lft[r as usize * *stride..(r as usize + 1) * *stride];
-                    for &(lid, port) in patches {
-                        row[lid as usize] = port;
-                    }
                 }
             }
             RouteState::Oracle(_) => unreachable!("fault plans require the table backend"),
@@ -1374,19 +1288,6 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
         let dlid = self.slab.get(head.pkt).dlid;
         let out_port = match &self.route {
             RouteState::Table { lft, stride } => lft[sw as usize * stride + dlid.index()],
-            RouteState::TableView {
-                row_of,
-                lft,
-                stride,
-            } => {
-                let row = row_of[sw as usize];
-                debug_assert_ne!(row, u32::MAX, "routing through an unowned switch");
-                if row == u32::MAX {
-                    u8::MAX
-                } else {
-                    lft[row as usize * stride + dlid.index()]
-                }
-            }
             RouteState::Oracle(o) => o
                 .route_hop(ibfat_topology::SwitchId(sw), dlid)
                 .map_or(u8::MAX, |p| p.0 - 1),

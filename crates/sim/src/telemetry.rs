@@ -40,10 +40,6 @@ pub struct WindowRecord {
     pub msgs_recv: u64,
     /// Wall-clock ns this shard spent parked at the window barrier.
     pub barrier_wait_ns: u64,
-    /// Wall-clock ns the window's bridge exchange took (multi-process
-    /// driver only; 0 under the in-process engine, whose lanes have no
-    /// exchange step distinct from the barrier).
-    pub bridge_wait_ns: u64,
 }
 
 /// Everything one shard recorded over a run.
@@ -66,16 +62,6 @@ pub struct ShardTelemetry {
     pub msgs_recv: u64,
     /// Total wall-clock ns parked at window barriers.
     pub barrier_wait_ns: u64,
-    /// Total wall-clock ns spent in bridge exchanges (multi-process
-    /// driver only; 0 in-process).
-    pub bridge_wait_ns: u64,
-    /// Bytes this shard's cross-process messages serialized to on the
-    /// bridge (0 in-process, and for shards whose cut neighbors all
-    /// live in the same worker).
-    pub bridge_bytes: u64,
-    /// Bridge exchanges this shard's worker participated in (one per
-    /// window under the multi-process driver; 0 in-process).
-    pub bridge_flushes: u64,
     /// Sum of window spans (ns) — `span_sum_ns / windows` is the mean
     /// chosen window size.
     pub span_sum_ns: u64,
@@ -107,7 +93,6 @@ impl ShardTelemetry {
         self.msgs_sent += rec.msgs_sent;
         self.msgs_recv += rec.msgs_recv;
         self.barrier_wait_ns += rec.barrier_wait_ns;
-        self.bridge_wait_ns += rec.bridge_wait_ns;
         self.span_sum_ns += rec.span_ns;
         self.span_max_ns = self.span_max_ns.max(rec.span_ns);
         if self.window_log.len() < WINDOW_LOG_CAP {
@@ -229,9 +214,6 @@ impl EngineTelemetry {
             j.field_u64("msgs_sent", s.msgs_sent);
             j.field_u64("msgs_recv", s.msgs_recv);
             j.field_u64("barrier_wait_ns", s.barrier_wait_ns);
-            j.field_u64("bridge_wait_ns", s.bridge_wait_ns);
-            j.field_u64("bridge_bytes", s.bridge_bytes);
-            j.field_u64("bridge_flushes", s.bridge_flushes);
             j.field_f64("mean_window_ns", s.mean_window_ns(), 1);
             j.field_u64("max_window_ns", s.span_max_ns);
             j.field_u64("window_log_dropped", s.window_log_dropped);
@@ -250,7 +232,6 @@ impl EngineTelemetry {
                     j.field_u64("msgs_sent", w.msgs_sent);
                     j.field_u64("msgs_recv", w.msgs_recv);
                     j.field_u64("barrier_wait_ns", w.barrier_wait_ns);
-                    j.field_u64("bridge_wait_ns", w.bridge_wait_ns);
                     j.end_obj();
                     out.push_str(&j.into_string());
                     out.push('\n');
@@ -275,7 +256,6 @@ mod tests {
                 msgs_sent: 3,
                 msgs_recv: 1,
                 barrier_wait_ns: 50,
-                bridge_wait_ns: 0,
             },
             events > 0,
         );
@@ -293,7 +273,6 @@ mod tests {
                 msgs_sent: 2,
                 msgs_recv: 0,
                 barrier_wait_ns: 5,
-                bridge_wait_ns: 0,
             },
             true,
         );
@@ -305,7 +284,6 @@ mod tests {
                 msgs_sent: 0,
                 msgs_recv: 0,
                 barrier_wait_ns: 7,
-                bridge_wait_ns: 0,
             },
             false,
         );

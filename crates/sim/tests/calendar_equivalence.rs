@@ -1,14 +1,14 @@
-//! The determinism contract across calendar implementations.
+//! The calendar contract: pop by ascending time, ties in scheduling
+//! order.
 //!
-//! The timing wheel and the binary heap must be observably identical:
-//! same pop order for any legal schedule/pop interleaving (including
-//! equal-time FIFO ties), and therefore bit-identical simulation reports
-//! for equal seeds. These tests are the license to swap the calendar
-//! out from under the simulator.
+//! `HeapCalendar` and the sequential engine's `ChainQueue` must pop
+//! exactly what a stable sort of the scheduled events by time produces,
+//! for any legal schedule/pop interleaving. The pinned FT(4,3) report
+//! guards the simulator built on top of them.
 
 use ibfat_routing::{Routing, RoutingKind};
 use ibfat_sim::{
-    run_once, CalendarKind, EventQueue, RunSpec, SimConfig, SimReport, TrafficPattern,
+    run_once, ChainClass, ChainQueue, HeapCalendar, RunSpec, SimConfig, TrafficPattern,
 };
 use ibfat_topology::{Network, TreeParams};
 use proptest::prelude::*;
@@ -16,74 +16,137 @@ use proptest::prelude::*;
 /// A popped `(time, payload)` sequence.
 type Popped = Vec<(u64, u32)>;
 
-/// Drive both calendars through the same operation stream and collect
-/// each one's pop sequence.
-///
-/// `ops` encodes, per step, how many events to schedule (with time
-/// deltas relative to the virtual "now") and how many to pop. Times
-/// never go backwards, mirroring how the simulator uses the queue.
-fn pop_sequences(ops: &[(Vec<u64>, usize)]) -> (Popped, Popped) {
-    let mut out = Vec::new();
-    for kind in [CalendarKind::TimingWheel, CalendarKind::BinaryHeap] {
-        let mut q: EventQueue<u32> = EventQueue::with_kind(kind);
-        let mut now = 0u64;
-        let mut tag = 0u32;
-        let mut popped = Vec::new();
-        for (deltas, pops) in ops {
-            for &d in deltas {
-                q.schedule(now + d, tag);
-                tag += 1;
-            }
-            for _ in 0..*pops {
-                let Some((t, ev)) = q.pop() else { break };
-                assert!(t >= now, "{kind:?} popped into the past");
-                now = t;
-                popped.push((t, ev));
-            }
-        }
-        while let Some((t, ev)) = q.pop() {
-            assert!(t >= now);
-            now = t;
-            popped.push((t, ev));
-        }
-        out.push(popped);
+/// The four chains and their fixed delays at the paper's constants.
+const CHAINS: [(ChainClass, u64); 4] = [
+    (ChainClass::Fly, 20),
+    (ChainClass::Route, 100),
+    (ChainClass::Pkt, 256),
+    (ChainClass::FlyPkt, 276),
+];
+
+/// One step of a stream: events to schedule, then how many to pop. An
+/// event is `(lane, delta)`: lanes `0..4` are the constant-delay chains
+/// (the delta is ignored), any other lane schedules `now + delta` on the
+/// residual calendar.
+type Step = (Vec<(u8, u64)>, usize);
+
+/// The reference calendar: a plain `Vec`, popped through a stable sort
+/// by time, so equal times keep their scheduling order.
+#[derive(Default)]
+struct SortedVec(Vec<(u64, u32)>);
+
+impl SortedVec {
+    fn pop(&mut self) -> Option<(u64, u32)> {
+        self.0.sort_by_key(|&(t, _)| t);
+        (!self.0.is_empty()).then(|| self.0.remove(0))
     }
-    let heap = out.pop().expect("two sequences");
-    let wheel = out.pop().expect("two sequences");
-    (wheel, heap)
+}
+
+/// The three calendars under one stream, and what each has popped.
+#[derive(Default)]
+struct Calendars {
+    heap: HeapCalendar<u32>,
+    chain: ChainQueue<u32>,
+    reference: SortedVec,
+    popped: [Popped; 3],
+}
+
+impl Calendars {
+    fn schedule(&mut self, now: u64, (lane, delta): (u8, u64), tag: u32) {
+        let at = match CHAINS.get(lane as usize) {
+            Some(&(class, delay)) => {
+                self.chain.schedule_chain(class, now + delay, tag);
+                now + delay
+            }
+            None => {
+                self.chain.schedule(now + delta, tag);
+                now + delta
+            }
+        };
+        self.heap.schedule(at, tag);
+        self.reference.0.push((at, tag));
+    }
+
+    /// Pop once from each calendar; the reference's time, if any.
+    fn pop(&mut self) -> Option<u64> {
+        let got = [self.heap.pop(), self.chain.pop(), self.reference.pop()];
+        for (seq, e) in self.popped.iter_mut().zip(got) {
+            seq.extend(e);
+        }
+        got[2].map(|(t, _)| t)
+    }
+}
+
+/// Drive `HeapCalendar`, `ChainQueue` and the reference through the same
+/// stream; return their pop sequences in that order. Times never go
+/// backwards, mirroring how the simulator uses its calendar.
+fn pop_sequences(steps: &[Step]) -> [Popped; 3] {
+    let mut cals = Calendars::default();
+    let mut now = 0u64;
+    let mut tag = 0u32;
+    for (events, pops) in steps {
+        for &event in events {
+            cals.schedule(now, event, tag);
+            tag += 1;
+        }
+        for _ in 0..*pops {
+            let Some(t) = cals.pop() else { break };
+            assert!(t >= now, "popped into the past");
+            now = t;
+        }
+    }
+    while let Some(t) = cals.pop() {
+        assert!(t >= now, "popped into the past");
+        now = t;
+    }
+    assert!(cals.heap.is_empty() && cals.chain.is_empty());
+    cals.popped
 }
 
 #[test]
-fn identical_pop_order_on_a_tie_heavy_stream() {
-    // Many duplicate timestamps, deltas straddling the wheel horizon.
-    let ops = vec![
-        (vec![5, 5, 5, 0, 7000, 7000, 1, 5], 3),
-        (vec![0, 0, 2, 4096, 4096, 100_000], 4),
+fn tie_heavy_stream_pops_in_stable_time_order() {
+    // Duplicate timestamps everywhere: residual events landing on chain
+    // times, zero-delay schedules, and far-future jumps.
+    let steps = vec![
+        (vec![(9, 20), (0, 0), (9, 20), (9, 0), (1, 0), (9, 100)], 3),
+        (
+            vec![(9, 0), (9, 0), (2, 0), (9, 256), (3, 0), (9, 100_000)],
+            4,
+        ),
         (vec![], 2),
-        (vec![3, 3, 3, 3, 9000, 0], 0),
+        (
+            vec![(0, 0), (0, 0), (9, 20), (9, 20), (9, 9_000), (9, 0)],
+            0,
+        ),
     ];
-    let (wheel, heap) = pop_sequences(&ops);
-    assert_eq!(wheel, heap);
+    let [heap, chain, reference] = pop_sequences(&steps);
+    assert_eq!(reference.len(), 18);
+    assert_eq!(heap, reference);
+    assert_eq!(chain, reference);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn identical_pop_order_for_random_streams(
+    fn random_streams_pop_in_stable_time_order(
         steps in prop::collection::vec(
             (
-                // Deltas biased toward ties (0) and the sim's tiny quanta,
-                // with occasional far-future jumps past the wheel horizon.
+                // Half chain traffic, half residual; residual deltas
+                // biased toward ties (0, the chain delays) with
+                // occasional far-future jumps.
                 prop::collection::vec(
-                    prop_oneof![
-                        Just(0u64),
-                        Just(20u64),
-                        Just(100u64),
-                        Just(256u64),
-                        1u64..5000,
-                        4000u64..200_000,
-                    ],
+                    (
+                        0u8..8,
+                        prop_oneof![
+                            Just(0u64),
+                            Just(20u64),
+                            Just(100u64),
+                            Just(256u64),
+                            1u64..5000,
+                            4000u64..200_000,
+                        ],
+                    ),
                     0..12,
                 ),
                 0usize..8,
@@ -91,39 +154,42 @@ proptest! {
             1..20,
         ),
     ) {
-        let (wheel, heap) = pop_sequences(&steps);
-        prop_assert_eq!(wheel, heap);
+        let [heap, chain, reference] = pop_sequences(&steps);
+        prop_assert_eq!(&heap, &reference);
+        prop_assert_eq!(&chain, &reference);
     }
 }
 
-/// Run one operating point on an explicit calendar.
-fn report_with(kind: CalendarKind) -> SimReport {
+/// `(events_processed, total_generated, total_delivered, delivered,
+/// latency samples, mean latency ns)` of the FT(4,3) run below — the
+/// numbers the timing wheel and the binary heap both produced before the
+/// heap became the only calendar.
+const PINNED: (u64, u64, u64, u64, u64, f64) = (39751, 1501, 1477, 1206, 1176, 1022.6360544217687);
+
+#[test]
+fn ft43_uniform_report_is_pinned() {
     let net = Network::mport_ntree(TreeParams::new(4, 3).expect("valid params"));
     let routing = Routing::build(&net, RoutingKind::Mlid);
     let cfg = SimConfig {
         num_vls: 2,
         seed: 0xDEC0DE,
         trace_first_packets: 32,
-        calendar: kind,
         ..SimConfig::default()
     };
-    let mut report = run_once(
+    let report = run_once(
         &net,
         &routing,
         cfg,
         TrafficPattern::Uniform,
         RunSpec::new(0.4, 60_000),
     );
-    // The only host-dependent field; everything else must match exactly.
-    report.events_per_sec = 0.0;
-    report.packets_per_sec = 0.0;
-    report
-}
-
-#[test]
-fn ft43_uniform_reports_are_bit_identical_across_calendars() {
-    let wheel = report_with(CalendarKind::TimingWheel);
-    let heap = report_with(CalendarKind::BinaryHeap);
-    assert!(wheel.delivered > 0, "the run must carry traffic");
-    assert_eq!(wheel, heap);
+    let got = (
+        report.events_processed,
+        report.total_generated,
+        report.total_delivered,
+        report.delivered,
+        report.latency.count(),
+        report.latency.mean(),
+    );
+    assert_eq!(got, PINNED);
 }

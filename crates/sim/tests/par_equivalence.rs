@@ -10,9 +10,8 @@
 use ibfat_routing::{Routing, RoutingKind};
 use ibfat_sim::{
     generators, run_once, run_once_par, run_workload, run_workload_par, traces_to_jsonl,
-    CalendarKind, ClosedLoopKind, FabricCounters, ParSimulator, PartitionKind, RouteBackend,
-    RunSpec, SimConfig, SimReport, Simulator, TraceSampling, TrafficPattern, WindowPolicy,
-    Workload,
+    ClosedLoopKind, FabricCounters, ParSimulator, PartitionKind, RouteBackend, RunSpec, SimConfig,
+    SimReport, Simulator, TraceSampling, TrafficPattern, WindowPolicy, Workload,
 };
 use ibfat_topology::{Network, NodeId, TreeParams};
 use proptest::prelude::*;
@@ -52,10 +51,6 @@ proptest! {
         vls in prop_oneof![Just(1u8), Just(4)],
         seed in any::<u64>(),
         load in prop_oneof![Just(0.15f64), Just(0.45), Just(0.9)],
-        calendar in prop_oneof![
-            Just(CalendarKind::TimingWheel),
-            Just(CalendarKind::BinaryHeap),
-        ],
         partition in prop_oneof![
             Just(PartitionKind::FatTree),
             Just(PartitionKind::Block),
@@ -78,7 +73,6 @@ proptest! {
         let cfg = SimConfig {
             num_vls: vls,
             seed,
-            calendar,
             partition,
             window_policy,
             route_backend,
@@ -158,19 +152,15 @@ proptest! {
 
     /// The same contract for the message-level workload layer: the
     /// `WorkloadReport` — which embeds every per-message timestamp —
-    /// must be bit-identical across thread counts, calendars, and
-    /// routing schemes. Completion-driven injection is the hard case:
-    /// unlike pattern mode, every injection time depends on the fabric.
+    /// must be bit-identical across thread counts and routing schemes.
+    /// Completion-driven injection is the hard case: unlike pattern
+    /// mode, every injection time depends on the fabric.
     #[test]
     fn workload_reports_equal_sequential(
         (m, n) in prop_oneof![Just((4u32, 2u32)), Just((8, 2))],
         kind in 0usize..4,
         scheme in prop_oneof![Just(RoutingKind::Mlid), Just(RoutingKind::Slid)],
         seed in any::<u64>(),
-        calendar in prop_oneof![
-            Just(CalendarKind::TimingWheel),
-            Just(CalendarKind::BinaryHeap),
-        ],
     ) {
         let params = TreeParams::new(m, n).expect("valid params");
         let net = Network::mport_ntree(params);
@@ -179,7 +169,6 @@ proptest! {
         let cfg = SimConfig {
             num_vls: 2,
             seed,
-            calendar,
             ..SimConfig::default()
         };
         let wl: Workload = match kind {
@@ -212,10 +201,6 @@ proptest! {
         (m, n) in prop_oneof![Just((4u32, 2u32)), Just((4, 3)), Just((8, 2))],
         scheme in prop_oneof![Just(RoutingKind::Mlid), Just(RoutingKind::Slid)],
         seed in any::<u64>(),
-        calendar in prop_oneof![
-            Just(CalendarKind::TimingWheel),
-            Just(CalendarKind::BinaryHeap),
-        ],
         sampling in prop_oneof![
             Just(TraceSampling::FirstN),
             Just(TraceSampling::OneInN(3)),
@@ -228,7 +213,6 @@ proptest! {
         let base = SimConfig {
             num_vls: 2,
             seed,
-            calendar,
             ..SimConfig::default()
         };
         let pattern = TrafficPattern::Uniform;

@@ -144,7 +144,7 @@ proptest! {
 }
 
 mod engine_props {
-    use ibfat_sim::EventQueue;
+    use ibfat_sim::HeapCalendar;
     use proptest::prelude::*;
 
     proptest! {
@@ -152,7 +152,7 @@ mod engine_props {
         fn pops_sorted_and_fifo_within_timestamp(
             events in prop::collection::vec((0u64..50, 0u32..1000), 0..200)
         ) {
-            let mut q = EventQueue::new();
+            let mut q = HeapCalendar::new();
             for (i, &(t, payload)) in events.iter().enumerate() {
                 q.schedule(t, (payload, i));
             }

@@ -4,7 +4,7 @@
 //! from the closed-form MLID/SLID route formula instead of a
 //! materialized LFT. These tests pin the two halves of that bargain:
 //!
-//! 1. **Bit identity** — for every fabric × scheme × calendar × engine ×
+//! 1. **Bit identity** — for every fabric × scheme × engine ×
 //!    thread count, an oracle-backed run reports exactly what the
 //!    table-backed run reports (only the wall-clock throughput fields
 //!    are host noise). The existing routing-crate proptest pins
@@ -18,8 +18,7 @@
 
 use ibfat_routing::{Routing, RoutingKind};
 use ibfat_sim::{
-    run_once, run_once_par, CalendarKind, RouteBackend, RunSpec, SimConfig, SimReport, Simulator,
-    TrafficPattern,
+    run_once, run_once_par, RouteBackend, RunSpec, SimConfig, SimReport, Simulator, TrafficPattern,
 };
 use ibfat_topology::{Network, TreeParams};
 use proptest::prelude::*;
@@ -42,10 +41,6 @@ proptest! {
         vls in prop_oneof![Just(1u8), Just(4)],
         seed in any::<u64>(),
         load in prop_oneof![Just(0.2f64), Just(0.6)],
-        calendar in prop_oneof![
-            Just(CalendarKind::TimingWheel),
-            Just(CalendarKind::BinaryHeap),
-        ],
     ) {
         let params = TreeParams::new(m, n).expect("valid params");
         let net = Network::mport_ntree(params);
@@ -53,7 +48,6 @@ proptest! {
         let cfg = |route_backend| SimConfig {
             num_vls: vls,
             seed,
-            calendar,
             route_backend,
             ..SimConfig::default()
         };
