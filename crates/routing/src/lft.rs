@@ -83,6 +83,13 @@ impl Lft {
         self.ports[start.index()..start.index() + pattern.len()].copy_from_slice(pattern);
     }
 
+    /// The raw table, indexed by LID: each byte is the 1-based output
+    /// port, or `0` for "no entry". The data plane copies it verbatim.
+    #[inline]
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.ports
+    }
+
     /// Count of populated entries.
     pub fn populated(&self) -> usize {
         self.ports.iter().filter(|&&p| p != 0).count()
@@ -124,6 +131,14 @@ mod tests {
         lft.set(Lid(2), PortNum(4));
         let got: Vec<_> = lft.entries().collect();
         assert_eq!(got, vec![(Lid(2), PortNum(4)), (Lid(7), PortNum(1))]);
+    }
+
+    #[test]
+    fn raw_bytes_are_one_based_with_zero_holes() {
+        let mut lft = Lft::new(Lid(4));
+        lft.set(Lid(1), PortNum(3));
+        lft.set(Lid(4), PortNum(1));
+        assert_eq!(lft.as_bytes(), &[0, 3, 0, 0, 1]);
     }
 
     #[test]

@@ -242,8 +242,8 @@ pub(crate) struct CompiledFault {
     /// Switches that are powered off after this fault.
     pub(crate) sw_killed: Vec<bool>,
     /// LFT deltas, grouped per switch (ascending switch id) as
-    /// `(lid index, 0-based port or u8::MAX for "no entry")` — exactly
-    /// the flattened-table encoding the engine forwards with.
+    /// `(lid index, 0-based port or u8::MAX for "no entry")`; the engine
+    /// stores `port.wrapping_add(1)`, its table's 1-based encoding.
     pub(crate) patches: Vec<(u32, Vec<(u32, u8)>)>,
     /// Repair cost counters (for the report).
     pub(crate) switches_reprogrammed: usize,

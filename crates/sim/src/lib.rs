@@ -53,6 +53,7 @@ mod engine;
 mod error;
 mod faults;
 pub mod json;
+mod lanes;
 mod metrics;
 mod packet;
 mod par;

@@ -1121,10 +1121,8 @@ fn merge_shards<P: Probe>(
         network_latency.merge(&s.network_latency);
         // Only the owning shard ever drives a device, so these sums
         // are disjoint and exact.
-        for (sw, ports) in s.switches.iter().enumerate() {
-            for (port, p) in ports.iter().enumerate() {
-                sw_busy[sw * m + port] += p.busy_ns;
-            }
+        for (i, p) in s.ports.iter().enumerate() {
+            sw_busy[i] += p.busy_ns;
         }
         for (n, node) in s.nodes.iter().enumerate() {
             node_busy[n] += node.busy_ns;
@@ -1524,7 +1522,6 @@ impl<'a, P: ParProbe> ParSimulator<'a, P> {
         );
         let mut probe = self.probe;
         for s in shards {
-            crate::sim::recycle_queues(s.switches, s.nodes);
             probe.absorb(s.probe);
         }
         (report, probe)
@@ -1659,7 +1656,6 @@ impl<'a, P: ParProbe> ParSimulator<'a, P> {
             crate::WorkloadReport::build(model, timings, u64::from(self.cfg.packet_bytes), events);
         let mut probe = self.probe;
         for s in shards {
-            crate::sim::recycle_queues(s.switches, s.nodes);
             probe.absorb(s.probe);
         }
         (report, probe)
@@ -1883,10 +1879,8 @@ mod tests {
         let cfg = SimConfig::paper(2);
         let spec = crate::RunSpec::new(0.4, 20_000);
         // A probe that detonates only after the engine has dispatched
-        // real traffic, so the unwinding workers abandon queues with
-        // live buffers in them — the exact state that would poison the
-        // thread-local `QueuePool` freelists if a panicked run returned
-        // dirty buffers.
+        // real traffic, so the unwinding workers abandon live buffers:
+        // nothing of that run may leak into a later one.
         #[derive(Debug)]
         struct LateBomb {
             ticks: u32,
@@ -1922,8 +1916,7 @@ mod tests {
         .expect_err("the probe panicked mid-run");
         assert!(matches!(err, SimError::WorkerPanicked(_)), "{err:?}");
         // The same process must still run clean — and bit-identical to
-        // the sequential engine, which shares the freelists a corrupt
-        // buffer would poison.
+        // the sequential engine.
         let seq = crate::run_once(&net, &routing, cfg.clone(), TrafficPattern::Uniform, spec);
         for threads in [1usize, 2, 4] {
             let par = crate::try_run_once_par(

@@ -26,6 +26,7 @@
 //! seed: events at equal timestamps fire in scheduling order.
 
 use crate::engine::{ChainClass, ChainQueue, Time};
+use crate::lanes::LaneRings;
 use crate::metrics::{LatencyStats, SimReport};
 use crate::packet::{Packet, PacketId, PacketSlab};
 use crate::probe::{NoopProbe, Phase, Probe};
@@ -39,7 +40,6 @@ use ibfat_routing::{RouteOracle, Routing};
 use ibfat_topology::{DeviceRef, Network, NodeId, PortNum};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
-use std::cell::RefCell;
 use std::collections::VecDeque;
 
 /// The scheduler seam: handlers emit future events through this trait,
@@ -112,7 +112,8 @@ struct OutEntry {
     transmitting: bool,
 }
 
-/// One switch port: input and output state per VL.
+/// One switch port's link state. Its per-VL buffers live in
+/// [`SwLanes`].
 #[derive(Debug)]
 pub(crate) struct SwPort {
     peer: PeerRef,
@@ -122,33 +123,35 @@ pub(crate) struct SwPort {
     retry_pending: bool,
     /// Egress VL arbitration state (table lives on the simulator).
     arb: VlArbiter,
-    /// Credits held for the downstream input buffers, per VL.
-    credits: Vec<u8>,
-    /// Output buffers, per VL (FIFO within a VL).
-    out_q: Vec<VecDeque<OutEntry>>,
-    /// Input ports whose routed head waits for space in this output, per VL.
-    waiters: Vec<VecDeque<u8>>,
-    /// Input buffers, per VL.
-    in_q: Vec<VecDeque<InEntry>>,
     /// Accumulated transmission time on the outgoing direction (ns).
     pub(crate) busy_ns: u64,
 }
 
-/// One end node.
+/// Every switch port's per-VL state, one entry per lane `(sw * m +
+/// port) * num_vls + vl` (see [`Simulator::lane`]).
+#[derive(Debug)]
+pub(crate) struct SwLanes {
+    /// Credits held for the downstream input buffer.
+    credits: Vec<u8>,
+    /// Input buffers (`buffer_packets` deep).
+    in_q: LaneRings<InEntry>,
+    /// Output buffers (`buffer_packets` deep).
+    out_q: LaneRings<OutEntry>,
+    /// Input ports whose routed head waits for space in this output: at
+    /// most one per input port, so `m` deep.
+    waiters: LaneRings<u8>,
+}
+
+/// One end node. Its per-VL source queues and credits live on the
+/// simulator, lane `node * num_vls + vl`.
 #[derive(Debug)]
 pub(crate) struct NodeSt {
     pub(crate) peer_sw: u32,
     peer_port: u8,
-    /// Unbounded FIFO source queues, one per VL. Real HCAs arbitrate VLs
-    /// at the egress port, so a lane stalled on credits never blocks the
-    /// others (per-VL queues avoid cross-VL head-of-line blocking).
-    pub(crate) inj_q: Vec<VecDeque<PacketId>>,
     /// Egress VL arbitration state for the injection link.
     arb: VlArbiter,
     busy_until: Time,
     retry_pending: bool,
-    /// Credits for the leaf switch's input buffers, per VL.
-    credits: Vec<u8>,
     /// Next generation instant (f64 to carry fractional inter-arrivals).
     pub(crate) next_gen: f64,
     /// Whether this node generates traffic at all (permutation patterns
@@ -163,15 +166,16 @@ pub(crate) struct NodeSt {
 /// materialization behind [`RouteBackend`].
 #[derive(Debug)]
 pub(crate) enum RouteState {
-    /// All forwarding tables in one contiguous buffer:
-    /// `lft[sw * stride + lid]` is the 0-based output port
-    /// (`u8::MAX` = no entry). One allocation, stride-indexed, so the
-    /// per-hop lookup stays in cache across switches.
+    /// All forwarding tables in one contiguous buffer, each switch's
+    /// [`Lft`](ibfat_routing::Lft) bytes copied verbatim:
+    /// `lft[sw * stride + lid]` is the 1-based output port (`0` = no
+    /// entry). The lookup subtracts one with wrapping, so a hole reads
+    /// as the `u8::MAX` drop sentinel.
     Table { lft: Vec<u8>, stride: usize },
     /// Closed-form per-hop lookup (the paper's Eq. 1/Eq. 2) — no tables
     /// in memory. `route_hop` returns `None` exactly where a pristine
     /// table has no entry, so the drop semantics line up bit-for-bit
-    /// with the flattened table's `u8::MAX`.
+    /// with the table's hole.
     Oracle(RouteOracle),
 }
 
@@ -227,8 +231,9 @@ pub enum Ev {
 /// operating point.
 ///
 /// Borrows the routing for its whole lifetime — building a simulator
-/// copies nothing heavier than the forwarding tables it flattens, so
-/// sweeps and replications share one `Routing` across threads.
+/// copies nothing heavier than its forwarding tables (one `memcpy` per
+/// switch), so sweeps and replications share one `Routing` across
+/// threads.
 ///
 /// Generic over a [`Probe`] observability sink (default: the free
 /// [`NoopProbe`]). Every probe hook site is guarded by the probe's
@@ -251,15 +256,24 @@ pub struct Simulator<'a, P: Probe = NoopProbe, Q = ChainQueue<Ev>> {
     pub(crate) arb_table: Vec<(u8, u8)>,
 
     pub(crate) routing: &'a Routing,
-    /// Per-hop route lookup state (flattened tables or the closed-form
+    /// Per-hop route lookup state (copied tables or the closed-form
     /// oracle), per `cfg.route_backend`.
     pub(crate) route: RouteState,
     /// Per-switch 0-based first up-port (= m/2), or `u8::MAX` for roots
     /// (which have no up-ports). Used by adaptive upward routing.
     pub(crate) up_ports_from: Vec<u8>,
 
-    pub(crate) switches: Vec<Vec<SwPort>>,
+    /// Ports per switch: port `(sw, port)` is `ports[sw * m + port]`.
+    pub(crate) m: usize,
+    pub(crate) ports: Vec<SwPort>,
+    pub(crate) lanes: SwLanes,
     pub(crate) nodes: Vec<NodeSt>,
+    /// Per-(node, VL) credits for the leaf switch's input buffers.
+    pub(crate) node_credits: Vec<u8>,
+    /// Per-(node, VL) unbounded FIFO source queues. Real HCAs arbitrate
+    /// VLs at the egress port, so a lane stalled on credits never blocks
+    /// the others (per-VL queues avoid cross-VL head-of-line blocking).
+    pub(crate) inj_q: Vec<VecDeque<PacketId>>,
 
     pub(crate) queue: Q,
     pub(crate) slab: PacketSlab,
@@ -304,84 +318,6 @@ pub struct Simulator<'a, P: Probe = NoopProbe, Q = ChainQueue<Ev>> {
     pub(crate) faults: Option<Box<crate::faults::FaultState>>,
 
     pub(crate) probe: P,
-}
-
-/// Cap per queue family on the thread-local pool of recycled per-(port,
-/// VL) buffers: enough for an FT(16,3) simulator's full complement, and
-/// a few hundred KiB at most if a larger fabric drains into it.
-const POOL_CAP: usize = 1 << 16;
-
-/// Thread-local freelists of the per-(port, VL) `VecDeque` buffers. A
-/// finished run returns its (cleared) queues here and the next
-/// construction on the same thread draws from them, so sweeps and
-/// replications stop paying thousands of small allocations per operating
-/// point. Purely an allocation cache: drawn buffers are empty, and only
-/// their capacity differs from a fresh one.
-struct QueuePool {
-    in_q: Vec<VecDeque<InEntry>>,
-    out_q: Vec<VecDeque<OutEntry>>,
-    waiters: Vec<VecDeque<u8>>,
-    inj_q: Vec<VecDeque<PacketId>>,
-}
-
-thread_local! {
-    static QUEUE_POOL: RefCell<QueuePool> = const {
-        RefCell::new(QueuePool {
-            in_q: Vec::new(),
-            out_q: Vec::new(),
-            waiters: Vec::new(),
-            inj_q: Vec::new(),
-        })
-    };
-}
-
-/// Draw a buffer from one pool family (or allocate), guaranteeing at
-/// least `capacity` slots so the hot path never reallocates.
-fn pool_draw<T>(store: &mut Vec<VecDeque<T>>, capacity: usize) -> VecDeque<T> {
-    match store.pop() {
-        Some(mut q) => {
-            debug_assert!(q.is_empty(), "pooled queue was not cleared");
-            if q.capacity() < capacity {
-                q.reserve(capacity);
-            }
-            q
-        }
-        None => VecDeque::with_capacity(capacity),
-    }
-}
-
-/// Clear a drained simulator's buffer and return it to its pool family.
-fn pool_put<T>(store: &mut Vec<VecDeque<T>>, mut q: VecDeque<T>) {
-    if store.len() < POOL_CAP {
-        q.clear();
-        store.push(q);
-    }
-}
-
-/// Recycle every per-(port, VL) buffer of a finished simulator into the
-/// thread-local pool.
-pub(crate) fn recycle_queues(switches: Vec<Vec<SwPort>>, nodes: Vec<NodeSt>) {
-    QUEUE_POOL.with(|pool| {
-        let pool = &mut *pool.borrow_mut();
-        for ports in switches {
-            for p in ports {
-                for q in p.in_q {
-                    pool_put(&mut pool.in_q, q);
-                }
-                for q in p.out_q {
-                    pool_put(&mut pool.out_q, q);
-                }
-                for q in p.waiters {
-                    pool_put(&mut pool.waiters, q);
-                }
-            }
-        }
-        for n in nodes {
-            for q in n.inj_q {
-                pool_put(&mut pool.inj_q, q);
-            }
-        }
-    });
 }
 
 /// One pre-drawn injection event (see
@@ -499,17 +435,14 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
                     "table route backend needs materialized forwarding tables; \
                      this routing was built table-free"
                 );
-                // Flatten forwarding tables to 0-based ports for the hot
-                // path: one contiguous stride-indexed buffer across all
-                // switches.
+                // One contiguous stride-indexed buffer across all
+                // switches, each row a verbatim copy of the switch's LFT.
                 let stride = routing.lid_space().max_lid().index() + 1;
-                let mut lft = vec![u8::MAX; net.num_switches() * stride];
+                let mut lft = Vec::with_capacity(net.num_switches() * stride);
                 for sw in 0..net.num_switches() {
-                    let table = routing.lft(ibfat_topology::SwitchId(sw as u32));
-                    let row = &mut lft[sw * stride..(sw + 1) * stride];
-                    for (lid, port) in table.entries() {
-                        row[lid.index()] = port.0 - 1;
-                    }
+                    let row = routing.lft(ibfat_topology::SwitchId(sw as u32)).as_bytes();
+                    assert_eq!(row.len(), stride, "LFT {sw} does not span the LID space");
+                    lft.extend_from_slice(row);
                 }
                 RouteState::Table { lft, stride }
             }
@@ -555,90 +488,85 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
             }
         }
 
-        // Pre-size every per-(port, VL) queue from the topology: buffers
+        // Every per-(port, VL) ring is sized from the topology: buffers
         // hold at most `cap` packets, and at most `m` inputs can wait on
-        // one output — so the hot path never reallocates. Buffers come
-        // from the thread-local freelist a previous run on this thread
-        // left behind (see [`QueuePool`]); only capacity is reused.
+        // one output — so the hot path never reallocates.
         let m = net.params().m() as usize;
-        let (switches, nodes) = QUEUE_POOL.with(|pool| {
-            let pool = &mut *pool.borrow_mut();
-            fn queues<T>(
-                store: &mut Vec<VecDeque<T>>,
-                num_vls: usize,
-                capacity: usize,
-            ) -> Vec<VecDeque<T>> {
-                (0..num_vls).map(|_| pool_draw(store, capacity)).collect()
-            }
-            let switches: Vec<Vec<SwPort>> = (0..net.num_switches())
-                .map(|sw| {
-                    (0..net.params().m())
-                        .map(|p| {
-                            let port = PortNum(p as u8 + 1);
-                            // Degraded subnets may have uncabled (failed)
-                            // ports; a repaired routing never forwards into
-                            // them, which `sw_try_output` asserts.
-                            let peer = net
-                                .peer_of(
-                                    DeviceRef::Switch(ibfat_topology::SwitchId(sw as u32)),
-                                    port,
-                                )
-                                .map(|peer| match peer.device {
-                                    DeviceRef::Switch(s) => PeerRef::SwitchPort {
-                                        sw: s.0,
-                                        port: peer.port.0 - 1,
-                                    },
-                                    DeviceRef::Node(n) => PeerRef::Node { node: n.0 },
-                                })
-                                .unwrap_or(PeerRef::Dead);
-                            SwPort {
-                                peer,
-                                busy_until: 0,
-                                retry_pending: false,
-                                arb: VlArbiter::new(&arb_table),
-                                credits: vec![cap; num_vls],
-                                out_q: queues(&mut pool.out_q, num_vls, cap as usize),
-                                waiters: queues(&mut pool.waiters, num_vls, m),
-                                in_q: queues(&mut pool.in_q, num_vls, cap as usize),
-                                busy_ns: 0,
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
-
-            let nodes: Vec<NodeSt> = (0..net.num_nodes())
-                .map(|n| {
-                    // An isolated node (failed endport cable) neither sends
-                    // nor receives; peers may still address it, and those
-                    // packets are dropped at the first unprogrammed LFT entry.
-                    let peer = net.peer_of(DeviceRef::Node(NodeId(n as u32)), PortNum(1));
-                    let (peer_sw, peer_port, active) = match peer {
-                        Some(p) => match p.device {
-                            DeviceRef::Switch(s) => (s.0, p.port.0 - 1, true),
-                            DeviceRef::Node(_) => unreachable!("endports attach to switches"),
+        let ports: Vec<SwPort> = (0..net.num_switches() * m)
+            .map(|i| {
+                let sw = ibfat_topology::SwitchId((i / m) as u32);
+                let port = PortNum((i % m) as u8 + 1);
+                // Degraded subnets may have uncabled (failed) ports; a
+                // repaired routing never forwards into them, which
+                // `sw_try_output` asserts.
+                let peer = net
+                    .peer_of(DeviceRef::Switch(sw), port)
+                    .map(|peer| match peer.device {
+                        DeviceRef::Switch(s) => PeerRef::SwitchPort {
+                            sw: s.0,
+                            port: peer.port.0 - 1,
                         },
-                        None => (u32::MAX, u8::MAX, false),
-                    };
-                    NodeSt {
-                        peer_sw,
-                        peer_port,
-                        // Source queues are unbounded; a few slots of headroom
-                        // covers the common transient backlog without growth.
-                        inj_q: queues(&mut pool.inj_q, num_vls, 8),
-                        arb: VlArbiter::new(&arb_table),
-                        busy_until: 0,
-                        retry_pending: false,
-                        credits: vec![cap; num_vls],
-                        next_gen: 0.0,
-                        active,
-                        rr_offset: 0,
-                        busy_ns: 0,
-                    }
-                })
-                .collect();
-            (switches, nodes)
-        });
+                        DeviceRef::Node(n) => PeerRef::Node { node: n.0 },
+                    })
+                    .unwrap_or(PeerRef::Dead);
+                SwPort {
+                    peer,
+                    busy_until: 0,
+                    retry_pending: false,
+                    arb: VlArbiter::new(&arb_table),
+                    busy_ns: 0,
+                }
+            })
+            .collect();
+        let sw_lanes = ports.len() * num_vls;
+        let lanes = SwLanes {
+            credits: vec![cap; sw_lanes],
+            in_q: LaneRings::new(
+                sw_lanes,
+                cap as usize,
+                InEntry {
+                    pkt: 0,
+                    state: InState::Routing,
+                },
+            ),
+            out_q: LaneRings::new(
+                sw_lanes,
+                cap as usize,
+                OutEntry {
+                    pkt: 0,
+                    transmitting: false,
+                },
+            ),
+            waiters: LaneRings::new(sw_lanes, m, 0),
+        };
+
+        let nodes: Vec<NodeSt> = (0..net.num_nodes())
+            .map(|n| {
+                // An isolated node (failed endport cable) neither sends
+                // nor receives; peers may still address it, and those
+                // packets are dropped at the first unprogrammed LFT entry.
+                let peer = net.peer_of(DeviceRef::Node(NodeId(n as u32)), PortNum(1));
+                let (peer_sw, peer_port, active) = match peer {
+                    Some(p) => match p.device {
+                        DeviceRef::Switch(s) => (s.0, p.port.0 - 1, true),
+                        DeviceRef::Node(_) => unreachable!("endports attach to switches"),
+                    },
+                    None => (u32::MAX, u8::MAX, false),
+                };
+                NodeSt {
+                    peer_sw,
+                    peer_port,
+                    arb: VlArbiter::new(&arb_table),
+                    busy_until: 0,
+                    retry_pending: false,
+                    next_gen: 0.0,
+                    active,
+                    rr_offset: 0,
+                    busy_ns: 0,
+                }
+            })
+            .collect();
+        let node_lanes = nodes.len() * num_vls;
 
         // Fault-injection state: the plan compiles eagerly against the
         // full tables (`validate` already demanded the table backend).
@@ -662,8 +590,12 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
             routing,
             route,
             up_ports_from,
-            switches,
+            m,
+            ports,
+            lanes,
             nodes,
+            node_credits: vec![cap; node_lanes],
+            inj_q: vec![VecDeque::new(); node_lanes],
             queue,
             slab: PacketSlab::new(),
             rng: ChaCha12Rng::seed_from_u64(cfg.seed),
@@ -762,6 +694,25 @@ impl<'a, P: Probe> Simulator<'a, P> {
 }
 
 impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
+    /// Index of switch port `(sw, port)` in [`ports`](Self::ports).
+    #[inline]
+    fn port_ix(&self, sw: u32, port: u8) -> usize {
+        sw as usize * self.m + port as usize
+    }
+
+    /// Index of lane `(sw, port, vl)` in [`SwLanes`].
+    #[inline]
+    fn lane(&self, sw: u32, port: u8, vl: u8) -> usize {
+        self.port_ix(sw, port) * self.num_vls + vl as usize
+    }
+
+    /// Index of lane `(node, vl)` in [`node_credits`](Self::node_credits)
+    /// and [`inj_q`](Self::inj_q).
+    #[inline]
+    pub(crate) fn node_lane(&self, node: u32, vl: u8) -> usize {
+        node as usize * self.num_vls + vl as usize
+    }
+
     pub(crate) fn dispatch(&mut self, ev: Ev) {
         if let Some(f) = &self.faults {
             // A powered-off switch neither buffers, routes, arbitrates
@@ -797,23 +748,24 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
             Ev::SwRouteDone { sw, port, vl } => self.sw_route_done(sw, port, vl),
             Ev::SwInputDeparted { sw, port, vl } => self.sw_input_departed(sw, port, vl),
             Ev::SwTryOutput { sw, port } => {
-                self.switches[sw as usize][port as usize].retry_pending = false;
+                let i = self.port_ix(sw, port);
+                self.ports[i].retry_pending = false;
                 self.sw_try_output(sw, port);
             }
             Ev::SwOutputDeparted { sw, port, vl } => self.sw_output_departed(sw, port, vl),
             Ev::CreditToSwitch { sw, port, vl } => {
-                let p = &mut self.switches[sw as usize][port as usize];
-                p.credits[vl as usize] += 1;
-                debug_assert!(p.credits[vl as usize] <= self.cap);
+                let lane = self.lane(sw, port, vl);
+                self.lanes.credits[lane] += 1;
+                debug_assert!(self.lanes.credits[lane] <= self.cap);
                 if P::COUNTERS {
                     self.probe.credit_stall_end(self.now, sw, port, vl);
                 }
                 self.sw_try_output(sw, port);
             }
             Ev::CreditToNode { node, vl } => {
-                let n = &mut self.nodes[node as usize];
-                n.credits[vl as usize] += 1;
-                debug_assert!(n.credits[vl as usize] <= self.cap);
+                let lane = self.node_lane(node, vl);
+                self.node_credits[lane] += 1;
+                debug_assert!(self.node_credits[lane] <= self.cap);
                 self.try_node_send(node);
             }
             Ev::Deliver { node, vl, pkt } => self.deliver(node, vl, pkt),
@@ -877,7 +829,7 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
     }
 
     /// The SM's reprogramming of one switch lands: apply the fault's LFT
-    /// patches to the flattened table, then rescue input heads parked on
+    /// patches to the forwarding buffer, then rescue input heads parked on
     /// an output that is dead (or whose grant signal — an output
     /// departure — can never come because the output buffer drained while
     /// the port was dead): reset them to the routing stage so they look
@@ -897,7 +849,9 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
             RouteState::Table { lft, stride } => {
                 let row = &mut lft[sw as usize * *stride..(sw as usize + 1) * *stride];
                 for &(lid, port) in patches {
-                    row[lid as usize] = port;
+                    // 0-based patch port to 1-based table byte; the
+                    // `u8::MAX` "no entry" patch wraps to the `0` hole.
+                    row[lid as usize] = port.wrapping_add(1);
                 }
             }
             RouteState::Oracle(_) => unreachable!("fault plans require the table backend"),
@@ -907,31 +861,26 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
             return; // tables updated for a later revive; nothing to rescue
         }
         let dead_mask = st.sw_dead[sw as usize];
-        let num_ports = self.switches[sw as usize].len() as u8;
         let mut rescued = 0u64;
-        for in_port in 0..num_ports {
+        for in_port in 0..self.m as u8 {
             for vl in 0..self.num_vls as u8 {
-                let Some(head) = self.switches[sw as usize][in_port as usize].in_q[vl as usize]
-                    .front()
-                    .copied()
-                else {
+                let in_lane = self.lane(sw, in_port, vl);
+                let Some(head) = self.lanes.in_q.front(in_lane) else {
                     continue;
                 };
                 let InState::Waiting(out) = head.state else {
                     continue;
                 };
+                let out_lane = self.lane(sw, out, vl);
                 let out_dead = dead_mask & (1u64 << out) != 0;
-                let out_idle =
-                    self.switches[sw as usize][out as usize].out_q[vl as usize].is_empty();
+                let out_idle = self.lanes.out_q.is_empty(out_lane);
                 if !(out_dead || out_idle) {
                     continue; // a live departure on `out` will grant it
                 }
-                let w = &mut self.switches[sw as usize][out as usize].waiters[vl as usize];
-                if let Some(pos) = w.iter().position(|&p| p == in_port) {
-                    w.remove(pos);
-                }
-                self.switches[sw as usize][in_port as usize].in_q[vl as usize]
-                    .front_mut()
+                self.lanes.waiters.remove_item(out_lane, in_port);
+                self.lanes
+                    .in_q
+                    .front_mut(in_lane)
                     .expect("checked nonempty")
                     .state = InState::Routing;
                 if P::COUNTERS {
@@ -1119,16 +1068,20 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
         if self.now >= self.warmup_ns {
             self.generated_in_window += 1;
         }
-        self.nodes[node as usize].inj_q[p.vl as usize].push_back(pkt);
+        let lane = self.node_lane(node, p.vl);
+        self.inj_q[lane].push_back(pkt);
         self.try_node_send(node);
     }
 
     pub(crate) fn try_node_send(&mut self, node: u32) {
         let num_vls = self.num_vls;
+        let base = self.node_lane(node, 0);
+        let inj_q = &mut self.inj_q[base..base + num_vls];
+        let credits = &mut self.node_credits[base..base + num_vls];
+        let sendable = |vl: usize| !inj_q[vl].is_empty() && credits[vl] > 0;
         let n = &mut self.nodes[node as usize];
-        let sendable = |n: &NodeSt, vl: usize| !n.inj_q[vl].is_empty() && n.credits[vl] > 0;
         if n.busy_until > self.now {
-            if !n.retry_pending && (0..num_vls).any(|vl| sendable(n, vl)) {
+            if !n.retry_pending && (0..num_vls).any(sendable) {
                 n.retry_pending = true;
                 self.queue.schedule(n.busy_until, Ev::TryNodeSend { node });
             }
@@ -1137,7 +1090,7 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
         // VL arbitration on the injection link, mirroring the switches'
         // egress arbitration (weighted tables included).
         let mask: u16 = (0..num_vls)
-            .filter(|&vl| sendable(n, vl))
+            .filter(|&vl| sendable(vl))
             .fold(0, |m, vl| m | (1 << vl));
         let Some(vl) = n
             .arb
@@ -1147,8 +1100,8 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
             return; // woken by CreditToNode or the next Inject
         };
         // Start transmission.
-        let head = n.inj_q[vl].pop_front().expect("checked nonempty");
-        n.credits[vl] -= 1;
+        let head = inj_q[vl].pop_front().expect("checked nonempty");
+        credits[vl] -= 1;
         let tx_end = self.now + self.pkt_ns;
         n.busy_until = tx_end;
         n.busy_ns += self.pkt_ns.min(self.sim_time_ns - self.now);
@@ -1247,17 +1200,20 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
             }
         }
         self.record(pkt, TraceEvent::HeaderArrive { sw, port });
-        let p = &mut self.switches[sw as usize][port as usize];
-        let q = &mut p.in_q[vl as usize];
+        let lane = self.lane(sw, port, vl);
+        let q = &mut self.lanes.in_q;
         debug_assert!(
-            q.len() < self.cap as usize,
+            q.len(lane) < self.cap as usize,
             "credit protocol overflowed an input buffer"
         );
-        q.push_back(InEntry {
-            pkt,
-            state: InState::Routing,
-        });
-        let depth = q.len();
+        q.push_back(
+            lane,
+            InEntry {
+                pkt,
+                state: InState::Routing,
+            },
+        );
+        let depth = q.len(lane);
         if P::COUNTERS {
             self.probe
                 .sw_rcv(self.now, sw, port, vl, self.cfg.packet_bytes, depth as u8);
@@ -1272,10 +1228,8 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
     }
 
     fn sw_route_done(&mut self, sw: u32, port: u8, vl: u8) {
-        let Some(head) = self.switches[sw as usize][port as usize].in_q[vl as usize]
-            .front()
-            .copied()
-        else {
+        let lane = self.lane(sw, port, vl);
+        let Some(head) = self.lanes.in_q.front(lane) else {
             debug_assert!(false, "route-done with empty input buffer");
             self.invariant_err = Some(SimError::EngineInvariant(format!(
                 "route-done with empty input buffer (switch {sw}, port {port}, \
@@ -1287,7 +1241,9 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
         debug_assert_eq!(head.state, InState::Routing);
         let dlid = self.slab.get(head.pkt).dlid;
         let out_port = match &self.route {
-            RouteState::Table { lft, stride } => lft[sw as usize * stride + dlid.index()],
+            RouteState::Table { lft, stride } => {
+                lft[sw as usize * stride + dlid.index()].wrapping_sub(1)
+            }
             RouteState::Oracle(o) => o
                 .route_hop(ibfat_topology::SwitchId(sw), dlid)
                 .map_or(u8::MAX, |p| p.0 - 1),
@@ -1304,9 +1260,7 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
             }
             self.record(head.pkt, TraceEvent::Dropped { sw });
             self.slab.remove(head.pkt);
-            let head_mut = self.switches[sw as usize][port as usize].in_q[vl as usize]
-                .front_mut()
-                .expect("checked nonempty");
+            let head_mut = self.lanes.in_q.front_mut(lane).expect("checked nonempty");
             head_mut.state = InState::Departing;
             let drain = self.pkt_ns.saturating_sub(self.route_ns);
             self.queue
@@ -1336,21 +1290,17 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
                     }
                     self.record(head.pkt, TraceEvent::Dropped { sw });
                     self.slab.remove(head.pkt);
-                    let head_mut = self.switches[sw as usize][port as usize].in_q[vl as usize]
-                        .front_mut()
-                        .expect("checked nonempty");
+                    let head_mut = self.lanes.in_q.front_mut(lane).expect("checked nonempty");
                     head_mut.state = InState::Departing;
                     let drain = self.pkt_ns.saturating_sub(self.route_ns);
                     self.queue
                         .schedule(self.now + drain, Ev::SwDiscardDone { sw, port, vl });
                     self.faults.as_mut().expect("checked above").lost += 1;
                 } else {
-                    let head_mut = self.switches[sw as usize][port as usize].in_q[vl as usize]
-                        .front_mut()
-                        .expect("checked nonempty");
+                    let head_mut = self.lanes.in_q.front_mut(lane).expect("checked nonempty");
                     head_mut.state = InState::Waiting(out_port);
-                    self.switches[sw as usize][out_port as usize].waiters[vl as usize]
-                        .push_back(port);
+                    let out_lane = self.lane(sw, out_port, vl);
+                    self.lanes.waiters.push_back(out_lane, port);
                     if P::COUNTERS {
                         self.probe.xmit_wait_start(self.now, sw, port, vl, out_port);
                     }
@@ -1371,13 +1321,12 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
         if first_up == u8::MAX || designated < first_up {
             return designated; // descending (or a root): the path is forced
         }
-        let ports = &self.switches[sw as usize];
-        let m = ports.len() as u8;
+        let m = self.m as u8;
         let score = |port: u8| -> u32 {
-            let p = &ports[port as usize];
-            let q = p.out_q[vl as usize].len() as u32;
+            let lane = self.lane(sw, port, vl);
+            let q = self.lanes.out_q.len(lane) as u32;
             let no_space = u32::from(q >= self.cap as u32);
-            let no_credit = u32::from(p.credits[vl as usize] == 0);
+            let no_credit = u32::from(self.lanes.credits[lane] == 0);
             (no_space << 16) + (q << 1) + no_credit
         };
         let span = m - first_up;
@@ -1403,21 +1352,26 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
 
     /// The routed head of input `(port, vl)` requests output `out_port`.
     fn sw_request_output(&mut self, sw: u32, in_port: u8, vl: u8, out_port: u8) {
-        let ports = &mut self.switches[sw as usize];
-        let has_space = ports[out_port as usize].out_q[vl as usize].len() < self.cap as usize;
+        let (in_lane, out_lane) = (self.lane(sw, in_port, vl), self.lane(sw, out_port, vl));
+        let lanes = &mut self.lanes;
+        let has_space = lanes.out_q.len(out_lane) < self.cap as usize;
         if has_space {
-            let head = ports[in_port as usize].in_q[vl as usize]
-                .front_mut()
+            let head = lanes
+                .in_q
+                .front_mut(in_lane)
                 .expect("granting an empty input");
             let was_waiting = matches!(head.state, InState::Waiting(_));
             head.state = InState::Departing;
             let pkt = head.pkt;
-            ports[out_port as usize].out_q[vl as usize].push_back(OutEntry {
-                pkt,
-                transmitting: false,
-            });
+            lanes.out_q.push_back(
+                out_lane,
+                OutEntry {
+                    pkt,
+                    transmitting: false,
+                },
+            );
             if P::COUNTERS {
-                let depth = ports[out_port as usize].out_q[vl as usize].len() as u8;
+                let depth = lanes.out_q.len(out_lane) as u8;
                 if was_waiting {
                     self.probe.xmit_wait_end(self.now, sw, in_port, vl);
                 }
@@ -1435,11 +1389,12 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
             );
             self.sw_try_output(sw, out_port);
         } else {
-            let head = ports[in_port as usize].in_q[vl as usize]
-                .front_mut()
+            let head = lanes
+                .in_q
+                .front_mut(in_lane)
                 .expect("blocking an empty input");
             head.state = InState::Waiting(out_port);
-            ports[out_port as usize].waiters[vl as usize].push_back(in_port);
+            lanes.waiters.push_back(out_lane, in_port);
             if P::COUNTERS {
                 self.probe
                     .xmit_wait_start(self.now, sw, in_port, vl, out_port);
@@ -1448,13 +1403,15 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
     }
 
     fn sw_input_departed(&mut self, sw: u32, port: u8, vl: u8) {
-        let p = &mut self.switches[sw as usize][port as usize];
-        let gone = p.in_q[vl as usize]
-            .pop_front()
+        let lane = self.lane(sw, port, vl);
+        let gone = self
+            .lanes
+            .in_q
+            .pop_front(lane)
             .expect("departed from empty");
         debug_assert_eq!(gone.state, InState::Departing);
-        let upstream = p.peer;
-        let next_head = p.in_q[vl as usize].front().copied();
+        let upstream = self.ports[self.port_ix(sw, port)].peer;
+        let next_head = self.lanes.in_q.front(lane);
         // The freed buffer's credit flies back to whoever feeds this port.
         match upstream {
             PeerRef::SwitchPort {
@@ -1490,13 +1447,20 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
 
     fn sw_try_output(&mut self, sw: u32, port: u8) {
         let num_vls = self.num_vls;
-        let p = &mut self.switches[sw as usize][port as usize];
+        let pi = self.port_ix(sw, port);
+        let base = pi * num_vls;
+        let lanes = &mut self.lanes;
+        let p = &mut self.ports[pi];
         // Anything eligible at all?
-        let eligible = |p: &SwPort, vl: usize| {
-            p.credits[vl] > 0 && p.out_q[vl].front().is_some_and(|head| !head.transmitting)
+        let eligible = |lanes: &SwLanes, vl: usize| {
+            lanes.credits[base + vl] > 0
+                && lanes
+                    .out_q
+                    .front(base + vl)
+                    .is_some_and(|head| !head.transmitting)
         };
         if p.busy_until > self.now {
-            if !p.retry_pending && (0..num_vls).any(|vl| eligible(p, vl)) {
+            if !p.retry_pending && (0..num_vls).any(|vl| eligible(lanes, vl)) {
                 p.retry_pending = true;
                 self.queue
                     .schedule(p.busy_until, Ev::SwTryOutput { sw, port });
@@ -1505,17 +1469,17 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
         }
         // VL arbitration (round-robin or weighted table).
         let mask: u16 = (0..num_vls)
-            .filter(|&vl| eligible(p, vl))
+            .filter(|&vl| eligible(lanes, vl))
             .fold(0, |m, vl| m | (1 << vl));
         let granted = p
             .arb
             .grant(&self.arb_table, |vl| mask & (1 << vl) != 0)
             .map(usize::from);
         if let Some(vl) = granted {
-            let head = p.out_q[vl].front_mut().expect("checked nonempty");
+            let head = lanes.out_q.front_mut(base + vl).expect("checked nonempty");
             head.transmitting = true;
             let pkt = head.pkt;
-            p.credits[vl] -= 1;
+            lanes.credits[base + vl] -= 1;
             let tx_end = self.now + self.pkt_ns;
             let tx_record = pkt;
             p.busy_until = tx_end;
@@ -1568,12 +1532,12 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
             // the probe and the flight recorder observe it; recording
             // mutates nothing but the trace buffer, so a recorded run
             // stays bit-identical to an unrecorded one.
-            let p = &self.switches[sw as usize][port as usize];
+            let lanes = &self.lanes;
             let mut stalled: u16 = 0;
             let mut heads: [PacketId; 16] = [0; 16];
             for (vl, head) in heads.iter_mut().enumerate().take(num_vls) {
-                if p.credits[vl] == 0 {
-                    if let Some(h) = p.out_q[vl].front() {
+                if lanes.credits[base + vl] == 0 {
+                    if let Some(h) = lanes.out_q.front(base + vl) {
                         if !h.transmitting {
                             stalled |= 1 << vl;
                             *head = h.pkt;
@@ -1600,9 +1564,11 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
             .faults
             .as_ref()
             .is_some_and(|f| f.sw_dead[sw as usize] & (1u64 << port) != 0);
-        let p = &mut self.switches[sw as usize][port as usize];
-        let gone = p.out_q[vl as usize]
-            .pop_front()
+        let lane = self.lane(sw, port, vl);
+        let gone = self
+            .lanes
+            .out_q
+            .pop_front(lane)
             .expect("departed from empty");
         debug_assert!(gone.transmitting);
         // Space freed: grant the oldest waiter for this (port, vl), if any.
@@ -1611,10 +1577,11 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
             self.sw_try_output(sw, port);
             return;
         }
-        if let Some(in_port) = p.waiters[vl as usize].pop_front() {
-            let head = self.switches[sw as usize][in_port as usize].in_q[vl as usize]
-                .front()
-                .copied()
+        if let Some(in_port) = self.lanes.waiters.pop_front(lane) {
+            let head = self
+                .lanes
+                .in_q
+                .front(self.lane(sw, in_port, vl))
                 .expect("waiter with empty input");
             debug_assert_eq!(head.state, InState::Waiting(port));
             self.sw_request_output(sw, in_port, vl, port);
@@ -1634,12 +1601,10 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
         let mut total_busy = 0u64;
         let mut max_busy = 0u64;
         let mut links = 0u64;
-        for ports in &self.switches {
-            for p in ports {
-                total_busy += p.busy_ns;
-                max_busy = max_busy.max(p.busy_ns);
-                links += 1;
-            }
+        for p in &self.ports {
+            total_busy += p.busy_ns;
+            max_busy = max_busy.max(p.busy_ns);
+            links += 1;
         }
         for n in &self.nodes {
             total_busy += n.busy_ns;
@@ -1650,14 +1615,12 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
 
         let link_utilization = self.cfg.collect_link_stats.then(|| {
             let mut out = Vec::new();
-            for (sw, ports) in self.switches.iter().enumerate() {
-                for (port, p) in ports.iter().enumerate() {
-                    out.push(crate::metrics::LinkUse {
-                        from: format!("S{sw}"),
-                        port: port as u8 + 1,
-                        utilization: p.busy_ns as f64 / span,
-                    });
-                }
+            for (i, p) in self.ports.iter().enumerate() {
+                out.push(crate::metrics::LinkUse {
+                    from: format!("S{}", i / self.m),
+                    port: (i % self.m) as u8 + 1,
+                    utilization: p.busy_ns as f64 / span,
+                });
             }
             for (n, node) in self.nodes.iter().enumerate() {
                 out.push(crate::metrics::LinkUse {
@@ -1704,7 +1667,6 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
             fault_stalled: self.faults.as_ref().map_or(0, |f| f.stalled),
             fault_rerouted: self.faults.as_ref().map_or(0, |f| f.rerouted),
         };
-        recycle_queues(self.switches, self.nodes);
         (report, self.probe)
     }
 }
@@ -1725,5 +1687,45 @@ pub(crate) fn phase_of(ev: &Ev) -> Phase {
             Phase::Arbitration
         }
         Ev::Deliver { .. } => Phase::Delivery,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ibfat_routing::{Lid, RoutingKind};
+    use ibfat_topology::TreeParams;
+
+    /// A header landing in a full input buffer means the credit protocol
+    /// broke. With `buffer_packets = 3` the lane's ring block holds four
+    /// slots, so only the credit check (not the ring) can catch the
+    /// fourth arrival.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "credit protocol overflowed an input buffer")]
+    fn input_buffer_overflow_trips_the_credit_check() {
+        let net = Network::mport_ntree(TreeParams::new(4, 2).expect("valid params"));
+        let routing = Routing::build(&net, RoutingKind::Mlid);
+        let cfg = SimConfig {
+            buffer_packets: 3,
+            ..SimConfig::default()
+        };
+        let mut sim = Simulator::new(&net, &routing, cfg, TrafficPattern::Uniform, 0.1, 1_000, 0);
+        for _ in 0..4 {
+            let pkt = sim.slab.insert(Packet {
+                src: 0,
+                dlid: Lid(1),
+                vl: 0,
+                t_gen: 0,
+                t_inject: 0,
+                flow_seq: 0,
+            });
+            sim.dispatch(Ev::SwHeaderArrive {
+                sw: 0,
+                port: 0,
+                vl: 0,
+                pkt,
+            });
+        }
     }
 }

@@ -200,7 +200,8 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
             }
             wl.wl_msg[slot] = msg;
             self.total_generated += 1;
-            self.nodes[node as usize].inj_q[vl as usize].push_back(pkt);
+            // `node_lane` inlined: `wl` still borrows `self.wl` here.
+            self.inj_q[node as usize * self.num_vls + vl as usize].push_back(pkt);
         }
         self.try_node_send(node);
     }
@@ -424,7 +425,6 @@ impl<'a, P: Probe> Simulator<'a, P> {
             u64::from(self.cfg.packet_bytes),
             self.events_processed,
         );
-        crate::sim::recycle_queues(self.switches, self.nodes);
         (report, self.probe)
     }
 }
