@@ -6,8 +6,25 @@
 //! ```text
 //! cargo run --release -p bench --bin ablation -- [--config MxN] [--load L]
 //! ```
+//!
+//! `ablation --help` prints the options ([`USAGE`]); bad options print an
+//! `error:` line and exit 2.
 
 use ib_fabric::prelude::*;
+use std::process::ExitCode;
+
+/// The `--help` text.
+const USAGE: &str = "\
+Ablate the simulator's design knobs at one operating point.
+
+Usage:
+  cargo run --release -p bench --bin ablation -- [--config MxN] [--load L]
+
+Options:
+  --config MxN        network size (default 8x2)
+  --load L            offered load, positive (default 0.8)
+  -h, --help          print this help
+";
 
 #[allow(clippy::too_many_arguments)] // a flat knob list reads best here
 fn run(
@@ -34,25 +51,48 @@ fn run(
         .run()
 }
 
-fn main() {
-    let mut m = 8;
-    let mut n = 2;
-    let mut load = 0.8;
-    let mut it = std::env::args().skip(1);
+/// Parse the command line into `(m, n, load)`; `Ok(None)` means `--help`
+/// was asked for.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Option<(u32, u32, f64)>, String> {
+    let (mut m, mut n, mut load) = (8, 2, 0.8);
+    let mut it = argv.into_iter();
     while let Some(flag) = it.next() {
-        let v = it
-            .next()
-            .unwrap_or_else(|| panic!("missing value for {flag}"));
+        let mut value = || it.next().ok_or_else(|| format!("missing value for {flag}"));
         match flag.as_str() {
+            "-h" | "--help" => return Ok(None),
             "--config" => {
-                let (a, b) = v.split_once(['x', 'X']).expect("MxN");
-                m = a.parse().expect("ports");
-                n = b.parse().expect("levels");
+                let v = value()?;
+                let bad = || format!("--config expects MxN with a valid fat tree, got {v:?}");
+                let (a, b) = v.split_once(['x', 'X']).ok_or_else(bad)?;
+                (m, n) = (a.parse().map_err(|_| bad())?, b.parse().map_err(|_| bad())?);
+                TreeParams::new(m, n).map_err(|e| format!("--config {v}: {e}"))?;
             }
-            "--load" => load = v.parse().expect("load"),
-            other => panic!("unknown flag {other}"),
+            "--load" => {
+                let v = value()?;
+                load = v
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|l| l.is_finite() && *l > 0.0)
+                    .ok_or_else(|| format!("--load: bad value {v:?}"))?;
+            }
+            other => return Err(format!("unknown flag {other:?} (try --help)")),
         }
     }
+    Ok(Some((m, n, load)))
+}
+
+fn main() -> ExitCode {
+    let (m, n, load) = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            print!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
+    };
 
     println!(
         "Ablations on {m}-port {n}-tree at offered load {load} (uniform traffic unless noted)\n"
@@ -236,4 +276,5 @@ fn main() {
             );
         }
     }
+    ExitCode::SUCCESS
 }

@@ -1,41 +1,48 @@
 //! The bench-trajectory harness: run the representative workloads, write
 //! `BENCH_sim.json`, and compare against the committed baseline.
-//!
-//! ```text
-//! cargo run --release -p bench --bin bench -- [options]
-//!   --out <path>        where to write the snapshot  [BENCH_sim.json]
-//!   --baseline <path>   baseline to diff against     [the --out path]
-//!   --threshold <frac>  regression threshold         [0.25 = 25% slower]
-//!   --iters <n>         iterations per workload (best-of) [3]
-//!   --gate              exit non-zero on regressions beyond --threshold
-//!   --warn-only         report regressions but exit 0 (the default;
-//!                       overrides --gate when both are given)
-//!   --quick             shorter simulations (CI smoke; same names)
-//!   --filter <substr>   run only workloads whose name contains substr
-//!                       (the snapshot then holds just those rows — use a
-//!                       scratch --out so the committed trajectory keeps
-//!                       its full row set; a filter matching no row lists
-//!                       the available names and exits non-zero)
-//! ```
+//! `bench --help` prints the options ([`USAGE`]); bad options print an
+//! `error:` line and exit 2.
 //!
 //! Regressions beyond the threshold are reported on every run; the exit
 //! code only reflects them under `--gate` (wall times are host-dependent,
 //! so failing is opt-in). Compare trajectories only across runs on
 //! comparable hardware.
 
-use bench::trajectory::{
-    compare, par_speedups, BenchReport, PhaseSplit, SimTelemetry, WorkloadResult,
-};
+use bench::trajectory::{compare, BenchReport, PhaseSplit, WorkloadResult};
 use ibfat_routing::{
     all_to_all_loads, all_to_all_loads_oracle, LidSpace, MlidScheme, Routing, RoutingKind,
     RoutingScheme, SlidScheme,
 };
 use ibfat_sim::{
-    run_observed, run_once, run_once_par, PhaseProfile, RouteBackend, RunSpec, SimConfig,
-    TrafficPattern,
+    run_observed, run_once, PhaseProfile, RouteBackend, RunSpec, SimConfig, TrafficPattern,
 };
 use ibfat_topology::{Network, TreeParams};
+use std::process::ExitCode;
 use std::time::Instant;
+
+/// The `--help` text.
+const USAGE: &str = "\
+Run the bench-trajectory workloads and compare against a baseline.
+
+Usage:
+  cargo run --release -p bench --bin bench -- [options]
+
+Options:
+  --out <path>        where to write the snapshot  [BENCH_sim.json]
+  --baseline <path>   baseline to diff against     [the --out path]
+  --threshold <frac>  regression threshold         [0.25 = 25% slower]
+  --iters <n>         iterations per workload (best-of) [3]
+  --gate              exit non-zero on regressions beyond --threshold
+  --warn-only         report regressions but exit 0 (the default;
+                      overrides --gate when both are given)
+  --quick             shorter simulations (CI smoke; same names)
+  --filter <substr>   run only workloads whose name contains substr
+                      (the snapshot then holds just those rows — use a
+                      scratch --out so the committed trajectory keeps
+                      its full row set; a filter matching no row lists
+                      the available names and exits non-zero)
+  -h, --help          print this help
+";
 
 /// Simulated configurations: the `sim_50us` criterion set, with VL 4 on
 /// the paper's mid-size FT(8,3) as the headline, plus the extended-LID
@@ -94,7 +101,8 @@ impl Opts {
     }
 }
 
-fn parse_opts() -> Opts {
+/// Parse the command line; `Ok(None)` means `--help` was asked for.
+fn parse_opts(argv: impl IntoIterator<Item = String>) -> Result<Option<Opts>, String> {
     let mut opts = Opts {
         out: "BENCH_sim.json".into(),
         baseline: None,
@@ -106,34 +114,37 @@ fn parse_opts() -> Opts {
         filter: None,
         offered: std::cell::RefCell::new(Vec::new()),
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |what: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{what} requires a value"))
-        };
-        match arg.as_str() {
-            "--out" => opts.out = value("--out"),
-            "--baseline" => opts.baseline = Some(value("--baseline")),
+    let mut it = argv.into_iter();
+    while let Some(flag) = it.next() {
+        let mut value = || it.next().ok_or_else(|| format!("missing value for {flag}"));
+        match flag.as_str() {
+            "-h" | "--help" => return Ok(None),
+            "--out" => opts.out = value()?,
+            "--baseline" => opts.baseline = Some(value()?),
             "--threshold" => {
-                opts.threshold = value("--threshold")
-                    .parse()
-                    .expect("--threshold takes a fraction, e.g. 0.25")
+                let v = value()?;
+                opts.threshold = v
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|t| t.is_finite() && *t >= 0.0)
+                    .ok_or_else(|| format!("--threshold takes a fraction, e.g. 0.25; got {v:?}"))?;
             }
             "--iters" => {
-                opts.iters = value("--iters")
-                    .parse()
-                    .expect("--iters takes a positive integer")
+                let v = value()?;
+                opts.iters = v
+                    .parse::<u32>()
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .ok_or_else(|| format!("--iters takes a positive integer; got {v:?}"))?;
             }
             "--gate" => opts.gate = true,
             "--warn-only" => opts.warn_only = true,
             "--quick" => opts.quick = true,
-            "--filter" => opts.filter = Some(value("--filter")),
-            other => panic!("unknown option: {other}"),
+            "--filter" => opts.filter = Some(value()?),
+            other => return Err(format!("unknown flag {other:?} (try --help)")),
         }
     }
-    assert!(opts.iters > 0, "--iters must be positive");
-    opts
+    Ok(Some(opts))
 }
 
 /// Run `work` `iters` times; return the best wall time (ns) and the
@@ -166,9 +177,7 @@ fn result(name: String, wall_ns: u64, events: u64, iters: u32) -> WorkloadResult
         events,
         events_per_sec,
         iters,
-        threads_available: 0,
         phases: Vec::new(),
-        sim_telemetry: None,
     }
 }
 
@@ -228,77 +237,6 @@ fn run_workloads(opts: &Opts) -> Vec<WorkloadResult> {
             .events_processed
         });
         out.push(result(name, wall, events, opts.iters));
-    }
-
-    // The headline configuration on the sharded engine, at 1/2/4 worker
-    // threads. Reports (and so `events`) are bit-identical across the
-    // thread counts and to the sequential engine; only wall time moves,
-    // and only with the host's core count — on a single-core runner the
-    // t2/t4 rows pay barrier overhead for no parallelism. Compare these
-    // rows to their own history on comparable hardware, not across hosts.
-    println!("sim_engine_par (8x3/vl4, sharded engine):");
-    {
-        // Host core count, stamped on every par row: a t4 wall time from
-        // a 1-core box is synchronization overhead, not parallelism, and
-        // whoever reads the trajectory later needs to tell them apart.
-        let threads_available = std::thread::available_parallelism()
-            .map(|n| n.get() as u32)
-            .unwrap_or(0);
-        let rows =
-            [1usize, 2, 4].map(|threads| (format!("sim_engine_par/8x3/vl4/t{threads}"), threads));
-        if rows.iter().any(|(name, _)| opts.wanted(name)) {
-            let net = Network::mport_ntree(TreeParams::new(8, 3).expect("valid config"));
-            let routing = Routing::build(&net, RoutingKind::Mlid);
-            let cfg = SimConfig::paper(4);
-            for (name, threads) in rows {
-                if !opts.wanted(&name) {
-                    continue;
-                }
-                let (wall, events) = best_of(opts.iters, || {
-                    run_once_par(
-                        &net,
-                        &routing,
-                        cfg.clone(),
-                        TrafficPattern::Uniform,
-                        RunSpec::new(0.5, sim_time_ns),
-                        threads,
-                    )
-                    .events_processed
-                });
-                let mut row = result(name, wall, events, opts.iters);
-                row.threads_available = threads_available;
-                // One extra untimed run with the engine's self-telemetry
-                // on: structural context (windows, barrier waits, shard
-                // imbalance) stamped next to the wall time it explains.
-                // Kept out of `best_of` so the timed iterations and their
-                // baseline comparison stay telemetry-free.
-                let (_, tel) = ibfat_sim::try_run_once_par_telemetry(
-                    &net,
-                    &routing,
-                    cfg.clone(),
-                    TrafficPattern::Uniform,
-                    RunSpec::new(0.5, sim_time_ns),
-                    threads,
-                )
-                .expect("telemetry run matches the timed configuration");
-                println!(
-                    "    t{threads}: {} windows, {:.3} ms barrier wait, {} msgs, imbalance {:.2}",
-                    tel.windows(),
-                    tel.barrier_wait_ns() as f64 / 1e6,
-                    tel.total_msgs(),
-                    tel.event_imbalance()
-                );
-                row.sim_telemetry = Some(SimTelemetry {
-                    threads: threads as u32,
-                    windows: tel.windows(),
-                    barrier_wait_ns: tel.barrier_wait_ns(),
-                    msgs: tel.total_msgs(),
-                    edge_cut: tel.edge_cut as u64,
-                    event_imbalance: tel.event_imbalance(),
-                });
-                out.push(row);
-            }
-        }
     }
 
     // The headline configuration once more, under the self-profiling
@@ -608,8 +546,18 @@ fn run_workloads(opts: &Opts) -> Vec<WorkloadResult> {
     out
 }
 
-fn main() {
-    let opts = parse_opts();
+fn main() -> ExitCode {
+    let opts = match parse_opts(std::env::args().skip(1)) {
+        Ok(Some(opts)) => opts,
+        Ok(None) => {
+            print!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let workloads = run_workloads(&opts);
     if workloads.is_empty() {
         if let Some(f) = &opts.filter {
@@ -617,33 +565,10 @@ fn main() {
             for name in opts.offered_names() {
                 eprintln!("  {name}");
             }
-            std::process::exit(1);
+            return ExitCode::FAILURE;
         }
     }
     let report = BenchReport::new(workloads);
-
-    let speedups = par_speedups(&report);
-    if !speedups.is_empty() {
-        let cores = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        println!("\nsharded-engine speedup over its t1 row (this host, {cores} core(s)):");
-        for (name, threads, speedup) in &speedups {
-            println!("  {name:<28} {threads} thread(s)  {speedup:>5.2}x");
-        }
-        if cores == 1 {
-            // A t4 row on one core measures synchronization overhead, not
-            // parallelism — flagging it as "slow" would be noise by
-            // construction, so the speedup warnings are skipped outright.
-            println!("  (1-CPU host: tN rows measure overhead only; speedup warnings skipped)");
-        } else {
-            for (name, threads, speedup) in &speedups {
-                if *threads > 1 && *speedup < 1.0 {
-                    println!("  warning: {name} is slower than its t1 twin on a {cores}-core host");
-                }
-            }
-        }
-    }
 
     // The control-plane overhaul's mandate, checked on every run that
     // measured both sides: dense parallel build vs per-entry reference.
@@ -678,19 +603,15 @@ fn main() {
             );
             for d in &deltas {
                 let verdict = if d.is_regression(opts.threshold) {
-                    // Sharded-engine rows are informational: their wall
-                    // time tracks the host's core count, so a different
-                    // (or busier) machine is not a code regression. The
-                    // control-plane rows share that fate — the parallel
-                    // builders scale with cores, and the sub-millisecond
-                    // dense-build rows are pure scheduling noise on a
-                    // shared box.
+                    // The control-plane rows are informational: the
+                    // parallel builders scale with the host's core count,
+                    // and the sub-millisecond dense-build rows are pure
+                    // scheduling noise on a shared box.
                     // The FT(16,3) scale-out rows stay warn-only too:
                     // memory-pressure sensitive (the 16x3 table rows walk
                     // a ~21 MB LFT). The oracle rows have settled history
                     // and gate like the plain engine rows now.
-                    if d.name.starts_with("sim_engine_par")
-                        || d.name.starts_with("lft_build")
+                    if d.name.starts_with("lft_build")
                         || d.name.starts_with("loads_all_to_all")
                         || d.name.starts_with("workload_")
                         || d.name.ends_with("/16x3/vl1")
@@ -713,14 +634,17 @@ fn main() {
         }
     }
 
-    std::fs::write(&opts.out, report.to_json())
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", opts.out));
+    if let Err(e) = std::fs::write(&opts.out, report.to_json()) {
+        eprintln!("error: cannot write {}: {e}", opts.out);
+        return ExitCode::FAILURE;
+    }
     println!("wrote {}", opts.out);
 
     if regressed && opts.gate && !opts.warn_only {
         eprintln!("performance regression beyond threshold; failing (--gate)");
-        std::process::exit(1);
+        return ExitCode::FAILURE;
     } else if regressed {
         eprintln!("performance regression beyond threshold (warn-only; use --gate to fail)");
     }
+    ExitCode::SUCCESS
 }

@@ -154,11 +154,8 @@ fn main() -> ExitCode {
             let stem = format!("fig{}_{}x{}_{}", fig_no, m, n, fig.pattern);
             std::fs::write(args.out.join(format!("{stem}.csv")), figure_to_csv(&fig))
                 .expect("write csv");
-            std::fs::write(
-                args.out.join(format!("{stem}.json")),
-                serde_json::to_string_pretty(&fig).expect("figure serializes"),
-            )
-            .expect("write json");
+            std::fs::write(args.out.join(format!("{stem}.json")), fig.to_json())
+                .expect("write json");
             eprintln!("wrote {}/{stem}.{{csv,json}}", args.out.display());
             fig_no += 1;
         }

@@ -17,10 +17,7 @@ fn main() {
             r.m, r.n, r.nodes, r.switches, r.links, r.lmc, r.lids_per_node, r.max_paths
         );
     }
-    println!(
-        "\n(machine-readable: {})",
-        serde_json::to_string(&rows).expect("rows serialize")
-    );
+    println!("\n(machine-readable: {})", bench::table1_to_json(&rows));
 
     // Extension: the subnet-manager bring-up cost per size (directed-route
     // SMPs, serial timing per docs/MODEL.md constants).

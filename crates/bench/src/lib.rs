@@ -4,8 +4,8 @@
 
 pub mod trajectory;
 
+use ib_fabric::json::JsonBuf;
 use ib_fabric::prelude::*;
-use serde::Serialize;
 
 /// The four evaluated network sizes (Table 1). The OCR of the paper lost
 //  the digits; DESIGN.md §3 explains the reconstruction: two small-radix
@@ -45,7 +45,7 @@ pub fn loads_for(pattern: &TrafficPattern, num_nodes: u32) -> Vec<f64> {
 }
 
 /// One curve of a figure: a scheme at a VL count swept over offered load.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Series {
     /// Scheme name ("SLID" / "MLID").
     pub scheme: String,
@@ -56,7 +56,7 @@ pub struct Series {
 }
 
 /// One operating point of a curve.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Point {
     /// Normalized offered load.
     pub offered_load: f64,
@@ -83,7 +83,7 @@ impl Point {
 }
 
 /// A whole figure: all six curves for one (network size, traffic pattern).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Figure {
     /// Switch ports.
     pub m: u32,
@@ -93,6 +93,55 @@ pub struct Figure {
     pub pattern: String,
     /// The curves: {SLID, MLID} × {1, 2, 4} VLs.
     pub series: Vec<Series>,
+}
+
+/// Write an `f64` so it parses back to the same value (`{:?}` is the
+/// shortest round-tripping form); JSON has no NaN/Inf, so those are
+/// `null`.
+fn f64_json(j: &mut JsonBuf, v: f64) {
+    if v.is_finite() {
+        j.raw_value(&format!("{v:?}"));
+    } else {
+        j.raw_value("null");
+    }
+}
+
+impl Figure {
+    /// The figure as one JSON object: `m`, `n`, `pattern` and the
+    /// `series`, each with its `points`.
+    pub fn to_json(&self) -> String {
+        let mut j = JsonBuf::new();
+        j.begin_obj();
+        j.field_u64("m", u64::from(self.m));
+        j.field_u64("n", u64::from(self.n));
+        j.field_str("pattern", &self.pattern);
+        j.key("series");
+        j.begin_arr();
+        for s in &self.series {
+            j.begin_obj();
+            j.field_str("scheme", &s.scheme);
+            j.field_u64("vls", u64::from(s.vls));
+            j.key("points");
+            j.begin_arr();
+            for p in &s.points {
+                j.begin_obj();
+                j.key("offered_load");
+                f64_json(&mut j, p.offered_load);
+                j.key("accepted");
+                f64_json(&mut j, p.accepted);
+                j.key("avg_latency_ns");
+                f64_json(&mut j, p.avg_latency_ns);
+                j.field_u64("p99_latency_ns", p.p99_latency_ns);
+                j.field_u64("delivered", p.delivered);
+                j.end_obj();
+            }
+            j.end_arr();
+            j.end_obj();
+        }
+        j.end_arr();
+        j.end_obj();
+        j.into_string()
+    }
 }
 
 /// Run every curve of one figure.
@@ -136,7 +185,7 @@ pub fn run_figure(
 }
 
 /// One row of Table 1 (network sizes).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table1Row {
     /// Switch ports.
     pub m: u32,
@@ -154,6 +203,26 @@ pub struct Table1Row {
     pub lids_per_node: u32,
     /// Paths between maximally distant nodes.
     pub max_paths: u32,
+}
+
+/// Table 1 as a JSON array, one object per row.
+pub fn table1_to_json(rows: &[Table1Row]) -> String {
+    let mut j = JsonBuf::new();
+    j.begin_arr();
+    for r in rows {
+        j.begin_obj();
+        j.field_u64("m", u64::from(r.m));
+        j.field_u64("n", u64::from(r.n));
+        j.field_u64("nodes", u64::from(r.nodes));
+        j.field_u64("switches", u64::from(r.switches));
+        j.field_u64("links", r.links as u64);
+        j.field_u64("lmc", u64::from(r.lmc));
+        j.field_u64("lids_per_node", u64::from(r.lids_per_node));
+        j.field_u64("max_paths", u64::from(r.max_paths));
+        j.end_obj();
+    }
+    j.end_arr();
+    j.into_string()
 }
 
 /// Compute Table 1.

@@ -26,27 +26,6 @@ pub struct PhaseSplit {
     pub events: u64,
 }
 
-/// Sharded-engine self-telemetry attached to a `sim_engine_par` row:
-/// the structural summary of one representative (untimed) telemetry run
-/// at the row's thread count. Wall-clock context for the row's own wall
-/// time — a high `barrier_wait_ns` or `event_imbalance` explains a slow
-/// tN row better than the number alone.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimTelemetry {
-    /// Worker threads (= shards) the telemetry run used.
-    pub threads: u32,
-    /// Conservative windows executed, summed over shards.
-    pub windows: u64,
-    /// Wall time spent waiting at the window barrier, summed over shards, ns.
-    pub barrier_wait_ns: u64,
-    /// Cross-shard messages sent, summed over shards.
-    pub msgs: u64,
-    /// Inter-shard links cut by the partition.
-    pub edge_cut: u64,
-    /// Max/mean per-shard event count (1.0 = perfectly balanced).
-    pub event_imbalance: f64,
-}
-
 /// One measured workload configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadResult {
@@ -61,21 +40,10 @@ pub struct WorkloadResult {
     pub events_per_sec: f64,
     /// Iterations the minimum was taken over.
     pub iters: u32,
-    /// Cores available on the measuring host, recorded for rows whose
-    /// wall time depends on the core count (the `sim_engine_par` rows) —
-    /// a t4 row measured on 1 CPU is overhead, not parallelism, and the
-    /// comparator needs to know which it is looking at. Omitted from the
-    /// JSON when 0 (host-independent rows, pre-recording snapshots), so
-    /// the schema version stands.
-    pub threads_available: u32,
     /// Per-phase breakdown of the best iteration; empty for workloads
     /// that do not self-profile. Omitted from the JSON when empty, and
     /// absent in pre-profiling snapshots, so the schema version stands.
     pub phases: Vec<PhaseSplit>,
-    /// Sharded-engine telemetry context for `sim_engine_par` rows;
-    /// `None` everywhere else. Omitted from the JSON when absent, and
-    /// absent in pre-telemetry snapshots, so the schema version stands.
-    pub sim_telemetry: Option<SimTelemetry>,
 }
 
 /// A whole trajectory snapshot.
@@ -118,18 +86,6 @@ impl BenchReport {
             let _ = writeln!(out, "      \"wall_ns\": {},", w.wall_ns);
             let _ = writeln!(out, "      \"events\": {},", w.events);
             let _ = writeln!(out, "      \"events_per_sec\": {:.1},", w.events_per_sec);
-            if w.threads_available > 0 {
-                let _ = writeln!(out, "      \"threads_available\": {},", w.threads_available);
-            }
-            if let Some(t) = &w.sim_telemetry {
-                let _ = writeln!(
-                    out,
-                    "      \"sim_telemetry\": {{ \"threads\": {}, \"windows\": {}, \
-                     \"barrier_wait_ns\": {}, \"msgs\": {}, \"edge_cut\": {}, \
-                     \"event_imbalance\": {:.3} }},",
-                    t.threads, t.windows, t.barrier_wait_ns, t.msgs, t.edge_cut, t.event_imbalance
-                );
-            }
             if w.phases.is_empty() {
                 let _ = writeln!(out, "      \"iters\": {}", w.iters);
             } else {
@@ -200,36 +156,13 @@ impl BenchReport {
                     })
                     .collect::<Result<_, String>>()?,
             };
-            // `sim_telemetry` arrived after the first snapshots were
-            // committed; absence means "no telemetry context recorded".
-            let sim_telemetry = match w.field("sim_telemetry") {
-                Err(_) => None,
-                Ok(v) => {
-                    let t = v.as_object("sim_telemetry")?;
-                    Some(SimTelemetry {
-                        threads: t.field("threads")?.as_u64("threads")? as u32,
-                        windows: t.field("windows")?.as_u64("windows")?,
-                        barrier_wait_ns: t.field("barrier_wait_ns")?.as_u64("barrier_wait_ns")?,
-                        msgs: t.field("msgs")?.as_u64("msgs")?,
-                        edge_cut: t.field("edge_cut")?.as_u64("edge_cut")?,
-                        event_imbalance: t.field("event_imbalance")?.as_f64("event_imbalance")?,
-                    })
-                }
-            };
             workloads.push(WorkloadResult {
                 name: w.field("name")?.as_string("name")?.to_string(),
                 wall_ns: w.field("wall_ns")?.as_u64("wall_ns")?,
                 events: w.field("events")?.as_u64("events")?,
                 events_per_sec: w.field("events_per_sec")?.as_f64("events_per_sec")?,
                 iters: w.field("iters")?.as_u64("iters")? as u32,
-                // Absent in snapshots that predate the recording — 0
-                // means "host core count unknown".
-                threads_available: match w.field("threads_available") {
-                    Err(_) => 0,
-                    Ok(v) => v.as_u64("threads_available")? as u32,
-                },
                 phases,
-                sim_telemetry,
             });
         }
         Ok(BenchReport { schema, workloads })
@@ -286,36 +219,6 @@ pub fn compare(baseline: &BenchReport, current: &BenchReport) -> Result<Vec<Delt
         .collect())
 }
 
-/// Speedup of every `sim_engine_par/…/tN` workload over its own `t1`
-/// twin on the same snapshot: `(name, threads, t1_wall / tN_wall)`.
-///
-/// Purely derived from wall times already in the report — nothing extra
-/// is persisted, so the JSON layout (and [`SCHEMA_VERSION`]) stand.
-/// Rows without a `t1` twin, with an unparsable thread suffix, or with a
-/// zero wall time are skipped. The `t1` row itself is included (speedup
-/// 1.0 by construction) so tables print a complete column.
-pub fn par_speedups(report: &BenchReport) -> Vec<(String, u32, f64)> {
-    report
-        .workloads
-        .iter()
-        .filter_map(|w| {
-            let (stem, t) = w.name.rsplit_once("/t")?;
-            if !stem.starts_with("sim_engine_par") {
-                return None;
-            }
-            let threads: u32 = t.parse().ok()?;
-            let base = report.get(&format!("{stem}/t1"))?;
-            (base.wall_ns > 0 && w.wall_ns > 0).then(|| {
-                (
-                    w.name.clone(),
-                    threads,
-                    base.wall_ns as f64 / w.wall_ns as f64,
-                )
-            })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,9 +231,7 @@ mod tests {
                 events: 1_000_000,
                 events_per_sec: 8_100_000.5,
                 iters: 3,
-                threads_available: 0,
                 phases: Vec::new(),
-                sim_telemetry: None,
             },
             WorkloadResult {
                 name: "lft_build/32x2/mlid".into(),
@@ -338,9 +239,7 @@ mod tests {
                 events: 0,
                 events_per_sec: 0.0,
                 iters: 5,
-                threads_available: 0,
                 phases: Vec::new(),
-                sim_telemetry: None,
             },
         ])
     }
@@ -384,52 +283,6 @@ mod tests {
         assert!(BenchReport::parse(&old).unwrap().workloads[0]
             .phases
             .is_empty());
-    }
-
-    #[test]
-    fn threads_available_round_trips_and_tolerates_absence() {
-        let mut report = sample();
-        report.workloads[0].threads_available = 4;
-        let text = report.to_json();
-        assert!(text.contains("\"threads_available\": 4"));
-        // Host-independent rows (0) omit the key entirely.
-        assert_eq!(text.matches("threads_available").count(), 1);
-        let back = BenchReport::parse(&text).unwrap();
-        assert_eq!(back, report);
-        assert_eq!(back.to_json(), text);
-        // Snapshots from before the field was recorded still parse.
-        let old = sample().to_json();
-        assert!(!old.contains("threads_available"));
-        assert_eq!(
-            BenchReport::parse(&old).unwrap().workloads[0].threads_available,
-            0
-        );
-    }
-
-    #[test]
-    fn sim_telemetry_round_trips_and_tolerates_absence() {
-        let mut report = sample();
-        report.workloads[0].sim_telemetry = Some(SimTelemetry {
-            threads: 4,
-            windows: 1_234,
-            barrier_wait_ns: 56_789,
-            msgs: 4_321,
-            edge_cut: 96,
-            event_imbalance: 1.25,
-        });
-        let text = report.to_json();
-        assert!(text.contains("\"sim_telemetry\": { \"threads\": 4,"));
-        // Rows without telemetry omit the key entirely.
-        assert_eq!(text.matches("sim_telemetry").count(), 1);
-        let back = BenchReport::parse(&text).unwrap();
-        assert_eq!(back, report);
-        assert_eq!(back.to_json(), text);
-        // Snapshots from before the field was recorded still parse.
-        let old = sample().to_json();
-        assert!(!old.contains("sim_telemetry"));
-        assert!(BenchReport::parse(&old).unwrap().workloads[0]
-            .sim_telemetry
-            .is_none());
     }
 
     #[test]
@@ -485,33 +338,6 @@ mod tests {
             .find(|d| d.name.contains("lft_build"))
             .unwrap();
         assert!(!ok.is_regression(0.25));
-    }
-
-    #[test]
-    fn par_speedups_derive_from_the_t1_twin() {
-        let row = |name: &str, wall_ns: u64| WorkloadResult {
-            name: name.into(),
-            wall_ns,
-            events: 1_000,
-            events_per_sec: 1.0,
-            iters: 3,
-            threads_available: 0,
-            phases: Vec::new(),
-            sim_telemetry: None,
-        };
-        let report = BenchReport::new(vec![
-            row("sim_engine/8x3/vl4", 100), // not a par row: ignored
-            row("sim_engine_par/8x3/vl4/t1", 90),
-            row("sim_engine_par/8x3/vl4/t2", 45),
-            row("sim_engine_par/8x3/vl4/t4", 60),
-            row("sim_engine_par/4x2/vl1/t2", 10), // no t1 twin: skipped
-        ]);
-        let speedups = par_speedups(&report);
-        assert_eq!(speedups.len(), 3);
-        assert_eq!(speedups[0], ("sim_engine_par/8x3/vl4/t1".into(), 1, 1.0));
-        assert_eq!(speedups[1], ("sim_engine_par/8x3/vl4/t2".into(), 2, 2.0));
-        assert_eq!(speedups[2].1, 4);
-        assert!((speedups[2].2 - 1.5).abs() < 1e-9);
     }
 
     #[test]

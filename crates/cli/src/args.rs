@@ -1,9 +1,7 @@
 //! Argument parsing for the `ibfat` CLI (no external parser crate).
 #![allow(clippy::module_name_repetitions)]
 
-use ib_fabric::{
-    FaultPolicy, NodeId, PartitionKind, RouteBackend, RoutingKind, TraceSampling, TrafficPattern,
-};
+use ib_fabric::{FaultPolicy, NodeId, RouteBackend, RoutingKind, TraceSampling, TrafficPattern};
 
 /// Usage text.
 pub const USAGE: &str = "\
@@ -44,11 +42,6 @@ options:
   --vls V                        virtual lanes         (default 1)
   --time-us T                    simulated microseconds (default 200)
   --seed S                       RNG seed
-  --threads N                    simulation worker threads (default 1;
-                                 0 = all cores; any N yields
-                                 bit-identical results)
-  --partition fat-tree|block     parallel shard partitioner
-                                 (default fat-tree)
   --route-backend table|oracle   simulate/run, sweep, counters, workload,
                                  trace: forwarding-state backend — flat
                                  LFT lookups, or the closed-form routing
@@ -92,9 +85,6 @@ options:
   --one-in N                     trace: sample 1 in N flows (by flow hash;
                                  default: first packets generated)
   --pairs s:d,s:d                trace: only these (src, dst) flows
-  --telemetry                    simulate/run: print engine self-telemetry
-                                 (per-shard windows, barrier waits, mailbox
-                                 volume) as JSONL after the report
   --profile                      workload: print the engine's per-phase
                                  self-profile table after the report
   --json                         machine-readable output";
@@ -122,10 +112,6 @@ pub struct Cmd {
     pub time_ns: u64,
     /// RNG seed.
     pub seed: Option<u64>,
-    /// Simulation worker threads (1 = sequential engine, 0 = all cores).
-    pub threads: usize,
-    /// Shard partitioner for the parallel engine.
-    pub partition: PartitionKind,
     /// Forwarding-state backend for the packet engine (table or oracle).
     pub route_backend: RouteBackend,
     /// Cables to fail before acting.
@@ -163,8 +149,6 @@ pub struct Cmd {
     pub trace_packets: u32,
     /// `trace`: which flows may claim recorder slots.
     pub sampling: TraceSampling,
-    /// `simulate`: print engine self-telemetry after the report.
-    pub telemetry: bool,
     /// `workload`: print the per-phase self-profile after the report.
     pub profile: bool,
     /// Emit JSON instead of text.
@@ -280,8 +264,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
         vls: 1,
         time_ns: 200_000,
         seed: None,
-        threads: 1,
-        partition: PartitionKind::FatTree,
         route_backend: RouteBackend::Table,
         fail_links: Vec::new(),
         kill: 1,
@@ -300,7 +282,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
         trace: None,
         trace_packets: 16,
         sampling: TraceSampling::FirstN,
-        telemetry: false,
         profile: false,
         json: false,
     };
@@ -349,18 +330,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                         .parse()
                         .map_err(|_| "bad --seed value".to_string())?,
                 );
-            }
-            "--threads" => {
-                cmd.threads = next_value(&mut it, arg)?
-                    .parse()
-                    .map_err(|_| "bad --threads value".to_string())?;
-            }
-            "--partition" => {
-                cmd.partition = match next_value(&mut it, arg)?.as_str() {
-                    "fat-tree" => PartitionKind::FatTree,
-                    "block" => PartitionKind::Block,
-                    other => return Err(format!("unknown partition '{other}'")),
-                };
             }
             "--route-backend" => {
                 cmd.route_backend = next_value(&mut it, arg)?.parse::<RouteBackend>()?;
@@ -485,7 +454,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                 }
                 cmd.sampling = TraceSampling::Pairs(pairs);
             }
-            "--telemetry" => cmd.telemetry = true,
             "--profile" => cmd.profile = true,
             "--json" => cmd.json = true,
             other if !other.starts_with("--") => positional.push(arg),
@@ -647,41 +615,15 @@ mod tests {
     }
 
     #[test]
-    fn parses_threads_and_run_alias() {
-        let cmd = parse(&argv("run 4x2 --threads 4")).unwrap();
-        assert_eq!(cmd.action, Action::Simulate);
-        assert_eq!(cmd.threads, 4);
-        // Default is the sequential engine.
-        let cmd = parse(&argv("sweep 4x2")).unwrap();
-        assert_eq!(cmd.threads, 1);
-        // 0 = auto-detect available cores (resolved by the builder).
-        let cmd = parse(&argv("run 4x2 --threads 0")).unwrap();
-        assert_eq!(cmd.threads, 0);
-        assert!(parse(&argv("run 4x2 --threads lots")).is_err());
-    }
-
-    #[test]
-    fn parses_partition_kind() {
-        let cmd = parse(&argv("run 4x2")).unwrap();
-        assert_eq!(cmd.partition, PartitionKind::FatTree);
-        let cmd = parse(&argv("run 4x2 --partition block")).unwrap();
-        assert_eq!(cmd.partition, PartitionKind::Block);
-        let cmd = parse(&argv("run 4x2 --partition fat-tree")).unwrap();
-        assert_eq!(cmd.partition, PartitionKind::FatTree);
-        assert!(parse(&argv("run 4x2 --partition diagonal")).is_err());
-    }
-
-    #[test]
     fn parses_workload_options() {
         let cmd = parse(&argv(
-            "workload 8x3 --kind alltoall --bytes 2048 --scheme slid --threads 4",
+            "workload 8x3 --kind alltoall --bytes 2048 --scheme slid",
         ))
         .unwrap();
         assert_eq!(cmd.action, Action::Workload);
         assert_eq!(cmd.wl_kind, WlKind::AllToAll);
         assert_eq!(cmd.bytes, 2048);
         assert_eq!(cmd.scheme, RoutingKind::Slid);
-        assert_eq!(cmd.threads, 4);
         // Defaults.
         let cmd = parse(&argv("workload 4x2")).unwrap();
         assert_eq!(cmd.wl_kind, WlKind::AllreduceRing);
@@ -759,13 +701,12 @@ mod tests {
     }
 
     #[test]
-    fn parses_telemetry_and_profile_flags() {
-        let cmd = parse(&argv("run 4x2 --threads 2 --telemetry")).unwrap();
-        assert!(cmd.telemetry);
+    fn parses_run_alias_and_profile_flag() {
+        let cmd = parse(&argv("run 4x2")).unwrap();
+        assert_eq!(cmd.action, Action::Simulate);
+        assert!(!cmd.profile);
         let cmd = parse(&argv("workload 4x2 --profile")).unwrap();
         assert!(cmd.profile);
-        let cmd = parse(&argv("run 4x2")).unwrap();
-        assert!(!cmd.telemetry && !cmd.profile);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use ib_fabric::json::JsonBuf;
 use ib_fabric::prelude::*;
 use ib_fabric::sm::SubnetManager;
 use ib_fabric::topology::analysis;
-use ib_fabric::{EngineTelemetry, FaultPolicy, SwitchId};
+use ib_fabric::{FaultPolicy, SwitchId};
 
 /// Run a parsed command.
 pub fn run(cmd: Cmd) -> Result<(), String> {
@@ -232,27 +232,6 @@ fn discover(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
     }
 }
 
-/// Run the configured operating point with engine self-telemetry
-/// (exposed for tests). The report is bit-identical to a plain run.
-pub fn collect_telemetry(
-    cmd: &Cmd,
-    fabric: &Fabric,
-) -> Result<(SimReport, EngineTelemetry), String> {
-    let mut experiment = fabric
-        .experiment()
-        .virtual_lanes(cmd.vls)
-        .traffic(pattern_of(cmd, fabric))
-        .offered_load(cmd.load)
-        .duration_ns(cmd.time_ns)
-        .threads(cmd.threads)
-        .partition(cmd.partition)
-        .route_backend(cmd.route_backend);
-    if let Some(seed) = cmd.seed {
-        experiment = experiment.seed(seed);
-    }
-    Ok(experiment.run_telemetry())
-}
-
 fn simulate(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
     let mut experiment = fabric
         .experiment()
@@ -260,23 +239,13 @@ fn simulate(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
         .traffic(pattern_of(cmd, fabric))
         .offered_load(cmd.load)
         .duration_ns(cmd.time_ns)
-        .threads(cmd.threads)
-        .partition(cmd.partition)
         .route_backend(cmd.route_backend);
     if let Some(seed) = cmd.seed {
         experiment = experiment.seed(seed);
     }
-    let (report, telemetry) = if cmd.telemetry {
-        let (r, t) = experiment.run_telemetry();
-        (r, Some(t))
-    } else {
-        (experiment.run(), None)
-    };
+    let report = experiment.run();
     if cmd.json {
         println!("{}", report_to_json(&report));
-        if let Some(t) = &telemetry {
-            print!("{}", t.to_jsonl(false));
-        }
         return Ok(());
     }
     println!(
@@ -313,17 +282,6 @@ fn simulate(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
         report.events_per_sec / 1e6,
         report.packets_per_sec / 1e3
     );
-    if let Some(t) = &telemetry {
-        println!(
-            "\nengine telemetry ({} shards, lookahead {} ns, edge cut {}, \
-             imbalance {:.2}) — JSONL:",
-            t.threads,
-            t.lookahead_ns,
-            t.edge_cut,
-            t.event_imbalance()
-        );
-        print!("{}", t.to_jsonl(false));
-    }
     Ok(())
 }
 
@@ -390,8 +348,7 @@ pub fn report_to_json(report: &SimReport) -> String {
 }
 
 /// Run the flight recorder over the configured scenario and render the
-/// sampled packet spans as JSONL (exposed for tests). Byte-identical at
-/// any thread count.
+/// sampled packet spans as JSONL (exposed for tests).
 pub fn collect_trace(cmd: &Cmd, fabric: &Fabric) -> Result<String, String> {
     let mut experiment = fabric
         .experiment()
@@ -399,8 +356,6 @@ pub fn collect_trace(cmd: &Cmd, fabric: &Fabric) -> Result<String, String> {
         .traffic(pattern_of(cmd, fabric))
         .offered_load(cmd.load)
         .duration_ns(cmd.time_ns)
-        .threads(cmd.threads)
-        .partition(cmd.partition)
         .route_backend(cmd.route_backend)
         .trace_first_packets(cmd.trace_packets)
         .trace_sampling(cmd.sampling.clone());
@@ -889,8 +844,6 @@ pub fn collect_workload(cmd: &Cmd, fabric: &Fabric) -> Result<WorkloadReport, St
     let mut experiment = fabric
         .experiment()
         .virtual_lanes(cmd.vls)
-        .threads(cmd.threads)
-        .partition(cmd.partition)
         .route_backend(cmd.route_backend);
     if let Some(seed) = cmd.seed {
         experiment = experiment.seed(seed);
@@ -909,8 +862,6 @@ pub fn collect_workload_profiled(
     let mut experiment = fabric
         .experiment()
         .virtual_lanes(cmd.vls)
-        .threads(cmd.threads)
-        .partition(cmd.partition)
         .route_backend(cmd.route_backend);
     if let Some(seed) = cmd.seed {
         experiment = experiment.seed(seed);
@@ -1052,9 +1003,8 @@ pub struct FaultsReport {
     pub disruption: ib_fabric::DisruptionReport,
 }
 
-/// Build the seeded fault plan, run the degraded-fabric scenario on the
-/// configured engine (sequential or threaded — reports are
-/// bit-identical across both) and derive the disruption analysis.
+/// Build the seeded fault plan, run the degraded-fabric scenario and
+/// derive the disruption analysis.
 /// Exposed for tests.
 pub fn collect_faults(cmd: &Cmd, fabric: &Fabric) -> Result<FaultsReport, String> {
     use ib_fabric::FaultPlan;
@@ -1102,8 +1052,6 @@ pub fn collect_faults(cmd: &Cmd, fabric: &Fabric) -> Result<FaultsReport, String
         .traffic(pattern_of(cmd, fabric))
         .offered_load(cmd.load)
         .duration_ns(cmd.time_ns)
-        .threads(cmd.threads)
-        .partition(cmd.partition)
         .route_backend(cmd.route_backend)
         .faults(plan.clone());
     if let Some(seed) = cmd.seed {
@@ -1132,7 +1080,7 @@ fn fault_action_parts(action: ib_fabric::FaultAction) -> (&'static str, u32) {
 /// Render a [`FaultsReport`] as JSON. Deliberately excludes the
 /// wall-clock throughput fields (`events_per_sec`, `packets_per_sec`):
 /// everything here is deterministic, so the output is byte-identical
-/// at any `--threads` setting.
+/// from run to run.
 pub fn faults_to_json(cmd: &Cmd, fabric: &Fabric, out: &FaultsReport) -> String {
     fn survival(j: &mut JsonBuf, key: &str, s: &ib_fabric::PathSurvival) {
         j.key(key);
@@ -1323,8 +1271,6 @@ fn sweep(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
         .virtual_lanes(cmd.vls)
         .traffic(pattern_of(cmd, fabric))
         .duration_ns(cmd.time_ns)
-        .threads(cmd.threads)
-        .partition(cmd.partition)
         .route_backend(cmd.route_backend)
         .run_sweep(&cmd.loads);
     println!("offered,accepted,avg_latency_ns,p99_latency_ns,delivered,dropped");

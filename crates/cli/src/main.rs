@@ -9,7 +9,7 @@
 //! ibfat simulate 8x3 --pattern centric --load 0.4 --vls 2 --time-us 300
 //! ibfat sweep 16x2 --loads 0.1,0.3,0.5 --vls 1
 //! ibfat workload 8x3 --kind allreduce-ring --bytes 4096 --scheme mlid
-//! ibfat workload 8x3 --kind replay --trace trace.jsonl --threads 4
+//! ibfat workload 8x3 --kind replay --trace trace.jsonl
 //! ```
 
 use ibfat_cli::{args, commands};

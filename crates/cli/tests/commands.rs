@@ -56,31 +56,8 @@ fn simulate_and_sweep_run() {
 }
 
 #[test]
-fn run_alias_and_threads_flag_work_end_to_end() {
-    run("run 4x2 --load 0.2 --time-us 30 --seed 1 --threads 4").unwrap();
-    run("sweep 4x2 --loads 0.2,0.5 --time-us 30 --threads 2").unwrap();
-}
-
-/// `--threads N` must not change a single reported number: the exact
-/// experiment the CLI wires up, run through both engines.
-#[test]
-fn threads_flag_leaves_reports_bit_identical() {
-    let fabric = ib_fabric::Fabric::builder(4, 2).build().unwrap();
-    let report_at = |threads: usize| {
-        let mut r = fabric
-            .experiment()
-            .offered_load(0.3)
-            .duration_ns(40_000)
-            .seed(7)
-            .threads(threads)
-            .run();
-        r.events_per_sec = 0.0; // wall-clock throughput is host noise
-        r.packets_per_sec = 0.0;
-        r
-    };
-    let seq = report_at(1);
-    assert!(seq.delivered > 0);
-    assert_eq!(report_at(4), seq);
+fn run_alias_works_end_to_end() {
+    run("run 4x2 --load 0.2 --time-us 30 --seed 1").unwrap();
 }
 
 #[test]
@@ -161,9 +138,9 @@ fn faults_disruption_pins_the_mlid_survival_story() {
 }
 
 #[test]
-fn faults_json_is_byte_identical_across_engines() {
+fn faults_json_is_byte_identical_across_runs() {
     // End-to-end through the real binary: the faults JSON deliberately
-    // excludes wall-clock fields, so sequential and threaded runs must
+    // excludes wall-clock fields, so two runs of the same command must
     // print the exact same bytes.
     let exe = env!("CARGO_BIN_EXE_ibfat");
     let out = |extra: &[&str]| {
@@ -190,15 +167,16 @@ fn faults_json_is_byte_identical_across_engines() {
         );
         o.stdout
     };
-    let seq = out(&[]);
-    assert!(!seq.is_empty());
-    assert_eq!(out(&["--threads", "2"]), seq, "threads changed the bytes");
+    let first = out(&[]);
+    assert!(!first.is_empty());
+    assert_eq!(out(&[]), first, "a rerun changed the bytes");
 }
 
 #[test]
 fn malformed_run_inputs_are_clean_errors_not_panics() {
     // Each of these once reached an assertion inside the engine and
-    // exited 101; they must fail up front with an `error:` line.
+    // exited 101 (or names a removed flag); they must fail at parse time
+    // with exit code 2 and an `error:` line.
     let exe = env!("CARGO_BIN_EXE_ibfat");
     for line in [
         "run 4x3 --time-us 0",
@@ -207,16 +185,17 @@ fn malformed_run_inputs_are_clean_errors_not_panics() {
         "run 4x3 --load 0",
         "run 4x3 --load nan",
         "sweep 4x3 --loads -1",
+        // The sharded engine's knobs are gone, not silently ignored.
+        "run 4x3 --threads 2",
+        "run 4x3 --partition block",
+        "run 4x3 --telemetry",
     ] {
         let o = std::process::Command::new(exe)
             .args(line.split_whitespace())
             .output()
             .unwrap();
         let code = o.status.code();
-        assert!(
-            matches!(code, Some(1 | 2)),
-            "`ibfat {line}` exited {code:?}"
-        );
+        assert_eq!(code, Some(2), "`ibfat {line}` exited {code:?}");
         let stderr = String::from_utf8_lossy(&o.stderr);
         assert!(stderr.contains("error:"), "`ibfat {line}`: {stderr}");
     }
@@ -341,20 +320,10 @@ fn workload_trace_round_trips_through_record_and_replay() {
 }
 
 #[test]
-fn workload_threads_flag_leaves_reports_bit_identical() {
-    let seq = drive("workload 4x2 --kind alltoall --bytes 1024 --vls 2");
-    assert!(seq.makespan_ns > 0 && seq.messages > 0);
-    let par = drive("workload 4x2 --kind alltoall --bytes 1024 --vls 2 --threads 4");
-    assert_eq!(par, seq);
-}
-
-#[test]
-fn trace_telemetry_and_profile_run_end_to_end() {
+fn trace_and_profile_run_end_to_end() {
     run("trace 4x2 --packets 4 --time-us 30 --seed 1").unwrap();
-    run("trace 4x2 --one-in 2 --time-us 30 --threads 2").unwrap();
+    run("trace 4x2 --one-in 2 --time-us 30").unwrap();
     run("trace 4x2 --pairs 0:1,2:3 --time-us 30").unwrap();
-    run("run 4x2 --time-us 30 --threads 2 --telemetry").unwrap();
-    run("run 4x2 --time-us 30 --threads 2 --telemetry --json").unwrap();
     run("workload 4x2 --kind bcast --profile").unwrap();
     run("workload 4x2 --kind bcast --profile --json").unwrap();
 }
@@ -434,53 +403,15 @@ fn trace_jsonl_shows_the_slid_hot_spot_credit_stalls_mlid_avoids() {
 }
 
 #[test]
-fn trace_jsonl_is_byte_identical_across_thread_counts() {
-    let line = |threads: usize| {
-        format!(
-            "trace 4x2 --pattern centric --load 0.6 --time-us 60 --seed 3 \
-             --packets 32 --one-in 2 --threads {threads}"
-        )
-    };
-    let seq = record(&line(1));
-    assert!(!seq.is_empty());
-    assert_eq!(record(&line(2)), seq);
-    assert_eq!(record(&line(4)), seq);
-}
-
-#[test]
-fn telemetry_is_a_separate_channel_from_the_report() {
-    let argv: Vec<String> = "run 4x2 --load 0.3 --time-us 40 --seed 7 --threads 2"
-        .split_whitespace()
-        .map(String::from)
-        .collect();
-    let cmd = args::parse(&argv).unwrap();
-    let fabric = ib_fabric::Fabric::builder(cmd.m, cmd.n)
-        .routing(cmd.scheme)
-        .build()
-        .unwrap();
-    let (mut with_tel, tel) = commands::collect_telemetry(&cmd, &fabric).unwrap();
-    let mut plain = fabric
-        .experiment()
-        .offered_load(0.3)
-        .duration_ns(40_000)
-        .seed(7)
-        .threads(2)
-        .run();
-    with_tel.events_per_sec = 0.0;
-    plain.events_per_sec = 0.0;
-    with_tel.packets_per_sec = 0.0;
-    plain.packets_per_sec = 0.0;
-    assert_eq!(with_tel, plain, "telemetry must not perturb the report");
-
-    assert_eq!(tel.threads, 2);
-    assert_eq!(tel.shards.len(), 2);
-    assert!(tel.windows() > 0);
-    assert_eq!(tel.total_events(), plain.events_processed);
-    assert!(tel.event_imbalance() >= 1.0);
-    // The JSONL export parses line by line.
-    for l in tel.to_jsonl(true).lines() {
-        ib_fabric::json::parse(l).expect("valid telemetry JSONL line");
+fn trace_jsonl_is_byte_identical_across_runs() {
+    let line = "trace 4x2 --pattern centric --load 0.6 --time-us 60 --seed 3 \
+                --packets 32 --one-in 2";
+    let first = record(line);
+    assert_eq!(first.lines().count(), 32, "every slot must fill");
+    for l in first.lines() {
+        ib_fabric::json::parse(l).expect("valid JSONL line");
     }
+    assert_eq!(record(line), first);
 }
 
 #[test]

@@ -1,7 +1,7 @@
 use crate::Fabric;
 use ibfat_sim::{
-    run_once, run_once_par, sweep, EngineTelemetry, InjectionProcess, Probe, RunSpec, SimConfig,
-    SimReport, TrafficPattern, Workload, WorkloadReport,
+    run_once, sweep, InjectionProcess, Probe, RunSpec, SimConfig, SimReport, Simulator,
+    TrafficPattern, Workload, WorkloadReport,
 };
 
 /// Fluent configuration of a simulation over a [`Fabric`].
@@ -17,7 +17,6 @@ pub struct ExperimentBuilder<'a> {
     offered_load: f64,
     sim_time_ns: u64,
     warmup_ns: Option<u64>,
-    threads: usize,
 }
 
 impl<'a> ExperimentBuilder<'a> {
@@ -29,39 +28,7 @@ impl<'a> ExperimentBuilder<'a> {
             offered_load: 0.3,
             sim_time_ns: 500_000,
             warmup_ns: None,
-            threads: 1,
         }
-    }
-
-    /// Simulation worker threads (default 1 = the sequential engine).
-    /// `0` auto-detects the number of available cores. Any value yields
-    /// bit-identical reports: the parallel engine's determinism contract
-    /// (see [`ibfat_sim::ParSimulator`]).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            threads
-        };
-        self
-    }
-
-    /// Shard partitioner for the parallel engine (default: fat-tree-aware;
-    /// see [`ibfat_sim::PartitionKind`]). Bit-identical reports across
-    /// choices.
-    pub fn partition(mut self, kind: ibfat_sim::PartitionKind) -> Self {
-        self.cfg.partition = kind;
-        self
-    }
-
-    /// Window-sizing policy for the parallel engine (default: adaptive;
-    /// see [`ibfat_sim::WindowPolicy`]). Bit-identical reports across
-    /// choices.
-    pub fn window_policy(mut self, policy: ibfat_sim::WindowPolicy) -> Self {
-        self.cfg.window_policy = policy;
-        self
     }
 
     /// Forwarding-state backend for the packet engine (default: table —
@@ -154,7 +121,7 @@ impl<'a> ExperimentBuilder<'a> {
     /// [`ibfat_sim::FaultPlan`]): scheduled link/switch kills and
     /// revivals with modeled SM detection + patch-level reprogramming.
     /// The empty plan (the default) leaves the engine on its pre-fault
-    /// code paths. Reports stay bit-identical at any thread count.
+    /// code paths.
     pub fn faults(mut self, plan: ibfat_sim::FaultPlan) -> Self {
         self.cfg.faults = plan;
         self
@@ -171,16 +138,6 @@ impl<'a> ExperimentBuilder<'a> {
     /// Run the configured operating point.
     pub fn run(self) -> SimReport {
         let spec = self.spec(self.offered_load);
-        if self.threads > 1 {
-            return run_once_par(
-                self.fabric.network(),
-                self.fabric.routing(),
-                self.cfg,
-                self.pattern,
-                spec,
-                self.threads,
-            );
-        }
         run_once(
             self.fabric.network(),
             self.fabric.routing(),
@@ -188,25 +145,6 @@ impl<'a> ExperimentBuilder<'a> {
             self.pattern,
             spec,
         )
-    }
-
-    /// Run the configured operating point with engine self-telemetry:
-    /// the report (bit-identical to [`run`](ExperimentBuilder::run))
-    /// plus per-shard window/barrier/mailbox statistics from the
-    /// parallel engine (see [`ibfat_sim::EngineTelemetry`]). With one
-    /// thread the sequential engine runs and the telemetry is the
-    /// `threads: 1` marker.
-    pub fn run_telemetry(self) -> (SimReport, EngineTelemetry) {
-        let spec = self.spec(self.offered_load);
-        ibfat_sim::try_run_once_par_telemetry(
-            self.fabric.network(),
-            self.fabric.routing(),
-            self.cfg,
-            self.pattern,
-            spec,
-            self.threads,
-        )
-        .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Run the configured operating point observed by `probe` — e.g. an
@@ -225,27 +163,10 @@ impl<'a> ExperimentBuilder<'a> {
         )
     }
 
-    /// Run a load sweep, returning reports in the order of `loads`. With
-    /// one thread the points themselves run in parallel (independent
-    /// simulations); with more, each point runs on the parallel engine
-    /// in turn, so memory stays bounded by one fabric. Reports are
-    /// identical either way.
+    /// Run a load sweep, returning reports in the order of `loads`. The
+    /// points are independent simulations and run in parallel across
+    /// the available cores.
     pub fn run_sweep(self, loads: &[f64]) -> Vec<SimReport> {
-        if self.threads > 1 {
-            return loads
-                .iter()
-                .map(|&load| {
-                    run_once_par(
-                        self.fabric.network(),
-                        self.fabric.routing(),
-                        self.cfg.clone(),
-                        self.pattern.clone(),
-                        RunSpec::new(load, self.sim_time_ns),
-                        self.threads,
-                    )
-                })
-                .collect();
-        }
         sweep(
             self.fabric.network(),
             self.fabric.routing(),
@@ -260,40 +181,22 @@ impl<'a> ExperimentBuilder<'a> {
     /// replayed trace — see [`ibfat_sim::generators`] and
     /// [`ibfat_sim::workload_trace`]) to completion instead of sampling
     /// a traffic pattern for a fixed duration. Pattern, load, duration
-    /// and warm-up settings are ignored; `threads` is honored (reports
-    /// are bit-identical at any thread count).
+    /// and warm-up settings are ignored.
     pub fn run_workload(self, wl: &Workload) -> WorkloadReport {
-        if self.threads > 1 {
-            return ibfat_sim::run_workload_par(
-                self.fabric.network(),
-                self.fabric.routing(),
-                self.cfg,
-                wl,
-                self.threads,
-            );
-        }
         ibfat_sim::run_workload(self.fabric.network(), self.fabric.routing(), self.cfg, wl)
     }
 
     /// Drive a workload to completion observed by `probe` — e.g. an
-    /// [`ibfat_sim::PhaseProfile`] for engine self-profiling. Honors
-    /// `threads` like [`run_workload`](ExperimentBuilder::run_workload):
-    /// the probe forks one child per shard and absorbs them at the end,
-    /// and the report is bit-identical at any thread count.
-    pub fn run_workload_observed<P: ibfat_sim::ParProbe>(
-        self,
-        wl: &Workload,
-        probe: P,
-    ) -> (WorkloadReport, P) {
-        ibfat_sim::ParSimulator::for_workload_observed(
+    /// [`ibfat_sim::PhaseProfile`] for engine self-profiling.
+    pub fn run_workload_observed<P: Probe>(self, wl: &Workload, probe: P) -> (WorkloadReport, P) {
+        Simulator::for_workload_observed(
             self.fabric.network(),
             self.fabric.routing(),
             self.cfg,
-            self.threads,
+            wl,
             probe,
         )
-        .run_workload_observed(wl)
-        .unwrap_or_else(|e| panic!("{e}"))
+        .run_workload_observed()
     }
 
     /// Run the configured operating point under several seeds and return
@@ -325,8 +228,7 @@ impl<'a> ExperimentBuilder<'a> {
     /// Which flows fill the flight-recorder slots (default: the first
     /// packets generated, whatever their flow; see
     /// [`ibfat_sim::TraceSampling`] for 1-in-N flow sampling and
-    /// explicit (src, dst) filters). Slot assignment is a pure flow
-    /// function, so traces stay byte-identical at any thread count.
+    /// explicit (src, dst) filters).
     pub fn trace_sampling(mut self, sampling: ibfat_sim::TraceSampling) -> Self {
         self.cfg.trace_sampling = sampling;
         self
@@ -382,55 +284,6 @@ mod tests {
         let seq = fabric.experiment().run_workload(&wl);
         assert_eq!(seq.messages as usize, wl.messages.len());
         assert!(seq.makespan_ns > 0);
-        let par = fabric.experiment().threads(3).run_workload(&wl);
-        assert_eq!(par, seq, "thread count must not change the report");
-    }
-
-    // The only host-dependent report fields; everything else must match.
-    fn normalized(mut r: SimReport) -> SimReport {
-        r.events_per_sec = 0.0;
-        r.packets_per_sec = 0.0;
-        r
-    }
-
-    #[test]
-    fn threads_zero_auto_detects_cores() {
-        let fabric = Fabric::builder(4, 2).build().unwrap();
-        let auto = fabric.experiment().threads(0);
-        assert!(
-            auto.threads >= 1,
-            "auto-detect must resolve to a real count"
-        );
-        let report = auto.duration_ns(60_000).run();
-        let seq = fabric.experiment().duration_ns(60_000).run();
-        assert_eq!(
-            normalized(report),
-            normalized(seq),
-            "auto thread count must not change the report"
-        );
-    }
-
-    #[test]
-    fn partition_and_window_knobs_are_report_invariant() {
-        use ibfat_sim::{PartitionKind, WindowPolicy};
-        let fabric = Fabric::builder(4, 2).build().unwrap();
-        let base = normalized(fabric.experiment().duration_ns(60_000).threads(2).run());
-        for kind in [PartitionKind::FatTree, PartitionKind::Block] {
-            for policy in [WindowPolicy::Fixed, WindowPolicy::Adaptive] {
-                let r = fabric
-                    .experiment()
-                    .duration_ns(60_000)
-                    .threads(2)
-                    .partition(kind)
-                    .window_policy(policy)
-                    .run();
-                assert_eq!(
-                    normalized(r),
-                    base,
-                    "{kind:?}/{policy:?} changed the report"
-                );
-            }
-        }
     }
 
     #[test]

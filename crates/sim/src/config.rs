@@ -47,42 +47,6 @@ pub enum VlAssignment {
     SourceHash,
 }
 
-/// How the parallel engine assigns switches (and, transitively, the
-/// nodes behind each leaf switch) to worker shards. Purely a
-/// performance knob: the report is bit-identical across partitioners
-/// for a given seed (the parallel equivalence tests assert exactly
-/// that); only the volume of cross-shard synchronization traffic
-/// changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum PartitionKind {
-    /// Fat-tree-aware: each leaf switch stays with its nodes and its
-    /// dominant up-tree ancestors, so only genuinely shared
-    /// top-of-tree cables are cut
-    /// (see `ibfat_topology::fat_tree_switch_partition`).
-    #[default]
-    FatTree,
-    /// Id-order block split — the original partitioner, kept as the
-    /// fallback and as the baseline the edge-cut metric is judged
-    /// against.
-    Block,
-}
-
-/// How the parallel engine sizes its synchronization windows. Also a
-/// pure performance knob: window boundaries never affect cohort
-/// composition or dispatch order, so reports are bit-identical across
-/// policies for a given seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum WindowPolicy {
-    /// One lookahead per window, one barrier per lookahead — the
-    /// original fixed cadence.
-    Fixed,
-    /// Jump each window's end to the global next-event time (rounded up
-    /// to a whole multiple of the lookahead), so quiet stretches cost
-    /// one barrier instead of one per lookahead.
-    #[default]
-    Adaptive,
-}
-
 /// How the data plane answers "which output port does this DLID leave
 /// on" at each switch hop. Purely a representation choice: both
 /// backends return the same port for every `(switch, dlid)` (the
@@ -132,8 +96,7 @@ impl std::fmt::Display for RouteBackend {
 /// Which generated flows the flight recorder samples (the recorder
 /// itself is armed by `SimConfig::trace_first_packets > 0`, which also
 /// bounds the trace buffer). Sampling is decided per packet from the
-/// `(src, dst)` pair alone — deterministically, with no shared counter —
-/// so the sampled set is identical at any thread count by construction.
+/// `(src, dst)` pair alone — deterministically, with no shared counter.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum TraceSampling {
     /// Record the first N generated packets, whatever their flow — the
@@ -151,9 +114,7 @@ pub enum TraceSampling {
 
 impl TraceSampling {
     /// Whether a packet of flow `(src, dst)` is eligible for a trace
-    /// slot under this policy. Pure function of the flow and the seed:
-    /// the parallel engine's injection pre-pass replays the same calls
-    /// in the same order, so slot assignment is thread-invariant.
+    /// slot under this policy. Pure function of the flow and the seed.
     #[inline]
     pub fn samples(&self, src: u32, dst: u32, seed: u64) -> bool {
         match self {
@@ -233,21 +194,12 @@ pub struct SimConfig {
     /// achievable with LFT lookup (the paper's setting) and it reorders
     /// flows. Valid on intact fat trees only.
     pub adaptive_up: bool,
-    /// Shard partitioner for the parallel engine (ignored by the
-    /// sequential one). Bit-identical reports across choices.
-    #[serde(default)]
-    pub partition: PartitionKind,
-    /// Window-sizing policy for the parallel engine (ignored by the
-    /// sequential one). Bit-identical reports across choices.
-    #[serde(default)]
-    pub window_policy: WindowPolicy,
     /// Data-plane route lookup backend. Bit-identical reports across
     /// backends wherever the oracle applies.
     #[serde(default)]
     pub route_backend: RouteBackend,
     /// Scheduled mid-run fabric failures (empty = subsystem disabled).
-    /// Requires the table backend and a non-adaptive MLID/SLID routing;
-    /// reports stay bit-identical at any thread count.
+    /// Requires the table backend and a non-adaptive MLID/SLID routing.
     #[serde(default)]
     pub faults: crate::FaultPlan,
 }
@@ -270,8 +222,6 @@ impl Default for SimConfig {
             trace_first_packets: 0,
             trace_sampling: TraceSampling::default(),
             adaptive_up: false,
-            partition: PartitionKind::default(),
-            window_policy: WindowPolicy::default(),
             route_backend: RouteBackend::default(),
             faults: crate::FaultPlan::default(),
         }
@@ -297,18 +247,6 @@ impl SimConfig {
     #[inline]
     pub fn link_bytes_per_ns(&self) -> f64 {
         1.0 / self.byte_time_ns as f64
-    }
-
-    /// Static lookahead for conservatively synchronized parallel
-    /// execution, in ns: the minimum latency of any cross-device
-    /// interaction. Every event one device schedules on another is at
-    /// least one wire flight in the future (header arrivals and credit
-    /// returns both cross exactly one link), so a parallel partition may
-    /// safely advance `lookahead_ns()` past its slowest neighbor. Zero
-    /// (a zero-fly configuration) disables parallel execution.
-    #[inline]
-    pub fn lookahead_ns(&self) -> u64 {
-        self.fly_time_ns
     }
 
     /// Mean packet inter-arrival time (ns) for a normalized offered load

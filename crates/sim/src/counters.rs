@@ -27,7 +27,7 @@
 use crate::engine::Time;
 use crate::json::JsonBuf;
 use crate::metrics::LatencyStats;
-use crate::probe::{ParProbe, Probe};
+use crate::probe::Probe;
 use ibfat_topology::Network;
 use std::collections::VecDeque;
 
@@ -642,87 +642,6 @@ impl Probe for FabricCounters {
                 || self.port_xmit_bytes != self.last_port_xmit)
         {
             self.flush_sample(now, self.last_in_flight);
-        }
-    }
-}
-
-/// Parallel-engine support: each shard gets a full-fabric-sized child (a
-/// shard only ever touches the cells of devices it owns, so the sums are
-/// disjoint and absorption is exact for every register-style counter —
-/// per-port/per-VL counters, node counters, drops, cumulative port
-/// bytes). Open wait/stall intervals are closed by each shard's `finish`
-/// at the globally agreed end time before absorption, which matches the
-/// sequential closure exactly.
-///
-/// The *time-series* is the one approximate surface: each shard samples
-/// its own event stream, so `in_flight`/`events` in merged samples are
-/// shard-local and the merged ring is the time-ordered interleaving of
-/// per-shard samples, not a sequence of global snapshots. Register
-/// counters and totals remain bit-exact.
-impl ParProbe for FabricCounters {
-    fn fork(&self) -> Self {
-        let cells = self.per_vl.len();
-        let pcells = self.port_xmit_bytes.len();
-        FabricCounters {
-            num_switches: self.num_switches,
-            ports_per_switch: self.ports_per_switch,
-            num_vls: self.num_vls,
-            per_vl: vec![PortVlCounters::default(); cells],
-            nodes: vec![NodeCounters::default(); self.nodes.len()],
-            drops: vec![0; self.num_switches],
-            wait_start: vec![Time::MAX; cells],
-            wait_out: vec![0; cells],
-            stall_start: vec![Time::MAX; cells],
-            sample_interval_ns: self.sample_interval_ns,
-            max_samples: self.max_samples,
-            top_k: self.top_k,
-            next_sample: if self.sample_interval_ns > 0 {
-                self.sample_interval_ns
-            } else {
-                Time::MAX
-            },
-            samples: VecDeque::new(),
-            samples_dropped: 0,
-            interval_delivered_pkts: 0,
-            interval_delivered_bytes: 0,
-            interval_events: 0,
-            interval_latency: LatencyStats::new(),
-            port_xmit_bytes: vec![0; pcells],
-            last_port_xmit: vec![0; pcells],
-            last_in_flight: 0,
-            end_time: 0,
-        }
-    }
-
-    fn absorb(&mut self, child: Self) {
-        debug_assert_eq!(self.per_vl.len(), child.per_vl.len());
-        for (c, o) in self.per_vl.iter_mut().zip(&child.per_vl) {
-            c.absorb(o);
-        }
-        for (n, o) in self.nodes.iter_mut().zip(&child.nodes) {
-            n.xmit_bytes += o.xmit_bytes;
-            n.xmit_pkts += o.xmit_pkts;
-            n.rcv_bytes += o.rcv_bytes;
-            n.rcv_pkts += o.rcv_pkts;
-        }
-        for (d, o) in self.drops.iter_mut().zip(&child.drops) {
-            *d += o;
-        }
-        for (p, o) in self.port_xmit_bytes.iter_mut().zip(&child.port_xmit_bytes) {
-            *p += o;
-        }
-        self.end_time = self.end_time.max(child.end_time);
-        self.samples_dropped += child.samples_dropped;
-        // Interleave shard sample streams in time order (stable, so a
-        // tie keeps already-absorbed shards first — shard order is the
-        // deterministic tiebreak).
-        self.samples.extend(child.samples);
-        self.samples
-            .make_contiguous()
-            .sort_by_key(|s: &Sample| s.t_ns);
-        while self.samples.len() > self.max_samples {
-            self.samples.pop_front();
-            self.samples_dropped += 1;
         }
     }
 }

@@ -140,8 +140,8 @@ pub enum ChainClass {
 /// time across chains *and* the residual calendar, reproduces the exact
 /// `(time, insertion order)` pop contract of a single [`HeapCalendar`] —
 /// same events, same order, same `events_processed`; only the per-event
-/// calendar cost changes. The calendar-equivalence and
-/// parallel-equivalence suites pin exactly that.
+/// calendar cost changes. The calendar-equivalence suite pins exactly
+/// that.
 #[derive(Debug)]
 pub struct ChainQueue<E> {
     chains: [VecDeque<(Time, u64, E)>; 4],

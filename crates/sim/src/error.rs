@@ -18,10 +18,6 @@ pub enum SimError {
     /// The workload DAG is inconsistent with the fabric or the
     /// simulator configuration.
     InvalidWorkload(String),
-    /// A parallel worker thread panicked. The run was aborted (every
-    /// other worker released from the window barrier and unwound
-    /// cleanly) and the panic payload captured here.
-    WorkerPanicked(String),
     /// An engine invariant was violated mid-run (e.g. a route-done event
     /// fired against an empty input buffer). Debug builds assert instead;
     /// release builds abort the run and surface this through the
@@ -34,7 +30,6 @@ impl fmt::Display for SimError {
         match self {
             SimError::InvalidPattern(msg) => write!(f, "invalid traffic pattern: {msg}"),
             SimError::InvalidWorkload(msg) => write!(f, "invalid workload: {msg}"),
-            SimError::WorkerPanicked(msg) => write!(f, "parallel worker panicked: {msg}"),
             SimError::EngineInvariant(msg) => write!(f, "engine invariant violated: {msg}"),
         }
     }

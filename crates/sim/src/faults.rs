@@ -20,10 +20,8 @@
 //!   the reprogram rescues them.
 //!
 //! Everything here is a pure function of `(network, routing kind,
-//! plan)` — no clocks, no RNG at runtime — which is what lets the
-//! sequential and threaded engines agree bit for bit:
-//! each shard compiles the same plan and applies the same masks and
-//! patches at the same instants.
+//! plan)` — no clocks, no RNG at runtime — so a faulted run is as
+//! reproducible per seed as an unfaulted one.
 //!
 //! The post-run [`DisruptionReport`] quantifies the damage: packets
 //! lost/stalled/rerouted, per-fault reconvergence cost, MLID-vs-SLID
@@ -205,9 +203,7 @@ impl FaultPlan {
 
     /// Per-node injection cut-off times implied by the plan: a node
     /// stops generating the moment its leaf switch is killed
-    /// (`u64::MAX` = never). A pure function of plan + topology — every
-    /// shard and process computes it identically, and the injection
-    /// pre-pass replays it without consulting any routing tables.
+    /// (`u64::MAX` = never). A pure function of plan + topology.
     pub(crate) fn node_kill_times(&self, net: &Network) -> Vec<Time> {
         let mut kill = vec![Time::MAX; net.num_nodes()];
         for ev in &self.events {
@@ -253,8 +249,7 @@ pub(crate) struct CompiledFault {
     pub(crate) latency_ns: Time,
 }
 
-/// The compiled form of a [`FaultPlan`]: shared read-only by every
-/// shard of a run.
+/// The compiled form of a [`FaultPlan`], read-only for the whole run.
 #[derive(Debug)]
 pub(crate) struct FaultRuntime {
     pub(crate) faults: Vec<CompiledFault>,

@@ -56,19 +56,16 @@ pub mod json;
 mod lanes;
 mod metrics;
 mod packet;
-mod par;
 mod probe;
 mod runner;
 mod sim;
-mod telemetry;
 mod trace;
 mod traffic;
 mod vlarb;
 mod workload;
 
 pub use config::{
-    InjectionProcess, PartitionKind, PathSelection, RouteBackend, SimConfig, TraceSampling,
-    VlAssignment, WindowPolicy,
+    InjectionProcess, PathSelection, RouteBackend, SimConfig, TraceSampling, VlAssignment,
 };
 pub use counters::{
     FabricCounters, HotPort, NodeCounters, PortVlCounters, Sample, COUNTERS_SCHEMA_VERSION,
@@ -81,22 +78,18 @@ pub use faults::{
 };
 pub use metrics::{LatencyStats, LinkUse, Percentiles, SimReport};
 pub use packet::{Packet, PacketId, PacketSlab};
-pub use par::ParSimulator;
-pub use probe::{NoopProbe, ParProbe, Phase, PhaseProfile, Probe, NUM_PHASES};
+pub use probe::{NoopProbe, Phase, PhaseProfile, Probe, NUM_PHASES};
 pub use runner::{
-    aggregate, par_map_indexed, replicate, run_observed, run_once, run_once_par, sweep,
-    try_run_once_par, try_run_once_par_telemetry, Aggregate, RunSpec,
+    aggregate, par_map_indexed, replicate, run_observed, run_once, run_workload, sweep, Aggregate,
+    RunSpec,
 };
 pub use sim::Simulator;
-pub use telemetry::{EngineTelemetry, ShardTelemetry, WindowRecord, WINDOW_LOG_CAP};
 pub use trace::{traces_to_jsonl, PacketTrace, TraceEvent};
 pub use traffic::TrafficPattern;
 pub use vlarb::{VlArbiter, VlArbitration};
 // The message-level workload layer: the data model re-exported from
-// `ibfat-workload`, plus the engine entry points on `Simulator` /
-// `ParSimulator` and the runner shorthands in `runner`.
+// `ibfat-workload`; the engine entry points live on `Simulator`.
 pub use ibfat_workload::{
     generators, trace as workload_trace, ClosedLoopKind, GroupReport, Message, MessageTiming,
     MsgId, MsgLatency, Workload, WorkloadReport,
 };
-pub use runner::{run_workload, run_workload_par, try_run_workload_par};

@@ -183,25 +183,6 @@ pub trait Probe {
     }
 }
 
-/// A probe that can ride the parallel engine: the root probe forks one
-/// shard-local child per worker (same configuration, zeroed
-/// accumulators), each worker feeds its own child with zero
-/// synchronization, and the children are absorbed back into the root
-/// after the final barrier.
-///
-/// Absorption must be commutative over children for the merged result to
-/// be deterministic — every shipped probe accumulates sums/maxima, which
-/// are. Time-series probes additionally see only *shard-local* event
-/// streams (`tick`'s `in_flight` counts the shard's packets, not the
-/// fabric's), so merged samples are per-shard interleavings rather than
-/// global snapshots; see `FabricCounters`' docs.
-pub trait ParProbe: Probe + Send {
-    /// A fresh probe with this probe's configuration and zeroed state.
-    fn fork(&self) -> Self;
-    /// Fold a finished shard-local child back into `self`.
-    fn absorb(&mut self, child: Self);
-}
-
 /// The default probe: observes nothing, costs nothing. With this probe
 /// every hook site in the simulator compiles away.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -210,25 +191,6 @@ pub struct NoopProbe;
 impl Probe for NoopProbe {
     const COUNTERS: bool = false;
     const TIMING: bool = false;
-}
-
-impl ParProbe for NoopProbe {
-    #[inline]
-    fn fork(&self) -> Self {
-        NoopProbe
-    }
-    #[inline]
-    fn absorb(&mut self, _child: Self) {}
-}
-
-impl<A: ParProbe, B: ParProbe> ParProbe for (A, B) {
-    fn fork(&self) -> Self {
-        (self.0.fork(), self.1.fork())
-    }
-    fn absorb(&mut self, child: Self) {
-        self.0.absorb(child.0);
-        self.1.absorb(child.1);
-    }
 }
 
 /// Composition: forward every hook to both probes. Flags are OR-ed, so a
@@ -357,18 +319,6 @@ impl Probe for PhaseProfile {
     fn phase_time(&mut self, phase: Phase, wall_ns: u64) {
         self.wall_ns[phase.index()] += wall_ns;
         self.events[phase.index()] += 1;
-    }
-}
-
-impl ParProbe for PhaseProfile {
-    fn fork(&self) -> Self {
-        PhaseProfile::new()
-    }
-    fn absorb(&mut self, child: Self) {
-        for i in 0..NUM_PHASES {
-            self.wall_ns[i] += child.wall_ns[i];
-            self.events[i] += child.events[i];
-        }
     }
 }
 

@@ -47,74 +47,6 @@ pub fn run_once(
     .run()
 }
 
-/// Run one operating point on the parallel engine with `threads` worker
-/// threads. Bit-identical to [`run_once`] for the same inputs (the
-/// parallel engine's determinism contract; see [`crate::ParSimulator`]);
-/// `threads <= 1` runs the sequential engine directly.
-///
-/// # Panics
-/// Panics if a worker thread panicked; [`try_run_once_par`] propagates
-/// that as [`crate::SimError::WorkerPanicked`] instead.
-pub fn run_once_par(
-    net: &Network,
-    routing: &Routing,
-    cfg: SimConfig,
-    pattern: TrafficPattern,
-    spec: RunSpec,
-    threads: usize,
-) -> SimReport {
-    try_run_once_par(net, routing, cfg, pattern, spec, threads).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`run_once_par`] with worker panics propagated as
-/// [`crate::SimError::WorkerPanicked`] instead of re-panicking.
-pub fn try_run_once_par(
-    net: &Network,
-    routing: &Routing,
-    cfg: SimConfig,
-    pattern: TrafficPattern,
-    spec: RunSpec,
-    threads: usize,
-) -> Result<SimReport, crate::SimError> {
-    crate::ParSimulator::new(
-        net,
-        routing,
-        cfg,
-        pattern,
-        spec.offered_load,
-        spec.sim_time_ns,
-        spec.warmup_ns,
-        threads,
-    )
-    .run()
-}
-
-/// [`run_once_par`] with engine self-telemetry on: returns the report
-/// (bit-identical to the untelemetered run) plus the engine's
-/// [`crate::EngineTelemetry`] — per-shard window sizes, barrier waits,
-/// and mailbox volume. `threads <= 1` runs sequentially and returns the
-/// `threads: 1` marker telemetry.
-pub fn try_run_once_par_telemetry(
-    net: &Network,
-    routing: &Routing,
-    cfg: SimConfig,
-    pattern: TrafficPattern,
-    spec: RunSpec,
-    threads: usize,
-) -> Result<(SimReport, crate::EngineTelemetry), crate::SimError> {
-    crate::ParSimulator::new(
-        net,
-        routing,
-        cfg,
-        pattern,
-        spec.offered_load,
-        spec.sim_time_ns,
-        spec.warmup_ns,
-        threads,
-    )
-    .run_telemetry()
-}
-
 /// Drive a message-level workload (see [`crate::Workload`]) to
 /// completion on the sequential engine and report per-message latency,
 /// per-group completion times, and node skew.
@@ -125,35 +57,6 @@ pub fn run_workload(
     wl: &crate::Workload,
 ) -> crate::WorkloadReport {
     Simulator::for_workload(net, routing, cfg, wl).run_workload()
-}
-
-/// Drive a workload to completion on the parallel engine with `threads`
-/// worker threads. Bit-identical to [`run_workload`] for the same
-/// inputs; `threads <= 1` runs the sequential engine directly.
-///
-/// # Panics
-/// Panics if a worker thread panicked; [`try_run_workload_par`]
-/// propagates that as [`crate::SimError::WorkerPanicked`] instead.
-pub fn run_workload_par(
-    net: &Network,
-    routing: &Routing,
-    cfg: SimConfig,
-    wl: &crate::Workload,
-    threads: usize,
-) -> crate::WorkloadReport {
-    try_run_workload_par(net, routing, cfg, wl, threads).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`run_workload_par`] with worker panics propagated as
-/// [`crate::SimError::WorkerPanicked`] instead of re-panicking.
-pub fn try_run_workload_par(
-    net: &Network,
-    routing: &Routing,
-    cfg: SimConfig,
-    wl: &crate::Workload,
-    threads: usize,
-) -> Result<crate::WorkloadReport, crate::SimError> {
-    crate::ParSimulator::for_workload(net, routing, cfg, threads).run_workload(wl)
 }
 
 /// Run one operating point observed by `probe`; returns the report and

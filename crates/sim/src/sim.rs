@@ -42,38 +42,6 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use std::collections::VecDeque;
 
-/// The scheduler seam: handlers emit future events through this trait,
-/// so the same dispatch code drives both the sequential engine (events go
-/// into the fused [`ChainQueue`]) and the parallel engine (events are
-/// keyed for deterministic ordering and routed to the owning shard's
-/// calendar or a cross-shard mailbox — see `par.rs`).
-pub trait Sched {
-    fn schedule(&mut self, at: Time, ev: Ev);
-
-    /// Schedule an event whose delay is one of the run-constant
-    /// [`ChainClass`]es. The sequential engine diverts these onto FIFO
-    /// delay lines; every other scheduler falls back to the general
-    /// calendar, so the class is a pure performance hint — never a
-    /// semantic one.
-    #[inline]
-    fn schedule_chain(&mut self, class: ChainClass, at: Time, ev: Ev) {
-        let _ = class;
-        self.schedule(at, ev);
-    }
-}
-
-impl Sched for ChainQueue<Ev> {
-    #[inline]
-    fn schedule(&mut self, at: Time, ev: Ev) {
-        ChainQueue::schedule(self, at, ev);
-    }
-
-    #[inline]
-    fn schedule_chain(&mut self, class: ChainClass, at: Time, ev: Ev) {
-        ChainQueue::schedule_chain(self, class, at, ev);
-    }
-}
-
 /// What a switch port's output side is cabled to.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum PeerRef {
@@ -212,14 +180,10 @@ pub enum Ev {
     SwDiscardDone { sw: u32, port: u8, vl: u8 },
     /// Workload mode: one dependency of message `msg` completed (or the
     /// priming pseudo-dependency of a root). Fires at the message's
-    /// source node one wire flight after the completing delivery, in
-    /// both engines — which keeps the notification a legal cross-shard
-    /// event under the parallel engine's lookahead.
+    /// source node one wire flight after the completing delivery.
     WlArm { node: u32, msg: u32 },
     /// A scheduled fault fires: swap the live dead-port masks and
-    /// killed-switch flags to the compiled post-fault state. Exists on
-    /// every shard of a parallel run (it touches only shared-shape
-    /// state), so event accounting stays engine-invariant.
+    /// killed-switch flags to the compiled post-fault state.
     FaultApply { fault: u32 },
     /// The subnet manager finishes reprogramming one switch's forwarding
     /// table with the patch set of fault `fault`, then re-routes input
@@ -239,7 +203,7 @@ pub enum Ev {
 /// [`NoopProbe`]). Every probe hook site is guarded by the probe's
 /// associated consts, so the unprobed simulator monomorphizes to exactly
 /// the pre-observability hot path.
-pub struct Simulator<'a, P: Probe = NoopProbe, Q = ChainQueue<Ev>> {
+pub struct Simulator<'a, P: Probe = NoopProbe> {
     pub(crate) cfg: SimConfig,
     pub(crate) pattern: TrafficPattern,
     pub(crate) offered_load: f64,
@@ -275,7 +239,7 @@ pub struct Simulator<'a, P: Probe = NoopProbe, Q = ChainQueue<Ev>> {
     /// the others (per-VL queues avoid cross-VL head-of-line blocking).
     pub(crate) inj_q: Vec<VecDeque<PacketId>>,
 
-    pub(crate) queue: Q,
+    pub(crate) queue: ChainQueue<Ev>,
     pub(crate) slab: PacketSlab,
     pub(crate) rng: ChaCha12Rng,
     pub(crate) now: Time,
@@ -301,11 +265,6 @@ pub struct Simulator<'a, P: Probe = NoopProbe, Q = ChainQueue<Ev>> {
     /// the side table that keeps the slot out of the 32-byte hot
     /// [`Packet`]. Maintained only when tracing is enabled.
     pub(crate) trace_slots: Vec<u32>,
-    /// Pre-drawn injections per node, consumed instead of the RNG. The
-    /// parallel engine runs its sequential injection pre-pass, then hands
-    /// each shard the records for its own nodes, so parallel dispatch
-    /// never touches the (globally ordered) random stream.
-    pub(crate) scripted_inj: Option<Vec<VecDeque<InjectRec>>>,
     /// Workload-mode state (message DAG, dependency counters, timings);
     /// `None` in pattern mode — the hot-path hooks cost one branch.
     pub(crate) wl: Option<Box<crate::workload::WlState>>,
@@ -318,30 +277,6 @@ pub struct Simulator<'a, P: Probe = NoopProbe, Q = ChainQueue<Ev>> {
     pub(crate) faults: Option<Box<crate::faults::FaultState>>,
 
     pub(crate) probe: P,
-}
-
-/// One pre-drawn injection event (see
-/// [`draw_injection`](Simulator::draw_injection)).
-#[derive(Debug, Clone)]
-pub(crate) struct InjectRec {
-    /// Fire time, already clamped the way the sequential engine schedules
-    /// it (`next_gen.max(now)` at draw time).
-    pub(crate) at: Time,
-    /// `None` when the pattern was silent for this draw (the node stops
-    /// generating).
-    pub(crate) payload: Option<InjectPayload>,
-}
-
-/// The RNG-dependent half of one injection: everything
-/// [`apply_injection`](Simulator::apply_injection) needs to materialize
-/// the packet without consuming random numbers or shared-counter state.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct InjectPayload {
-    pub(crate) dlid: ibfat_routing::Lid,
-    pub(crate) vl: u8,
-    pub(crate) flow_seq: u32,
-    /// Flight-recorder slot (`u32::MAX` = untraced).
-    pub(crate) trace_slot: u32,
 }
 
 impl<'a> Simulator<'a> {
@@ -388,36 +323,6 @@ impl<'a, P: Probe> Simulator<'a, P> {
         warmup_ns: Time,
         probe: P,
     ) -> Simulator<'a, P> {
-        Simulator::with_queue(
-            net,
-            routing,
-            cfg,
-            pattern,
-            offered_load,
-            sim_time_ns,
-            warmup_ns,
-            ChainQueue::new(),
-            probe,
-        )
-    }
-}
-
-impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
-    /// Build a simulator over an arbitrary scheduler seam — the shared
-    /// constructor behind [`with_probe`](Simulator::with_probe) (sequential
-    /// calendar) and the parallel engine's per-shard instances.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn with_queue(
-        net: &Network,
-        routing: &'a Routing,
-        cfg: SimConfig,
-        pattern: TrafficPattern,
-        offered_load: f64,
-        sim_time_ns: Time,
-        warmup_ns: Time,
-        queue: Q,
-        probe: P,
-    ) -> Simulator<'a, P, Q> {
         cfg.validate().expect("invalid simulator configuration");
         if let Err(e) = pattern.validate(net.num_nodes() as u32) {
             panic!("{e}");
@@ -596,7 +501,7 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
             nodes,
             node_credits: vec![cap; node_lanes],
             inj_q: vec![VecDeque::new(); node_lanes],
-            queue,
+            queue: ChainQueue::new(),
             slab: PacketSlab::new(),
             rng: ChaCha12Rng::seed_from_u64(cfg.seed),
             now: 0,
@@ -616,7 +521,6 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
             // an accidental `u32::MAX` does not reserve gigabytes.
             traces: Vec::with_capacity(cfg.trace_first_packets.min(65_536) as usize),
             trace_slots: Vec::new(),
-            scripted_inj: None,
             wl: None,
             invariant_err: None,
             faults,
@@ -691,9 +595,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
         let wall = wall_start.elapsed().as_secs_f64();
         Ok(self.report(wall))
     }
-}
 
-impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
     /// Index of switch port `(sw, port)` in [`ports`](Self::ports).
     #[inline]
     fn port_ix(&self, sw: u32, port: u8) -> usize {
@@ -781,9 +683,7 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
     /// Schedule the compiled fault plan into the event queue: per fault,
     /// one `FaultApply` at the fault instant and one `SwReprogram` per
     /// patched switch at the reprogram instant. Called once, right after
-    /// injection priming, by the sequential run loops; the parallel
-    /// engine seeds its shard calendars with the same events under
-    /// synthetic deterministic keys instead.
+    /// injection priming, by both run loops.
     pub(crate) fn schedule_fault_events(&mut self) {
         let Some(rt) = self.faults.as_ref().map(|f| f.runtime.clone()) else {
             return;
@@ -817,9 +717,8 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
     /// are untouched here — the guards on the arrival/routing/departure
     /// paths react to the new masks as those packets progress.
     fn fault_apply(&mut self, fault: u32) {
-        // Fault events are control-plane bookkeeping shared by every
-        // engine shard; keeping them out of the event count keeps
-        // `events_processed` identical across thread counts.
+        // Fault events are control-plane bookkeeping, not packet work:
+        // they stay out of `events_processed`.
         self.events_processed -= 1;
         let f = self.faults.as_mut().expect("fault event without state");
         let rt = f.runtime.clone();
@@ -917,7 +816,7 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
     /// Must be called at every slab insert while tracing, because slab ids
     /// are reused and the side table would otherwise go stale.
     #[inline]
-    pub(crate) fn set_trace_slot(&mut self, pkt: PacketId, slot: u32) {
+    fn set_trace_slot(&mut self, pkt: PacketId, slot: u32) {
         if self.cfg.trace_first_packets == 0 {
             return;
         }
@@ -930,37 +829,19 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
 
     // ----- end-node behaviour ------------------------------------------
 
-    fn inject(&mut self, node: u32) {
-        let (payload, next_at) = if self.scripted_inj.is_some() {
-            self.next_scripted_injection(node)
-        } else {
-            self.draw_injection(node)
-        };
-        if let Some(p) = payload {
-            self.apply_injection(node, p);
-        }
-        if let Some(at) = next_at {
-            self.queue.schedule(at, Ev::Inject { node });
-        }
-    }
-
-    /// The RNG half of an injection: sample the pattern, pick the DLID
+    /// Generate one packet at `node`: sample the pattern, pick the DLID
     /// and VL, assign the flight-recorder slot and flow sequence number,
-    /// and draw the next generation instant. Consumes random numbers in
-    /// exactly the order the pre-split `inject` did (the injection-side
-    /// draws are the simulator's only RNG consumers, which is what lets
-    /// the parallel engine replay them in a sequential pre-pass).
-    ///
-    /// Returns the payload (`None` = the pattern silenced the node) and
-    /// the next `Inject` fire time (`None` = no further generation).
-    pub(crate) fn draw_injection(&mut self, node: u32) -> (Option<InjectPayload>, Option<Time>) {
+    /// draw the next generation instant (the injection-side draws are the
+    /// simulator's only RNG consumers), then queue the packet and
+    /// schedule the next `Inject`.
+    fn inject(&mut self, node: u32) {
         let num_nodes = self.nodes.len() as u32;
         let src = NodeId(node);
         let dst = self.pattern.sample(src, num_nodes, &mut self.rng);
         let Some(dst) = dst else {
             // Silent under this pattern: stop generating.
             self.nodes[node as usize].active = false;
-            return (None, None);
+            return;
         };
         let dlid = match self.cfg.path_selection {
             PathSelection::Paper => self.routing.select_dlid(src, dst),
@@ -983,9 +864,7 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
             VlAssignment::SourceHash => (node as usize % self.num_vls) as u8,
         };
         // Slot assignment is a pure function of (pattern draw, sampling
-        // policy, slots already taken) — no RNG, no time — so the
-        // parallel engine's sequential injection pre-pass reproduces the
-        // exact same slots at any thread count.
+        // policy, slots already taken) — no RNG, no time.
         let trace_slot = if (self.traces.len() as u32) < self.cfg.trace_first_packets
             && self.cfg.trace_sampling.samples(node, dst.0, self.cfg.seed)
         {
@@ -1004,9 +883,7 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
         let flow_seq = self.flow_next_seq[flow];
         self.flow_next_seq[flow] += 1;
 
-        // Draw the next generation instant. (No RNG consumer sits between
-        // this draw and the pre-split code's position for it, so the
-        // stream order is unchanged.)
+        // Draw the next generation instant.
         let next = match self.cfg.injection {
             InjectionProcess::Deterministic => {
                 self.nodes[node as usize].next_gen + self.interarrival_ns
@@ -1019,58 +896,32 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
         self.nodes[node as usize].next_gen = next;
         let at = next as Time;
         // A node whose leaf switch is scheduled to die stops generating
-        // at the kill instant. The cut-off is a pure function of
-        // (network, fault plan), so the parallel engine's sequential
-        // injection pre-pass replays it bit-for-bit.
+        // at the kill instant.
         let horizon = self.faults.as_ref().map_or(self.sim_time_ns, |f| {
             self.sim_time_ns.min(f.node_kill[node as usize])
         });
         let next_at = (at < horizon).then(|| at.max(self.now));
-        (
-            Some(InjectPayload {
-                dlid,
-                vl,
-                flow_seq,
-                trace_slot,
-            }),
-            next_at,
-        )
-    }
 
-    /// Consume the next pre-drawn injection for `node` (parallel shards).
-    fn next_scripted_injection(&mut self, node: u32) -> (Option<InjectPayload>, Option<Time>) {
-        let script = self.scripted_inj.as_mut().expect("scripted mode checked");
-        let rec = script[node as usize]
-            .pop_front()
-            .expect("scripted injection underrun");
-        debug_assert_eq!(rec.at, self.now, "scripted injection fired off-schedule");
-        if rec.payload.is_none() {
-            self.nodes[node as usize].active = false;
-        }
-        let next_at = script[node as usize].front().map(|r| r.at);
-        (rec.payload, next_at)
-    }
-
-    /// The deterministic half of an injection: materialize the packet and
-    /// start the source queue, given a pre-drawn payload.
-    pub(crate) fn apply_injection(&mut self, node: u32, p: InjectPayload) {
         let pkt = self.slab.insert(Packet {
             src: node,
-            dlid: p.dlid,
-            vl: p.vl,
+            dlid,
+            vl,
             t_gen: self.now,
             t_inject: 0,
-            flow_seq: p.flow_seq,
+            flow_seq,
         });
-        self.set_trace_slot(pkt, p.trace_slot);
+        self.set_trace_slot(pkt, trace_slot);
         self.record(pkt, TraceEvent::Generated);
         self.total_generated += 1;
         if self.now >= self.warmup_ns {
             self.generated_in_window += 1;
         }
-        let lane = self.node_lane(node, p.vl);
+        let lane = self.node_lane(node, vl);
         self.inj_q[lane].push_back(pkt);
         self.try_node_send(node);
+        if let Some(at) = next_at {
+            self.queue.schedule(at, Ev::Inject { node });
+        }
     }
 
     pub(crate) fn try_node_send(&mut self, node: u32) {
@@ -1690,7 +1541,8 @@ pub(crate) fn phase_of(ev: &Ev) -> Phase {
     }
 }
 
-#[cfg(test)]
+// The credit check under test is a `debug_assert!`.
+#[cfg(all(test, debug_assertions))]
 mod tests {
     use super::*;
     use ibfat_routing::{Lid, RoutingKind};
@@ -1701,7 +1553,6 @@ mod tests {
     /// slots, so only the credit check (not the ring) can catch the
     /// fourth arrival.
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "credit protocol overflowed an input buffer")]
     fn input_buffer_overflow_trips_the_credit_check() {
         let net = Network::mport_ntree(TreeParams::new(4, 2).expect("valid params"));

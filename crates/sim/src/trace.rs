@@ -138,7 +138,7 @@ impl PacketTrace {
     /// Render this trace as one compact JSON object (one JSONL line,
     /// without the trailing newline). Ports are 1-based, matching
     /// [`render`](PacketTrace::render) and InfiniBand convention.
-    /// `slot` is the flight-recorder slot, stable across thread counts.
+    /// `slot` is the flight-recorder slot.
     pub fn to_json_line(&self, slot: usize) -> String {
         let mut j = crate::json::JsonBuf::with_capacity(128 + 48 * self.events.len());
         j.begin_obj();
@@ -191,8 +191,7 @@ impl PacketTrace {
 }
 
 /// Render a whole flight-recorder buffer as a JSONL document: one line
-/// per traced packet, in slot order. Byte-identical at any thread count
-/// (the parallel engine merges shard-local events deterministically).
+/// per traced packet, in slot order.
 pub fn traces_to_jsonl(traces: &[PacketTrace]) -> String {
     let mut out = String::new();
     for (slot, t) in traces.iter().enumerate() {

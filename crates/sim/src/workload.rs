@@ -15,22 +15,17 @@
 //! * **Complete** — the delivery of a message's last packet stamps
 //!   `completed_ns` and schedules a `WlArm` for every dependent, one
 //!   wire flight later. The flight models the completion notification
-//!   crossing the wire, and — deliberately — makes the arm a legal
-//!   cross-shard event under the parallel engine's lookahead, so both
-//!   engines agree on every timestamp bit for bit.
+//!   crossing the wire.
 //!
 //! Workload mode consumes **no runtime randomness**: closed-loop
 //! destination draws happen at workload build time, and the per-packet
 //! `Random` path/VL choices map to a deterministic hash of
-//! `(seed, message, packet)`. That is what lets the parallel engine
-//! skip the injection pre-pass entirely — a shard can arm a message
-//! the moment the notification arrives, with no shared RNG stream to
-//! preserve.
+//! `(seed, message, packet)`.
 
 use crate::engine::{ChainClass, Time};
 use crate::packet::{Packet, PacketId};
 use crate::probe::Probe;
-use crate::sim::{Ev, Sched, Simulator};
+use crate::sim::{Ev, Simulator};
 use crate::{PathSelection, SimError, TrafficPattern, VlAssignment};
 use ibfat_routing::Routing;
 use ibfat_topology::Network;
@@ -41,34 +36,31 @@ pub use ibfat_workload::{MessageTiming, Workload, WorkloadReport};
 /// leaving headroom for `now + fly`-style arithmetic).
 pub(crate) const WL_HORIZON: Time = u64::MAX / 4;
 
-/// Runtime state of a workload being driven to completion. One instance
-/// per engine; the parallel engine gives every shard a full copy (the
-/// counters a shard touches are exactly those of the messages whose
-/// endpoints it owns, so shard copies never disagree — they partition).
+/// Runtime state of a workload being driven to completion.
 #[derive(Debug)]
 pub(crate) struct WlState {
     /// The message DAG being driven.
-    pub(crate) wl: Workload,
+    wl: Workload,
     /// Unsatisfied arm count per message: dependency count, or 1 for
     /// roots (satisfied by the priming arm).
     pending: Vec<u32>,
     /// Undelivered packets per message.
     remaining: Vec<u32>,
     /// Packets each message segments into.
-    pub(crate) pkts: Vec<u32>,
+    pkts: Vec<u32>,
     /// `msg -> messages waiting on it`, ascending id order (the release
-    /// order on completion, identical in both engines).
+    /// order on completion).
     dependents: Vec<Vec<u32>>,
     /// Root messages per source node, ascending id order — the priming
-    /// order (node-major) both engines share.
-    pub(crate) roots_by_node: Vec<Vec<u32>>,
+    /// order (node-major).
+    roots_by_node: Vec<Vec<u32>>,
     /// Lifecycle timestamps per message (`u64::MAX` = not yet).
-    pub(crate) timings: Vec<MessageTiming>,
-    /// Messages whose last packet this engine (or shard) delivered.
-    pub(crate) completed: u64,
+    timings: Vec<MessageTiming>,
+    /// Messages whose last packet has been delivered.
+    completed: u64,
     /// Message id per live packet id — the same side-table idiom as
     /// `trace_slots`, keeping the hot [`Packet`] at 32 bytes.
-    pub(crate) wl_msg: Vec<u32>,
+    wl_msg: Vec<u32>,
 }
 
 /// A deterministic per-(message, packet) hash stream — SplitMix64 over
@@ -87,7 +79,7 @@ fn wl_hash(seed: u64, msg: u32, k: u32) -> u64 {
 const PATH_STREAM: u64 = 0x7061_7468; // "path"
 const VL_STREAM: u64 = 0x766C_616E; // "vlan"
 
-impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
+impl<'a, P: Probe> Simulator<'a, P> {
     /// Install a workload, checking it against the fabric and the
     /// configuration. Panics with the underlying [`SimError`] on
     /// mismatch (validate up front with [`Workload::validate`] plus
@@ -206,17 +198,6 @@ impl<'a, P: Probe, Q: Sched> Simulator<'a, P, Q> {
         self.try_node_send(node);
     }
 
-    /// Bind a packet id to its message (parallel engine, after a
-    /// cross-shard slab transfer). Mirrors `set_trace_slot`.
-    pub(crate) fn wl_set_msg(&mut self, pkt: PacketId, msg: u32) {
-        let wl = self.wl.as_deref_mut().expect("workload mode");
-        let slot = pkt as usize;
-        if slot >= wl.wl_msg.len() {
-            wl.wl_msg.resize(slot + 1, u32::MAX);
-        }
-        wl.wl_msg[slot] = msg;
-    }
-
     /// A packet of a workload message started transmitting; the first
     /// one stamps the message's injection time.
     pub(crate) fn wl_note_injected(&mut self, pkt: PacketId) {
@@ -267,10 +248,7 @@ pub(crate) fn wl_check(
     }
     if trace_first_packets != 0 {
         return Err(SimError::InvalidWorkload(
-            "flight recording (trace_first_packets) is not supported in workload mode: \
-             trace slots are assigned in injection order, which workload completion \
-             events make engine-dependent"
-                .into(),
+            "flight recording (trace_first_packets) is not supported in workload mode".into(),
         ));
     }
     Ok(())
@@ -294,9 +272,8 @@ impl<'a> Simulator<'a> {
 /// A workload must complete every message, so faults may only stall
 /// traffic, never lose it: the drop policy and switch kills (which drop
 /// on arrival and silence attached nodes) would leave the DAG
-/// permanently incomplete. Shared by the sequential and parallel
-/// workload constructors.
-pub(crate) fn check_workload_faults(cfg: &crate::SimConfig) {
+/// permanently incomplete.
+fn check_workload_faults(cfg: &crate::SimConfig) {
     if cfg.faults.is_empty() {
         return;
     }
@@ -366,9 +343,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
     /// horizon: it ends when the calendar drains, which (absent drops)
     /// is exactly when the last message completes.
     pub fn try_run_workload_observed(mut self) -> Result<(WorkloadReport, P), SimError> {
-        // Prime the DAG roots node-major (per node, ascending id): the
-        // parallel engine reproduces this exact order with its initial
-        // lineage keys.
+        // Prime the DAG roots node-major (per node, ascending id).
         let wl = self.wl.as_ref().expect("no workload installed");
         let mut prime: Vec<(u32, u32)> = Vec::new();
         for (node, roots) in wl.roots_by_node.iter().enumerate() {
@@ -409,7 +384,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
     /// Close out a drained workload run: every message must have
     /// completed (a drained calendar with missing completions means the
     /// fabric dropped packets — unroutable under a degraded LFT).
-    pub(crate) fn wl_finish(mut self) -> (WorkloadReport, P) {
+    fn wl_finish(mut self) -> (WorkloadReport, P) {
         let wl = self.wl.take().expect("no workload installed");
         assert_eq!(
             wl.completed,

@@ -1,13 +1,14 @@
 //! Fabric-counter validation: conservation laws, agreement with the
-//! report's own accounting, and non-perturbation (a probed run must be
-//! bit-identical to an unprobed one).
+//! report's own accounting, and non-perturbation (a probed or recorded
+//! run must be bit-identical to an unprobed, unrecorded one).
 
 use ibfat_routing::{Routing, RoutingKind};
 use ibfat_sim::{
-    run_observed, run_once, FabricCounters, NoopProbe, PhaseProfile, RunSpec, SimConfig,
-    TrafficPattern,
+    run_observed, run_once, FabricCounters, NoopProbe, PhaseProfile, RunSpec, SimConfig, SimReport,
+    TraceSampling, TrafficPattern,
 };
 use ibfat_topology::{Network, TreeParams};
+use proptest::prelude::*;
 
 fn net(m: u32, n: u32) -> Network {
     Network::mport_ntree(TreeParams::new(m, n).unwrap())
@@ -201,4 +202,57 @@ fn hot_spot_congestion_is_visible_in_xmit_wait() {
     assert!(!c.samples().is_empty());
     let last = c.samples().back().unwrap();
     assert!(last.t_ns <= report.sim_time_ns);
+}
+
+fn normalized(mut r: SimReport) -> SimReport {
+    // The only host-dependent fields; everything else must match exactly.
+    r.events_per_sec = 0.0;
+    r.packets_per_sec = 0.0;
+    r
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The flight recorder only ever writes its own buffer: stripped of
+    /// the traces, a recorded run's report is the unrecorded report,
+    /// under every sampling policy.
+    #[test]
+    fn recorded_runs_equal_unrecorded(
+        (m, n) in prop_oneof![Just((4u32, 2u32)), Just((4, 3)), Just((8, 2))],
+        scheme in prop_oneof![Just(RoutingKind::Mlid), Just(RoutingKind::Slid)],
+        seed in any::<u64>(),
+        sampling in prop_oneof![
+            Just(TraceSampling::FirstN),
+            Just(TraceSampling::OneInN(3)),
+            Just(TraceSampling::Pairs(vec![(0, 1), (2, 3), (1, 0)])),
+        ],
+    ) {
+        let net = net(m, n);
+        let routing = Routing::build(&net, scheme);
+        let base = SimConfig {
+            num_vls: 2,
+            seed,
+            ..SimConfig::default()
+        };
+        let pattern = TrafficPattern::Uniform;
+        let spec = RunSpec::new(0.5, 25_000);
+
+        let plain = normalized(run_once(
+            &net, &routing, base.clone(), pattern.clone(), spec,
+        ));
+        prop_assert!(plain.traces.is_none());
+
+        let recorded_cfg = SimConfig {
+            trace_first_packets: 16,
+            trace_sampling: sampling,
+            ..base
+        };
+        let mut recorded = normalized(run_once(
+            &net, &routing, recorded_cfg, pattern, spec,
+        ));
+        prop_assert!(recorded.traces.is_some(), "recording was on");
+        recorded.traces = None;
+        prop_assert_eq!(&recorded, &plain);
+    }
 }

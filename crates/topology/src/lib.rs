@@ -47,7 +47,6 @@ mod ids;
 mod label;
 mod par;
 mod params;
-mod partition;
 mod prefix;
 mod stride;
 
@@ -58,7 +57,6 @@ pub use ids::{Level, NodeId, PortNum, SwitchId};
 pub use label::{NodeLabel, SwitchLabel};
 pub use par::par_map_indexed;
 pub use params::TreeParams;
-pub use partition::{block_switch_partition, fat_tree_switch_partition, switch_edge_cut};
 pub use prefix::{gcp_len, lca_switches, pid, rank_in, Gcpg};
 pub use stride::PortSlots;
 

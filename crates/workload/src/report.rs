@@ -4,7 +4,7 @@
 //! Everything here is integer nanoseconds computed by exact
 //! nearest-rank statistics over the recorded samples — no floating
 //! point, no approximate histogram buckets — so a report is
-//! bit-comparable across engines and thread counts by simple `==`.
+//! bit-comparable across runs by simple `==`.
 
 use crate::Workload;
 use serde::{Deserialize, Serialize};
@@ -75,7 +75,7 @@ pub struct WorkloadReport {
     /// Simulator events processed while driving the workload.
     pub events: u64,
     /// The raw per-message record, in message-id order. Carried in the
-    /// report so engine equivalence (`==`) covers every timestamp, not
+    /// report so report equality (`==`) covers every timestamp, not
     /// just the aggregates.
     pub timings: Vec<MessageTiming>,
 }

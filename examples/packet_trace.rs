@@ -55,7 +55,7 @@ fn main() {
     // export the spans as JSONL, and count the credit-stall spans — the
     // per-hop congestion signal. The sampling decision is a pure
     // function of (src, dst, seed), so the slots (and the bytes below)
-    // are identical at any `--threads` count.
+    // are identical from run to run.
     println!("\n=== sampled JSONL export (1-in-4 flows, credit stalls) ===\n");
     let report = fabric
         .experiment()
