@@ -165,7 +165,8 @@ impl<'a> ExperimentBuilder<'a> {
 
     /// Run a load sweep, returning reports in the order of `loads`. The
     /// points are independent simulations and run in parallel across
-    /// the available cores.
+    /// the available cores, dispatched heaviest (highest load) first so
+    /// the longest runs start first; see [`ibfat_sim::sweep`].
     pub fn run_sweep(self, loads: &[f64]) -> Vec<SimReport> {
         sweep(
             self.fabric.network(),

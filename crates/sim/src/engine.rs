@@ -4,10 +4,11 @@
 //! simulation is a pure function of its inputs and seed. Two types share
 //! that contract:
 //!
-//! * [`HeapCalendar`] — a `BinaryHeap` ordered by `(time, seq)`.
+//! * [`HeapCalendar`] — a `BinaryHeap` ordered by one packed `(time, seq)`
+//!   key.
 //! * [`ChainQueue`] — the sequential engine's calendar: four
-//!   constant-delay FIFO delay lines in front of a residual
-//!   [`HeapCalendar`].
+//!   constant-delay FIFO delay lines plus a residual calendar (a sorted
+//!   FIFO run beside a [`HeapCalendar`]).
 //!
 //! Tie-break order is part of the determinism contract (see
 //! `docs/MODEL.md` § Performance & determinism): both pop equal
@@ -19,38 +20,51 @@ use std::collections::{BinaryHeap, VecDeque};
 /// Simulation time in nanoseconds.
 pub type Time = u64;
 
-/// Binary-heap calendar ordered by the unique `(time, seq)` key.
-#[derive(Debug)]
-pub struct HeapCalendar<E> {
-    heap: BinaryHeap<Reverse<HeapEntry<E>>>,
-    seq: u64,
+/// An event's calendar key, `(time << 64) | seq`: ordering keys orders
+/// by time, then by scheduling order. Sequence numbers are unique per
+/// calendar, so no two pending events share a key.
+type Key = u128;
+
+#[inline]
+fn key(at: Time, seq: u64) -> Key {
+    (Key::from(at) << 64) | Key::from(seq)
 }
 
-/// One scheduled event. Ordering is decided entirely by the `(at, seq)`
-/// key, which is unique per entry (`seq` strictly increases), so the
-/// payload never participates in comparisons.
+#[inline]
+fn time_of(key: Key) -> Time {
+    (key >> 64) as Time
+}
+
+/// One scheduled event. Ordering is decided entirely by the unique key,
+/// so the payload never participates in comparisons.
 #[derive(Debug)]
-struct HeapEntry<E> {
-    at: Time,
-    seq: u64,
+struct Keyed<E> {
+    key: Key,
     event: E,
 }
 
-impl<E> PartialEq for HeapEntry<E> {
+impl<E> PartialEq for Keyed<E> {
     fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
+        self.key == other.key
     }
 }
-impl<E> Eq for HeapEntry<E> {}
-impl<E> PartialOrd for HeapEntry<E> {
+impl<E> Eq for Keyed<E> {}
+impl<E> PartialOrd for Keyed<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<E> Ord for HeapEntry<E> {
+impl<E> Ord for Keyed<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+        self.key.cmp(&other.key)
     }
+}
+
+/// Binary-heap calendar ordered by the unique `(time, seq)` key.
+#[derive(Debug)]
+pub struct HeapCalendar<E> {
+    heap: BinaryHeap<Reverse<Keyed<E>>>,
+    seq: u64,
 }
 
 impl<E> HeapCalendar<E> {
@@ -65,30 +79,34 @@ impl<E> HeapCalendar<E> {
     /// Schedule `event` at absolute time `at`.
     #[inline]
     pub fn schedule(&mut self, at: Time, event: E) {
+        let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Reverse(HeapEntry {
-            at,
-            seq: self.seq,
-            event,
-        }));
+        self.push_keyed(key(at, seq), event);
+    }
+
+    /// Push an event under a key stamped by the caller (the residual
+    /// heap of [`ChainQueue`], whose sequence spans all its sources).
+    #[inline]
+    fn push_keyed(&mut self, key: Key, event: E) {
+        self.heap.push(Reverse(Keyed { key, event }));
     }
 
     /// Pop the earliest event, if any.
     #[inline]
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        self.heap.pop().map(|Reverse(e)| (e.at, e.event))
+        self.heap.pop().map(|Reverse(e)| (time_of(e.key), e.event))
+    }
+
+    /// Key of the earliest pending event.
+    #[inline]
+    fn peek_key(&self) -> Option<Key> {
+        self.heap.peek().map(|Reverse(e)| e.key)
     }
 
     /// Timestamp of the earliest pending event.
     #[inline]
     pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|Reverse(e)| e.at)
-    }
-
-    /// The earliest pending event without removing it.
-    #[inline]
-    pub fn peek_head(&self) -> Option<(Time, &E)> {
-        self.heap.peek().map(|Reverse(e)| (e.at, &e.event))
+        self.heap.peek().map(|Reverse(e)| time_of(e.key))
     }
 
     /// Number of pending events.
@@ -129,42 +147,66 @@ pub enum ChainClass {
 }
 
 /// A calendar specialized for the simulator's event mix: four constant-
-/// delay FIFO delay lines (one per [`ChainClass`]) in front of a residual
-/// [`HeapCalendar`] for everything else (injections, busy-link retries,
-/// discard drains).
+/// delay FIFO delay lines (one per [`ChainClass`]) beside a residual
+/// calendar for everything else (injections, busy-link retries, discard
+/// drains).
 ///
 /// Because dispatch time is monotone and each chain's delay is a run
 /// constant, every chain is `(time, seq)`-sorted by construction — a
-/// `schedule` is a plain `push_back` and the earliest event is one of at
-/// most five heads. A single global sequence number, stamped at schedule
-/// time across chains *and* the residual calendar, reproduces the exact
-/// `(time, insertion order)` pop contract of a single [`HeapCalendar`] —
-/// same events, same order, same `events_processed`; only the per-event
-/// calendar cost changes. The calendar-equivalence suite pins exactly
-/// that.
+/// `schedule_chain` is a plain `push_back`. The residual calendar is a
+/// FIFO *run* beside a [`HeapCalendar`]: a residual event whose key is
+/// at least the run's tail is appended to the run, which therefore stays
+/// sorted too; only out-of-order events (busy-port retries, the randomly
+/// phased priming round, Poisson draws) pay for the heap.
+///
+/// The earliest event is the minimum over at most six sorted heads: the
+/// four chain fronts, the run's front and the heap's top. A single
+/// global sequence number, stamped at schedule time across all sources,
+/// reproduces the exact `(time, insertion order)` pop contract of a
+/// single [`HeapCalendar`] — same events, same order, same
+/// `events_processed`; only the per-event calendar cost changes. The
+/// calendar-equivalence suite pins exactly that.
 #[derive(Debug)]
 pub struct ChainQueue<E> {
-    chains: [VecDeque<(Time, u64, E)>; 4],
-    rest: HeapCalendar<(u64, E)>,
+    chains: [VecDeque<Keyed<E>>; 4],
+    /// Residual events scheduled in key order: sorted by construction.
+    run: VecDeque<Keyed<E>>,
+    /// Residual events that arrived below the run's tail.
+    heap: HeapCalendar<E>,
     seq: u64,
 }
+
+/// Index of the run among the FIFO sources popped by [`ChainQueue::pop`],
+/// after the four chains.
+const RUN: usize = 4;
 
 impl<E> ChainQueue<E> {
     /// An empty queue.
     pub fn new() -> Self {
         ChainQueue {
             chains: std::array::from_fn(|_| VecDeque::with_capacity(64)),
-            rest: HeapCalendar::new(),
+            run: VecDeque::with_capacity(64),
+            heap: HeapCalendar::new(),
             seq: 0,
         }
+    }
+
+    #[inline]
+    fn next_key(&mut self, at: Time) -> Key {
+        let k = key(at, self.seq);
+        self.seq += 1;
+        k
     }
 
     /// Schedule into the residual calendar (non-constant delays).
     #[inline]
     pub fn schedule(&mut self, at: Time, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.rest.schedule(at, (seq, event));
+        let key = self.next_key(at);
+        if self.run.back().is_none_or(|tail| tail.key <= key) {
+            self.run.push_back(Keyed { key, event });
+        } else {
+            self.heap.push_keyed(key, event);
+        }
     }
 
     /// Schedule onto a constant-delay chain. The caller must pass the
@@ -174,46 +216,57 @@ impl<E> ChainQueue<E> {
     /// assert it).
     #[inline]
     pub fn schedule_chain(&mut self, class: ChainClass, at: Time, event: E) {
+        let key = self.next_key(at);
         let chain = &mut self.chains[class as usize];
         debug_assert!(
-            chain.back().is_none_or(|&(t, _, _)| t <= at),
+            chain.back().is_none_or(|tail| tail.key <= key),
             "chain {class:?} scheduled out of order"
         );
-        let seq = self.seq;
-        self.seq += 1;
-        chain.push_back((at, seq, event));
+        chain.push_back(Keyed { key, event });
     }
 
-    /// Pop the earliest event: the minimum `(time, seq)` over the four
-    /// chain heads and the residual head.
+    /// Pop the earliest event: the minimum key over the chain fronts,
+    /// the run's front and the heap's top.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        let mut best: Option<(Time, u64, usize)> = None;
+        // Reading the fronts measured faster than caching each source's
+        // head key (EXPERIMENTS.md, "Engine hot path").
+        let mut best: Option<(Key, usize)> = None;
         for (i, chain) in self.chains.iter().enumerate() {
-            if let Some(&(t, s, _)) = chain.front() {
-                if best.is_none_or(|(bt, bs, _)| (t, s) < (bt, bs)) {
-                    best = Some((t, s, i));
+            if let Some(e) = chain.front() {
+                if best.is_none_or(|(b, _)| e.key < b) {
+                    best = Some((e.key, i));
                 }
             }
         }
-        if let Some((t, &(s, _))) = self.rest.peek_head() {
-            if best.is_none_or(|(bt, bs, _)| (t, s) < (bt, bs)) {
-                return self.rest.pop().map(|(t, (_, event))| (t, event));
+        if let Some(e) = self.run.front() {
+            if best.is_none_or(|(b, _)| e.key < b) {
+                best = Some((e.key, RUN));
             }
         }
-        best.map(|(_, _, i)| {
-            let (t, _, event) = self.chains[i].pop_front().expect("checked nonempty");
-            (t, event)
+        if let Some(k) = self.heap.peek_key() {
+            if best.is_none_or(|(b, _)| k < b) {
+                return self.heap.pop();
+            }
+        }
+        best.map(|(_, i)| {
+            let fifo = if i < RUN {
+                &mut self.chains[i]
+            } else {
+                &mut self.run
+            };
+            let e = fifo.pop_front().expect("checked nonempty");
+            (time_of(e.key), e.event)
         })
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.chains.iter().map(|c| c.len()).sum::<usize>() + self.rest.len()
+        self.chains.iter().map(|c| c.len()).sum::<usize>() + self.run.len() + self.heap.len()
     }
 
     /// Whether every chain and the residual calendar are drained.
     pub fn is_empty(&self) -> bool {
-        self.chains.iter().all(|c| c.is_empty()) && self.rest.is_empty()
+        self.chains.iter().all(|c| c.is_empty()) && self.run.is_empty() && self.heap.is_empty()
     }
 }
 
@@ -257,7 +310,6 @@ mod tests {
         assert_eq!(q.peek_time(), None);
         q.schedule(42, "x");
         assert_eq!(q.peek_time(), Some(42));
-        assert_eq!(q.peek_head(), Some((42, &"x")));
         assert_eq!(q.len(), 1);
     }
 
@@ -274,12 +326,13 @@ mod tests {
         assert_eq!(q.pop(), Some((7, 3)));
     }
 
-    #[test]
-    fn chain_queue_matches_single_calendar_pop_order() {
-        // Differential: an interleaved mix of chain and residual
-        // schedules (with a monotone dispatch clock, as the simulator
-        // guarantees) must pop in exactly the order one shared
-        // `HeapCalendar` would produce — same times, same tie-breaks.
+    /// Drive a `ChainQueue` and one shared `HeapCalendar` through the same
+    /// interleaved mix of chain and residual schedules (with a monotone
+    /// dispatch clock, as the simulator guarantees) and assert they pop
+    /// exactly the same sequence — same times, same tie-breaks.
+    /// `residual(now, r, k)` gives the time of the `k`-th residual event
+    /// of a step from a random draw `r`.
+    fn assert_matches_single_calendar(residual: impl Fn(u64, u64, u64) -> u64) {
         let classes = [
             ChainClass::Fly,
             ChainClass::Route,
@@ -298,13 +351,14 @@ mod tests {
         };
         let mut now = 0u64;
         let mut id = 0u32;
+        let mut max_len = 0;
         for _ in 0..500 {
-            for _ in 0..next() % 4 {
+            let mut k = 0;
+            for _ in 0..next() % 6 {
                 id += 1;
                 if next() % 3 == 0 {
-                    // Residual: arbitrary future delay (injections,
-                    // retries).
-                    let at = now + next() % 8192;
+                    let at = residual(now, next(), k);
+                    k += 1;
                     cq.schedule(at, id);
                     hq.schedule(at, id);
                 } else {
@@ -313,7 +367,9 @@ mod tests {
                     hq.schedule(now + delays[c], id);
                 }
             }
-            for _ in 0..next() % 4 {
+            max_len = max_len.max(cq.len());
+            assert_eq!(cq.len(), hq.len());
+            for _ in 0..next() % 5 {
                 let a = cq.pop();
                 assert_eq!(a, hq.pop());
                 if let Some((t, _)) = a {
@@ -321,6 +377,7 @@ mod tests {
                 }
             }
         }
+        assert!(max_len > 8, "the stream never built up a backlog");
         loop {
             let a = cq.pop();
             assert_eq!(a, hq.pop(), "drain");
@@ -330,5 +387,42 @@ mod tests {
         }
         assert!(cq.is_empty());
         assert_eq!(cq.len(), 0);
+    }
+
+    #[test]
+    fn chain_queue_matches_single_calendar_pop_order() {
+        // Residual: arbitrary future delay (injections, retries).
+        assert_matches_single_calendar(|now, r, _| now + r % 8192);
+    }
+
+    #[test]
+    fn chain_queue_matches_single_calendar_on_decreasing_residuals() {
+        // Each step's residual events land ever earlier (every one after
+        // the first falls below the run's tail, into the heap), with
+        // frequent ties on the chain delays and on each other.
+        assert_matches_single_calendar(|now, r, k| {
+            let base = [276u64, 256, 100, 20][(r % 4) as usize];
+            now + base.saturating_sub(k * 20 * (r % 2))
+        });
+        assert_matches_single_calendar(|now, r, k| now + 2_000 - 400 * k.min(4) - r % 2);
+    }
+
+    #[test]
+    fn residual_events_at_equal_times_pop_in_scheduling_order() {
+        // 1 and 2 are in order (the run); 3 and 4 fall below the run's
+        // tail (the heap) yet tie with 1 and 2, so the run must win the
+        // ties; 5 ties with the chain event 0 scheduled before it.
+        let mut q = ChainQueue::new();
+        q.schedule_chain(ChainClass::Fly, 20, 0);
+        q.schedule(10, 1);
+        q.schedule(30, 2);
+        q.schedule(10, 3);
+        q.schedule(30, 4);
+        q.schedule(20, 5);
+        let popped: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            popped,
+            [(10, 1), (10, 3), (20, 0), (20, 5), (30, 2), (30, 4)]
+        );
     }
 }

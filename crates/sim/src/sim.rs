@@ -89,6 +89,10 @@ pub(crate) struct SwPort {
     busy_until: Time,
     /// A `SwTryOutput` retry is already scheduled for `busy_until`.
     retry_pending: bool,
+    /// Bit `vl` is set iff lane `vl` holds a credit and an output head
+    /// that is not yet transmitting ([`SwLanes::ready_mask`], kept
+    /// current by every credit, grant, output push and output pop).
+    ready: u16,
     /// Egress VL arbitration state (table lives on the simulator).
     arb: VlArbiter,
     /// Accumulated transmission time on the outgoing direction (ns).
@@ -108,6 +112,27 @@ pub(crate) struct SwLanes {
     /// Input ports whose routed head waits for space in this output: at
     /// most one per input port, so `m` deep.
     waiters: LaneRings<u8>,
+}
+
+impl SwLanes {
+    /// Whether `lane` can start a transmission: it holds a credit and
+    /// its output head is not yet transmitting.
+    #[inline]
+    fn ready(&self, lane: usize) -> bool {
+        self.credits[lane] > 0
+            && self
+                .out_q
+                .front(lane)
+                .is_some_and(|head| !head.transmitting)
+    }
+
+    /// The ready mask of the `num_vls` lanes from `base`, recomputed from
+    /// credits and output heads ([`SwPort::ready`] caches it).
+    fn ready_mask(&self, base: usize, num_vls: usize) -> u16 {
+        (0..num_vls)
+            .filter(|&vl| self.ready(base + vl))
+            .fold(0, |m, vl| m | (1 << vl))
+    }
 }
 
 /// One end node. Its per-VL source queues and credits live on the
@@ -418,6 +443,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
                     peer,
                     busy_until: 0,
                     retry_pending: false,
+                    ready: 0,
                     arb: VlArbiter::new(&arb_table),
                     busy_ns: 0,
                 }
@@ -555,16 +581,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
     /// Fallible twin of [`run_observed`](Simulator::run_observed).
     pub fn try_run_observed(mut self) -> Result<(SimReport, P), SimError> {
         let wall_start = std::time::Instant::now();
-        // Prime every node with a randomly phased first injection so the
-        // deterministic process does not fire in lockstep across nodes.
-        for node in 0..self.nodes.len() as u32 {
-            if !self.nodes[node as usize].active {
-                continue;
-            }
-            let phase = self.rng.gen_range(0.0..self.interarrival_ns);
-            self.nodes[node as usize].next_gen = phase;
-            self.queue.schedule(phase as Time, Ev::Inject { node });
-        }
+        self.prime_injections();
         self.schedule_fault_events();
 
         while let Some((t, ev)) = self.queue.pop() {
@@ -596,6 +613,19 @@ impl<'a, P: Probe> Simulator<'a, P> {
         Ok(self.report(wall))
     }
 
+    /// Prime every node with a randomly phased first injection so the
+    /// deterministic process does not fire in lockstep across nodes.
+    fn prime_injections(&mut self) {
+        for node in 0..self.nodes.len() as u32 {
+            if !self.nodes[node as usize].active {
+                continue;
+            }
+            let phase = self.rng.gen_range(0.0..self.interarrival_ns);
+            self.nodes[node as usize].next_gen = phase;
+            self.queue.schedule(phase as Time, Ev::Inject { node });
+        }
+    }
+
     /// Index of switch port `(sw, port)` in [`ports`](Self::ports).
     #[inline]
     fn port_ix(&self, sw: u32, port: u8) -> usize {
@@ -613,6 +643,14 @@ impl<'a, P: Probe> Simulator<'a, P> {
     #[inline]
     pub(crate) fn node_lane(&self, node: u32, vl: u8) -> usize {
         node as usize * self.num_vls + vl as usize
+    }
+
+    /// Recompute bit `vl` of port `pi`'s cached ready mask from its lane.
+    #[inline]
+    fn refresh_ready(&mut self, pi: usize, vl: u8) {
+        let ready = self.lanes.ready(pi * self.num_vls + vl as usize);
+        let p = &mut self.ports[pi];
+        p.ready = (p.ready & !(1 << vl)) | (u16::from(ready) << vl);
     }
 
     pub(crate) fn dispatch(&mut self, ev: Ev) {
@@ -659,6 +697,10 @@ impl<'a, P: Probe> Simulator<'a, P> {
                 let lane = self.lane(sw, port, vl);
                 self.lanes.credits[lane] += 1;
                 debug_assert!(self.lanes.credits[lane] <= self.cap);
+                // Only the first credit can make the lane ready.
+                if self.lanes.credits[lane] == 1 {
+                    self.refresh_ready(self.port_ix(sw, port), vl);
+                }
                 if P::COUNTERS {
                     self.probe.credit_stall_end(self.now, sw, port, vl);
                 }
@@ -1221,12 +1263,19 @@ impl<'a, P: Probe> Simulator<'a, P> {
                     transmitting: false,
                 },
             );
+            // A fresh head is not transmitting: it is ready iff the lane
+            // holds a credit.
+            let ready_head = lanes.out_q.len(out_lane) == 1 && lanes.credits[out_lane] > 0;
             if P::COUNTERS {
                 let depth = lanes.out_q.len(out_lane) as u8;
                 if was_waiting {
                     self.probe.xmit_wait_end(self.now, sw, in_port, vl);
                 }
                 self.probe.out_buffer_depth(sw, out_port, vl, depth);
+            }
+            if ready_head {
+                let pi = self.port_ix(sw, out_port);
+                self.ports[pi].ready |= 1 << vl;
             }
             self.record(pkt, TraceEvent::Granted { sw, out_port });
             self.queue.schedule_chain(
@@ -1302,26 +1351,23 @@ impl<'a, P: Probe> Simulator<'a, P> {
         let base = pi * num_vls;
         let lanes = &mut self.lanes;
         let p = &mut self.ports[pi];
-        // Anything eligible at all?
-        let eligible = |lanes: &SwLanes, vl: usize| {
-            lanes.credits[base + vl] > 0
-                && lanes
-                    .out_q
-                    .front(base + vl)
-                    .is_some_and(|head| !head.transmitting)
-        };
+        let mask = p.ready;
+        debug_assert_eq!(
+            mask,
+            lanes.ready_mask(base, num_vls),
+            "stale ready mask at switch {sw} port {port}"
+        );
         if p.busy_until > self.now {
-            if !p.retry_pending && (0..num_vls).any(|vl| eligible(lanes, vl)) {
+            if !p.retry_pending && mask != 0 {
                 p.retry_pending = true;
                 self.queue
                     .schedule(p.busy_until, Ev::SwTryOutput { sw, port });
             }
             return;
         }
-        // VL arbitration (round-robin or weighted table).
-        let mask: u16 = (0..num_vls)
-            .filter(|&vl| eligible(lanes, vl))
-            .fold(0, |m, vl| m | (1 << vl));
+        // VL arbitration (round-robin or weighted table). An empty mask
+        // still goes through `grant`: that call refills the current
+        // entry's weight, and the reports depend on it.
         let granted = p
             .arb
             .grant(&self.arb_table, |vl| mask & (1 << vl) != 0)
@@ -1331,6 +1377,9 @@ impl<'a, P: Probe> Simulator<'a, P> {
             head.transmitting = true;
             let pkt = head.pkt;
             lanes.credits[base + vl] -= 1;
+            // The head is transmitting now, so the lane is not ready
+            // whatever credits remain.
+            p.ready &= !(1 << vl);
             let tx_end = self.now + self.pkt_ns;
             let tx_record = pkt;
             p.busy_until = tx_end;
@@ -1422,6 +1471,11 @@ impl<'a, P: Probe> Simulator<'a, P> {
             .pop_front(lane)
             .expect("departed from empty");
         debug_assert!(gone.transmitting);
+        // The departed head was transmitting, so the lane was not ready;
+        // only a successor head can make it ready again.
+        if !self.lanes.out_q.is_empty(lane) {
+            self.refresh_ready(self.port_ix(sw, port), vl);
+        }
         // Space freed: grant the oldest waiter for this (port, vl), if any.
         if fault_dead {
             // The link is still free for other buffered VLs to drain.
@@ -1541,7 +1595,7 @@ pub(crate) fn phase_of(ev: &Ev) -> Phase {
     }
 }
 
-// The credit check under test is a `debug_assert!`.
+// The checks under test are `debug_assert!`s.
 #[cfg(all(test, debug_assertions))]
 mod tests {
     use super::*;
@@ -1577,6 +1631,63 @@ mod tests {
                 vl: 0,
                 pkt,
             });
+        }
+    }
+
+    /// Every switch port's cached ready mask equals the one recomputed
+    /// from credits and output heads after every event of a saturated
+    /// VL4 hot-spot run, and lanes really go through credit starvation
+    /// (a waiting head, no credit) and come back ready on the return.
+    /// Two-deep buffers give output pops a successor head to expose.
+    #[test]
+    fn ready_mask_tracks_credit_starvation_and_return() {
+        let net = Network::mport_ntree(TreeParams::new(4, 2).expect("valid params"));
+        let routing = Routing::build(&net, RoutingKind::Mlid);
+        for buffer_packets in [1, 2] {
+            let cfg = SimConfig {
+                buffer_packets,
+                ..SimConfig::paper(4)
+            };
+            let pattern = TrafficPattern::paper_centric();
+            let mut sim = Simulator::new(&net, &routing, cfg, pattern, 1.0, 20_000, 0);
+            let num_vls = sim.num_vls;
+            let mut starved = vec![false; sim.ports.len() * num_vls];
+            let (mut starvations, mut returns) = (0, 0);
+            sim.prime_injections();
+            while let Some((t, ev)) = sim.queue.pop() {
+                if t >= sim.sim_time_ns {
+                    break;
+                }
+                sim.now = t;
+                sim.dispatch(ev);
+                for (pi, p) in sim.ports.iter().enumerate() {
+                    let base = pi * num_vls;
+                    assert_eq!(
+                        p.ready,
+                        sim.lanes.ready_mask(base, num_vls),
+                        "port {pi} after {ev:?} at t={t}, {buffer_packets}-deep buffers"
+                    );
+                    for (vl, starved) in starved[base..base + num_vls].iter_mut().enumerate() {
+                        let lane = base + vl;
+                        let waiting = sim
+                            .lanes
+                            .out_q
+                            .front(lane)
+                            .is_some_and(|head| !head.transmitting);
+                        if waiting && sim.lanes.credits[lane] == 0 && !*starved {
+                            *starved = true;
+                            starvations += 1;
+                        } else if *starved && p.ready & (1 << vl) != 0 {
+                            *starved = false;
+                            returns += 1;
+                        }
+                    }
+                }
+            }
+            assert!(
+                returns > 0 && starvations > 0,
+                "{buffer_packets}-deep: {starvations} starvations, {returns} returns"
+            );
         }
     }
 }

@@ -72,6 +72,14 @@ impl VlArbiter {
     /// holds, honouring weights; `None` if nothing is eligible. The
     /// arbiter state advances only when a grant is made or an entry is
     /// exhausted/ineligible and skipped.
+    ///
+    /// A call with nothing eligible is not a no-op: it walks the whole
+    /// table back to the current entry and refills that entry's weight.
+    /// So with round-robin, a grant of VL0, an empty call, then a call
+    /// with every VL eligible grants VL0 again. The engine makes that
+    /// empty call on every idle arbitration and its pinned reports
+    /// depend on the refill: callers must not skip `grant` when their
+    /// eligibility mask is empty.
     pub fn grant<F: Fn(u8) -> bool>(&mut self, table: &[(u8, u8)], eligible: F) -> Option<u8> {
         if table.is_empty() {
             return None;
@@ -136,6 +144,18 @@ mod tests {
         let mut arb = VlArbiter::new(&table);
         assert_eq!(arb.grant(&table, |_| false), None);
         assert_eq!(arb.grant(&table, |_| true), Some(0));
+    }
+
+    #[test]
+    fn empty_grant_refills_the_current_entry() {
+        let table = VlArbitration::RoundRobin.table(4);
+        let mut arb = VlArbiter::new(&table);
+        assert_eq!(arb.grant(&table, |_| true), Some(0));
+        // VL0's weight is spent; skipping the empty call would grant VL1
+        // next.
+        assert_eq!(arb.grant(&table, |_| false), None);
+        assert_eq!(arb.grant(&table, |_| true), Some(0));
+        assert_eq!(arb.grant(&table, |_| true), Some(1));
     }
 
     #[test]

@@ -125,6 +125,39 @@ fn tie_heavy_stream_pops_in_stable_time_order() {
     assert_eq!(chain, reference);
 }
 
+#[test]
+fn residual_ties_across_run_and_heap_pop_in_scheduling_order() {
+    // `ChainQueue` appends a residual event to its sorted run when it is
+    // not below the run's tail and sends it to the heap otherwise. Here
+    // the 100s and 300s scheduled after the 500 fall into the heap and
+    // tie with earlier run events (and with chain events at 100 and
+    // 376): a wrong run/heap tie-break reorders them.
+    let steps = vec![
+        (
+            vec![
+                (9, 100),
+                (9, 300),
+                (9, 500),
+                (9, 300),
+                (9, 100),
+                (9, 500),
+                (1, 0),
+                (9, 100),
+            ],
+            2,
+        ),
+        (
+            vec![(9, 200), (9, 400), (9, 200), (3, 0), (9, 276), (9, 276)],
+            3,
+        ),
+        (vec![(9, 0), (9, 0), (0, 0), (9, 20)], 0),
+    ];
+    let [heap, chain, reference] = pop_sequences(&steps);
+    assert_eq!(reference.len(), 18);
+    assert_eq!(heap, reference);
+    assert_eq!(chain, reference);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
