@@ -45,21 +45,27 @@ pub fn channel_dependency_graph(
         id
     };
     let mut edge_set: std::collections::HashSet<(usize, usize)> = Default::default();
+    // One route's directed links, reused across routes.
+    let mut links: Vec<Channel> = Vec::new();
 
     for src in 0..net.num_nodes() as u32 {
         for lid_raw in 1..=space.max_lid().0 {
-            let route = match routing.trace(net, NodeId(src), crate::Lid(lid_raw)) {
-                Ok(route) => route,
+            links.clear();
+            links.push((DeviceRef::Node(NodeId(src)), 1));
+            let walked = routing.walk(net, NodeId(src), crate::Lid(lid_raw), |hop| {
+                links.push((DeviceRef::Switch(hop.switch), hop.out_port.0));
+            });
+            match walked {
+                Ok(_) => {}
                 // An unprogrammed entry means the switch *discards* the
                 // packet (IBA semantics on degraded subnets) — it holds
                 // no further channels, so it adds no dependencies.
                 Err(crate::RoutingError::NoLftEntry { .. }) => continue,
                 Err(e) => return Err(e),
-            };
-            let links = route.directed_links();
+            }
             for pair in links.windows(2) {
-                let a = intern((pair[0].0, pair[0].1 .0), &mut edges);
-                let b = intern((pair[1].0, pair[1].1 .0), &mut edges);
+                let a = intern(pair[0], &mut edges);
+                let b = intern(pair[1], &mut edges);
                 if edge_set.insert((a, b)) {
                     edges[a].push(b);
                 }

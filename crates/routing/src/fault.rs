@@ -184,26 +184,30 @@ fn program_switch(
         })
         .collect();
 
+    let lids_per_node = space.lids_per_node() as usize;
+    let mut candidates: Vec<u32> = Vec::with_capacity(live_up.len());
     for node in NodeLabel::all(params) {
         let nid = node.id(params);
-        for lid in space.lids(nid) {
-            if reach_down[sw.index()].contains(nid.0) {
-                let port = down_port_live(net, params, sw, level, &node, reach_down);
-                if let Some(port) = port {
-                    lft.set(lid, port);
-                }
-                continue;
+        if reach_down[sw.index()].contains(nid.0) {
+            if let Some(port) = down_port_live(net, params, sw, level, &node, reach_down) {
+                lft.fill(space.base_lid(nid), lids_per_node, port);
             }
-            // Climb: designated digit per the base scheme's Equation 2.
-            let designated = eq2_digit(params, lid, u32::from(level.0));
-            let candidates: Vec<u32> = live_up
+            continue;
+        }
+        // Climb. The candidates depend on the destination only; the
+        // designated digit (the base scheme's Equation 2) varies per LID.
+        candidates.clear();
+        candidates.extend(
+            live_up
                 .iter()
                 .filter(|(_, parent)| feasible[parent.index()].contains(nid.0))
-                .map(|&(k, _)| k)
-                .collect();
-            if candidates.is_empty() {
-                continue; // physically unreachable from here
-            }
+                .map(|&(k, _)| k),
+        );
+        if candidates.is_empty() {
+            continue; // physically unreachable from here
+        }
+        for lid in space.lids(nid) {
+            let designated = eq2_digit(params, lid, u32::from(level.0));
             let port = if candidates.contains(&(designated + half)) {
                 designated + half
             } else {

@@ -117,7 +117,9 @@ impl ChannelLoads {
     }
 }
 
-/// Accumulate one flow's directed links into a load vector.
+/// Accumulate one flow's directed links into a load vector: the source's
+/// injection link, then every switch's egress. On an error the vector is
+/// partly updated; callers discard it.
 #[inline]
 fn add_route(
     loads: &mut [u32],
@@ -128,13 +130,10 @@ fn add_route(
     dst: NodeId,
 ) -> Result<(), RoutingError> {
     let dlid = routing.select_dlid(src, dst);
-    let route = routing.trace(net, src, dlid)?;
-    for (device, port) in route.directed_links() {
-        let slot = slots
-            .slot(device, port)
-            .expect("routes transmit only on slotted ports");
-        loads[slot] += 1;
-    }
+    loads[slots.node_slot(src)] += 1;
+    routing.walk(net, src, dlid, |hop| {
+        loads[slots.switch_slot(hop.switch, hop.out_port)] += 1;
+    })?;
     Ok(())
 }
 

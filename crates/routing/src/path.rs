@@ -52,15 +52,20 @@ impl Route {
     /// up-port. Root switches (level 0) use all `m` ports as down-ports,
     /// so their hops are never upward. The injection link is excluded.
     pub fn upward_links(&self, params: ibfat_topology::TreeParams) -> Vec<(SwitchId, PortNum)> {
-        let half = params.half();
         self.hops
             .iter()
-            .filter(|h| {
-                let level = ibfat_topology::SwitchLabel::from_id(params, h.switch).level();
-                level.0 > 0 && u32::from(h.out_port.0) > half
-            })
+            .filter(|h| h.is_upward(params))
             .map(|h| (h.switch, h.out_port))
             .collect()
+    }
+}
+
+impl Hop {
+    /// Whether the hop climbs: it leaves a non-root switch through an
+    /// up-port (roots use all `m` ports as down-ports).
+    #[inline]
+    pub(crate) fn is_upward(&self, params: ibfat_topology::TreeParams) -> bool {
+        params.switch_level_of(self.switch.0) > 0 && u32::from(self.out_port.0) > params.half()
     }
 }
 
@@ -73,8 +78,29 @@ pub fn trace(
     src: NodeId,
     dlid: Lid,
 ) -> Result<Route, RoutingError> {
-    let (expected, _) = space.resolve(dlid).ok_or(RoutingError::UnknownLid(dlid))?;
     let mut hops = Vec::new();
+    let dst = walk(net, space, lfts, src, dlid, |hop| hops.push(hop))?;
+    Ok(Route {
+        src,
+        dlid,
+        dst,
+        hops,
+    })
+}
+
+/// [`trace`] without building a [`Route`]: `on_hop` sees each switch
+/// traversal in order, and the delivered node is returned. Same hop
+/// budget, and the same errors checked in the same order. On an error
+/// `on_hop` has already seen the hops before the failing switch.
+pub fn walk(
+    net: &Network,
+    space: &LidSpace,
+    lfts: &[Lft],
+    src: NodeId,
+    dlid: Lid,
+    mut on_hop: impl FnMut(Hop),
+) -> Result<NodeId, RoutingError> {
+    let (expected, _) = space.resolve(dlid).ok_or(RoutingError::UnknownLid(dlid))?;
     let budget = 2 * net.params().n() as usize + 2;
 
     // Injection: the endport's single link (severed on a degraded fabric
@@ -82,26 +108,20 @@ pub fn trace(
     let mut at = net
         .peer_of(DeviceRef::Node(src), PortNum(1))
         .ok_or(RoutingError::DisconnectedSource(src))?;
+    let mut hops = 0;
     loop {
         match at.device {
+            DeviceRef::Node(node) if node == expected => return Ok(node),
             DeviceRef::Node(node) => {
-                if node != expected {
-                    return Err(RoutingError::Misdelivered {
-                        src,
-                        lid: dlid,
-                        expected,
-                        actual: node,
-                    });
-                }
-                return Ok(Route {
+                return Err(RoutingError::Misdelivered {
                     src,
-                    dlid,
-                    dst: node,
-                    hops,
-                });
+                    lid: dlid,
+                    expected,
+                    actual: node,
+                })
             }
             DeviceRef::Switch(sw) => {
-                if hops.len() >= budget {
+                if hops >= budget {
                     return Err(RoutingError::LoopDetected { src, lid: dlid });
                 }
                 let out = lfts[sw.index()].get(dlid).ok_or(RoutingError::NoLftEntry {
@@ -114,11 +134,12 @@ pub fn trace(
                             switch: sw.0,
                             port: out.0,
                         })?;
-                hops.push(Hop {
+                on_hop(Hop {
                     switch: sw,
                     in_port: at.port,
                     out_port: out,
                 });
+                hops += 1;
                 at = next;
             }
         }

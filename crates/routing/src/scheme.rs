@@ -1,4 +1,4 @@
-use crate::{Lft, Lid, LidSpace, MlidScheme, Route, RoutingError, SlidScheme};
+use crate::{Hop, Lft, Lid, LidSpace, MlidScheme, Route, RoutingError, SlidScheme};
 use ibfat_topology::{Network, NodeId};
 use serde::{Deserialize, Serialize};
 
@@ -205,5 +205,19 @@ impl Routing {
     /// through the programmed tables.
     pub fn trace(&self, net: &Network, src: NodeId, dlid: Lid) -> Result<Route, RoutingError> {
         crate::path::trace(net, &self.space, &self.lfts, src, dlid)
+    }
+
+    /// Follow the same route as [`trace`](Routing::trace) without
+    /// allocating: `on_hop` sees each switch traversal in order, and the
+    /// delivered node is returned. Errors match `trace`'s exactly.
+    #[inline]
+    pub fn walk(
+        &self,
+        net: &Network,
+        src: NodeId,
+        dlid: Lid,
+        on_hop: impl FnMut(Hop),
+    ) -> Result<NodeId, RoutingError> {
+        crate::path::walk(net, &self.space, &self.lfts, src, dlid, on_hop)
     }
 }

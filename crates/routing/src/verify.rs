@@ -17,7 +17,7 @@ pub fn verify_all_lids_deliver(net: &Network, routing: &Routing) -> Result<(), R
     for src in 0..net.num_nodes() as u32 {
         for lid_raw in 1..=space.max_lid().0 {
             let lid = crate::Lid(lid_raw);
-            routing.trace(net, NodeId(src), lid)?;
+            routing.walk(net, NodeId(src), lid, |_| {})?;
         }
     }
     Ok(())
@@ -34,12 +34,13 @@ pub fn verify_minimality(net: &Network, routing: &Routing) -> Result<(), Routing
             }
             let (src, dst) = (NodeId(src), NodeId(dst));
             let dlid = routing.select_dlid(src, dst);
-            let route = routing.trace(net, src, dlid)?;
+            // Links traversed: the injection link plus one per switch.
+            let mut links = 1;
+            routing.walk(net, src, dlid, |_| links += 1)?;
             let expect = analysis::min_hops(params, src, dst) as usize;
-            if route.num_links() != expect {
+            if links != expect {
                 return Err(RoutingError::PropertyViolation(format!(
-                    "route {src}->{dst} uses {} links, minimum is {expect}",
-                    route.num_links()
+                    "route {src}->{dst} uses {links} links, minimum is {expect}"
                 )));
             }
         }
@@ -72,15 +73,16 @@ pub fn verify_upward_link_exclusivity(
             }
             let (src, dst) = (NodeId(src), NodeId(dst));
             let dlid = routing.select_dlid(src, dst);
-            let route = routing.trace(net, src, dlid)?;
-            for (sw, port) in route.upward_links(params) {
-                match users.insert((sw.0, port.0), src) {
-                    Some(prev) if prev != src && conflicted.insert((sw.0, port.0)) => {
-                        conflicts += 1;
-                    }
+            routing.walk(net, src, dlid, |hop| {
+                if !hop.is_upward(params) {
+                    return;
+                }
+                let link = (hop.switch.0, hop.out_port.0);
+                match users.insert(link, src) {
+                    Some(prev) if prev != src && conflicted.insert(link) => conflicts += 1,
                     _ => {}
                 }
-            }
+            })?;
         }
     }
     if conflicts > 0 && routing.kind() == RoutingKind::Mlid {

@@ -520,35 +520,61 @@ pub struct DisruptionReport {
 
 /// Count, for every ordered pair, how many of the destination's
 /// `2^LMC` LIDs still trace to delivery on `net` under `routing`.
+///
+/// Forwarding ignores the in-port, so once a packet is past its
+/// source's own cable its path depends only on the switch it lands on
+/// and its DLID. Each DLID is therefore walked once per landing switch,
+/// from one representative source; a source with no cable has no paths.
 fn survival_of(net: &Network, routing: &Routing) -> PathSurvival {
     let space = routing.lid_space();
     let lids_per_node = space.lids_per_node();
-    let n = net.num_nodes() as u32;
+    let n = net.num_nodes();
+    // Per source, the index of its landing group; per group, a
+    // representative source. A cable into another node (not cabled in a
+    // fat tree) gets a group of its own.
+    let mut group_of_switch: Vec<Option<usize>> = vec![None; net.num_switches()];
+    let mut reps: Vec<NodeId> = Vec::new();
+    let group_of: Vec<Option<usize>> = (0..n as u32)
+        .map(|src| {
+            let peer = net.peer_of(DeviceRef::Node(NodeId(src)), PortNum(1))?;
+            let slot = match peer.device {
+                DeviceRef::Switch(sw) => &mut group_of_switch[sw.index()],
+                DeviceRef::Node(_) => &mut None,
+            };
+            Some(*slot.get_or_insert_with(|| {
+                reps.push(NodeId(src));
+                reps.len() - 1
+            }))
+        })
+        .collect();
+    // live[g * n + dst]: the LIDs of `dst` that deliver from group `g`.
+    let mut live = vec![0u32; reps.len() * n];
+    for (g, &rep) in reps.iter().enumerate() {
+        for dst in 0..n {
+            live[g * n + dst] = space
+                .lids(NodeId(dst as u32))
+                .filter(|&lid| routing.walk(net, rep, lid, |_| {}).is_ok())
+                .count() as u32;
+        }
+    }
     let mut surviving = 0u64;
     let mut min_per_pair = lids_per_node;
     let mut disconnected = 0u64;
-    for src in 0..n {
-        for dst in 0..n {
-            if src == dst {
-                continue;
-            }
-            let mut live = 0u32;
-            for lid in space.lids(NodeId(dst)) {
-                if routing.trace(net, NodeId(src), lid).is_ok() {
-                    live += 1;
-                }
-            }
-            surviving += u64::from(live);
-            min_per_pair = min_per_pair.min(live);
-            if live == 0 {
+    for (src, group) in group_of.iter().enumerate() {
+        for dst in (0..n).filter(|&dst| dst != src) {
+            let paths = group.map_or(0, |g| live[g * n + dst]);
+            surviving += u64::from(paths);
+            min_per_pair = min_per_pair.min(paths);
+            if paths == 0 {
                 disconnected += 1;
             }
         }
     }
+    let n = n as u64;
     PathSurvival {
         kind: routing.kind(),
         lids_per_node,
-        pairs: u64::from(n) * u64::from(n.saturating_sub(1)),
+        pairs: n * n.saturating_sub(1),
         surviving_paths: surviving,
         min_per_pair,
         disconnected_pairs: disconnected,
@@ -565,6 +591,10 @@ fn tier_loads(net: &Network, routing: &Routing) -> (Vec<u32>, Vec<u64>, Vec<u64>
     let num_sw = net.num_switches();
     let tiers = (n as usize).saturating_sub(1).max(1);
     let mut chan = vec![0u32; num_sw * m];
+    // One route's egress channels. Every hop of a delivered route but
+    // the last leaves toward a switch; the last leaves toward the
+    // destination node and is not an inter-switch channel.
+    let mut route: Vec<usize> = Vec::new();
     let nodes = net.num_nodes() as u32;
     for src in 0..nodes {
         for dst in 0..nodes {
@@ -572,15 +602,13 @@ fn tier_loads(net: &Network, routing: &Routing) -> (Vec<u32>, Vec<u64>, Vec<u64>
                 continue;
             }
             let dlid = routing.select_dlid(NodeId(src), NodeId(dst));
-            let Ok(route) = routing.trace(net, NodeId(src), dlid) else {
-                continue;
-            };
-            for hop in &route.hops {
-                let Some(peer) = net.peer_of(DeviceRef::Switch(hop.switch), hop.out_port) else {
-                    continue;
-                };
-                if matches!(peer.device, DeviceRef::Switch(_)) {
-                    chan[hop.switch.index() * m + hop.out_port.index() - 1] += 1;
+            route.clear();
+            let walked = routing.walk(net, NodeId(src), dlid, |hop| {
+                route.push(hop.switch.index() * m + hop.out_port.index() - 1);
+            });
+            if walked.is_ok() {
+                for &c in route.split_last().map_or(&[][..], |(_, inter)| inter) {
+                    chan[c] += 1;
                 }
             }
         }

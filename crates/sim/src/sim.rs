@@ -985,11 +985,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
         let mask: u16 = (0..num_vls)
             .filter(|&vl| sendable(vl))
             .fold(0, |m, vl| m | (1 << vl));
-        let Some(vl) = n
-            .arb
-            .grant(&self.arb_table, |vl| mask & (1 << vl) != 0)
-            .map(usize::from)
-        else {
+        let Some(vl) = n.arb.grant_mask(&self.arb_table, mask).map(usize::from) else {
             return; // woken by CreditToNode or the next Inject
         };
         // Start transmission.
@@ -1366,12 +1362,9 @@ impl<'a, P: Probe> Simulator<'a, P> {
             return;
         }
         // VL arbitration (round-robin or weighted table). An empty mask
-        // still goes through `grant`: that call refills the current
+        // still goes through `grant_mask`: that call refills the current
         // entry's weight, and the reports depend on it.
-        let granted = p
-            .arb
-            .grant(&self.arb_table, |vl| mask & (1 << vl) != 0)
-            .map(usize::from);
+        let granted = p.arb.grant_mask(&self.arb_table, mask).map(usize::from);
         if let Some(vl) = granted {
             let head = lanes.out_q.front_mut(base + vl).expect("checked nonempty");
             head.transmitting = true;

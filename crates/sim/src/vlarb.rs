@@ -77,29 +77,48 @@ impl VlArbiter {
     /// table back to the current entry and refills that entry's weight.
     /// So with round-robin, a grant of VL0, an empty call, then a call
     /// with every VL eligible grants VL0 again. The engine makes that
-    /// empty call on every idle arbitration and its pinned reports
-    /// depend on the refill: callers must not skip `grant` when their
-    /// eligibility mask is empty.
+    /// empty call (through [`grant_mask`](VlArbiter::grant_mask)) on
+    /// every idle arbitration and its pinned reports depend on the
+    /// refill: callers must not skip it when their eligibility mask is
+    /// empty.
     pub fn grant<F: Fn(u8) -> bool>(&mut self, table: &[(u8, u8)], eligible: F) -> Option<u8> {
-        if table.is_empty() {
+        let len = table.len();
+        if len == 0 {
             return None;
         }
         // At most one full cycle of the table plus the current entry.
-        for step in 0..=table.len() {
-            let (vl, weight) = table[self.idx];
+        for step in 0..=len {
+            let vl = table[self.idx].0;
             if self.remaining > 0 && eligible(vl) {
                 self.remaining -= 1;
                 return Some(vl);
             }
             // Exhausted or ineligible: advance (but never spin forever).
-            if step == table.len() {
+            if step == len {
                 break;
             }
-            self.idx = (self.idx + 1) % table.len();
+            self.idx += 1;
+            if self.idx == len {
+                self.idx = 0;
+            }
             self.remaining = table[self.idx].1;
-            let _ = weight;
         }
         None
+    }
+
+    /// [`grant`](VlArbiter::grant) over a bitmask of eligible VLs (bit
+    /// `vl` set = eligible). An empty mask goes straight to the state a
+    /// fruitless walk of the whole table ends in: the current entry
+    /// refilled.
+    #[inline]
+    pub fn grant_mask(&mut self, table: &[(u8, u8)], mask: u16) -> Option<u8> {
+        if mask == 0 {
+            if let Some(&(_, weight)) = table.get(self.idx) {
+                self.remaining = weight;
+            }
+            return None;
+        }
+        self.grant(table, |vl| mask & (1 << vl) != 0)
     }
 }
 
@@ -156,6 +175,32 @@ mod tests {
         assert_eq!(arb.grant(&table, |_| false), None);
         assert_eq!(arb.grant(&table, |_| true), Some(0));
         assert_eq!(arb.grant(&table, |_| true), Some(1));
+    }
+
+    #[test]
+    fn grant_mask_matches_grant() {
+        // A scrambled sequence of 512 masks over three VLs, empty ones
+        // included: both arbiters grant the same VLs and keep the same
+        // state.
+        let tables = [
+            VlArbitration::RoundRobin.table(3),
+            VlArbitration::Weighted(vec![(0, 3), (2, 1), (1, 2), (0, 1)]).table(3),
+        ];
+        for table in &tables {
+            let (mut by_fn, mut by_mask) = (VlArbiter::new(table), VlArbiter::new(table));
+            for step in 0u32..512 {
+                let mask = (step.wrapping_mul(2_654_435_761) >> 13) as u16 & 0b111;
+                assert_eq!(
+                    by_fn.grant(table, |vl| mask & (1 << vl) != 0),
+                    by_mask.grant_mask(table, mask),
+                    "step {step}, mask {mask:03b}"
+                );
+                assert_eq!(
+                    (by_fn.idx, by_fn.remaining),
+                    (by_mask.idx, by_mask.remaining)
+                );
+            }
+        }
     }
 
     #[test]
