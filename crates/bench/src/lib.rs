@@ -1,8 +1,6 @@
 //! Shared experiment harness for regenerating the paper's table and
 //! figures. The binaries (`table1`, `figures`, `ablation`) and the
-//! criterion benches all build on this.
-
-pub mod trajectory;
+//! `perfbench` benchmark build on this.
 
 use ib_fabric::json::JsonBuf;
 use ib_fabric::prelude::*;

@@ -1,6 +1,6 @@
-//! The `bench` and `ablation` binaries' argument handling: `--help`
-//! prints the usage and succeeds, and bad input is an `error:` line with
-//! exit code 2, never a panic (exit 101). No case here runs a workload.
+//! The `ablation` binary's argument handling: `--help` prints the usage
+//! and succeeds, and bad input is an `error:` line with exit code 2,
+//! never a panic (exit 101). No case here runs a workload.
 
 use std::process::{Command, Output};
 
@@ -25,27 +25,6 @@ fn assert_clean_errors(exe: &str, cases: &[&[&str]]) {
         assert_eq!(out.status.code(), Some(2), "{exe} {args:?}: {stderr}");
         assert!(stderr.starts_with("error: "), "{exe} {args:?}: {stderr}");
     }
-}
-
-#[test]
-fn bench_help_and_bad_input() {
-    let exe = env!("CARGO_BIN_EXE_bench");
-    assert_help(exe, "--filter <substr>");
-    assert_clean_errors(
-        exe,
-        &[
-            &["--bogus"],
-            &["--out"],
-            &["--baseline"],
-            &["--filter"],
-            &["--iters"],
-            &["--iters", "0"],
-            &["--iters", "many"],
-            &["--threshold", "abc"],
-            &["--threshold", "-0.5"],
-            &["--threshold", "nan"],
-        ],
-    );
 }
 
 #[test]

@@ -37,7 +37,7 @@ commands:
 options:
   --scheme mlid|slid|updown      routing scheme        (default mlid)
   --pattern uniform|centric|bitcomp                    (default uniform)
-  --load L                       offered load, (0,1]   (default 0.3)
+  --load L                       offered load, positive (default 0.3)
   --loads a,b,c                  sweep grid            (default 0.1..1.0)
   --vls V                        virtual lanes         (default 1)
   --time-us T                    simulated microseconds (default 200)
@@ -45,7 +45,8 @@ options:
   --route-backend table|oracle   simulate/run, sweep, counters, workload,
                                  trace: forwarding-state backend — flat
                                  LFT lookups, or the closed-form routing
-                                 oracle with no tables in memory
+                                 oracle (the tables are still built; the
+                                 engine skips its own copy of them)
                                  (default table; oracle is mlid/slid
                                  only, pristine fabric only; reports are
                                  bit-identical across backends)

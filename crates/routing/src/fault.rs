@@ -308,9 +308,8 @@ impl RepairState {
 /// repairs chain across successive failures.
 ///
 /// # Panics
-/// Panics if `kind` is [`RoutingKind::UpDown`], if `prev` has no
-/// materialized full tables, or if `prev` was built for a different
-/// scheme.
+/// Panics if `kind` is [`RoutingKind::UpDown`] or if `prev` was built
+/// for a different scheme.
 pub fn repair_fault_tolerant(
     net: &Network,
     kind: RoutingKind,
@@ -319,10 +318,6 @@ pub fn repair_fault_tolerant(
 ) -> (Routing, Vec<LftPatch>, RepairStats) {
     let params = net.params();
     assert_eq!(prev.kind(), kind, "repair must continue the same scheme");
-    assert!(
-        prev.has_tables(),
-        "incremental repair needs the full previous tables"
-    );
     let space = lid_space_for(net, kind);
     let by_level = switches_by_level(params);
     let reach_down = sweep_reach_down(net, &by_level);

@@ -101,42 +101,13 @@ impl Routing {
         }
     }
 
-    /// Run a scheme's LID assignment *without* materializing forwarding
-    /// tables. The result carries an empty `lfts` vector: `select_dlid`
-    /// and `lid_space` work as usual (neither consults tables), but
-    /// [`lft`](Routing::lft) must not be called — the caller is expected
-    /// to forward through a [`crate::RouteOracle`] instead. Use
-    /// [`has_tables`](Routing::has_tables) to tell the two apart.
-    pub fn build_table_free(net: &Network, kind: RoutingKind) -> Routing {
-        let scheme: Box<dyn RoutingScheme> = match kind {
-            RoutingKind::Slid => Box::new(SlidScheme),
-            RoutingKind::Mlid => Box::new(MlidScheme),
-            RoutingKind::UpDown => Box::new(crate::UpDownScheme),
-        };
-        let space = scheme.lid_space(net);
-        Routing {
-            kind,
-            params: net.params(),
-            space,
-            lfts: Vec::new(),
-        }
-    }
-
     /// Which scheme produced this routing.
     #[inline]
     pub fn kind(&self) -> RoutingKind {
         self.kind
     }
 
-    /// Whether forwarding tables were materialized ([`build`](Routing::build))
-    /// or skipped ([`build_table_free`](Routing::build_table_free)).
-    #[inline]
-    pub fn has_tables(&self) -> bool {
-        !self.lfts.is_empty()
-    }
-
-    /// Resident bytes held by the forwarding tables (0 for a table-free
-    /// routing) — the memory an oracle-backed data plane avoids.
+    /// Resident bytes held by the forwarding tables.
     pub fn table_bytes(&self) -> usize {
         self.lfts.iter().map(|lft| lft.len()).sum()
     }

@@ -60,9 +60,10 @@ pub enum RouteBackend {
     #[default]
     Table,
     /// Closed-form per-hop lookup through `ibfat_routing::RouteOracle`
-    /// (the paper's Eq. 1/Eq. 2) — no forwarding tables in memory at
-    /// all. Only valid for pristine SLID/MLID routings on intact
-    /// fabrics; construction rejects anything the oracle cannot model.
+    /// (the paper's Eq. 1/Eq. 2) — the engine keeps no copy of the
+    /// forwarding tables. Only valid for pristine SLID/MLID routings on
+    /// intact fabrics; construction rejects anything the oracle cannot
+    /// model.
     Oracle,
 }
 

@@ -309,10 +309,6 @@ pub(crate) fn compile_full(
         kind != RoutingKind::UpDown,
         "fault plans require the MLID/SLID schemes (up*/down* rebuilds natively)"
     );
-    assert!(
-        routing.has_tables(),
-        "fault compilation needs the full base tables"
-    );
     let num_sw = net.num_switches();
     let sm = SubnetManager::new(kind, NodeId(0));
     let model = ReconvergenceModel {

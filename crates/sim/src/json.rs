@@ -2,12 +2,11 @@
 //!
 //! The workspace builds offline against a stub `serde_json`, so every
 //! machine-readable export — fabric counters, channel loads, workload
-//! reports, flight-recorder JSONL, engine telemetry, the bench
-//! trajectory — is written by hand. This module is the single home for
-//! that machinery: a compact [`JsonBuf`] writer with automatic comma
-//! management, the string [`escape`] routine, and the minimal subset
-//! [`parse`]r the bench comparator (and the tests validating the other
-//! exports) read documents back with.
+//! reports, flight-recorder JSONL, engine telemetry — is written by
+//! hand. This module is the single home for that machinery: a compact
+//! [`JsonBuf`] writer with automatic comma management, the string
+//! [`escape`] routine, and the minimal subset [`parse`]r the tests
+//! validating those exports read documents back with.
 //!
 //! It lives in `ibfat-sim` because the dependency arrows point this way
 //! (`ib-fabric` → `ibfat-sim` → …); `ib-fabric` re-exports it as

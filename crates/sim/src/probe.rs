@@ -14,8 +14,8 @@
 //!
 //! * [`FabricCounters`](crate::FabricCounters) — IB-style per-port
 //!   counters plus a sampled time-series (see [`crate::counters`]);
-//! * [`PhaseProfile`] — wall-clock per event-loop phase, for the bench
-//!   trajectory's self-profiling rows.
+//! * [`PhaseProfile`] — wall-clock per event-loop phase, for
+//!   `ibfat workload --profile` and perfbench's `sim.phase.*` metrics.
 //!
 //! Probes compose: `(A, B)` is a probe that forwards every hook to both.
 
@@ -60,7 +60,7 @@ impl Phase {
         ]
     }
 
-    /// Short stable name (used in the bench trajectory JSON).
+    /// Short stable name (used in `ibfat workload --profile --json`).
     pub fn name(self) -> &'static str {
         match self {
             Phase::Generation => "generation",
@@ -268,7 +268,8 @@ impl<A: Probe, B: Probe> Probe for (A, B) {
 }
 
 /// Self-profiling probe: wall-clock time and event count per event-loop
-/// [`Phase`]. Used by the bench trajectory's `sim_profile` rows.
+/// [`Phase`]. Read by `ibfat workload --profile` and by perfbench's
+/// `sim.phase.*` metrics.
 #[derive(Debug, Clone, Default)]
 pub struct PhaseProfile {
     wall_ns: [u64; NUM_PHASES],

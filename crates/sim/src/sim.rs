@@ -165,10 +165,10 @@ pub(crate) enum RouteState {
     /// entry). The lookup subtracts one with wrapping, so a hole reads
     /// as the `u8::MAX` drop sentinel.
     Table { lft: Vec<u8>, stride: usize },
-    /// Closed-form per-hop lookup (the paper's Eq. 1/Eq. 2) — no tables
-    /// in memory. `route_hop` returns `None` exactly where a pristine
-    /// table has no entry, so the drop semantics line up bit-for-bit
-    /// with the table's hole.
+    /// Closed-form per-hop lookup (the paper's Eq. 1/Eq. 2) — no table
+    /// copy in the engine. `route_hop` returns `None` exactly where a
+    /// pristine table has no entry, so the drop semantics line up
+    /// bit-for-bit with the table's hole.
     Oracle(RouteOracle),
 }
 
@@ -360,11 +360,6 @@ impl<'a, P: Probe> Simulator<'a, P> {
 
         let route = match cfg.route_backend {
             RouteBackend::Table => {
-                assert!(
-                    routing.has_tables(),
-                    "table route backend needs materialized forwarding tables; \
-                     this routing was built table-free"
-                );
                 // One contiguous stride-indexed buffer across all
                 // switches, each row a verbatim copy of the switch's LFT.
                 let stride = routing.lid_space().max_lid().index() + 1;

@@ -1,20 +1,14 @@
-//! The table-free data plane's contract.
+//! The oracle data plane's contract.
 //!
 //! The oracle route backend answers every per-hop forwarding question
-//! from the closed-form MLID/SLID route formula instead of a
-//! materialized LFT. These tests pin the two halves of that bargain:
-//!
-//! 1. **Bit identity** — for every fabric × scheme × VL count × load,
-//!    an oracle-backed run reports exactly what the table-backed run
-//!    reports (only the wall-clock throughput fields
-//!    are host noise). The existing routing-crate proptest pins
-//!    `RouteOracle::route_hop` against a table walk per (switch, LID);
-//!    this one pins the *simulator seam*: the backend match in
-//!    `sw_route_done`, including the `None` ↔ missing-entry drop path.
-//! 2. **Memory** — an oracle simulator over a table-free `Routing`
-//!    constructs and runs without ever allocating a forwarding table,
-//!    on a fabric whose flat LFT would be ~21 MB (FT(16,3): 320
-//!    switches × 1024 nodes × 64 LIDs).
+//! from the closed-form MLID/SLID route formula instead of the engine's
+//! flat copy of the LFTs. For every fabric × scheme × VL count × load,
+//! an oracle-backed run reports exactly what the table-backed run
+//! reports (only the wall-clock throughput fields are host noise). The
+//! routing-crate proptest pins `RouteOracle::route_hop` against a table
+//! walk per (switch, LID); these tests pin the *simulator seam*: the
+//! backend match in `sw_route_done`, including the `None` ↔
+//! missing-entry drop path.
 
 use ibfat_routing::{Routing, RoutingKind};
 use ibfat_sim::{run_once, RouteBackend, RunSpec, SimConfig, SimReport, Simulator, TrafficPattern};
@@ -60,59 +54,41 @@ proptest! {
     }
 }
 
-/// The memory guard: a table-free MLID routing on FT(16,3) carries zero
-/// table bytes, and the oracle backend runs the simulator over it — the
-/// flat LFT such a fabric would otherwise flatten (320 switches × 65536
-/// LID slots ≈ 21 MB resident) is never allocated anywhere.
+/// FT(16,3), the fabric where skipping the engine's ~21 MB LFT copy
+/// pays off (320 switches × 65536 LID slots), is beyond the proptest's
+/// grid: pin the oracle report to the table report there too.
 #[test]
-fn oracle_backend_runs_ft16_3_without_forwarding_tables() {
+fn oracle_backend_matches_table_backend_on_ft16_3() {
     let params = TreeParams::new(16, 3).expect("valid params");
     let net = Network::mport_ntree(params);
-    let routing = Routing::build_table_free(&net, RoutingKind::Mlid);
-    assert!(!routing.has_tables());
-    assert_eq!(routing.table_bytes(), 0);
-    let cfg = SimConfig {
-        route_backend: RouteBackend::Oracle,
-        seed: 11,
-        ..SimConfig::default()
+    let routing = Routing::build(&net, RoutingKind::Mlid);
+    let run = |route_backend| {
+        let cfg = SimConfig {
+            route_backend,
+            seed: 11,
+            ..SimConfig::default()
+        };
+        normalized(
+            Simulator::new(&net, &routing, cfg, TrafficPattern::Uniform, 0.2, 3_000, 0).run(),
+        )
     };
-    let report = Simulator::new(&net, &routing, cfg, TrafficPattern::Uniform, 0.2, 3_000, 0).run();
-    assert!(report.delivered > 0, "no traffic delivered: {report:?}");
-    assert_eq!(report.dropped, 0, "intact fabric must not drop");
+    let oracle = run(RouteBackend::Oracle);
+    assert!(oracle.delivered > 0, "no traffic delivered: {oracle:?}");
+    assert_eq!(oracle.dropped, 0, "intact fabric must not drop");
+    assert_eq!(oracle, run(RouteBackend::Table), "backend divergence");
 }
 
-/// The same fabric's materialized tables, for contrast: the table
-/// backend genuinely needs megabytes the oracle run never touches.
+/// The same fabric's materialized tables: the table backend copies
+/// megabytes into the engine that the oracle run never touches.
 #[test]
 fn ft16_3_materialized_tables_cost_megabytes() {
     let params = TreeParams::new(16, 3).expect("valid params");
     let net = Network::mport_ntree(params);
     let routing = Routing::build(&net, RoutingKind::Mlid);
-    assert!(routing.has_tables());
     assert!(
         routing.table_bytes() > 10 << 20,
         "expected a multi-MB flat LFT, got {} bytes",
         routing.table_bytes()
-    );
-}
-
-/// A table-backed simulator over a table-free routing is a programmer
-/// error and must be rejected loudly at construction, not fail as an
-/// out-of-bounds index deep in a handler.
-#[test]
-#[should_panic(expected = "table-free")]
-fn table_backend_rejects_table_free_routing() {
-    let params = TreeParams::new(4, 2).expect("valid params");
-    let net = Network::mport_ntree(params);
-    let routing = Routing::build_table_free(&net, RoutingKind::Mlid);
-    let _ = Simulator::new(
-        &net,
-        &routing,
-        SimConfig::default(),
-        TrafficPattern::Uniform,
-        0.2,
-        1_000,
-        0,
     );
 }
 
