@@ -3,6 +3,7 @@
 use crate::args::{Action, Cmd, WlKind};
 use ib_fabric::json::JsonBuf;
 use ib_fabric::prelude::*;
+use ib_fabric::sim::{self, NoopProbe, RunSpec};
 use ib_fabric::sm::SubnetManager;
 use ib_fabric::topology::analysis;
 use ib_fabric::{FaultPolicy, SwitchId};
@@ -30,21 +31,6 @@ pub fn run(cmd: Cmd) -> Result<(), String> {
 }
 
 fn build_fabric(cmd: &Cmd) -> Result<Fabric, String> {
-    if cmd.route_backend == RouteBackend::Oracle {
-        if cmd.scheme == RoutingKind::UpDown {
-            return Err(
-                "--route-backend oracle supports only the mlid/slid schemes \
-                 (up*/down* has no closed-form route)"
-                    .into(),
-            );
-        }
-        if !cmd.fail_links.is_empty() {
-            return Err("--route-backend oracle requires an intact fabric \
-                 (fault-repaired tables deviate from the closed form); \
-                 drop --fail-links or use --route-backend table"
-                .into());
-        }
-    }
     let fabric = Fabric::builder(cmd.m, cmd.n)
         .routing(cmd.scheme)
         .build()
@@ -61,29 +47,37 @@ fn build_fabric(cmd: &Cmd) -> Result<Fabric, String> {
     Ok(fabric.with_failed_links(&cmd.fail_links))
 }
 
-/// Workload mode drives a message DAG to completion, so a source whose
-/// injection cable was cut can never finish its messages — the engine
-/// would drain its calendar and die on a "workload stalled" assertion.
-/// Surface the routing error as a clean message up front instead.
-/// (Pattern mode tolerates the same damage: the island simply neither
-/// sends nor receives.)
-fn ensure_sources_cabled(fabric: &Fabric) -> Result<(), String> {
-    use ib_fabric::topology::DeviceRef;
-    for node in 0..fabric.num_nodes() {
-        if fabric
-            .network()
-            .peer_of(DeviceRef::Node(NodeId(node)), ib_fabric::PortNum(1))
-            .is_none()
-        {
-            return Err(format!(
-                "{}; --fail-links cut its injection cable, so its workload \
-                 messages can never complete — fail inter-switch cables \
-                 instead (see `ibfat info`)",
-                ib_fabric::RoutingError::DisconnectedSource(NodeId(node))
-            ));
-        }
+/// The engine configuration the flags describe: the paper's model with
+/// the chosen VLs, route backend and seed.
+fn sim_config(cmd: &Cmd) -> SimConfig {
+    let defaults = SimConfig::default();
+    SimConfig {
+        num_vls: cmd.vls,
+        route_backend: cmd.route_backend,
+        seed: cmd.seed.unwrap_or(defaults.seed),
+        ..defaults
     }
-    Ok(())
+}
+
+/// Run the flags' operating point (pattern, load, duration) under `cfg`,
+/// observed by `probe`.
+fn run_point<P: Probe>(
+    cmd: &Cmd,
+    fabric: &Fabric,
+    cfg: SimConfig,
+    probe: P,
+) -> Result<(SimReport, P), String> {
+    let spec = RunSpec::new(cmd.load, cmd.time_ns);
+    let pattern = pattern_of(cmd, fabric);
+    sim::run(
+        fabric.network(),
+        fabric.routing(),
+        cfg,
+        pattern,
+        spec,
+        probe,
+    )
+    .map_err(|e| e.to_string())
 }
 
 fn pattern_of(cmd: &Cmd, fabric: &Fabric) -> TrafficPattern {
@@ -233,17 +227,7 @@ fn discover(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
 }
 
 fn simulate(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
-    let mut experiment = fabric
-        .experiment()
-        .virtual_lanes(cmd.vls)
-        .traffic(pattern_of(cmd, fabric))
-        .offered_load(cmd.load)
-        .duration_ns(cmd.time_ns)
-        .route_backend(cmd.route_backend);
-    if let Some(seed) = cmd.seed {
-        experiment = experiment.seed(seed);
-    }
-    let report = experiment.run();
+    let (report, _) = run_point(cmd, fabric, sim_config(cmd), NoopProbe)?;
     if cmd.json {
         println!("{}", report_to_json(&report));
         return Ok(());
@@ -350,19 +334,12 @@ pub fn report_to_json(report: &SimReport) -> String {
 /// Run the flight recorder over the configured scenario and render the
 /// sampled packet spans as JSONL (exposed for tests).
 pub fn collect_trace(cmd: &Cmd, fabric: &Fabric) -> Result<String, String> {
-    let mut experiment = fabric
-        .experiment()
-        .virtual_lanes(cmd.vls)
-        .traffic(pattern_of(cmd, fabric))
-        .offered_load(cmd.load)
-        .duration_ns(cmd.time_ns)
-        .route_backend(cmd.route_backend)
-        .trace_first_packets(cmd.trace_packets)
-        .trace_sampling(cmd.sampling.clone());
-    if let Some(seed) = cmd.seed {
-        experiment = experiment.seed(seed);
-    }
-    let report = experiment.run();
+    let cfg = SimConfig {
+        trace_first_packets: cmd.trace_packets,
+        trace_sampling: cmd.sampling.clone(),
+        ..sim_config(cmd)
+    };
+    let (report, _) = run_point(cmd, fabric, cfg, NoopProbe)?;
     let traces = report.traces.as_deref().unwrap_or(&[]);
     Ok(ib_fabric::traces_to_jsonl(traces))
 }
@@ -403,19 +380,9 @@ pub struct CountersReport {
 /// Run the configured scenario with fabric counters attached and roll
 /// the per-port numbers up by tree level.
 pub fn collect_counters(cmd: &Cmd, fabric: &Fabric) -> Result<CountersReport, String> {
-    let mut experiment = fabric
-        .experiment()
-        .virtual_lanes(cmd.vls)
-        .traffic(pattern_of(cmd, fabric))
-        .offered_load(cmd.load)
-        .duration_ns(cmd.time_ns)
-        .route_backend(cmd.route_backend);
-    if let Some(seed) = cmd.seed {
-        experiment = experiment.seed(seed);
-    }
     let interval = cmd.sample_interval_ns.unwrap_or((cmd.time_ns / 50).max(1));
     let probe = FabricCounters::new(fabric.network(), cmd.vls).with_sampling(interval, cmd.top);
-    let (report, counters) = experiment.run_observed(probe);
+    let (report, counters) = run_point(cmd, fabric, sim_config(cmd), probe)?;
 
     let params = fabric.params();
     let span = report.sim_time_ns as f64;
@@ -805,7 +772,6 @@ fn loads(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
 /// Build the workload the flags describe (exposed for tests).
 pub fn build_workload(cmd: &Cmd, fabric: &Fabric) -> Result<Workload, String> {
     use ib_fabric::generators;
-    ensure_sources_cabled(fabric)?;
     let nodes = fabric.num_nodes();
     let wl = match cmd.wl_kind {
         WlKind::AllreduceRing => generators::allreduce_ring(nodes, cmd.bytes),
@@ -838,35 +804,23 @@ pub fn build_workload(cmd: &Cmd, fabric: &Fabric) -> Result<Workload, String> {
     Ok(wl)
 }
 
-/// Drive the workload to completion (exposed for tests).
-pub fn collect_workload(cmd: &Cmd, fabric: &Fabric) -> Result<WorkloadReport, String> {
-    let wl = build_workload(cmd, fabric)?;
-    let mut experiment = fabric
-        .experiment()
-        .virtual_lanes(cmd.vls)
-        .route_backend(cmd.route_backend);
-    if let Some(seed) = cmd.seed {
-        experiment = experiment.seed(seed);
-    }
-    Ok(experiment.run_workload(&wl))
-}
-
-/// Drive the workload with the engine's per-phase self-profiler attached
-/// (exposed for tests). The report matches [`collect_workload`] exactly;
-/// only the wall-clock phase table is extra.
-pub fn collect_workload_profiled(
+/// Drive the workload to completion observed by `probe` — e.g. a
+/// [`PhaseProfile`] for the engine's per-phase self-profile (exposed for
+/// tests).
+pub fn collect_workload<P: Probe>(
     cmd: &Cmd,
     fabric: &Fabric,
-) -> Result<(WorkloadReport, PhaseProfile), String> {
+    probe: P,
+) -> Result<(WorkloadReport, P), String> {
     let wl = build_workload(cmd, fabric)?;
-    let mut experiment = fabric
-        .experiment()
-        .virtual_lanes(cmd.vls)
-        .route_backend(cmd.route_backend);
-    if let Some(seed) = cmd.seed {
-        experiment = experiment.seed(seed);
-    }
-    Ok(experiment.run_workload_observed(&wl, PhaseProfile::new()))
+    sim::run_workload(
+        fabric.network(),
+        fabric.routing(),
+        sim_config(cmd),
+        &wl,
+        probe,
+    )
+    .map_err(|e| e.to_string())
 }
 
 fn print_phase_table(profile: &PhaseProfile) {
@@ -890,10 +844,10 @@ fn print_phase_table(profile: &PhaseProfile) {
 
 fn workload(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
     let (r, profile) = if cmd.profile {
-        let (r, p) = collect_workload_profiled(cmd, fabric)?;
+        let (r, p) = collect_workload(cmd, fabric, PhaseProfile::new())?;
         (r, Some(p))
     } else {
-        (collect_workload(cmd, fabric)?, None)
+        (collect_workload(cmd, fabric, NoopProbe)?.0, None)
     };
     let params = fabric.params();
     if cmd.json {
@@ -1011,19 +965,6 @@ pub fn collect_faults(cmd: &Cmd, fabric: &Fabric) -> Result<FaultsReport, String
     if !cmd.fail_links.is_empty() {
         return Err("faults schedules its own failures; drop --fail-links".into());
     }
-    if cmd.scheme == RoutingKind::UpDown {
-        return Err("faults relies on patch-level LFT repair, which only the \
-             mlid/slid schemes support; model static up*/down* damage \
-             with --fail-links instead"
-            .into());
-    }
-    if cmd.route_backend == RouteBackend::Oracle {
-        return Err(
-            "--route-backend oracle answers routes from the intact-fabric \
-             closed form; faulted runs need --route-backend table"
-                .into(),
-        );
-    }
     let net = fabric.network();
     let killed = FaultPlan::pick_links(net, cmd.kill, cmd.seed.unwrap_or(1));
     if killed.len() < cmd.kill {
@@ -1044,20 +985,11 @@ pub fn collect_faults(cmd: &Cmd, fabric: &Fabric) -> Result<FaultsReport, String
     plan.policy = cmd.fault_policy;
     plan.detect_ns = cmd.detect_ns;
     plan.per_switch_ns = cmd.per_switch_ns;
-    plan.validate(net)?;
-
-    let mut experiment = fabric
-        .experiment()
-        .virtual_lanes(cmd.vls)
-        .traffic(pattern_of(cmd, fabric))
-        .offered_load(cmd.load)
-        .duration_ns(cmd.time_ns)
-        .route_backend(cmd.route_backend)
-        .faults(plan.clone());
-    if let Some(seed) = cmd.seed {
-        experiment = experiment.seed(seed);
-    }
-    let report = experiment.run();
+    let cfg = SimConfig {
+        faults: plan.clone(),
+        ..sim_config(cmd)
+    };
+    let (report, _) = run_point(cmd, fabric, cfg, NoopProbe)?;
     let disruption = ib_fabric::disruption_report(net, fabric.routing(), &plan, &report);
     Ok(FaultsReport {
         plan,
@@ -1266,13 +1198,15 @@ fn faults(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
 }
 
 fn sweep(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
-    let reports = fabric
-        .experiment()
-        .virtual_lanes(cmd.vls)
-        .traffic(pattern_of(cmd, fabric))
-        .duration_ns(cmd.time_ns)
-        .route_backend(cmd.route_backend)
-        .run_sweep(&cmd.loads);
+    let reports = sim::sweep(
+        fabric.network(),
+        fabric.routing(),
+        sim_config(cmd),
+        &pattern_of(cmd, fabric),
+        &cmd.loads,
+        cmd.time_ns,
+    )
+    .map_err(|e| e.to_string())?;
     println!("offered,accepted,avg_latency_ns,p99_latency_ns,delivered,dropped");
     for r in &reports {
         println!(

@@ -1,6 +1,7 @@
 //! End-to-end CLI command tests (through the library layer; output goes
 //! to stdout, so these assert on success/failure and side effects).
 
+use ib_fabric::{NoopProbe, PhaseProfile};
 use ibfat_cli::{args, commands};
 
 fn run(line: &str) -> Result<(), String> {
@@ -69,6 +70,9 @@ fn failed_links_flow_through() {
 #[test]
 fn invalid_fabric_is_an_error_not_a_panic() {
     assert!(run("info 6x2").is_err());
+    // Port numbers are bytes with port 0 reserved: 256 ports cannot be
+    // numbered.
+    assert!(run("info 256x1").is_err());
 }
 
 #[test]
@@ -202,6 +206,31 @@ fn malformed_run_inputs_are_clean_errors_not_panics() {
 }
 
 #[test]
+fn engine_rejections_are_clean_errors_not_panics() {
+    // Combinations only the engine can judge (the fabric, routing and
+    // fault plan together): it rejects them before the first event, and
+    // the binary prints the typed error as an `error:` line and exits 1.
+    let exe = env!("CARGO_BIN_EXE_ibfat");
+    for line in [
+        "workload 4x2 --kind alltoall --fail-links 8",
+        "run 4x2 --route-backend oracle --fail-links 8",
+        "run 4x2 --route-backend oracle --scheme updown",
+        "counters 4x2 --route-backend oracle --fail-links 8",
+        "faults 4x2 --route-backend oracle --time-us 40",
+        "faults 4x2 --scheme updown --time-us 40",
+    ] {
+        let o = std::process::Command::new(exe)
+            .args(line.split_whitespace())
+            .output()
+            .unwrap();
+        let code = o.status.code();
+        assert_eq!(code, Some(1), "`ibfat {line}` exited {code:?}");
+        let stderr = String::from_utf8_lossy(&o.stderr);
+        assert!(stderr.contains("error:"), "`ibfat {line}`: {stderr}");
+    }
+}
+
+#[test]
 fn counters_runs_in_text_and_json() {
     run("counters 4x2 --time-us 30").unwrap();
     run("counters 4x2 --pattern centric --scheme slid --load 0.6 --time-us 30 --top 3").unwrap();
@@ -293,7 +322,9 @@ fn drive(line: &str) -> ib_fabric::WorkloadReport {
         .routing(cmd.scheme)
         .build()
         .unwrap();
-    commands::collect_workload(&cmd, &fabric).unwrap()
+    commands::collect_workload(&cmd, &fabric, NoopProbe)
+        .unwrap()
+        .0
 }
 
 #[test]
@@ -425,8 +456,13 @@ fn workload_profile_rides_along_without_changing_the_report() {
         .routing(cmd.scheme)
         .build()
         .unwrap();
-    let (report, profile) = commands::collect_workload_profiled(&cmd, &fabric).unwrap();
-    assert_eq!(report, commands::collect_workload(&cmd, &fabric).unwrap());
+    let (report, profile) = commands::collect_workload(&cmd, &fabric, PhaseProfile::new()).unwrap();
+    assert_eq!(
+        report,
+        commands::collect_workload(&cmd, &fabric, NoopProbe)
+            .unwrap()
+            .0
+    );
     assert_eq!(profile.total_events(), report.events);
     assert!(profile.total_wall_ns() > 0);
 }

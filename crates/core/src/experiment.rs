@@ -1,7 +1,7 @@
 use crate::Fabric;
 use ibfat_sim::{
-    run_once, sweep, InjectionProcess, Probe, RunSpec, SimConfig, SimReport, Simulator,
-    TrafficPattern, Workload, WorkloadReport,
+    InjectionProcess, NoopProbe, Probe, RunSpec, SimConfig, SimReport, TrafficPattern, Workload,
+    WorkloadReport,
 };
 
 /// Fluent configuration of a simulation over a [`Fabric`].
@@ -34,11 +34,11 @@ impl<'a> ExperimentBuilder<'a> {
     /// Forwarding-state backend for the packet engine (default: table —
     /// flat LFT lookups, exactly what real switch hardware does). The
     /// oracle backend answers hops from the closed-form route formula
-    /// instead, never materializing per-switch tables; reports are
-    /// bit-identical across backends, the oracle just trades a formula
-    /// evaluation for the table's memory footprint. Only the SLID/MLID
-    /// schemes on intact fabrics have an oracle (see
-    /// [`ibfat_sim::RouteBackend`]).
+    /// instead, so the engine keeps no copy of the fabric's tables (the
+    /// fabric itself still holds them); reports are bit-identical across
+    /// backends, the oracle just trades a formula evaluation for the
+    /// engine's table copy. Only the SLID/MLID schemes on intact fabrics
+    /// have an oracle (see [`ibfat_sim::RouteBackend`]).
     pub fn route_backend(mut self, backend: ibfat_sim::RouteBackend) -> Self {
         self.cfg.route_backend = backend;
         self
@@ -87,7 +87,8 @@ impl<'a> ExperimentBuilder<'a> {
         self
     }
 
-    /// Normalized offered load per node in `(0, 1]`.
+    /// Normalized offered load per node: any positive, finite number,
+    /// where 1.0 saturates the injection link.
     pub fn offered_load(mut self, load: f64) -> Self {
         self.offered_load = load;
         self
@@ -127,55 +128,52 @@ impl<'a> ExperimentBuilder<'a> {
         self
     }
 
-    fn spec(&self, load: f64) -> RunSpec {
-        RunSpec {
-            offered_load: load,
-            sim_time_ns: self.sim_time_ns,
-            warmup_ns: self.warmup_ns.unwrap_or(self.sim_time_ns / 5),
-        }
-    }
-
     /// Run the configured operating point.
+    ///
+    /// # Panics
+    /// Panics with the [`ibfat_sim::SimError`]'s text where
+    /// [`ibfat_sim::run`] returns it; call that for a `Result`.
     pub fn run(self) -> SimReport {
-        let spec = self.spec(self.offered_load);
-        run_once(
-            self.fabric.network(),
-            self.fabric.routing(),
-            self.cfg,
-            self.pattern,
-            spec,
-        )
+        self.run_observed(NoopProbe).0
     }
 
     /// Run the configured operating point observed by `probe` — e.g. an
     /// [`ibfat_sim::FabricCounters`] for per-port counters and sampled
     /// time-series, an [`ibfat_sim::PhaseProfile`] for self-profiling, or
     /// a tuple of both. Returns the report together with the probe.
+    ///
+    /// # Panics
+    /// Panics like [`run`](Self::run).
     pub fn run_observed<P: Probe>(self, probe: P) -> (SimReport, P) {
-        let spec = self.spec(self.offered_load);
-        ibfat_sim::run_observed(
-            self.fabric.network(),
-            self.fabric.routing(),
-            self.cfg,
-            self.pattern,
-            spec,
-            probe,
-        )
+        let spec = RunSpec {
+            offered_load: self.offered_load,
+            sim_time_ns: self.sim_time_ns,
+            warmup_ns: self.warmup_ns.unwrap_or(self.sim_time_ns / 5),
+        };
+        let (net, routing) = (self.fabric.network(), self.fabric.routing());
+        ibfat_sim::run(net, routing, self.cfg, self.pattern, spec, probe)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Run a load sweep, returning reports in the order of `loads`. The
     /// points are independent simulations and run in parallel across
     /// the available cores, dispatched heaviest (highest load) first so
     /// the longest runs start first; see [`ibfat_sim::sweep`].
+    ///
+    /// # Panics
+    /// Panics with the [`ibfat_sim::SimError`]'s text where
+    /// [`ibfat_sim::sweep`] returns it.
     pub fn run_sweep(self, loads: &[f64]) -> Vec<SimReport> {
-        sweep(
-            self.fabric.network(),
-            self.fabric.routing(),
+        let (net, routing) = (self.fabric.network(), self.fabric.routing());
+        ibfat_sim::sweep(
+            net,
+            routing,
             self.cfg,
             &self.pattern,
             loads,
             self.sim_time_ns,
         )
+        .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Drive a message-level workload (a collective, closed-loop, or
@@ -183,35 +181,15 @@ impl<'a> ExperimentBuilder<'a> {
     /// [`ibfat_sim::workload_trace`]) to completion instead of sampling
     /// a traffic pattern for a fixed duration. Pattern, load, duration
     /// and warm-up settings are ignored.
+    ///
+    /// # Panics
+    /// Panics with the [`ibfat_sim::SimError`]'s text where
+    /// [`ibfat_sim::run_workload`] returns it.
     pub fn run_workload(self, wl: &Workload) -> WorkloadReport {
-        ibfat_sim::run_workload(self.fabric.network(), self.fabric.routing(), self.cfg, wl)
-    }
-
-    /// Drive a workload to completion observed by `probe` — e.g. an
-    /// [`ibfat_sim::PhaseProfile`] for engine self-profiling.
-    pub fn run_workload_observed<P: Probe>(self, wl: &Workload, probe: P) -> (WorkloadReport, P) {
-        Simulator::for_workload_observed(
-            self.fabric.network(),
-            self.fabric.routing(),
-            self.cfg,
-            wl,
-            probe,
-        )
-        .run_workload_observed()
-    }
-
-    /// Run the configured operating point under several seeds and return
-    /// each replica's report (use [`ibfat_sim::aggregate`] to summarize).
-    pub fn run_replicated(self, seeds: &[u64]) -> Vec<SimReport> {
-        let spec = self.spec(self.offered_load);
-        ibfat_sim::replicate(
-            self.fabric.network(),
-            self.fabric.routing(),
-            self.cfg,
-            &self.pattern,
-            spec,
-            seeds,
-        )
+        let (net, routing) = (self.fabric.network(), self.fabric.routing());
+        ibfat_sim::run_workload(net, routing, self.cfg, wl, NoopProbe)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .0
     }
 
     /// Collect per-link utilization into the report.

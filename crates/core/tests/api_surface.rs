@@ -1,16 +1,20 @@
 //! Exercise the remaining public API surface of the high-level crate.
 
 use ib_fabric::prelude::*;
-use ib_fabric::{aggregate, LidSpace};
+use ib_fabric::{aggregate, LidSpace, RunSpec};
 
 #[test]
 fn replicated_experiments_aggregate() {
     let fabric = Fabric::builder(4, 2).build().unwrap();
-    let reports = fabric
-        .experiment()
-        .offered_load(0.4)
-        .duration_ns(60_000)
-        .run_replicated(&[11, 22, 33]);
+    let reports = ib_fabric::sim::replicate(
+        fabric.network(),
+        fabric.routing(),
+        SimConfig::default(),
+        &TrafficPattern::Uniform,
+        RunSpec::new(0.4, 60_000),
+        &[11, 22, 33],
+    )
+    .unwrap();
     assert_eq!(reports.len(), 3);
     let agg = aggregate(&reports);
     assert_eq!(agg.n, 3);

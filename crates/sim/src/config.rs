@@ -1,4 +1,4 @@
-use crate::VlArbitration;
+use crate::{SimError, VlArbitration};
 use serde::{Deserialize, Serialize};
 
 /// Injection process shaping the per-node packet generation.
@@ -250,11 +250,13 @@ impl SimConfig {
         1.0 / self.byte_time_ns as f64
     }
 
-    /// Mean packet inter-arrival time (ns) for a normalized offered load
-    /// in `(0, 1]`, where 1.0 saturates the injection link.
+    /// Mean packet inter-arrival time (ns) for a normalized offered
+    /// load, where 1.0 saturates the injection link. Any positive,
+    /// finite load is accepted; above 1.0 the source queues grow.
     ///
     /// # Panics
-    /// Panics if `load` is not positive and finite.
+    /// Panics if `load` is not positive and finite ([`crate::run`]
+    /// checks the load first and returns [`SimError::InvalidConfig`]).
     pub fn interarrival_ns(&self, load: f64) -> f64 {
         assert!(
             load > 0.0 && load.is_finite(),
@@ -263,30 +265,34 @@ impl SimConfig {
         self.packet_time_ns() as f64 / load
     }
 
-    /// Validate the configuration.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Validate the configuration on its own (the checks that need the
+    /// network and routing run when the engine is built).
+    pub fn validate(&self) -> Result<(), SimError> {
+        let invalid = |msg: &str| Err(SimError::InvalidConfig(msg.into()));
         if self.packet_bytes == 0 {
-            return Err("packet_bytes must be positive".into());
+            return invalid("packet_bytes must be positive");
         }
         if self.byte_time_ns == 0 {
-            return Err("byte_time_ns must be positive".into());
+            return invalid("byte_time_ns must be positive");
         }
         if self.num_vls == 0 || self.num_vls > 15 {
-            return Err(format!(
+            return Err(SimError::InvalidConfig(format!(
                 "num_vls must be in 1..=15 (IBA data VLs), got {}",
                 self.num_vls
-            ));
+            )));
         }
         if self.buffer_packets == 0 {
-            return Err("buffer_packets must be positive".into());
+            return invalid("buffer_packets must be positive");
         }
-        self.vl_arbitration.validate(self.num_vls)?;
+        self.vl_arbitration
+            .validate(self.num_vls)
+            .map_err(SimError::InvalidConfig)?;
         if !self.faults.is_empty() {
             if self.route_backend != RouteBackend::Table {
-                return Err("fault plans require the table route backend".into());
+                return invalid("fault plans require the table route backend");
             }
             if self.adaptive_up {
-                return Err("fault plans cannot be combined with adaptive_up".into());
+                return invalid("fault plans cannot be combined with adaptive_up");
             }
         }
         Ok(())

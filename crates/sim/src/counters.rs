@@ -119,16 +119,15 @@ pub struct Sample {
 /// ```
 /// use ibfat_topology::{Network, TreeParams};
 /// use ibfat_routing::{Routing, RoutingKind};
-/// use ibfat_sim::{FabricCounters, SimConfig, Simulator, TrafficPattern};
+/// use ibfat_sim::{run, FabricCounters, RunSpec, SimConfig, TrafficPattern};
 ///
 /// let net = Network::mport_ntree(TreeParams::new(4, 2).unwrap());
 /// let routing = Routing::build(&net, RoutingKind::Mlid);
 /// let cfg = SimConfig::paper(1);
 /// let probe = FabricCounters::new(&net, cfg.num_vls).with_sampling(10_000, 4);
-/// let sim = Simulator::with_probe(
-///     &net, &routing, cfg, TrafficPattern::Uniform, 0.2, 100_000, 0, probe,
-/// );
-/// let (report, counters) = sim.run_observed();
+/// let spec = RunSpec { offered_load: 0.2, sim_time_ns: 100_000, warmup_ns: 0 };
+/// let (report, counters) =
+///     run(&net, &routing, cfg, TrafficPattern::Uniform, spec, probe).unwrap();
 /// assert_eq!(counters.node_totals().xmit_pkts, report.total_generated);
 /// ```
 #[derive(Debug, Clone)]

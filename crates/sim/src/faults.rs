@@ -30,6 +30,7 @@
 
 use crate::engine::Time;
 use crate::metrics::SimReport;
+use crate::SimError;
 use ibfat_routing::{build_fault_tolerant, RepairState, Routing, RoutingKind};
 use ibfat_sm::{ReconvergenceModel, SubnetManager};
 use ibfat_topology::{DeviceRef, Network, NodeId, PortNum};
@@ -287,10 +288,14 @@ fn degraded_net(net: &Network, dead: &[u32]) -> Network {
 }
 
 /// Compile a plan against the base network and routing. Pure and
-/// deterministic; panics on an invalid plan or an unsupported scheme —
-/// both are caught by `SimConfig::validate` / the CLI first.
-pub(crate) fn compile(net: &Network, routing: &Routing, plan: &FaultPlan) -> FaultRuntime {
-    compile_full(net, routing, plan).0
+/// deterministic; fails on a plan that is invalid for `net` or a routing
+/// scheme without patch-level repair.
+pub(crate) fn compile(
+    net: &Network,
+    routing: &Routing,
+    plan: &FaultPlan,
+) -> Result<FaultRuntime, SimError> {
+    Ok(compile_full(net, routing, plan)?.0)
 }
 
 /// [`compile`], also returning the final degraded network and the final
@@ -300,15 +305,16 @@ pub(crate) fn compile_full(
     net: &Network,
     routing: &Routing,
     plan: &FaultPlan,
-) -> (FaultRuntime, Network, Routing) {
-    if let Err(e) = plan.validate(net) {
-        panic!("invalid fault plan: {e}");
-    }
+) -> Result<(FaultRuntime, Network, Routing), SimError> {
+    plan.validate(net).map_err(SimError::InvalidFaultPlan)?;
     let kind = routing.kind();
-    assert!(
-        kind != RoutingKind::UpDown,
-        "fault plans require the MLID/SLID schemes (up*/down* rebuilds natively)"
-    );
+    if kind == RoutingKind::UpDown {
+        return Err(SimError::InvalidFaultPlan(
+            "fault plans require the MLID/SLID schemes (up*/down* has no patch-level \
+             repair; model its damage with a degraded network instead)"
+                .into(),
+        ));
+    }
     let num_sw = net.num_switches();
     let sm = SubnetManager::new(kind, NodeId(0));
     let model = ReconvergenceModel {
@@ -378,7 +384,7 @@ pub(crate) fn compile_full(
         prev = Some(rc.routing);
     }
     let final_routing = prev.unwrap_or_else(|| routing.clone());
-    (FaultRuntime { faults }, final_net, final_routing)
+    Ok((FaultRuntime { faults }, final_net, final_routing))
 }
 
 /// The engine's live fault state. Present (boxed off the hot-struct
@@ -636,15 +642,17 @@ fn tier_loads(net: &Network, routing: &Routing) -> (Vec<u32>, Vec<u64>, Vec<u64>
 /// out of the engine).
 ///
 /// # Panics
-/// Panics if the plan is invalid for `net` or `routing` is a scheme the
-/// fault subsystem does not support (same conditions as the run itself).
+/// Panics with the [`SimError::InvalidFaultPlan`] text if the plan is
+/// invalid for `net` or `routing` is up*/down* — the conditions under
+/// which [`crate::run`] already refused to run it.
 pub fn disruption_report(
     net: &Network,
     routing: &Routing,
     plan: &FaultPlan,
     report: &SimReport,
 ) -> DisruptionReport {
-    let (runtime, final_net, final_routing) = compile_full(net, routing, plan);
+    let (runtime, final_net, final_routing) =
+        compile_full(net, routing, plan).unwrap_or_else(|e| panic!("{e}"));
     let faults: Vec<FaultSummary> = runtime
         .faults
         .iter()
@@ -819,7 +827,7 @@ mod tests {
                 ],
                 ..FaultPlan::default()
             };
-            let (rt, final_net, final_routing) = compile_full(&net, &routing, &plan);
+            let (rt, final_net, final_routing) = compile_full(&net, &routing, &plan).unwrap();
             assert_eq!(rt.faults.len(), 3);
             // Final fabric: only l1 dead.
             let expect_net = degraded_net(&net, &[l1]);
@@ -862,7 +870,7 @@ mod tests {
         assert_eq!(killed_nodes, net.params().half() as usize);
         assert!(kills.iter().all(|&t| t == 500 || t == Time::MAX));
         let routing = Routing::build(&net, RoutingKind::Mlid);
-        let rt = compile(&net, &routing, &plan);
+        let rt = compile(&net, &routing, &plan).unwrap();
         let cf = &rt.faults[0];
         assert!(cf.sw_killed[leaf as usize]);
         // Every port of the killed switch is dead, and so is the

@@ -31,17 +31,19 @@
 //! ```
 //! use ibfat_topology::{Network, TreeParams};
 //! use ibfat_routing::{Routing, RoutingKind};
-//! use ibfat_sim::{run_once, RunSpec, SimConfig, TrafficPattern};
+//! use ibfat_sim::{run, NoopProbe, RunSpec, SimConfig, TrafficPattern};
 //!
 //! let net = Network::mport_ntree(TreeParams::new(4, 2).unwrap());
 //! let routing = Routing::build(&net, RoutingKind::Mlid);
-//! let report = run_once(
+//! let (report, NoopProbe) = run(
 //!     &net,
 //!     &routing,
 //!     SimConfig::paper(1),
 //!     TrafficPattern::Uniform,
 //!     RunSpec::new(0.2, 100_000),
-//! );
+//!     NoopProbe,
+//! )
+//! .unwrap();
 //! assert!(report.delivered > 0);
 //! assert!(report.avg_latency_ns() > 0.0);
 //! ```
@@ -80,15 +82,14 @@ pub use metrics::{LatencyStats, LinkUse, Percentiles, SimReport};
 pub use packet::{Packet, PacketId, PacketSlab};
 pub use probe::{NoopProbe, Phase, PhaseProfile, Probe, NUM_PHASES};
 pub use runner::{
-    aggregate, par_map_indexed, replicate, run_observed, run_once, run_workload, sweep, Aggregate,
-    RunSpec,
+    aggregate, par_map_indexed, replicate, run, run_workload, sweep, Aggregate, RunSpec,
 };
 pub use sim::Simulator;
 pub use trace::{traces_to_jsonl, PacketTrace, TraceEvent};
 pub use traffic::TrafficPattern;
 pub use vlarb::{VlArbiter, VlArbitration};
 // The message-level workload layer: the data model re-exported from
-// `ibfat-workload`; the engine entry points live on `Simulator`.
+// `ibfat-workload`; the engine entry point is `run_workload`.
 pub use ibfat_workload::{
     generators, trace as workload_trace, ClosedLoopKind, GroupReport, Message, MessageTiming,
     MsgId, MsgLatency, Workload, WorkloadReport,

@@ -1,14 +1,16 @@
-//! One-shot runs and multi-point load sweeps.
+//! The run entry points: one operating point, one workload, load sweeps
+//! and seed replication.
 
-use crate::probe::Probe;
-use crate::{SimConfig, SimReport, Simulator, TrafficPattern};
+use crate::probe::{NoopProbe, Probe};
+use crate::{SimConfig, SimError, SimReport, Simulator, TrafficPattern, Workload, WorkloadReport};
 use ibfat_routing::Routing;
 use ibfat_topology::Network;
 
 /// Wall-clock parameters of a run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunSpec {
-    /// Normalized offered load per node, `(0, 1]`.
+    /// Normalized offered load per node: any positive, finite number,
+    /// where 1.0 saturates the injection link.
     pub offered_load: f64,
     /// Total simulated time (ns).
     pub sim_time_ns: u64,
@@ -27,60 +29,36 @@ impl RunSpec {
     }
 }
 
-/// Run one operating point.
-pub fn run_once(
-    net: &Network,
-    routing: &Routing,
-    cfg: SimConfig,
-    pattern: TrafficPattern,
-    spec: RunSpec,
-) -> SimReport {
-    Simulator::new(
-        net,
-        routing,
-        cfg,
-        pattern,
-        spec.offered_load,
-        spec.sim_time_ns,
-        spec.warmup_ns,
-    )
-    .run()
-}
-
-/// Drive a message-level workload (see [`crate::Workload`]) to
-/// completion on the sequential engine and report per-message latency,
-/// per-group completion times, and node skew.
-pub fn run_workload(
-    net: &Network,
-    routing: &Routing,
-    cfg: SimConfig,
-    wl: &crate::Workload,
-) -> crate::WorkloadReport {
-    Simulator::for_workload(net, routing, cfg, wl).run_workload()
-}
-
-/// Run one operating point observed by `probe`; returns the report and
-/// the probe with everything it collected (see [`Probe`],
-/// [`crate::FabricCounters`], [`crate::PhaseProfile`]).
-pub fn run_observed<P: Probe>(
+/// Run one operating point observed by `probe` (pass [`NoopProbe`] for
+/// none); returns the report and the probe with everything it collected
+/// (see [`Probe`], [`crate::FabricCounters`], [`crate::PhaseProfile`]).
+///
+/// Every check on the inputs runs before the first event, and a
+/// rejection is a [`SimError`], never a panic.
+pub fn run<P: Probe>(
     net: &Network,
     routing: &Routing,
     cfg: SimConfig,
     pattern: TrafficPattern,
     spec: RunSpec,
     probe: P,
-) -> (SimReport, P) {
-    Simulator::with_probe(
-        net,
-        routing,
-        cfg,
-        pattern,
-        spec.offered_load,
-        spec.sim_time_ns,
-        spec.warmup_ns,
-        probe,
-    )
-    .run_observed()
+) -> Result<(SimReport, P), SimError> {
+    Simulator::build(net, routing, cfg, pattern, spec, probe)?.run_pattern()
+}
+
+/// Drive a message-level workload (see [`Workload`]) to completion,
+/// observed by `probe`, and report per-message latency, per-group
+/// completion times, and node skew. Checked like [`run`], plus the
+/// workload's own checks; a workload that cannot complete on the fabric
+/// is a [`SimError::InvalidWorkload`].
+pub fn run_workload<P: Probe>(
+    net: &Network,
+    routing: &Routing,
+    cfg: SimConfig,
+    wl: &Workload,
+    probe: P,
+) -> Result<(WorkloadReport, P), SimError> {
+    Simulator::build_workload(net, routing, cfg, wl, probe)?.run_to_completion()
 }
 
 // The shared scoped thread pool now lives in the topology crate, where the
@@ -97,7 +75,8 @@ pub use ibfat_topology::par_map_indexed;
 /// since a point's cost rises with its load — so the pool's
 /// self-scheduling starts the long runs first and fills in with the
 /// short ones (longest-processing-time order). The dispatch order never
-/// reaches the reports: each is exactly its point's [`run_once`].
+/// reaches the reports: each is exactly its point's [`run`]. The first
+/// point (in `loads` order) that fails fails the sweep.
 pub fn sweep(
     net: &Network,
     routing: &Routing,
@@ -105,14 +84,15 @@ pub fn sweep(
     pattern: &TrafficPattern,
     loads: &[f64],
     sim_time_ns: u64,
-) -> Vec<SimReport> {
+) -> Result<Vec<SimReport>, SimError> {
     let mut order: Vec<usize> = (0..loads.len()).collect();
     order.sort_by(|&a, &b| loads[b].total_cmp(&loads[a]));
     let reports = par_map_indexed(&order, |_, &i| {
         let spec = RunSpec::new(loads[i], sim_time_ns);
-        run_once(net, routing, cfg.clone(), pattern.clone(), spec)
+        Ok(run(net, routing, cfg.clone(), pattern.clone(), spec, NoopProbe)?.0)
     });
-    let mut by_input: Vec<(usize, SimReport)> = order.into_iter().zip(reports).collect();
+    let mut by_input: Vec<(usize, Result<SimReport, SimError>)> =
+        order.into_iter().zip(reports).collect();
     by_input.sort_unstable_by_key(|&(i, _)| i);
     by_input.into_iter().map(|(_, r)| r).collect()
 }
@@ -137,7 +117,8 @@ mod tests {
             &TrafficPattern::Uniform,
             &loads,
             50_000,
-        );
+        )
+        .unwrap();
         assert_eq!(reports.len(), 3);
         for (r, l) in reports.iter().zip(loads) {
             assert!((r.offered_load - l).abs() < 1e-12);
@@ -159,23 +140,26 @@ mod tests {
         let cfg = SimConfig::paper(2);
         let pattern = TrafficPattern::Uniform;
         let loads = [0.3, 0.9, 0.1, 0.6];
-        let reports = sweep(&net, &routing, cfg.clone(), &pattern, &loads, 40_000);
+        let reports = sweep(&net, &routing, cfg.clone(), &pattern, &loads, 40_000).unwrap();
         assert_eq!(reports.len(), loads.len());
         for (report, load) in reports.into_iter().zip(loads) {
-            let alone = run_once(
+            let (alone, _) = run(
                 &net,
                 &routing,
                 cfg.clone(),
                 pattern.clone(),
                 RunSpec::new(load, 40_000),
-            );
+                NoopProbe,
+            )
+            .unwrap();
             assert_eq!(without_wall_clock(report), without_wall_clock(alone));
         }
     }
 }
 
 /// Run the same operating point under several seeds (in parallel) —
-/// replication for confidence intervals.
+/// replication for confidence intervals. The first seed's failure (in
+/// `seeds` order) fails the replication.
 pub fn replicate(
     net: &Network,
     routing: &Routing,
@@ -183,12 +167,14 @@ pub fn replicate(
     pattern: &TrafficPattern,
     spec: RunSpec,
     seeds: &[u64],
-) -> Vec<SimReport> {
+) -> Result<Vec<SimReport>, SimError> {
     par_map_indexed(seeds, |_, &seed| {
         let mut cfg = cfg.clone();
         cfg.seed = seed;
-        run_once(net, routing, cfg, pattern.clone(), spec)
+        Ok(run(net, routing, cfg, pattern.clone(), spec, NoopProbe)?.0)
     })
+    .into_iter()
+    .collect()
 }
 
 /// Mean and sample standard deviation over replicated runs.
@@ -253,7 +239,8 @@ mod replication_tests {
             &TrafficPattern::Uniform,
             RunSpec::new(0.5, 80_000),
             &[1, 2, 3, 4],
-        );
+        )
+        .unwrap();
         assert_eq!(reports.len(), 4);
         let agg = aggregate(&reports);
         assert_eq!(agg.n, 4);

@@ -33,7 +33,7 @@ use crate::probe::{NoopProbe, Phase, Probe};
 use crate::trace::{PacketTrace, TraceEvent};
 use crate::vlarb::VlArbiter;
 use crate::{
-    InjectionProcess, PathSelection, RouteBackend, SimConfig, SimError, TrafficPattern,
+    InjectionProcess, PathSelection, RouteBackend, RunSpec, SimConfig, SimError, TrafficPattern,
     VlAssignment,
 };
 use ibfat_routing::{RouteOracle, Routing};
@@ -294,8 +294,8 @@ pub struct Simulator<'a, P: Probe = NoopProbe> {
     /// `None` in pattern mode — the hot-path hooks cost one branch.
     pub(crate) wl: Option<Box<crate::workload::WlState>>,
     /// First engine-invariant violation observed during dispatch (release
-    /// builds; debug builds assert instead). Checked by the run loops,
-    /// which abort and surface it through the `try_run_*` entry points.
+    /// builds; debug builds assert instead). Checked by the event loop,
+    /// which aborts the run and returns it.
     pub(crate) invariant_err: Option<SimError>,
     /// Live fault-injection state; `None` when the config carries no
     /// fault plan, so the subsystem costs one branch on the hot paths.
@@ -304,80 +304,111 @@ pub struct Simulator<'a, P: Probe = NoopProbe> {
     pub(crate) probe: P,
 }
 
-impl<'a> Simulator<'a> {
-    /// Build an unprobed simulator. `offered_load` is normalized to the
-    /// injection link bandwidth (`1.0` = one packet every
-    /// `packet_time_ns`).
-    ///
-    /// # Panics
-    /// Panics on invalid configuration or a subnet with fewer than two
-    /// nodes.
-    pub fn new(
+impl<'a, P: Probe> Simulator<'a, P> {
+    /// Build the engine for one run, observed by `probe`. Every caller
+    /// input is checked here, before anything is allocated or
+    /// scheduled: the configuration, the offered load and horizon, the
+    /// routing's fit to the network, the traffic pattern and the fault
+    /// plan. A rejection is a [`SimError`], never a panic.
+    pub(crate) fn build(
         net: &Network,
         routing: &'a Routing,
         cfg: SimConfig,
         pattern: TrafficPattern,
-        offered_load: f64,
-        sim_time_ns: Time,
-        warmup_ns: Time,
-    ) -> Simulator<'a> {
-        Simulator::with_probe(
-            net,
-            routing,
-            cfg,
-            pattern,
+        spec: RunSpec,
+        probe: P,
+    ) -> Result<Simulator<'a, P>, SimError> {
+        let RunSpec {
             offered_load,
             sim_time_ns,
             warmup_ns,
-            NoopProbe,
-        )
-    }
-}
-
-impl<'a, P: Probe> Simulator<'a, P> {
-    /// Build a simulator observed by `probe` (see [`Probe`]); retrieve
-    /// the probe with [`run_observed`](Simulator::run_observed).
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_probe(
-        net: &Network,
-        routing: &'a Routing,
-        cfg: SimConfig,
-        pattern: TrafficPattern,
-        offered_load: f64,
-        sim_time_ns: Time,
-        warmup_ns: Time,
-        probe: P,
-    ) -> Simulator<'a, P> {
-        cfg.validate().expect("invalid simulator configuration");
-        if let Err(e) = pattern.validate(net.num_nodes() as u32) {
-            panic!("{e}");
+        } = spec;
+        let invalid = |msg: String| Err(SimError::InvalidConfig(msg));
+        cfg.validate()?;
+        if !(offered_load > 0.0 && offered_load.is_finite()) {
+            return invalid(format!(
+                "offered load must be positive and finite, got {offered_load}"
+            ));
         }
-        assert!(net.num_nodes() >= 2, "need at least two nodes");
-        assert!(warmup_ns < sim_time_ns, "warm-up must end before the run");
+        if warmup_ns >= sim_time_ns {
+            return invalid(format!(
+                "warm-up ({warmup_ns} ns) must end before the run ({sim_time_ns} ns)"
+            ));
+        }
+        let params = net.params();
+        if routing.params() != params || routing.lfts().len() != net.num_switches() {
+            return invalid(format!(
+                "the routing was built for {} but the network is {params}",
+                routing.params()
+            ));
+        }
+        let oracle = match cfg.route_backend {
+            RouteBackend::Table => None,
+            RouteBackend::Oracle => Some(RouteOracle::for_routing(routing).ok_or_else(|| {
+                SimError::InvalidConfig(
+                    "the oracle route backend supports only the SLID/MLID schemes \
+                     (up*/down* has no closed-form route)"
+                        .into(),
+                )
+            })?),
+        };
+        if cfg.adaptive_up || oracle.is_some() {
+            let intact = (0..net.num_switches()).all(|sw| {
+                net.switch(ibfat_topology::SwitchId(sw as u32))
+                    .peers()
+                    .count()
+                    == params.m() as usize
+            });
+            // The oracle reproduces *pristine* tables; fault-repaired
+            // routings deviate from the closed form, so degraded fabrics
+            // must use the table backend.
+            if !intact && oracle.is_some() {
+                return invalid(
+                    "the oracle route backend requires an intact fabric (repaired \
+                     routings deviate from the closed-form tables)"
+                        .into(),
+                );
+            }
+            if !intact && cfg.adaptive_up {
+                return invalid("adaptive upward routing requires an intact fabric".into());
+            }
+        }
+        pattern.validate(net.num_nodes() as u32)?;
+        // Fault-injection state: the plan compiles eagerly against the
+        // full tables (`validate` already demanded the table backend).
+        let faults = if cfg.faults.is_empty() {
+            None
+        } else {
+            let runtime = std::sync::Arc::new(crate::faults::compile(net, routing, &cfg.faults)?);
+            Some(Box::new(crate::faults::FaultState::new(
+                net,
+                &cfg.faults,
+                runtime,
+            )))
+        };
+
         let num_vls = cfg.num_vls as usize;
         let cap = cfg.buffer_packets;
         let arb_table = cfg.vl_arbitration.table(cfg.num_vls);
 
-        let route = match cfg.route_backend {
-            RouteBackend::Table => {
+        let route = match oracle {
+            Some(oracle) => RouteState::Oracle(oracle),
+            None => {
                 // One contiguous stride-indexed buffer across all
                 // switches, each row a verbatim copy of the switch's LFT.
                 let stride = routing.lid_space().max_lid().index() + 1;
                 let mut lft = Vec::with_capacity(net.num_switches() * stride);
-                for sw in 0..net.num_switches() {
-                    let row = routing.lft(ibfat_topology::SwitchId(sw as u32)).as_bytes();
-                    assert_eq!(row.len(), stride, "LFT {sw} does not span the LID space");
+                for (sw, table) in routing.lfts().iter().enumerate() {
+                    let row = table.as_bytes();
+                    if row.len() != stride {
+                        return invalid(format!("LFT {sw} does not span the LID space"));
+                    }
                     lft.extend_from_slice(row);
                 }
                 RouteState::Table { lft, stride }
             }
-            RouteBackend::Oracle => RouteState::Oracle(
-                RouteOracle::for_routing(routing)
-                    .expect("oracle route backend supports only the SLID/MLID schemes"),
-            ),
         };
 
-        let params = net.params();
         let up_ports_from: Vec<u8> = (0..net.num_switches())
             .map(|sw| {
                 let label = ibfat_topology::SwitchLabel::from_id(
@@ -391,27 +422,6 @@ impl<'a, P: Probe> Simulator<'a, P> {
                 }
             })
             .collect();
-        if cfg.adaptive_up || cfg.route_backend == RouteBackend::Oracle {
-            let intact = (0..net.num_switches()).all(|sw| {
-                net.switch(ibfat_topology::SwitchId(sw as u32))
-                    .peers()
-                    .count()
-                    == params.m() as usize
-            });
-            if cfg.adaptive_up {
-                assert!(intact, "adaptive upward routing requires an intact fabric");
-            }
-            if cfg.route_backend == RouteBackend::Oracle {
-                // The oracle reproduces *pristine* tables; fault-repaired
-                // routings deviate from the closed form, so degraded
-                // fabrics must use the table backend.
-                assert!(
-                    intact,
-                    "oracle route backend requires an intact fabric (repaired \
-                     routings deviate from the closed-form tables)"
-                );
-            }
-        }
 
         // Every per-(port, VL) ring is sized from the topology: buffers
         // hold at most `cap` packets, and at most `m` inputs can wait on
@@ -494,14 +504,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
             .collect();
         let node_lanes = nodes.len() * num_vls;
 
-        // Fault-injection state: the plan compiles eagerly against the
-        // full tables (`validate` already demanded the table backend).
-        let faults = (!cfg.faults.is_empty()).then(|| {
-            let runtime = std::sync::Arc::new(crate::faults::compile(net, routing, &cfg.faults));
-            Box::new(crate::faults::FaultState::new(net, &cfg.faults, runtime))
-        });
-
-        Simulator {
+        Ok(Simulator {
             pkt_ns: cfg.packet_time_ns(),
             fly: cfg.fly_time_ns,
             route_ns: cfg.routing_time_ns,
@@ -547,38 +550,27 @@ impl<'a, P: Probe> Simulator<'a, P> {
             faults,
             cfg,
             probe,
-        }
+        })
     }
 }
 
 impl<'a, P: Probe> Simulator<'a, P> {
-    /// Run to completion and produce the report.
-    ///
-    /// # Panics
-    /// Panics if an engine invariant is violated mid-run; use
-    /// [`try_run`](Simulator::try_run) to get a [`SimError`] instead.
-    pub fn run(self) -> SimReport {
-        self.run_observed().0
-    }
-
-    /// Run to completion; return the report and the probe with whatever
-    /// it observed. Panics like [`run`](Simulator::run).
-    pub fn run_observed(self) -> (SimReport, P) {
-        self.try_run_observed().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Run to completion, surfacing engine-invariant violations as a
-    /// [`SimError::EngineInvariant`] instead of panicking.
-    pub fn try_run(self) -> Result<SimReport, SimError> {
-        Ok(self.try_run_observed()?.0)
-    }
-
-    /// Fallible twin of [`run_observed`](Simulator::run_observed).
-    pub fn try_run_observed(mut self) -> Result<(SimReport, P), SimError> {
+    /// Run a pattern-mode simulator to its horizon and produce the
+    /// report and the probe.
+    pub(crate) fn run_pattern(mut self) -> Result<(SimReport, P), SimError> {
         let wall_start = std::time::Instant::now();
         self.prime_injections();
         self.schedule_fault_events();
+        self.drive()?;
+        let wall = wall_start.elapsed().as_secs_f64();
+        Ok(self.report(wall))
+    }
 
+    /// The event loop of both run modes: dispatch events in time order
+    /// until the calendar drains or reaches the horizon (workload runs
+    /// set an unreachable one), stopping at the first engine-invariant
+    /// violation.
+    pub(crate) fn drive(&mut self) -> Result<(), SimError> {
         while let Some((t, ev)) = self.queue.pop() {
             if t >= self.sim_time_ns {
                 break;
@@ -604,8 +596,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
         if P::COUNTERS || P::TIMING {
             self.probe.finish(self.now);
         }
-        let wall = wall_start.elapsed().as_secs_f64();
-        Ok(self.report(wall))
+        Ok(())
     }
 
     /// Prime every node with a randomly phased first injection so the
@@ -1565,7 +1556,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
 }
 
 /// Classify an event by the pipeline stage it advances (self-profiling).
-pub(crate) fn phase_of(ev: &Ev) -> Phase {
+fn phase_of(ev: &Ev) -> Phase {
     match ev {
         Ev::Inject { .. } | Ev::TryNodeSend { .. } | Ev::CreditToNode { .. } | Ev::WlArm { .. } => {
             Phase::Generation
@@ -1603,7 +1594,20 @@ mod tests {
             buffer_packets: 3,
             ..SimConfig::default()
         };
-        let mut sim = Simulator::new(&net, &routing, cfg, TrafficPattern::Uniform, 0.1, 1_000, 0);
+        let spec = RunSpec {
+            offered_load: 0.1,
+            sim_time_ns: 1_000,
+            warmup_ns: 0,
+        };
+        let mut sim = Simulator::build(
+            &net,
+            &routing,
+            cfg,
+            TrafficPattern::Uniform,
+            spec,
+            NoopProbe,
+        )
+        .unwrap();
         for _ in 0..4 {
             let pkt = sim.slab.insert(Packet {
                 src: 0,
@@ -1637,7 +1641,12 @@ mod tests {
                 ..SimConfig::paper(4)
             };
             let pattern = TrafficPattern::paper_centric();
-            let mut sim = Simulator::new(&net, &routing, cfg, pattern, 1.0, 20_000, 0);
+            let spec = RunSpec {
+                offered_load: 1.0,
+                sim_time_ns: 20_000,
+                warmup_ns: 0,
+            };
+            let mut sim = Simulator::build(&net, &routing, cfg, pattern, spec, NoopProbe).unwrap();
             let num_vls = sim.num_vls;
             let mut starved = vec![false; sim.ports.len() * num_vls];
             let (mut starvations, mut returns) = (0, 0);

@@ -26,7 +26,7 @@ use crate::engine::{ChainClass, Time};
 use crate::packet::{Packet, PacketId};
 use crate::probe::Probe;
 use crate::sim::{Ev, Simulator};
-use crate::{PathSelection, SimError, TrafficPattern, VlAssignment};
+use crate::{PathSelection, RunSpec, SimError, TrafficPattern, VlAssignment};
 use ibfat_routing::Routing;
 use ibfat_topology::Network;
 pub use ibfat_workload::{MessageTiming, Workload, WorkloadReport};
@@ -80,13 +80,52 @@ const PATH_STREAM: u64 = 0x7061_7468; // "path"
 const VL_STREAM: u64 = 0x766C_616E; // "vlan"
 
 impl<'a, P: Probe> Simulator<'a, P> {
-    /// Install a workload, checking it against the fabric and the
-    /// configuration. Panics with the underlying [`SimError`] on
-    /// mismatch (validate up front with [`Workload::validate`] plus
-    /// [`wl_check`] for a non-panicking answer).
-    pub(crate) fn wl_install(&mut self, wl: &Workload) {
-        if let Err(e) = wl_check(wl, self.nodes.len() as u32, self.cfg.trace_first_packets) {
-            panic!("{e}");
+    /// Install a workload, checking it against the fabric, the
+    /// configuration and the fault plan.
+    fn wl_install(&mut self, wl: &Workload) -> Result<(), SimError> {
+        wl.validate().map_err(SimError::InvalidWorkload)?;
+        let num_nodes = self.nodes.len() as u32;
+        if wl.num_nodes != num_nodes {
+            return Err(SimError::InvalidWorkload(format!(
+                "workload addresses {} nodes but the fabric has {num_nodes}",
+                wl.num_nodes
+            )));
+        }
+        if self.cfg.trace_first_packets != 0 {
+            return Err(SimError::InvalidWorkload(
+                "flight recording (trace_first_packets) is not supported in workload mode".into(),
+            ));
+        }
+        for (id, m) in wl.messages.iter().enumerate() {
+            for node in [m.src, m.dst] {
+                if !self.nodes[node.index()].active {
+                    return Err(SimError::InvalidWorkload(format!(
+                        "message {id}: {node}'s endport is uncabled, so the message \
+                         can never complete"
+                    )));
+                }
+            }
+        }
+        // A workload must complete every message, so faults may only
+        // stall traffic, never lose it: the drop policy and switch kills
+        // (which drop on arrival and silence attached nodes) would leave
+        // the DAG permanently incomplete.
+        if !self.cfg.faults.is_empty() {
+            if !matches!(self.cfg.faults.policy, crate::FaultPolicy::Stall) {
+                return Err(SimError::InvalidFaultPlan(
+                    "workload runs require FaultPolicy::Stall (drops would stall the DAG)".into(),
+                ));
+            }
+            if self.cfg.faults.events.iter().any(|e| {
+                matches!(
+                    e.action,
+                    crate::FaultAction::KillSwitch(_) | crate::FaultAction::ReviveSwitch(_)
+                )
+            }) {
+                return Err(SimError::InvalidFaultPlan(
+                    "workload runs support link faults only (switch kills lose packets)".into(),
+                ));
+            }
         }
         let n_msgs = wl.messages.len();
         let pkt_bytes = u64::from(self.cfg.packet_bytes).max(1);
@@ -95,10 +134,6 @@ impl<'a, P: Probe> Simulator<'a, P> {
         let mut roots_by_node: Vec<Vec<u32>> = vec![Vec::new(); self.nodes.len()];
         let mut pkts = Vec::with_capacity(n_msgs);
         for (id, m) in wl.messages.iter().enumerate() {
-            assert!(
-                self.nodes[m.src.index()].active && self.nodes[m.dst.index()].active,
-                "workload message {id} uses a disconnected node"
-            );
             pkts.push(m.bytes.div_ceil(pkt_bytes) as u32);
             if m.deps.is_empty() {
                 pending[id] = 1;
@@ -129,6 +164,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
             completed: 0,
             wl_msg: Vec::new(),
         }));
+        Ok(())
     }
 
     /// One dependency of `msg` satisfied; on the last one, segment the
@@ -232,117 +268,31 @@ impl<'a, P: Probe> Simulator<'a, P> {
     }
 }
 
-/// Validate a workload against a fabric of `num_nodes` nodes and the
-/// configuration knobs workload mode constrains.
-pub(crate) fn wl_check(
-    wl: &Workload,
-    num_nodes: u32,
-    trace_first_packets: u32,
-) -> Result<(), SimError> {
-    wl.validate().map_err(SimError::InvalidWorkload)?;
-    if wl.num_nodes != num_nodes {
-        return Err(SimError::InvalidWorkload(format!(
-            "workload addresses {} nodes but the fabric has {num_nodes}",
-            wl.num_nodes
-        )));
-    }
-    if trace_first_packets != 0 {
-        return Err(SimError::InvalidWorkload(
-            "flight recording (trace_first_packets) is not supported in workload mode".into(),
-        ));
-    }
-    Ok(())
-}
-
-impl<'a> Simulator<'a> {
-    /// Build an unprobed simulator that drives `wl` to completion
-    /// (see [`run_workload`](Simulator::run_workload)). Workload runs
-    /// have no horizon or warm-up: every message's full lifecycle is
-    /// measured.
-    pub fn for_workload(
-        net: &Network,
-        routing: &'a Routing,
-        cfg: crate::SimConfig,
-        wl: &Workload,
-    ) -> Simulator<'a> {
-        Simulator::for_workload_observed(net, routing, cfg, wl, crate::NoopProbe)
-    }
-}
-
-/// A workload must complete every message, so faults may only stall
-/// traffic, never lose it: the drop policy and switch kills (which drop
-/// on arrival and silence attached nodes) would leave the DAG
-/// permanently incomplete.
-fn check_workload_faults(cfg: &crate::SimConfig) {
-    if cfg.faults.is_empty() {
-        return;
-    }
-    assert!(
-        matches!(cfg.faults.policy, crate::FaultPolicy::Stall),
-        "workload runs require FaultPolicy::Stall (drops would stall the DAG)"
-    );
-    assert!(
-        !cfg.faults.events.iter().any(|e| matches!(
-            e.action,
-            crate::FaultAction::KillSwitch(_) | crate::FaultAction::ReviveSwitch(_)
-        )),
-        "workload runs support link faults only (switch kills lose packets)"
-    );
-}
-
 impl<'a, P: Probe> Simulator<'a, P> {
-    /// Build a probed workload simulator; retrieve the probe with
-    /// [`run_workload_observed`](Simulator::run_workload_observed).
-    pub fn for_workload_observed(
+    /// Build the engine for a workload run: [`Simulator::build`] with an
+    /// unreachable horizon and no warm-up (every message's full
+    /// lifecycle is measured), then the workload's own checks.
+    pub(crate) fn build_workload(
         net: &Network,
         routing: &'a Routing,
         cfg: crate::SimConfig,
         wl: &Workload,
         probe: P,
-    ) -> Simulator<'a, P> {
-        check_workload_faults(&cfg);
-        let mut sim = Simulator::with_probe(
-            net,
-            routing,
-            cfg,
-            TrafficPattern::Uniform, // unused: workload mode never samples
-            1.0,
-            WL_HORIZON,
-            0,
-            probe,
-        );
-        sim.wl_install(wl);
-        sim
+    ) -> Result<Simulator<'a, P>, SimError> {
+        let spec = RunSpec {
+            offered_load: 1.0,
+            sim_time_ns: WL_HORIZON,
+            warmup_ns: 0,
+        };
+        // The pattern is unused: workload mode never samples.
+        let mut sim = Simulator::build(net, routing, cfg, TrafficPattern::Uniform, spec, probe)?;
+        sim.wl_install(wl)?;
+        Ok(sim)
     }
 
-    /// Drive the workload to completion and report.
-    ///
-    /// # Panics
-    /// Panics if an engine invariant is violated mid-run; use
-    /// [`try_run_workload`](Simulator::try_run_workload) for a
-    /// [`SimError`] instead.
-    pub fn run_workload(self) -> WorkloadReport {
-        self.run_workload_observed().0
-    }
-
-    /// Drive the workload to completion; return the report and the
-    /// probe. Panics like [`run_workload`](Simulator::run_workload).
-    pub fn run_workload_observed(self) -> (WorkloadReport, P) {
-        self.try_run_workload_observed()
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`run_workload`](Simulator::run_workload).
-    pub fn try_run_workload(self) -> Result<WorkloadReport, SimError> {
-        Ok(self.try_run_workload_observed()?.0)
-    }
-
-    /// Fallible twin of
-    /// [`run_workload_observed`](Simulator::run_workload_observed).
-    /// Unlike [`run_observed`](Simulator::run_observed), the loop has no
-    /// horizon: it ends when the calendar drains, which (absent drops)
-    /// is exactly when the last message completes.
-    pub fn try_run_workload_observed(mut self) -> Result<(WorkloadReport, P), SimError> {
+    /// Drive the installed workload until the calendar drains, which
+    /// (absent drops) is exactly when the last message completes.
+    pub(crate) fn run_to_completion(mut self) -> Result<(WorkloadReport, P), SimError> {
         // Prime the DAG roots node-major (per node, ascending id).
         let wl = self.wl.as_ref().expect("no workload installed");
         let mut prime: Vec<(u32, u32)> = Vec::new();
@@ -355,51 +305,55 @@ impl<'a, P: Probe> Simulator<'a, P> {
             self.queue.schedule(0, Ev::WlArm { node, msg });
         }
         self.schedule_fault_events();
+        self.drive()?;
+        self.wl_finish()
+    }
 
-        while let Some((t, ev)) = self.queue.pop() {
-            debug_assert!(t >= self.now, "time went backwards");
-            self.now = t;
-            self.events_processed += 1;
-            if P::COUNTERS {
-                self.probe.tick(t, self.slab.live());
-            }
-            if P::TIMING {
-                let phase = crate::sim::phase_of(&ev);
-                let t0 = std::time::Instant::now();
-                self.dispatch(ev);
-                self.probe.phase_time(phase, t0.elapsed().as_nanos() as u64);
-            } else {
-                self.dispatch(ev);
-            }
-            if let Some(err) = self.invariant_err.take() {
-                return Err(err);
-            }
-        }
-        if P::COUNTERS || P::TIMING {
-            self.probe.finish(self.now);
-        }
-        Ok(self.wl_finish())
+    /// Build a probed workload simulator; run it with
+    /// [`run_workload_observed`](Simulator::run_workload_observed).
+    ///
+    /// # Panics
+    /// Panics with the [`SimError`]'s text where [`crate::run_workload`]
+    /// returns it.
+    pub fn for_workload_observed(
+        net: &Network,
+        routing: &'a Routing,
+        cfg: crate::SimConfig,
+        wl: &Workload,
+        probe: P,
+    ) -> Simulator<'a, P> {
+        Simulator::build_workload(net, routing, cfg, wl, probe).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Drive the workload to completion; return the report and the
+    /// probe.
+    ///
+    /// # Panics
+    /// Panics with the [`SimError`]'s text where [`crate::run_workload`]
+    /// returns it.
+    pub fn run_workload_observed(self) -> (WorkloadReport, P) {
+        self.run_to_completion().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Close out a drained workload run: every message must have
     /// completed (a drained calendar with missing completions means the
     /// fabric dropped packets — unroutable under a degraded LFT).
-    fn wl_finish(mut self) -> (WorkloadReport, P) {
+    fn wl_finish(mut self) -> Result<(WorkloadReport, P), SimError> {
         let wl = self.wl.take().expect("no workload installed");
-        assert_eq!(
-            wl.completed,
-            wl.wl.messages.len() as u64,
-            "workload stalled: {} of {} messages completed ({} packets dropped in the fabric)",
-            wl.completed,
-            wl.wl.messages.len(),
-            self.dropped
-        );
+        if wl.completed != wl.wl.messages.len() as u64 {
+            return Err(SimError::InvalidWorkload(format!(
+                "workload stalled: {} of {} messages completed ({} packets dropped in the fabric)",
+                wl.completed,
+                wl.wl.messages.len(),
+                self.dropped
+            )));
+        }
         let report = WorkloadReport::build(
             &wl.wl,
             wl.timings,
             u64::from(self.cfg.packet_bytes),
             self.events_processed,
         );
-        (report, self.probe)
+        Ok((report, self.probe))
     }
 }

@@ -1,7 +1,7 @@
 //! Behavioural checks of the weighted VL arbitration at the fabric level.
 
 use ibfat_routing::{Routing, RoutingKind};
-use ibfat_sim::{run_once, RunSpec, SimConfig, TrafficPattern, VlArbitration, VlAssignment};
+use ibfat_sim::{run, NoopProbe, RunSpec, SimConfig, TrafficPattern, VlArbitration, VlAssignment};
 use ibfat_topology::{Network, NodeId, TreeParams};
 
 fn fabric() -> (Network, Routing) {
@@ -20,13 +20,16 @@ fn weighted_table_biases_service() {
         let mut cfg = SimConfig::paper(2);
         cfg.vl_arbitration = arb;
         cfg.vl_assignment = VlAssignment::SourceHash; // node 0 -> VL 0, node 1 -> VL 1
-        run_once(
+        run(
             &net,
             &routing,
             cfg,
             TrafficPattern::Uniform,
             RunSpec::new(1.0, 500_000),
+            NoopProbe,
         )
+        .unwrap()
+        .0
     };
     // Both nodes saturate the shared return path through the switch; the
     // switch's egress ports serve both directions so the weighting acts
@@ -53,13 +56,16 @@ fn weighted_arbitration_is_work_conserving_under_hotspot() {
         let mut cfg = SimConfig::paper(4);
         cfg.vl_arbitration = arb;
         cfg.vl_assignment = VlAssignment::DestinationHash;
-        run_once(
+        run(
             &net,
             &routing,
             cfg,
             TrafficPattern::paper_centric(),
             RunSpec::new(0.6, 300_000),
+            NoopProbe,
         )
+        .unwrap()
+        .0
     };
     let rr = run(VlArbitration::RoundRobin);
     // Hot node 0 hashes to VL 0; starve-ish it with weight 1 vs 8.
@@ -89,13 +95,16 @@ fn invalid_arbitration_tables_are_rejected() {
     let mut cfg = SimConfig::paper(2);
     cfg.vl_arbitration = VlArbitration::Weighted(vec![(0, 1)]); // VL 1 starved
     let result = std::panic::catch_unwind(|| {
-        run_once(
+        run(
             &net,
             &routing,
             cfg,
             TrafficPattern::Uniform,
             RunSpec::new(0.1, 10_000),
+            NoopProbe,
         )
+        .unwrap()
+        .0
     });
     assert!(result.is_err(), "starving table must fail validation");
     let _ = NodeId(0);

@@ -8,7 +8,7 @@
 
 use ibfat_routing::{Routing, RoutingKind};
 use ibfat_sim::{
-    run_once, ChainClass, ChainQueue, HeapCalendar, RunSpec, SimConfig, TrafficPattern,
+    run, ChainClass, ChainQueue, HeapCalendar, NoopProbe, RunSpec, SimConfig, TrafficPattern,
 };
 use ibfat_topology::{Network, TreeParams};
 use proptest::prelude::*;
@@ -209,13 +209,16 @@ fn ft43_uniform_report_is_pinned() {
         trace_first_packets: 32,
         ..SimConfig::default()
     };
-    let report = run_once(
+    let report = run(
         &net,
         &routing,
         cfg,
         TrafficPattern::Uniform,
         RunSpec::new(0.4, 60_000),
-    );
+        NoopProbe,
+    )
+    .unwrap()
+    .0;
     let got = (
         report.events_processed,
         report.total_generated,

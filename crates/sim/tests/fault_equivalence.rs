@@ -9,8 +9,8 @@
 
 use ibfat_routing::{Routing, RoutingKind};
 use ibfat_sim::{
-    disruption_report, generators, run_once, run_workload, FaultAction, FaultEvent, FaultPlan,
-    FaultPolicy, RunSpec, SimConfig, SimReport, TrafficPattern,
+    disruption_report, generators, run, run_workload, FaultAction, FaultEvent, FaultPlan,
+    FaultPolicy, NoopProbe, RunSpec, SimConfig, SimReport, TrafficPattern,
 };
 use ibfat_topology::{Network, TreeParams};
 use proptest::prelude::*;
@@ -92,17 +92,17 @@ proptest! {
             ..SimConfig::default()
         };
         let spec = RunSpec::new(0.5, 30_000);
-        let seq = normalized(run_once(
-            &net, &routing, cfg.clone(), TrafficPattern::Uniform, spec,
-        ));
+        let seq = normalized(run(
+            &net, &routing, cfg.clone(), TrafficPattern::Uniform, spec, NoopProbe,
+        ).unwrap().0);
         prop_assert!(seq.delivered > 0, "the faulted run must carry traffic");
         assert_conserved(&seq);
         if policy == FaultPolicy::Stall {
             prop_assert_eq!(seq.fault_lost, 0, "the lossless policy must not drop");
         }
-        let again = normalized(run_once(
-            &net, &routing, cfg, TrafficPattern::Uniform, spec,
-        ));
+        let again = normalized(run(
+            &net, &routing, cfg, TrafficPattern::Uniform, spec, NoopProbe,
+        ).unwrap().0);
         prop_assert_eq!(&again, &seq, "a faulted run must reproduce per seed");
     }
 }
@@ -125,13 +125,18 @@ fn pinned_link_kill_disruption() {
         ..SimConfig::default()
     };
     let spec = RunSpec::new(0.7, 60_000);
-    let seq = normalized(run_once(
-        &net,
-        &routing,
-        cfg.clone(),
-        TrafficPattern::Uniform,
-        spec,
-    ));
+    let seq = normalized(
+        run(
+            &net,
+            &routing,
+            cfg.clone(),
+            TrafficPattern::Uniform,
+            spec,
+            NoopProbe,
+        )
+        .unwrap()
+        .0,
+    );
     assert!(
         seq.fault_lost > 0,
         "a dead cable under load must drop packets"
@@ -162,13 +167,18 @@ fn pinned_stall_policy_rescues_parked_heads() {
         ..SimConfig::default()
     };
     let spec = RunSpec::new(0.7, 60_000);
-    let seq = normalized(run_once(
-        &net,
-        &routing,
-        cfg.clone(),
-        TrafficPattern::Uniform,
-        spec,
-    ));
+    let seq = normalized(
+        run(
+            &net,
+            &routing,
+            cfg.clone(),
+            TrafficPattern::Uniform,
+            spec,
+            NoopProbe,
+        )
+        .unwrap()
+        .0,
+    );
     assert_eq!(seq.fault_lost, 0, "the lossless policy must not drop");
     assert!(seq.fault_stalled > 0, "heads must park on the dead ports");
     assert!(
@@ -211,13 +221,18 @@ fn pinned_switch_kill_and_revive() {
         ..SimConfig::default()
     };
     let spec = RunSpec::new(0.6, 60_000);
-    let seq = normalized(run_once(
-        &net,
-        &routing,
-        cfg.clone(),
-        TrafficPattern::Uniform,
-        spec,
-    ));
+    let seq = normalized(
+        run(
+            &net,
+            &routing,
+            cfg.clone(),
+            TrafficPattern::Uniform,
+            spec,
+            NoopProbe,
+        )
+        .unwrap()
+        .0,
+    );
     assert!(seq.delivered > 0);
     assert_conserved(&seq);
     assert_eq!(pin(&seq), PIN_SWITCH_KILL);
@@ -243,7 +258,9 @@ fn workload_completes_through_link_failure() {
         ..SimConfig::default()
     };
     let wl = generators::allreduce_ring(nodes, 4096);
-    let seq = run_workload(&net, &routing, cfg.clone(), &wl);
+    let seq = run_workload(&net, &routing, cfg.clone(), &wl, NoopProbe)
+        .unwrap()
+        .0;
     assert_eq!(
         seq.messages as usize,
         wl.messages.len(),
@@ -268,23 +285,33 @@ fn empty_plan_is_inert() {
         seed: 11,
         ..SimConfig::default()
     };
-    let plain = normalized(run_once(
-        &net,
-        &routing,
-        base.clone(),
-        TrafficPattern::Uniform,
-        spec,
-    ));
-    let with_empty = normalized(run_once(
-        &net,
-        &routing,
-        SimConfig {
-            faults: FaultPlan::default(),
-            ..base
-        },
-        TrafficPattern::Uniform,
-        spec,
-    ));
+    let plain = normalized(
+        run(
+            &net,
+            &routing,
+            base.clone(),
+            TrafficPattern::Uniform,
+            spec,
+            NoopProbe,
+        )
+        .unwrap()
+        .0,
+    );
+    let with_empty = normalized(
+        run(
+            &net,
+            &routing,
+            SimConfig {
+                faults: FaultPlan::default(),
+                ..base
+            },
+            TrafficPattern::Uniform,
+            spec,
+            NoopProbe,
+        )
+        .unwrap()
+        .0,
+    );
     assert_eq!(with_empty, plain);
     assert_eq!(plain.fault_lost, 0);
     assert_eq!(plain.fault_stalled, 0);

@@ -9,7 +9,7 @@
 
 use ibfat_routing::{Routing, RoutingKind};
 use ibfat_sim::{
-    run_once, FaultAction, FaultEvent, FaultPlan, FaultPolicy, RunSpec, SimConfig, SimReport,
+    run, FaultAction, FaultEvent, FaultPlan, FaultPolicy, NoopProbe, RunSpec, SimConfig, SimReport,
     TrafficPattern, VlArbitration,
 };
 use ibfat_topology::{Network, TreeParams};
@@ -34,7 +34,16 @@ fn pin(r: &SimReport) -> Pin {
 fn ft43_run(cfg: SimConfig, pattern: TrafficPattern, load: f64) -> SimReport {
     let net = Network::mport_ntree(TreeParams::new(4, 3).expect("valid params"));
     let routing = Routing::build(&net, RoutingKind::Mlid);
-    run_once(&net, &routing, cfg, pattern, RunSpec::new(load, 40_000))
+    run(
+        &net,
+        &routing,
+        cfg,
+        pattern,
+        RunSpec::new(load, 40_000),
+        NoopProbe,
+    )
+    .unwrap()
+    .0
 }
 
 #[test]

@@ -4,8 +4,8 @@
 
 use ibfat_routing::{Routing, RoutingKind};
 use ibfat_sim::{
-    run_observed, run_once, FabricCounters, NoopProbe, PhaseProfile, RunSpec, SimConfig, SimReport,
-    TraceSampling, TrafficPattern,
+    run, FabricCounters, NoopProbe, PhaseProfile, RunSpec, SimConfig, SimReport, TraceSampling,
+    TrafficPattern,
 };
 use ibfat_topology::{Network, TreeParams};
 use proptest::prelude::*;
@@ -21,14 +21,15 @@ fn counters_obey_conservation_on_a_fault_free_fabric() {
     let cfg = SimConfig::paper(2);
     let bytes = u64::from(cfg.packet_bytes);
     for load in [0.1, 0.6] {
-        let (report, c) = run_observed(
+        let (report, c) = run(
             &net,
             &routing,
             cfg.clone(),
             TrafficPattern::Uniform,
             RunSpec::new(load, 300_000),
             FabricCounters::new(&net, cfg.num_vls),
-        );
+        )
+        .unwrap();
         let nodes = c.node_totals();
         let sw = c.switch_totals();
 
@@ -75,14 +76,15 @@ fn port_xmit_bytes_agree_with_link_utilization() {
     };
     let pkt_ns = cfg.packet_time_ns();
     let sim_time = 200_000u64;
-    let (report, c) = run_observed(
+    let (report, c) = run(
         &net,
         &routing,
         cfg.clone(),
         TrafficPattern::Uniform,
         RunSpec::new(0.5, sim_time),
         FabricCounters::new(&net, cfg.num_vls),
-    );
+    )
+    .unwrap();
     let links = report.link_utilization.as_ref().expect("stats enabled");
     let mut checked = 0;
     for link in links {
@@ -108,23 +110,34 @@ fn probed_run_is_bit_identical_to_unprobed() {
     let routing = Routing::build(&net, RoutingKind::Mlid);
     let cfg = SimConfig::paper(4);
     let spec = RunSpec::new(0.7, 150_000);
-    let plain = run_once(&net, &routing, cfg.clone(), TrafficPattern::Uniform, spec);
-    let (counted, _) = run_observed(
+    let plain = run(
+        &net,
+        &routing,
+        cfg.clone(),
+        TrafficPattern::Uniform,
+        spec,
+        NoopProbe,
+    )
+    .unwrap()
+    .0;
+    let (counted, _) = run(
         &net,
         &routing,
         cfg.clone(),
         TrafficPattern::Uniform,
         spec,
         FabricCounters::new(&net, cfg.num_vls).with_sampling(5_000, 4),
-    );
-    let (noop, _) = run_observed(
+    )
+    .unwrap();
+    let (noop, _) = run(
         &net,
         &routing,
         cfg,
         TrafficPattern::Uniform,
         spec,
         NoopProbe,
-    );
+    )
+    .unwrap();
     let mut a = plain;
     let mut b = counted;
     let mut c = noop;
@@ -144,14 +157,15 @@ fn phase_profile_accounts_for_every_event() {
     let net = net(4, 2);
     let routing = Routing::build(&net, RoutingKind::Mlid);
     let cfg = SimConfig::paper(2);
-    let (report, prof) = run_observed(
+    let (report, prof) = run(
         &net,
         &routing,
         cfg,
         TrafficPattern::Uniform,
         RunSpec::new(0.4, 100_000),
         PhaseProfile::new(),
-    );
+    )
+    .unwrap();
     assert_eq!(prof.total_events(), report.events_processed);
     // A steady simulation exercises all four phases.
     for (phase, _, events) in prof.rows() {
@@ -167,14 +181,15 @@ fn hot_spot_congestion_is_visible_in_xmit_wait() {
     let net = net(4, 2);
     let routing = Routing::build(&net, RoutingKind::Mlid);
     let cfg = SimConfig::paper(1);
-    let (report, c) = run_observed(
+    let (report, c) = run(
         &net,
         &routing,
         cfg.clone(),
         TrafficPattern::paper_centric(),
         RunSpec::new(0.8, 400_000),
         FabricCounters::new(&net, cfg.num_vls).with_sampling(20_000, 4),
-    );
+    )
+    .unwrap();
     assert!(report.delivered > 0);
     // Find the leaf port that feeds node 0 from the topology itself.
     use ibfat_topology::{DeviceRef, NodeId, PortNum};
@@ -238,9 +253,9 @@ proptest! {
         let pattern = TrafficPattern::Uniform;
         let spec = RunSpec::new(0.5, 25_000);
 
-        let plain = normalized(run_once(
-            &net, &routing, base.clone(), pattern.clone(), spec,
-        ));
+        let plain = normalized(run(
+            &net, &routing, base.clone(), pattern.clone(), spec, NoopProbe,
+        ).unwrap().0);
         prop_assert!(plain.traces.is_none());
 
         let recorded_cfg = SimConfig {
@@ -248,9 +263,9 @@ proptest! {
             trace_sampling: sampling,
             ..base
         };
-        let mut recorded = normalized(run_once(
-            &net, &routing, recorded_cfg, pattern, spec,
-        ));
+        let mut recorded = normalized(run(
+            &net, &routing, recorded_cfg, pattern, spec, NoopProbe,
+        ).unwrap().0);
         prop_assert!(recorded.traces.is_some(), "recording was on");
         recorded.traces = None;
         prop_assert_eq!(&recorded, &plain);

@@ -3,7 +3,7 @@
 
 use ibfat_routing::{Routing, RoutingKind};
 use ibfat_sim::{
-    bounds, run_once, InjectionProcess, PathSelection, RunSpec, SimConfig, TrafficPattern,
+    bounds, run, InjectionProcess, NoopProbe, PathSelection, RunSpec, SimConfig, TrafficPattern,
     VlAssignment,
 };
 use ibfat_topology::{Network, TreeParams};
@@ -92,13 +92,13 @@ proptest! {
         cfg.path_selection = c.selection;
         cfg.vl_assignment = c.assignment;
         let pattern = pattern_for(&c, params.num_nodes());
-        let report = run_once(
+        let report = run(
             &net,
             &routing,
             cfg.clone(),
             pattern,
-            RunSpec::new(c.load, 60_000),
-        );
+            RunSpec::new(c.load, 60_000), NoopProbe,
+        ).unwrap().0;
 
         // Conservation: nothing vanishes, nothing is double-counted.
         prop_assert_eq!(
@@ -134,8 +134,8 @@ proptest! {
         cfg.vl_assignment = c.assignment;
         let pattern = pattern_for(&c, params.num_nodes());
         let spec = RunSpec::new(c.load, 30_000);
-        let a = run_once(&net, &routing, cfg.clone(), pattern.clone(), spec);
-        let b = run_once(&net, &routing, cfg, pattern, spec);
+        let a = run(&net, &routing, cfg.clone(), pattern.clone(), spec, NoopProbe).unwrap().0;
+        let b = run(&net, &routing, cfg, pattern, spec, NoopProbe).unwrap().0;
         prop_assert_eq!(a.events_processed, b.events_processed);
         prop_assert_eq!(a.total_generated, b.total_generated);
         prop_assert_eq!(a.total_delivered, b.total_delivered);

@@ -11,7 +11,9 @@
 //! missing-entry drop path.
 
 use ibfat_routing::{Routing, RoutingKind};
-use ibfat_sim::{run_once, RouteBackend, RunSpec, SimConfig, SimReport, Simulator, TrafficPattern};
+use ibfat_sim::{
+    run, NoopProbe, RouteBackend, RunSpec, SimConfig, SimError, SimReport, TrafficPattern,
+};
 use ibfat_topology::{Network, TreeParams};
 use proptest::prelude::*;
 
@@ -44,12 +46,12 @@ proptest! {
         };
         let pattern = TrafficPattern::Uniform;
         let spec = RunSpec::new(load, 25_000);
-        let table = normalized(run_once(
-            &net, &routing, cfg(RouteBackend::Table), pattern.clone(), spec,
-        ));
-        let oracle = normalized(run_once(
-            &net, &routing, cfg(RouteBackend::Oracle), pattern.clone(), spec,
-        ));
+        let table = normalized(run(
+            &net, &routing, cfg(RouteBackend::Table), pattern.clone(), spec, NoopProbe,
+        ).unwrap().0);
+        let oracle = normalized(run(
+            &net, &routing, cfg(RouteBackend::Oracle), pattern.clone(), spec, NoopProbe,
+        ).unwrap().0);
         prop_assert_eq!(&oracle, &table, "backend divergence");
     }
 }
@@ -68,8 +70,22 @@ fn oracle_backend_matches_table_backend_on_ft16_3() {
             seed: 11,
             ..SimConfig::default()
         };
+        let spec = RunSpec {
+            offered_load: 0.2,
+            sim_time_ns: 3_000,
+            warmup_ns: 0,
+        };
         normalized(
-            Simulator::new(&net, &routing, cfg, TrafficPattern::Uniform, 0.2, 3_000, 0).run(),
+            run(
+                &net,
+                &routing,
+                cfg,
+                TrafficPattern::Uniform,
+                spec,
+                NoopProbe,
+            )
+            .unwrap()
+            .0,
         )
     };
     let oracle = run(RouteBackend::Oracle);
@@ -95,7 +111,6 @@ fn ft16_3_materialized_tables_cost_megabytes() {
 /// The oracle has no closed form for up*/down* routing; asking for it
 /// must fail at construction with a message naming the constraint.
 #[test]
-#[should_panic(expected = "SLID/MLID")]
 fn oracle_backend_rejects_updown_routing() {
     let params = TreeParams::new(4, 2).expect("valid params");
     let net = Network::mport_ntree(params);
@@ -104,5 +119,20 @@ fn oracle_backend_rejects_updown_routing() {
         route_backend: RouteBackend::Oracle,
         ..SimConfig::default()
     };
-    let _ = Simulator::new(&net, &routing, cfg, TrafficPattern::Uniform, 0.2, 1_000, 0);
+    let spec = RunSpec {
+        offered_load: 0.2,
+        sim_time_ns: 1_000,
+        warmup_ns: 0,
+    };
+    match run(
+        &net,
+        &routing,
+        cfg,
+        TrafficPattern::Uniform,
+        spec,
+        NoopProbe,
+    ) {
+        Err(SimError::InvalidConfig(msg)) => assert!(msg.contains("SLID/MLID"), "{msg}"),
+        other => panic!("expected InvalidConfig, got {other:?}"),
+    }
 }

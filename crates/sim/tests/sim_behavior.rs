@@ -3,7 +3,7 @@
 //! qualitative results the paper's evaluation rests on.
 
 use ibfat_routing::{Routing, RoutingKind};
-use ibfat_sim::{run_once, sweep, InjectionProcess, RunSpec, SimConfig, TrafficPattern};
+use ibfat_sim::{run, sweep, InjectionProcess, NoopProbe, RunSpec, SimConfig, TrafficPattern};
 use ibfat_topology::{Network, NodeId, TreeParams};
 
 fn net(m: u32, n: u32) -> Network {
@@ -24,7 +24,7 @@ fn zero_load_latency_matches_analytic_value_exactly() {
     let net = net(4, 3);
     let routing = Routing::build(&net, RoutingKind::Mlid);
     let cfg = SimConfig::paper(1);
-    let report = run_once(
+    let report = run(
         &net,
         &routing,
         cfg.clone(),
@@ -34,7 +34,10 @@ fn zero_load_latency_matches_analytic_value_exactly() {
             sim_time_ns: 2_000_000,
             warmup_ns: 100_000,
         },
-    );
+        NoopProbe,
+    )
+    .unwrap()
+    .0;
     let expect = zero_load_latency(&cfg, 6, 5);
     assert_eq!(expect, 6 * 20 + 5 * 100 + 256); // 876 ns
     assert!(report.delivered > 100);
@@ -51,7 +54,7 @@ fn zero_load_latency_shortest_route() {
     let routing = Routing::build(&net, RoutingKind::Mlid);
     let cfg = SimConfig::paper(1);
     let perm: Vec<NodeId> = (0..16).map(|i| NodeId(i ^ 1)).collect();
-    let report = run_once(
+    let report = run(
         &net,
         &routing,
         cfg.clone(),
@@ -61,7 +64,10 @@ fn zero_load_latency_shortest_route() {
             sim_time_ns: 1_000_000,
             warmup_ns: 50_000,
         },
-    );
+        NoopProbe,
+    )
+    .unwrap()
+    .0;
     let expect = zero_load_latency(&cfg, 2, 1); // 2*20 + 100 + 256 = 396
     assert_eq!(report.latency.min(), expect);
     assert_eq!(report.latency.max(), expect);
@@ -72,13 +78,16 @@ fn packets_are_conserved() {
     let net = net(8, 2);
     let routing = Routing::build(&net, RoutingKind::Mlid);
     for load in [0.1, 0.5, 0.9] {
-        let report = run_once(
+        let report = run(
             &net,
             &routing,
             SimConfig::paper(2),
             TrafficPattern::Uniform,
             RunSpec::new(load, 300_000),
-        );
+            NoopProbe,
+        )
+        .unwrap()
+        .0;
         assert_eq!(
             report.total_generated,
             report.total_delivered + report.in_flight_at_end,
@@ -93,20 +102,26 @@ fn same_seed_same_result_different_seed_different_result() {
     let net = net(4, 3);
     let routing = Routing::build(&net, RoutingKind::Mlid);
     let spec = RunSpec::new(0.4, 200_000);
-    let a = run_once(
+    let a = run(
         &net,
         &routing,
         SimConfig::paper(2),
         TrafficPattern::Uniform,
         spec,
-    );
-    let b = run_once(
+        NoopProbe,
+    )
+    .unwrap()
+    .0;
+    let b = run(
         &net,
         &routing,
         SimConfig::paper(2),
         TrafficPattern::Uniform,
         spec,
-    );
+        NoopProbe,
+    )
+    .unwrap()
+    .0;
     assert_eq!(a.total_generated, b.total_generated);
     assert_eq!(a.total_delivered, b.total_delivered);
     assert_eq!(a.events_processed, b.events_processed);
@@ -114,7 +129,16 @@ fn same_seed_same_result_different_seed_different_result() {
 
     let mut cfg = SimConfig::paper(2);
     cfg.seed = 12345;
-    let c = run_once(&net, &routing, cfg, TrafficPattern::Uniform, spec);
+    let c = run(
+        &net,
+        &routing,
+        cfg,
+        TrafficPattern::Uniform,
+        spec,
+        NoopProbe,
+    )
+    .unwrap()
+    .0;
     assert_ne!(a.events_processed, c.events_processed);
 }
 
@@ -122,13 +146,16 @@ fn same_seed_same_result_different_seed_different_result() {
 fn accepted_traffic_tracks_offered_at_low_load() {
     let net = net(8, 2);
     let routing = Routing::build(&net, RoutingKind::Mlid);
-    let report = run_once(
+    let report = run(
         &net,
         &routing,
         SimConfig::paper(4),
         TrafficPattern::Uniform,
         RunSpec::new(0.2, 500_000),
-    );
+        NoopProbe,
+    )
+    .unwrap()
+    .0;
     // Offered = 0.2 bytes/ns/node; accepted must match within a few
     // percent (window-edge effects only).
     let offered = report.offered_bytes_per_ns_per_node;
@@ -141,13 +168,16 @@ fn accepted_traffic_tracks_offered_at_low_load() {
 fn accepted_traffic_never_exceeds_link_capacity() {
     let net = net(4, 2);
     let routing = Routing::build(&net, RoutingKind::Mlid);
-    let report = run_once(
+    let report = run(
         &net,
         &routing,
         SimConfig::paper(4),
         TrafficPattern::Uniform,
         RunSpec::new(1.0, 300_000),
-    );
+        NoopProbe,
+    )
+    .unwrap()
+    .0;
     assert!(report.accepted_bytes_per_ns_per_node <= 1.0 + 1e-9);
     assert!(report.mean_link_utilization <= 1.0 + 1e-9);
     assert!(report.max_link_utilization <= 1.0 + 1e-9);
@@ -163,13 +193,16 @@ fn single_buffer_credit_loop_caps_per_hop_throughput() {
     let net = Network::mport_ntree(params);
     let routing = Routing::build(&net, RoutingKind::Mlid);
     let cfg = SimConfig::paper(1);
-    let report = run_once(
+    let report = run(
         &net,
         &routing,
         cfg,
         TrafficPattern::Uniform, // 2 nodes: each targets the other
         RunSpec::new(1.0, 2_000_000),
-    );
+        NoopProbe,
+    )
+    .unwrap()
+    .0;
     let bound = 256.0 / (100.0 + 256.0 + 40.0);
     let got = report.accepted_bytes_per_ns_per_node;
     assert!(
@@ -184,13 +217,16 @@ fn more_virtual_lanes_raise_saturation_throughput() {
     let routing = Routing::build(&net, RoutingKind::Mlid);
     let mut last = 0.0;
     for vls in [1, 2, 4] {
-        let report = run_once(
+        let report = run(
             &net,
             &routing,
             SimConfig::paper(vls),
             TrafficPattern::Uniform,
             RunSpec::new(1.0, 400_000),
-        );
+            NoopProbe,
+        )
+        .unwrap()
+        .0;
         let acc = report.accepted_bytes_per_ns_per_node;
         assert!(
             acc > last * 0.98,
@@ -212,14 +248,26 @@ fn mlid_beats_slid_under_hotspot_traffic() {
     let slid = Routing::build(&net, RoutingKind::Slid);
     let spec = RunSpec::new(0.6, 400_000);
     let cfg = SimConfig::paper(1);
-    let rm = run_once(
+    let rm = run(
         &net,
         &mlid,
         cfg.clone(),
         TrafficPattern::paper_centric(),
         spec,
-    );
-    let rs = run_once(&net, &slid, cfg, TrafficPattern::paper_centric(), spec);
+        NoopProbe,
+    )
+    .unwrap()
+    .0;
+    let rs = run(
+        &net,
+        &slid,
+        cfg,
+        TrafficPattern::paper_centric(),
+        spec,
+        NoopProbe,
+    )
+    .unwrap()
+    .0;
     assert!(
         rm.accepted_bytes_per_ns_per_node > rs.accepted_bytes_per_ns_per_node,
         "MLID {} should beat SLID {}",
@@ -237,8 +285,19 @@ fn mlid_at_least_matches_slid_under_uniform_traffic() {
     let slid = Routing::build(&net, RoutingKind::Slid);
     let spec = RunSpec::new(1.0, 400_000);
     let cfg = SimConfig::paper(1);
-    let rm = run_once(&net, &mlid, cfg.clone(), TrafficPattern::Uniform, spec);
-    let rs = run_once(&net, &slid, cfg, TrafficPattern::Uniform, spec);
+    let rm = run(
+        &net,
+        &mlid,
+        cfg.clone(),
+        TrafficPattern::Uniform,
+        spec,
+        NoopProbe,
+    )
+    .unwrap()
+    .0;
+    let rs = run(&net, &slid, cfg, TrafficPattern::Uniform, spec, NoopProbe)
+        .unwrap()
+        .0;
     assert!(
         rm.accepted_bytes_per_ns_per_node >= rs.accepted_bytes_per_ns_per_node * 0.97,
         "MLID {} vs SLID {}",
@@ -253,13 +312,16 @@ fn poisson_injection_runs_and_conserves() {
     let routing = Routing::build(&net, RoutingKind::Mlid);
     let mut cfg = SimConfig::paper(1);
     cfg.injection = InjectionProcess::Poisson;
-    let report = run_once(
+    let report = run(
         &net,
         &routing,
         cfg,
         TrafficPattern::Uniform,
         RunSpec::new(0.3, 300_000),
-    );
+        NoopProbe,
+    )
+    .unwrap()
+    .0;
     assert_eq!(
         report.total_generated,
         report.total_delivered + report.in_flight_at_end
@@ -279,7 +341,8 @@ fn latency_grows_with_load() {
         &TrafficPattern::Uniform,
         &[0.1, 0.4, 0.9],
         300_000,
-    );
+    )
+    .unwrap();
     assert!(reports[0].avg_latency_ns() <= reports[1].avg_latency_ns());
     assert!(reports[1].avg_latency_ns() < reports[2].avg_latency_ns());
 }
@@ -290,13 +353,16 @@ fn permutation_self_map_nodes_stay_silent() {
     let net = net(4, 2);
     let routing = Routing::build(&net, RoutingKind::Mlid);
     let perm: Vec<NodeId> = (0..8).map(NodeId).collect();
-    let report = run_once(
+    let report = run(
         &net,
         &routing,
         SimConfig::paper(1),
         TrafficPattern::Permutation(perm),
         RunSpec::new(0.5, 100_000),
-    );
+        NoopProbe,
+    )
+    .unwrap()
+    .0;
     assert_eq!(report.total_generated, 0);
     assert_eq!(report.total_delivered, 0);
 }
@@ -305,13 +371,16 @@ fn permutation_self_map_nodes_stay_silent() {
 fn updown_routing_also_simulates_cleanly() {
     let net = net(4, 3);
     let routing = Routing::build(&net, RoutingKind::UpDown);
-    let report = run_once(
+    let report = run(
         &net,
         &routing,
         SimConfig::paper(2),
         TrafficPattern::Uniform,
         RunSpec::new(0.3, 300_000),
-    );
+        NoopProbe,
+    )
+    .unwrap()
+    .0;
     assert_eq!(
         report.total_generated,
         report.total_delivered + report.in_flight_at_end
@@ -331,13 +400,16 @@ fn path_selection_policies_all_deliver_and_conserve() {
     ] {
         let mut cfg = SimConfig::paper(2);
         cfg.path_selection = policy;
-        let report = run_once(
+        let report = run(
             &net,
             &routing,
             cfg,
             TrafficPattern::Uniform,
             RunSpec::new(0.4, 200_000),
-        );
+            NoopProbe,
+        )
+        .unwrap()
+        .0;
         assert_eq!(
             report.total_generated,
             report.total_delivered + report.in_flight_at_end,
@@ -360,13 +432,16 @@ fn vl_assignment_policies_run() {
     ] {
         let mut cfg = SimConfig::paper(4);
         cfg.vl_assignment = policy;
-        let report = run_once(
+        let report = run(
             &net,
             &routing,
             cfg,
             TrafficPattern::paper_centric(),
             RunSpec::new(0.5, 200_000),
-        );
+            NoopProbe,
+        )
+        .unwrap()
+        .0;
         assert!(report.delivered > 0, "{policy:?}");
         assert_eq!(
             report.total_generated,
@@ -387,13 +462,16 @@ fn destination_hash_vls_help_under_hotspot() {
     let acc = |assignment| {
         let mut cfg = SimConfig::paper(4);
         cfg.vl_assignment = assignment;
-        run_once(
+        run(
             &net,
             &routing,
             cfg,
             TrafficPattern::paper_centric(),
             RunSpec::new(0.8, 300_000),
+            NoopProbe,
         )
+        .unwrap()
+        .0
         .accepted_bytes_per_ns_per_node
     };
     let random = acc(VlAssignment::Random);
@@ -420,13 +498,16 @@ fn degraded_fabric_drops_unroutable_packets_cleanly() {
         .unwrap();
     degraded.remove_link(victim);
     let routing = ibfat_routing::build_fault_tolerant(&degraded, RoutingKind::Mlid);
-    let report = run_once(
+    let report = run(
         &degraded,
         &routing,
         SimConfig::paper(1),
         TrafficPattern::Uniform,
         RunSpec::new(0.3, 200_000),
-    );
+        NoopProbe,
+    )
+    .unwrap()
+    .0;
     assert!(
         report.dropped > 0,
         "traffic to the cut node must be dropped"
@@ -446,13 +527,16 @@ fn simulation_respects_analytic_bounds() {
     for vls in [1u8, 2, 4] {
         let cfg = SimConfig::paper(vls);
         // Uniform saturation never exceeds the credit-loop bound.
-        let r = run_once(
+        let r = run(
             &network,
             &routing,
             cfg.clone(),
             TrafficPattern::Uniform,
             RunSpec::new(1.0, 300_000),
-        );
+            NoopProbe,
+        )
+        .unwrap()
+        .0;
         let bound = bounds::uniform_saturation_bound(&cfg);
         assert!(
             r.accepted_bytes_per_ns_per_node <= bound + 0.02,
@@ -460,13 +544,16 @@ fn simulation_respects_analytic_bounds() {
             r.accepted_bytes_per_ns_per_node
         );
         // Hot-spot accepted traffic never exceeds its bound either.
-        let rh = run_once(
+        let rh = run(
             &network,
             &routing,
             cfg.clone(),
             TrafficPattern::paper_centric(),
             RunSpec::new(0.5, 300_000),
-        );
+            NoopProbe,
+        )
+        .unwrap()
+        .0;
         let hbound = bounds::hotspot_saturation_bound(params, &cfg, 0.5, 0.5);
         assert!(
             rh.accepted_bytes_per_ns_per_node <= hbound + 0.02,
@@ -486,7 +573,7 @@ fn flight_recorder_captures_exact_timeline() {
     let routing = Routing::build(&net, RoutingKind::Mlid);
     let mut cfg = SimConfig::paper(1);
     cfg.trace_first_packets = 8;
-    let report = run_once(
+    let report = run(
         &net,
         &routing,
         cfg,
@@ -496,7 +583,10 @@ fn flight_recorder_captures_exact_timeline() {
             sim_time_ns: 500_000,
             warmup_ns: 10_000,
         },
-    );
+        NoopProbe,
+    )
+    .unwrap()
+    .0;
     let traces = report.traces.expect("tracing enabled");
     assert_eq!(traces.len(), 8);
     for t in &traces {
@@ -525,13 +615,16 @@ fn paper_selection_is_order_preserving_random_is_not() {
     let run = |policy| {
         let mut cfg = SimConfig::paper(2);
         cfg.path_selection = policy;
-        run_once(
+        run(
             &net,
             &routing,
             cfg,
             TrafficPattern::Uniform,
             RunSpec::new(0.7, 300_000),
+            NoopProbe,
         )
+        .unwrap()
+        .0
     };
     // The paper's one-path-per-pair mapping delivers every flow in order.
     let paper = run(PathSelection::Paper);
@@ -557,13 +650,16 @@ fn adaptive_up_routing_delivers_and_relieves_credit_stalls() {
     let run = |adaptive| {
         let mut cfg = SimConfig::paper(1);
         cfg.adaptive_up = adaptive;
-        run_once(
+        run(
             &net,
             &routing,
             cfg,
             TrafficPattern::Uniform,
             RunSpec::new(1.0, 300_000),
+            NoopProbe,
         )
+        .unwrap()
+        .0
     };
     let det = run(false);
     let ada = run(true);
@@ -588,13 +684,16 @@ fn adaptive_up_requires_intact_fabric() {
     let mut cfg = SimConfig::paper(1);
     cfg.adaptive_up = true;
     let result = std::panic::catch_unwind(|| {
-        run_once(
+        run(
             &degraded,
             &routing,
             cfg,
             TrafficPattern::Uniform,
             RunSpec::new(0.1, 10_000),
+            NoopProbe,
         )
+        .unwrap()
+        .0
     });
     assert!(result.is_err(), "degraded fabric must reject adaptive mode");
 }

@@ -5,7 +5,8 @@ use std::fmt;
 pub enum TopologyError {
     /// `m` must be an even power of two, at least 2 (the paper requires `m`
     /// to be a power of 2 so that `(m/2)^(n-1)` is a power of two and fits
-    /// the LMC mechanism).
+    /// the LMC mechanism) and at most 128 (port numbers are bytes, and
+    /// port 0 is the management port).
     InvalidPortCount { m: u32 },
     /// `n` must be at least 1 and small enough that the subnet fits the
     /// 16-bit unicast LID space.
@@ -26,7 +27,10 @@ impl fmt::Display for TopologyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TopologyError::InvalidPortCount { m } => {
-                write!(f, "switch port count m={m} must be a power of two >= 2")
+                write!(
+                    f,
+                    "switch port count m={m} must be a power of two in 2..=128"
+                )
             }
             TopologyError::InvalidTreeHeight { n } => {
                 write!(f, "tree parameter n={n} must be >= 1")

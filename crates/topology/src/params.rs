@@ -24,7 +24,9 @@ pub struct TreeParams {
 impl TreeParams {
     /// Create validated parameters for `FT(m, n)`.
     pub fn new(m: u32, n: u32) -> Result<Self, TopologyError> {
-        if m < 2 || !m.is_power_of_two() {
+        // Ports are numbered 1..=m in a byte (port 0 is the management
+        // port), so the largest power of two that fits is 128.
+        if !(2..=128).contains(&m) || !m.is_power_of_two() {
             return Err(TopologyError::InvalidPortCount { m });
         }
         if n < 1 {
@@ -288,6 +290,10 @@ mod tests {
         assert!(matches!(
             TreeParams::new(0, 2),
             Err(TopologyError::InvalidPortCount { m: 0 })
+        ));
+        assert!(matches!(
+            TreeParams::new(256, 1),
+            Err(TopologyError::InvalidPortCount { m: 256 })
         ));
         assert!(matches!(
             TreeParams::new(4, 0),

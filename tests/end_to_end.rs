@@ -110,12 +110,15 @@ fn topology_objects_flow_between_crates() {
     let params = TreeParams::new(4, 2).unwrap();
     let net = Network::mport_ntree(params);
     let routing = ib_fabric::routing::Routing::build(&net, RoutingKind::Mlid);
-    let report = ib_fabric::sim::run_once(
+    let report = ib_fabric::sim::run(
         &net,
         &routing,
         SimConfig::default(),
         TrafficPattern::Uniform,
         ib_fabric::sim::RunSpec::new(0.2, 60_000),
-    );
+        ib_fabric::sim::NoopProbe,
+    )
+    .unwrap()
+    .0;
     assert!(report.delivered > 0);
 }
