@@ -101,6 +101,7 @@ fn info(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
             "max_paths": p.num_lcas(0),
             "avg_min_hops": analysis::average_min_hops(p),
             "scheme": cmd.scheme.as_str(),
+            "table_bytes": fabric.routing().table_bytes(),
         });
         println!("{}", serde_json::to_string_pretty(&value).expect("json"));
         return Ok(());
@@ -117,6 +118,10 @@ fn info(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
     );
     println!("  max disjoint LCAs: {}", p.num_lcas(0));
     println!("  avg minimal hops : {:.3}", analysis::average_min_hops(p));
+    println!(
+        "  forwarding tables: {} bytes (block-compressed)",
+        fabric.routing().table_bytes()
+    );
     for w in analysis::level_wiring(p) {
         println!(
             "  level {}: {} switches, {} down / {} up cables each",

@@ -218,6 +218,7 @@ fn engine_rejections_are_clean_errors_not_panics() {
         "counters 4x2 --route-backend oracle --fail-links 8",
         "faults 4x2 --route-backend oracle --time-us 40",
         "faults 4x2 --scheme updown --time-us 40",
+        "run 4x2 --load 1e300 --time-us 1",
     ] {
         let o = std::process::Command::new(exe)
             .args(line.split_whitespace())
@@ -228,6 +229,8 @@ fn engine_rejections_are_clean_errors_not_panics() {
         let stderr = String::from_utf8_lossy(&o.stderr);
         assert!(stderr.contains("error:"), "`ibfat {line}`: {stderr}");
     }
+    // Overload within the packet-id budget still runs.
+    run("run 4x2 --load 1000 --time-us 1").unwrap();
 }
 
 #[test]

@@ -186,6 +186,7 @@ fn program_switch(
 
     let lids_per_node = space.lids_per_node() as usize;
     let mut candidates: Vec<u32> = Vec::with_capacity(live_up.len());
+    let mut window: Vec<u8> = Vec::with_capacity(lids_per_node);
     for node in NodeLabel::all(params) {
         let nid = node.id(params);
         if reach_down[sw.index()].contains(nid.0) {
@@ -206,15 +207,17 @@ fn program_switch(
         if candidates.is_empty() {
             continue; // physically unreachable from here
         }
-        for lid in space.lids(nid) {
+        window.clear();
+        window.extend(space.lids(nid).map(|lid| {
             let designated = eq2_digit(params, lid, u32::from(level.0));
             let port = if candidates.contains(&(designated + half)) {
                 designated + half
             } else {
                 candidates[designated as usize % candidates.len()]
             };
-            lft.set(lid, PortNum(port as u8 + 1));
-        }
+            port as u8 + 1
+        }));
+        lft.copy_block(space.base_lid(nid), &window);
     }
     lft
 }
@@ -376,16 +379,13 @@ pub fn repair_fault_tolerant(
             continue;
         }
         let fresh = program_switch(net, &space, &label, &reach_down, &feasible);
-        let mut touched = false;
-        for raw in 1..=max_lid.0 {
-            let lid = Lid(raw);
-            let (was, now) = (old.get(lid), fresh.get(lid));
-            if was != now {
-                touched = true;
-                patches.push(LftPatch { sw, lid, port: now });
-            }
-        }
-        if touched {
+        let before = patches.len();
+        patches.extend(
+            fresh
+                .changes_from(old)
+                .map(|(lid, port)| LftPatch { sw, lid, port }),
+        );
+        if patches.len() > before {
             switches_reprogrammed += 1;
         }
         lfts.push(fresh);

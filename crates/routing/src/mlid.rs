@@ -66,6 +66,33 @@ pub(crate) fn fill_down_runs(lft: &mut Lft, params: TreeParams, space: &LidSpace
     }
 }
 
+/// Table slots (switches × LID slots) from which a parallel build pays
+/// for spawning the thread pool, tens of µs: a serial FT(8,3) MLID build
+/// (80 × 2049 slots) takes about 36 µs, a serial FT(16,3) one (320 ×
+/// 65,537) about 2 ms against 1.3 ms on two threads.
+const PARALLEL_BUILD_SLOTS: usize = 1 << 20;
+
+/// Build and compact every switch's table with `build`, in switch-id
+/// order, over the thread pool only when the tables are large enough to
+/// pay for it. Compacting here keeps that work on the builder threads;
+/// `Routing::assemble` then finds nothing left to merge.
+pub(crate) fn build_all(
+    params: TreeParams,
+    space: &LidSpace,
+    build: impl Fn(SwitchId) -> Lft + Sync,
+) -> Vec<Lft> {
+    let compacted = |sw: &u32| {
+        let mut lft = build(SwitchId(*sw));
+        lft.compact();
+        lft
+    };
+    let switches: Vec<u32> = (0..params.num_switches()).collect();
+    if switches.len() * (space.max_lid().index() + 1) < PARALLEL_BUILD_SLOTS {
+        return switches.iter().map(compacted).collect();
+    }
+    par_map_indexed(&switches, |_, sw| compacted(sw))
+}
+
 /// The MLID scheme (stateless; all state lives in the produced artifacts).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MlidScheme;
@@ -115,8 +142,9 @@ impl MlidScheme {
     /// `PID * (m/2)^l ≡ 0 (mod m/2)` to the extracted digit. One
     /// precomputed pattern of `2^LMC` port bytes therefore serves *every*
     /// node's window, and the descending case overwrites the (contiguous)
-    /// subtree range afterwards via Equation (1) runs. O(max_lid) byte
-    /// copies, no per-LID `pow`/`div`.
+    /// subtree range afterwards via Equation (1) runs. Both are block
+    /// writes: no per-LID `pow`/`div`, and no per-LID work at all when
+    /// the window fits a 64-LID block.
     pub fn build_switch_lft(params: TreeParams, space: &LidSpace, sw: SwitchId) -> Lft {
         debug_assert_eq!(
             space.lmc(),
@@ -131,9 +159,7 @@ impl MlidScheme {
             let pattern: Vec<u8> = (0..space.lids_per_node())
                 .map(|off| ((off / stride) % half + half + 1) as u8)
                 .collect();
-            for node in 0..params.num_nodes() {
-                lft.copy_block(space.base_lid(NodeId(node)), &pattern);
-            }
+            lft.fill_pattern(Lid(1), space.max_lid().index(), &pattern);
         }
         fill_down_runs(&mut lft, params, space, sw);
         lft
@@ -181,9 +207,8 @@ impl RoutingScheme for MlidScheme {
 
     fn build_lfts(&self, net: &Network, space: &LidSpace) -> Vec<Lft> {
         let params = net.params();
-        let switches: Vec<u32> = (0..params.num_switches()).collect();
-        par_map_indexed(&switches, |_, &sw| {
-            Self::build_switch_lft(params, space, SwitchId(sw))
+        build_all(params, space, |sw| {
+            Self::build_switch_lft(params, space, sw)
         })
     }
 

@@ -93,12 +93,7 @@ impl Routing {
         let space = scheme.lid_space(net);
         let lfts = scheme.build_lfts(net, &space);
         debug_assert_eq!(lfts.len(), net.num_switches());
-        Routing {
-            kind,
-            params: net.params(),
-            space,
-            lfts,
-        }
+        Routing::assemble(kind, net.params(), space, lfts)
     }
 
     /// Which scheme produced this routing.
@@ -107,9 +102,9 @@ impl Routing {
         self.kind
     }
 
-    /// Resident bytes held by the forwarding tables.
+    /// Resident bytes held by the block-compressed forwarding tables.
     pub fn table_bytes(&self) -> usize {
-        self.lfts.iter().map(|lft| lft.len()).sum()
+        self.lfts.iter().map(Lft::resident_bytes).sum()
     }
 
     /// The LID assignment.
@@ -141,13 +136,15 @@ impl Routing {
     ///
     /// The caller is responsible for the tables' correctness; run
     /// [`crate::verify_all_lids_deliver`] / [`crate::verify_deadlock_free`]
-    /// over the result when in doubt.
+    /// over the result when in doubt. Each table is
+    /// [compacted](Lft::compact) on the way in.
     pub fn assemble(
         kind: RoutingKind,
         params: ibfat_topology::TreeParams,
         space: LidSpace,
-        lfts: Vec<Lft>,
+        mut lfts: Vec<Lft>,
     ) -> Routing {
+        lfts.iter_mut().for_each(Lft::compact);
         Routing {
             kind,
             params,

@@ -10,11 +10,9 @@
 //! precisely the hot-spot weakness (the paper's Figure 9(a)) that MLID
 //! removes.
 
-use crate::mlid::{fill_down_runs, level_and_index};
+use crate::mlid::{build_all, fill_down_runs, level_and_index};
 use crate::{Lft, Lid, LidSpace, MlidScheme, RoutingScheme};
-use ibfat_topology::{
-    par_map_indexed, Network, NodeId, NodeLabel, PortNum, SwitchId, SwitchLabel, TreeParams,
-};
+use ibfat_topology::{Network, NodeId, NodeLabel, SwitchId, SwitchLabel, TreeParams};
 
 /// The SLID scheme (stateless).
 #[derive(Debug, Clone, Copy, Default)]
@@ -26,9 +24,9 @@ impl SlidScheme {
     /// With LMC = 0, `lid - 1` is the destination PID, so the climbing
     /// rule (Equation (2)'s d-mod-k placement on the destination) assigns
     /// whole contiguous blocks of `(m/2)^(n-1-level)` consecutive LIDs to
-    /// the same up-port, cycling through the up-ports. The table is filled
-    /// with those runs, then the (contiguous) subtree range is overwritten
-    /// by Equation (1) descending runs.
+    /// the same up-port, cycling through the up-ports. One cycle is a
+    /// pattern the table repeats, then the (contiguous) subtree range is
+    /// overwritten by Equation (1) descending runs.
     pub fn build_switch_lft(params: TreeParams, space: &LidSpace, sw: SwitchId) -> Lft {
         debug_assert_eq!(space.lmc(), 0, "SLID builder needs the LMC = 0 LID space");
         let half = params.half();
@@ -36,10 +34,10 @@ impl SlidScheme {
         let mut lft = Lft::new(space.max_lid());
         if level >= 1 {
             let stride = half.pow(params.n() - 1 - level);
-            for b in 0..params.num_nodes() / stride {
-                let port = PortNum(((b % half) + half + 1) as u8);
-                lft.fill(Lid(b * stride + 1), stride as usize, port);
-            }
+            let cycle: Vec<u8> = (0..stride * half)
+                .map(|i| ((i / stride) + half + 1) as u8)
+                .collect();
+            lft.fill_pattern(Lid(1), space.max_lid().index(), &cycle);
         }
         fill_down_runs(&mut lft, params, space, sw);
         lft
@@ -85,9 +83,8 @@ impl RoutingScheme for SlidScheme {
 
     fn build_lfts(&self, net: &Network, space: &LidSpace) -> Vec<Lft> {
         let params = net.params();
-        let switches: Vec<u32> = (0..params.num_switches()).collect();
-        par_map_indexed(&switches, |_, &sw| {
-            Self::build_switch_lft(params, space, SwitchId(sw))
+        build_all(params, space, |sw| {
+            Self::build_switch_lft(params, space, sw)
         })
     }
 

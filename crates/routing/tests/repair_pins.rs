@@ -28,7 +28,7 @@ impl Fnv {
 
     fn tables(&mut self, routing: &Routing) {
         for lft in routing.lfts() {
-            self.bytes(lft.as_bytes());
+            self.bytes(&lft.bytes().collect::<Vec<u8>>());
         }
     }
 

@@ -256,6 +256,13 @@ pub(crate) struct FaultRuntime {
     pub(crate) faults: Vec<CompiledFault>,
 }
 
+impl FaultRuntime {
+    /// Whether any reprogram changes a forwarding-table entry.
+    pub(crate) fn patches_tables(&self) -> bool {
+        self.faults.iter().any(|f| !f.patches.is_empty())
+    }
+}
+
 /// The base-net link indices that are dead given the current killed
 /// sets (explicit kills plus links incident to killed switches),
 /// ascending.

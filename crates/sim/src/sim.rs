@@ -36,10 +36,11 @@ use crate::{
     InjectionProcess, PathSelection, RouteBackend, RunSpec, SimConfig, SimError, TrafficPattern,
     VlAssignment,
 };
-use ibfat_routing::{RouteOracle, Routing};
+use ibfat_routing::{Lft, Lid, RouteOracle, Routing};
 use ibfat_topology::{DeviceRef, Network, NodeId, PortNum};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
 /// What a switch port's output side is cabled to.
@@ -158,13 +159,13 @@ pub(crate) struct NodeSt {
 /// How the data plane resolves `(switch, dlid) → output port` — the
 /// materialization behind [`RouteBackend`].
 #[derive(Debug)]
-pub(crate) enum RouteState {
-    /// All forwarding tables in one contiguous buffer, each switch's
-    /// [`Lft`](ibfat_routing::Lft) bytes copied verbatim:
-    /// `lft[sw * stride + lid]` is the 1-based output port (`0` = no
-    /// entry). The lookup subtracts one with wrapping, so a hole reads
-    /// as the `u8::MAX` drop sentinel.
-    Table { lft: Vec<u8>, stride: usize },
+pub(crate) enum RouteState<'a> {
+    /// The routing's block-compressed forwarding tables, indexed by
+    /// switch: borrowed, unless a fault plan patches them mid-run, in
+    /// which case the run owns a copy. The lookup reads the raw entry
+    /// and subtracts one with wrapping, so a hole reads as the `u8::MAX`
+    /// drop sentinel.
+    Table(Cow<'a, [Lft]>),
     /// Closed-form per-hop lookup (the paper's Eq. 1/Eq. 2) — no table
     /// copy in the engine. `route_hop` returns `None` exactly where a
     /// pristine table has no entry, so the drop semantics line up
@@ -219,10 +220,9 @@ pub enum Ev {
 /// The discrete-event simulator for one (network, routing, traffic, load)
 /// operating point.
 ///
-/// Borrows the routing for its whole lifetime — building a simulator
-/// copies nothing heavier than its forwarding tables (one `memcpy` per
-/// switch), so sweeps and replications share one `Routing` across
-/// threads.
+/// Borrows the routing, forwarding tables included, for its whole
+/// lifetime; only a run with a fault plan that patches the tables copies
+/// them. Sweeps and replications share one `Routing` across threads.
 ///
 /// Generic over a [`Probe`] observability sink (default: the free
 /// [`NoopProbe`]). Every probe hook site is guarded by the probe's
@@ -245,9 +245,9 @@ pub struct Simulator<'a, P: Probe = NoopProbe> {
     pub(crate) arb_table: Vec<(u8, u8)>,
 
     pub(crate) routing: &'a Routing,
-    /// Per-hop route lookup state (copied tables or the closed-form
+    /// Per-hop route lookup state (the tables or the closed-form
     /// oracle), per `cfg.route_backend`.
-    pub(crate) route: RouteState,
+    pub(crate) route: RouteState<'a>,
     /// Per-switch 0-based first up-port (= m/2), or `u8::MAX` for roots
     /// (which have no up-ports). Used by adaptive upward routing.
     pub(crate) up_ports_from: Vec<u8>,
@@ -342,6 +342,25 @@ impl<'a, P: Probe> Simulator<'a, P> {
                 routing.params()
             ));
         }
+        // Every table must span the LID space and forward only into
+        // ports this network cables: a routing for another degraded
+        // network may name a port that has no peer here. The check reads
+        // each switch's distinct blocks, not its entries.
+        let slots = routing.lid_space().max_lid().index() + 1;
+        for (sw, lft) in routing.lfts().iter().enumerate() {
+            if lft.len() != slots {
+                return invalid(format!("LFT {sw} does not span the LID space"));
+            }
+            let here = DeviceRef::Switch(ibfat_topology::SwitchId(sw as u32));
+            let uncabled =
+                |p: PortNum| u32::from(p.0) > params.m() || net.peer_of(here, p).is_none();
+            if let Some(port) = lft.ports_used().find(|&p| uncabled(p)) {
+                return invalid(format!(
+                    "the routing forwards out of port {port} of switch {sw}, which this \
+                     network does not cable (a routing built for another network?)"
+                ));
+            }
+        }
         let oracle = match cfg.route_backend {
             RouteBackend::Table => None,
             RouteBackend::Oracle => Some(RouteOracle::for_routing(routing).ok_or_else(|| {
@@ -393,20 +412,11 @@ impl<'a, P: Probe> Simulator<'a, P> {
 
         let route = match oracle {
             Some(oracle) => RouteState::Oracle(oracle),
-            None => {
-                // One contiguous stride-indexed buffer across all
-                // switches, each row a verbatim copy of the switch's LFT.
-                let stride = routing.lid_space().max_lid().index() + 1;
-                let mut lft = Vec::with_capacity(net.num_switches() * stride);
-                for (sw, table) in routing.lfts().iter().enumerate() {
-                    let row = table.as_bytes();
-                    if row.len() != stride {
-                        return invalid(format!("LFT {sw} does not span the LID space"));
-                    }
-                    lft.extend_from_slice(row);
-                }
-                RouteState::Table { lft, stride }
+            // Patched tables are the run's own; all others stay shared.
+            None if faults.as_ref().is_some_and(|f| f.runtime.patches_tables()) => {
+                RouteState::Table(Cow::Owned(routing.lfts().to_vec()))
             }
+            None => RouteState::Table(Cow::Borrowed(routing.lfts())),
         };
 
         let up_ports_from: Vec<u8> = (0..net.num_switches())
@@ -431,9 +441,8 @@ impl<'a, P: Probe> Simulator<'a, P> {
             .map(|i| {
                 let sw = ibfat_topology::SwitchId((i / m) as u32);
                 let port = PortNum((i % m) as u8 + 1);
-                // Degraded subnets may have uncabled (failed) ports; a
-                // repaired routing never forwards into them, which
-                // `sw_try_output` asserts.
+                // Degraded subnets may have uncabled (failed) ports; the
+                // routing check above keeps every table out of them.
                 let peer = net
                     .peer_of(DeviceRef::Switch(sw), port)
                     .map(|peer| match peer.device {
@@ -557,7 +566,21 @@ impl<'a, P: Probe> Simulator<'a, P> {
 impl<'a, P: Probe> Simulator<'a, P> {
     /// Run a pattern-mode simulator to its horizon and produce the
     /// report and the probe.
+    ///
+    /// A run that could generate more packets than [`PacketId`] can
+    /// number, `nodes × ⌈sim_time / interarrival⌉ > u32::MAX`, is
+    /// rejected before the first event.
     pub(crate) fn run_pattern(mut self) -> Result<(SimReport, P), SimError> {
+        let per_node = (self.sim_time_ns as f64 / self.interarrival_ns).ceil();
+        if per_node * self.nodes.len() as f64 > f64::from(u32::MAX) {
+            return Err(SimError::InvalidConfig(format!(
+                "a {} ns run at load {:e} could generate more than {} packets \
+                 (the packet-id space)",
+                self.sim_time_ns,
+                self.offered_load,
+                u32::MAX
+            )));
+        }
         let wall_start = std::time::Instant::now();
         self.prime_injections();
         self.schedule_fault_events();
@@ -773,12 +796,14 @@ impl<'a, P: Probe> Simulator<'a, P> {
             .map(|(_, p)| p.as_slice())
             .unwrap_or(&[]);
         match &mut self.route {
-            RouteState::Table { lft, stride } => {
-                let row = &mut lft[sw as usize * *stride..(sw as usize + 1) * *stride];
+            RouteState::Table(lfts) => {
+                let lft = &mut lfts.to_mut()[sw as usize];
                 for &(lid, port) in patches {
-                    // 0-based patch port to 1-based table byte; the
-                    // `u8::MAX` "no entry" patch wraps to the `0` hole.
-                    row[lid as usize] = port.wrapping_add(1);
+                    // 0-based patch port; `u8::MAX` clears the entry.
+                    match port {
+                        u8::MAX => lft.clear(Lid(lid)),
+                        p => lft.set(Lid(lid), PortNum(p + 1)),
+                    }
                 }
             }
             RouteState::Oracle(_) => unreachable!("fault plans require the table backend"),
@@ -1116,9 +1141,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
         debug_assert_eq!(head.state, InState::Routing);
         let dlid = self.slab.get(head.pkt).dlid;
         let out_port = match &self.route {
-            RouteState::Table { lft, stride } => {
-                lft[sw as usize * stride + dlid.index()].wrapping_sub(1)
-            }
+            RouteState::Table(lfts) => lfts[sw as usize].port_byte(dlid).wrapping_sub(1),
             RouteState::Oracle(o) => o
                 .route_hop(ibfat_topology::SwitchId(sw), dlid)
                 .map_or(u8::MAX, |p| p.0 - 1),
@@ -1396,7 +1419,9 @@ impl<'a, P: Probe> Simulator<'a, P> {
                         pkt,
                     },
                 ),
-                PeerRef::Dead => panic!("routing forwarded a packet into a failed port"),
+                // `build` rejects a routing that forwards into an
+                // uncabled port, and fault repair routes around dead ones.
+                PeerRef::Dead => unreachable!("routing forwarded a packet into an uncabled port"),
             }
             self.record(tx_record, TraceEvent::TransmitStart { sw, out_port: port });
             if P::COUNTERS {
@@ -1624,6 +1649,42 @@ mod tests {
                 pkt,
             });
         }
+    }
+
+    /// A run reads the routing's own tables; only a fault plan whose
+    /// reprograms patch entries gives the run a copy to patch.
+    #[test]
+    fn tables_are_borrowed_unless_a_fault_plan_patches_them() {
+        let net = Network::mport_ntree(TreeParams::new(4, 3).expect("valid params"));
+        let routing = Routing::build(&net, RoutingKind::Mlid);
+        let spec = RunSpec::new(0.3, 5_000);
+        let build = |faults| {
+            let cfg = SimConfig {
+                faults,
+                ..SimConfig::default()
+            };
+            Simulator::build(
+                &net,
+                &routing,
+                cfg,
+                TrafficPattern::Uniform,
+                spec,
+                NoopProbe,
+            )
+            .unwrap()
+        };
+        let sim = build(crate::FaultPlan::default());
+        let RouteState::Table(Cow::Borrowed(lfts)) = &sim.route else {
+            panic!("expected borrowed tables, got {:?}", sim.route);
+        };
+        assert!(std::ptr::eq(*lfts, routing.lfts()));
+        let link = crate::FaultPlan::pick_links(&net, 1, 7);
+        let sim = build(crate::FaultPlan::kill_links_at(&link, 1_000));
+        assert!(sim.faults.as_ref().unwrap().runtime.patches_tables());
+        let RouteState::Table(Cow::Owned(lfts)) = &sim.route else {
+            panic!("expected owned tables, got {:?}", sim.route);
+        };
+        assert_eq!(lfts.as_slice(), routing.lfts());
     }
 
     /// Every switch port's cached ready mask equals the one recomputed

@@ -1,7 +1,8 @@
 //! Bad input gets a typed error, never a panic. Random configurations,
 //! loads, horizons, traffic patterns, fault plans and workloads on
 //! pristine and degraded fabrics — with the routing built for the
-//! network or for another tree — go through `run` / `run_workload`.
+//! network, for another tree, or for the same tree degraded another
+//! way — go through `run` / `run_workload`.
 //! Every case must return `Ok` or `Err` without unwinding, and every
 //! check the engine makes before the first event (plus the stalled
 //! workload after the last) must be met at least once.
@@ -27,6 +28,8 @@ fn check_of(e: &SimError) -> &'static str {
         SimError::InvalidConfig(m) if has(m, "offered load") => "load",
         SimError::InvalidConfig(m) if has(m, "warm-up") => "warm-up",
         SimError::InvalidConfig(m) if has(m, "routing was built for") => "routing-tree",
+        SimError::InvalidConfig(m) if has(m, "does not cable") => "routing-uncabled",
+        SimError::InvalidConfig(m) if has(m, "packet-id space") => "packet-bound",
         SimError::InvalidConfig(m) if has(m, "supports only the SLID/MLID") => "oracle-updown",
         SimError::InvalidConfig(m) if has(m, "oracle route backend requires") => "oracle-degraded",
         SimError::InvalidConfig(m) if has(m, "adaptive upward") => "adaptive-degraded",
@@ -54,7 +57,8 @@ fn pick(rng: &mut TestRng, n: usize) -> usize {
 }
 
 /// The network, degraded by up to three failed cables a third of the
-/// time, and a routing for it — or, one time in eight, for another tree.
+/// time, and a routing for it — or, one time in eight, for another tree,
+/// and one time in eight for this tree with another cable failed.
 /// Up*/down* fabrics stay pristine: its builder needs a connected switch
 /// graph, and the degraded fabrics are there for the MLID/SLID repair.
 fn fabric(rng: &mut TestRng) -> (Network, Routing, String) {
@@ -70,16 +74,23 @@ fn fabric(rng: &mut TestRng) -> (Network, Routing, String) {
             net.remove_link(i);
         }
     }
+    let mut routed_for = String::new();
     let routing = if one_in(rng, 8) {
         let (m, n) = TREES[(tree + 1) % TREES.len()];
         Routing::build(&Network::mport_ntree(TreeParams::new(m, n).unwrap()), kind)
+    } else if kind != RoutingKind::UpDown && one_in(rng, 8) {
+        let mut other = Network::mport_ntree(net.params());
+        let i = pick(rng, other.links().len());
+        routed_for = format!(" failed [{i}]");
+        other.remove_link(i);
+        build_fault_tolerant(&other, kind)
     } else if failed.is_empty() {
         Routing::build(&net, kind)
     } else {
         build_fault_tolerant(&net, kind)
     };
     let about = format!(
-        "FT({m},{n}) failed {failed:?}, {} routing for {}",
+        "FT({m},{n}) failed {failed:?}, {} routing for {}{routed_for}",
         kind.as_str(),
         routing.params()
     );
@@ -150,11 +161,11 @@ fn pattern(rng: &mut TestRng, nodes: u32) -> TrafficPattern {
     }
 }
 
-/// Usually a positive load up to 2; sometimes zero, negative, NaN or
-/// infinite.
+/// Usually a positive load up to 2; sometimes zero, negative, NaN,
+/// infinite, or finite but past any packet budget.
 fn load(rng: &mut TestRng) -> f64 {
     if one_in(rng, 6) {
-        [0.0, -0.5, f64::NAN, f64::INFINITY][pick(rng, 4)]
+        [0.0, -0.5, f64::NAN, f64::INFINITY, 1e300][pick(rng, 5)]
     } else {
         0.05 + 1.95 * rng.below(1000) as f64 / 1000.0
     }
@@ -276,6 +287,8 @@ fn random_inputs_return_typed_errors_and_meet_every_check() {
         "load",
         "warm-up",
         "routing-tree",
+        "routing-uncabled",
+        "packet-bound",
         "oracle-updown",
         "oracle-degraded",
         "adaptive-degraded",

@@ -1,8 +1,8 @@
 //! The oracle data plane's contract.
 //!
 //! The oracle route backend answers every per-hop forwarding question
-//! from the closed-form MLID/SLID route formula instead of the engine's
-//! flat copy of the LFTs. For every fabric × scheme × VL count × load,
+//! from the closed-form MLID/SLID route formula instead of the routing's
+//! LFTs. For every fabric × scheme × VL count × load,
 //! an oracle-backed run reports exactly what the table-backed run
 //! reports (only the wall-clock throughput fields are host noise). The
 //! routing-crate proptest pins `RouteOracle::route_hop` against a table
@@ -56,9 +56,9 @@ proptest! {
     }
 }
 
-/// FT(16,3), the fabric where skipping the engine's ~21 MB LFT copy
-/// pays off (320 switches × 65536 LID slots), is beyond the proptest's
-/// grid: pin the oracle report to the table report there too.
+/// FT(16,3), the largest fabric the backends are compared on (320
+/// switches × 65536 LID slots), is beyond the proptest's grid: pin the
+/// oracle report to the table report there too.
 #[test]
 fn oracle_backend_matches_table_backend_on_ft16_3() {
     let params = TreeParams::new(16, 3).expect("valid params");
@@ -94,16 +94,19 @@ fn oracle_backend_matches_table_backend_on_ft16_3() {
     assert_eq!(oracle, run(RouteBackend::Table), "backend divergence");
 }
 
-/// The same fabric's materialized tables: the table backend copies
-/// megabytes into the engine that the oracle run never touches.
+/// The same fabric's tables, block-compressed: 21 MB of entries (320
+/// switches × 65537 slots) in under a megabyte, because Equations (1)
+/// and (2) fill every 64-LID block with one of a few patterns.
 #[test]
-fn ft16_3_materialized_tables_cost_megabytes() {
+fn ft16_3_tables_compress_below_a_megabyte() {
     let params = TreeParams::new(16, 3).expect("valid params");
     let net = Network::mport_ntree(params);
     let routing = Routing::build(&net, RoutingKind::Mlid);
+    let slots: usize = routing.lfts().iter().map(|lft| lft.len()).sum();
+    assert_eq!(slots, 320 * 65_537);
     assert!(
-        routing.table_bytes() > 10 << 20,
-        "expected a multi-MB flat LFT, got {} bytes",
+        routing.table_bytes() < 1 << 20,
+        "expected block-compressed LFTs under 1 MiB, got {} bytes",
         routing.table_bytes()
     );
 }
