@@ -1,7 +1,7 @@
 //! Argument parsing for the `ibfat` CLI (no external parser crate).
 #![allow(clippy::module_name_repetitions)]
 
-use ib_fabric::{FaultPolicy, NodeId, RouteBackend, RoutingKind, TraceSampling, TrafficPattern};
+use ib_fabric::{FaultPolicy, NodeId, RoutingKind, TraceSampling, TrafficPattern};
 
 /// Usage text.
 pub const USAGE: &str = "\
@@ -42,14 +42,6 @@ options:
   --vls V                        virtual lanes         (default 1)
   --time-us T                    simulated microseconds (default 200)
   --seed S                       RNG seed
-  --route-backend table|oracle   simulate/run, sweep, counters, workload,
-                                 trace: forwarding-state backend — flat
-                                 LFT lookups, or the closed-form routing
-                                 oracle (the tables are still built; the
-                                 engine skips its own copy of them)
-                                 (default table; oracle is mlid/slid
-                                 only, pristine fabric only; reports are
-                                 bit-identical across backends)
   --fail-links i,j,k             remove cables by index before anything else
   --kill K                       faults: seeded inter-switch cables to cut
                                  mid-run (default 1; selection is pinned
@@ -68,9 +60,6 @@ options:
                                  (default 8)
   --hotspot D                    loads: all-to-one matrix towards node D
                                  (id or P(...) label) instead of all-to-all
-  --oracle                       loads: stream the closed-form routing
-                                 oracle instead of walking the tables
-                                 (mlid/slid only, pristine fabric only)
   --kind K                       workload kind: allreduce-ring|allreduce-rd|
                                  alltoall|bcast|closed-loop|replay
                                  (default allreduce-ring)
@@ -113,8 +102,6 @@ pub struct Cmd {
     pub time_ns: u64,
     /// RNG seed.
     pub seed: Option<u64>,
-    /// Forwarding-state backend for the packet engine (table or oracle).
-    pub route_backend: RouteBackend,
     /// Cables to fail before acting.
     pub fail_links: Vec<usize>,
     /// `faults`: seeded inter-switch cables to cut mid-run.
@@ -133,8 +120,6 @@ pub struct Cmd {
     pub top: usize,
     /// `loads`: all-to-one matrix towards this node (None = all-to-all).
     pub hotspot: Option<NodeRef>,
-    /// `loads`: stream the closed-form oracle instead of the tables.
-    pub oracle: bool,
     /// `workload`: which workload to drive.
     pub wl_kind: WlKind,
     /// `workload`: payload bytes per node (collectives) or per message
@@ -265,7 +250,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
         vls: 1,
         time_ns: 200_000,
         seed: None,
-        route_backend: RouteBackend::Table,
         fail_links: Vec::new(),
         kill: 1,
         fault_at: None,
@@ -275,7 +259,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
         sample_interval_ns: None,
         top: 8,
         hotspot: None,
-        oracle: false,
         wl_kind: WlKind::AllreduceRing,
         bytes: 4096,
         in_flight: 4,
@@ -332,9 +315,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                         .map_err(|_| "bad --seed value".to_string())?,
                 );
             }
-            "--route-backend" => {
-                cmd.route_backend = next_value(&mut it, arg)?.parse::<RouteBackend>()?;
-            }
             "--fail-links" => {
                 cmd.fail_links = next_value(&mut it, arg)?
                     .split(',')
@@ -389,7 +369,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                     .map_err(|_| "bad --top value".to_string())?;
             }
             "--hotspot" => cmd.hotspot = Some(NodeRef::parse(next_value(&mut it, arg)?)?),
-            "--oracle" => cmd.oracle = true,
             "--kind" => cmd.wl_kind = WlKind::parse(next_value(&mut it, arg)?)?,
             "--bytes" => {
                 let bytes: u64 = next_value(&mut it, arg)?
@@ -604,11 +583,9 @@ mod tests {
         assert_eq!(cmd.scheme, RoutingKind::Slid);
         assert_eq!(cmd.hotspot, Some(NodeRef::Id(NodeId(0))));
         assert_eq!(cmd.top, 4);
-        assert!(!cmd.oracle);
-        // Defaults: all-to-all, table-walked.
-        let cmd = parse(&argv("loads 8x3 --oracle")).unwrap();
+        // Default: all-to-all.
+        let cmd = parse(&argv("loads 8x3")).unwrap();
         assert_eq!(cmd.hotspot, None);
-        assert!(cmd.oracle);
         // Labels resolve later, like `route` arguments.
         let cmd = parse(&argv("loads 4x3 --hotspot P(000)")).unwrap();
         assert_eq!(cmd.hotspot, Some(NodeRef::Label("P(000)".into())));
@@ -687,18 +664,6 @@ mod tests {
         assert!(parse(&argv("faults 8x3 --kill 0")).is_err());
         assert!(parse(&argv("faults 8x3 --policy maybe")).is_err());
         assert!(parse(&argv("faults 8x3 --at soon")).is_err());
-    }
-
-    #[test]
-    fn parses_route_backend() {
-        let cmd = parse(&argv("run 4x2")).unwrap();
-        assert_eq!(cmd.route_backend, RouteBackend::Table);
-        let cmd = parse(&argv("run 4x2 --route-backend oracle")).unwrap();
-        assert_eq!(cmd.route_backend, RouteBackend::Oracle);
-        let cmd = parse(&argv("workload 4x2 --route-backend table")).unwrap();
-        assert_eq!(cmd.route_backend, RouteBackend::Table);
-        assert!(parse(&argv("run 4x2 --route-backend magic")).is_err());
-        assert!(parse(&argv("run 4x2 --route-backend")).is_err());
     }
 
     #[test]

@@ -48,12 +48,11 @@ fn build_fabric(cmd: &Cmd) -> Result<Fabric, String> {
 }
 
 /// The engine configuration the flags describe: the paper's model with
-/// the chosen VLs, route backend and seed.
+/// the chosen VLs and seed.
 fn sim_config(cmd: &Cmd) -> SimConfig {
     let defaults = SimConfig::default();
     SimConfig {
         num_vls: cmd.vls,
-        route_backend: cmd.route_backend,
         seed: cmd.seed.unwrap_or(defaults.seed),
         ..defaults
     }
@@ -89,21 +88,24 @@ fn pattern_of(cmd: &Cmd, fabric: &Fabric) -> TrafficPattern {
 fn info(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
     let p = fabric.params();
     if cmd.json {
-        let value = serde_json::json!({
-            "m": p.m(),
-            "n": p.n(),
-            "nodes": p.num_nodes(),
-            "switches": p.num_switches(),
-            "links": fabric.network().links().len(),
-            "height": p.height(),
-            "lmc": p.lmc(),
-            "lids_per_node": p.lids_per_node(),
-            "max_paths": p.num_lcas(0),
-            "avg_min_hops": analysis::average_min_hops(p),
-            "scheme": cmd.scheme.as_str(),
-            "table_bytes": fabric.routing().table_bytes(),
-        });
-        println!("{}", serde_json::to_string_pretty(&value).expect("json"));
+        let mut j = JsonBuf::new();
+        j.begin_obj();
+        j.field_u64("m", u64::from(p.m()));
+        j.field_u64("n", u64::from(p.n()));
+        j.field_u64("nodes", u64::from(p.num_nodes()));
+        j.field_u64("switches", u64::from(p.num_switches()));
+        j.field_u64("links", fabric.network().links().len() as u64);
+        j.field_u64("height", u64::from(p.height()));
+        j.field_u64("lmc", u64::from(p.lmc()));
+        j.field_u64("lids_per_node", u64::from(p.lids_per_node()));
+        j.field_u64("max_paths", u64::from(p.num_lcas(0)));
+        // Shortest round-trip digits: the exact mean, not a rounding.
+        j.key("avg_min_hops");
+        j.raw_value(&analysis::average_min_hops(p).to_string());
+        j.field_str("scheme", cmd.scheme.as_str());
+        j.field_u64("table_bytes", fabric.routing().table_bytes() as u64);
+        j.end_obj();
+        println!("{}", j.into_string());
         return Ok(());
     }
     println!("{p} under {} routing", cmd.scheme.as_str().to_uppercase());
@@ -139,28 +141,23 @@ fn route(cmd: &Cmd, fabric: &Fabric, src: NodeId, dst: NodeId) -> Result<(), Str
     let route = fabric.route(src, dst).map_err(|e| e.to_string())?;
     let params = fabric.params();
     if cmd.json {
-        // Hand-rolled JSON: the offline serde_json stub cannot serialize.
-        let hops: Vec<serde_json::Value> = route
-            .hops
-            .iter()
-            .map(|h| {
-                serde_json::json!({
-                    "switch": h.switch.0,
-                    "in_port": h.in_port.0,
-                    "out_port": h.out_port.0,
-                })
-            })
-            .collect();
-        let value = serde_json::json!({
-            "src": route.src.0,
-            "dlid": route.dlid.0,
-            "dst": route.dst.0,
-            "hops": serde_json::Value::Array(hops),
-        });
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&value).expect("route serializes")
-        );
+        let mut j = JsonBuf::new();
+        j.begin_obj();
+        j.field_u64("src", u64::from(route.src.0));
+        j.field_u64("dlid", u64::from(route.dlid.0));
+        j.field_u64("dst", u64::from(route.dst.0));
+        j.key("hops");
+        j.begin_arr();
+        for h in &route.hops {
+            j.begin_obj();
+            j.field_u64("switch", u64::from(h.switch.0));
+            j.field_u64("in_port", u64::from(h.in_port.0));
+            j.field_u64("out_port", u64::from(h.out_port.0));
+            j.end_obj();
+        }
+        j.end_arr();
+        j.end_obj();
+        println!("{}", j.into_string());
         return Ok(());
     }
     println!(
@@ -593,12 +590,6 @@ pub struct LoadsReport {
 pub fn collect_loads(cmd: &Cmd, fabric: &Fabric) -> Result<LoadsReport, String> {
     use ib_fabric::topology::DeviceRef;
     let params = fabric.params();
-    if cmd.oracle && cmd.hotspot.is_some() {
-        return Err("--oracle streams the all-to-all matrix; drop --hotspot".into());
-    }
-    if cmd.oracle && !cmd.fail_links.is_empty() {
-        return Err("--oracle assumes a pristine fabric; drop --fail-links".into());
-    }
     let nodes = fabric.num_nodes();
     let (loads, flows) = match &cmd.hotspot {
         Some(dst) => {
@@ -616,16 +607,7 @@ pub fn collect_loads(cmd: &Cmd, fabric: &Fabric) -> Result<LoadsReport, String> 
             (loads, matrix.len() as u64)
         }
         None => {
-            let loads = if cmd.oracle {
-                ib_fabric::all_to_all_loads_oracle(params, cmd.scheme).ok_or_else(|| {
-                    format!(
-                        "--oracle has no closed form for {} routing",
-                        cmd.scheme.as_str()
-                    )
-                })?
-            } else {
-                fabric.channel_loads().map_err(|e| e.to_string())?
-            };
+            let loads = fabric.channel_loads().map_err(|e| e.to_string())?;
             (loads, u64::from(nodes) * u64::from(nodes - 1))
         }
     };

@@ -49,8 +49,6 @@ const FLAGS: &[&str] = &[
     "--time-us 1",
     "--seed 0",
     "--seed 18446744073709551615",
-    "--route-backend table",
-    "--route-backend oracle",
     "--fail-links 0",
     "--fail-links 3",
     "--fail-links 8",
@@ -76,7 +74,6 @@ const FLAGS: &[&str] = &[
     "--hotspot 7",
     "--hotspot 8",
     "--hotspot P(11)",
-    "--oracle",
     "--kind allreduce-ring",
     "--kind allreduce-rd",
     "--kind alltoall",

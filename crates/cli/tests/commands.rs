@@ -95,11 +95,10 @@ fn faults_runs_in_text_and_json() {
          --per-switch-ns 50 --time-us 40 --json",
     )
     .unwrap();
-    // Guard rails: schemes without patch repair, oracle backend, static
+    // Guard rails: schemes without patch repair, static
     // damage mixed with scheduled damage, impossible kill counts, and a
     // fault past the end of the run are all clean errors.
     assert!(run("faults 4x2 --scheme updown --time-us 40").is_err());
-    assert!(run("faults 4x2 --route-backend oracle --time-us 40").is_err());
     assert!(run("faults 4x2 --fail-links 3 --time-us 40").is_err());
     assert!(run("faults 4x2 --kill 500 --time-us 40").is_err());
     assert!(run("faults 4x2 --at 99999999 --time-us 40").is_err());
@@ -193,6 +192,9 @@ fn malformed_run_inputs_are_clean_errors_not_panics() {
         "run 4x3 --threads 2",
         "run 4x3 --partition block",
         "run 4x3 --telemetry",
+        // The lookup is chosen per run; the selection flags are gone.
+        "run 4x3 --route-backend oracle",
+        "loads 4x3 --oracle",
     ] {
         let o = std::process::Command::new(exe)
             .args(line.split_whitespace())
@@ -213,10 +215,6 @@ fn engine_rejections_are_clean_errors_not_panics() {
     let exe = env!("CARGO_BIN_EXE_ibfat");
     for line in [
         "workload 4x2 --kind alltoall --fail-links 8",
-        "run 4x2 --route-backend oracle --fail-links 8",
-        "run 4x2 --route-backend oracle --scheme updown",
-        "counters 4x2 --route-backend oracle --fail-links 8",
-        "faults 4x2 --route-backend oracle --time-us 40",
         "faults 4x2 --scheme updown --time-us 40",
         "run 4x2 --load 1e300 --time-us 1",
     ] {
@@ -244,16 +242,13 @@ fn counters_runs_in_text_and_json() {
 fn loads_runs_in_text_and_json() {
     run("loads 4x2").unwrap();
     run("loads 4x3 --scheme slid --top 3").unwrap();
-    run("loads 4x2 --oracle --json").unwrap();
+    run("loads 4x2 --json").unwrap();
     run("loads 4x3 --hotspot P(000)").unwrap();
     // A tolerable inter-switch failure still analyzes; severing node 0's
     // edge cable (link 8) makes the all-to-all matrix unroutable, which is
     // a clean error, not a panic.
     run("loads 4x2 --fail-links 3").unwrap();
     assert!(run("loads 4x2 --fail-links 8").is_err());
-    assert!(run("loads 4x2 --oracle --hotspot 0").is_err());
-    assert!(run("loads 4x2 --oracle --fail-links 8").is_err());
-    assert!(run("loads 4x2 --oracle --scheme updown").is_err());
     assert!(run("loads 4x2 --hotspot 99").is_err());
 }
 
@@ -299,10 +294,6 @@ fn loads_pin_the_papers_table_story_on_ft_4_3() {
     assert_eq!(mlid.levels[0].up_links, 0);
     assert_eq!(mlid.levels[0].max_up, 0);
     assert!(mlid.levels[1].up_links > 0 && mlid.levels[2].up_links > 0);
-
-    // The closed-form oracle streams to the identical analysis.
-    let oracle = analyze("loads 4x3 --oracle");
-    assert_eq!(oracle.loads, mlid.loads);
 }
 
 #[test]

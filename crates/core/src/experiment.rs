@@ -31,19 +31,6 @@ impl<'a> ExperimentBuilder<'a> {
         }
     }
 
-    /// Forwarding-state backend for the packet engine (default: table —
-    /// flat LFT lookups, exactly what real switch hardware does). The
-    /// oracle backend answers hops from the closed-form route formula
-    /// instead, so the engine keeps no copy of the fabric's tables (the
-    /// fabric itself still holds them); reports are bit-identical across
-    /// backends, the oracle just trades a formula evaluation for the
-    /// engine's table copy. Only the SLID/MLID schemes on intact fabrics
-    /// have an oracle (see [`ibfat_sim::RouteBackend`]).
-    pub fn route_backend(mut self, backend: ibfat_sim::RouteBackend) -> Self {
-        self.cfg.route_backend = backend;
-        self
-    }
-
     /// Number of virtual lanes (paper: 1, 2 or 4).
     pub fn virtual_lanes(mut self, vls: u8) -> Self {
         self.cfg.num_vls = vls;

@@ -54,16 +54,16 @@ pub use ibfat_topology as topology;
 
 // …and the everyday names at the top level.
 pub use ibfat_routing::{
-    all_to_all_loads, all_to_all_loads_oracle, build_fault_tolerant, loads_for_matrix,
-    ChannelLoads, Lft, Lid, LidSpace, Route, RouteOracle, Routing, RoutingError, RoutingKind,
+    all_to_all_loads, build_fault_tolerant, loads_for_matrix, ChannelLoads, Lft, Lid, LidSpace,
+    Route, RouteOracle, Routing, RoutingError, RoutingKind,
 };
 pub use ibfat_sim::{
     aggregate, disruption_report, generators, json, traces_to_jsonl, workload_trace, Aggregate,
     ClosedLoopKind, DisruptionReport, FabricCounters, FaultAction, FaultEvent, FaultPlan,
     FaultPolicy, FaultSummary, HotPort, InjectionProcess, LevelLoad, LinkUse, NoopProbe,
-    PacketTrace, PathSelection, PathSurvival, Phase, PhaseProfile, Probe, RouteBackend, RunSpec,
-    SimConfig, SimReport, TraceEvent, TraceSampling, TrafficPattern, VlArbitration, VlAssignment,
-    Workload, WorkloadReport,
+    PacketTrace, PathSelection, PathSurvival, Phase, PhaseProfile, Probe, RunSpec, SimConfig,
+    SimReport, TraceEvent, TraceSampling, TrafficPattern, VlArbitration, VlAssignment, Workload,
+    WorkloadReport,
 };
 pub use ibfat_sm::SubnetManager;
 pub use ibfat_topology::{
@@ -74,8 +74,8 @@ pub use ibfat_topology::{
 pub mod prelude {
     pub use crate::{
         ChannelLoads, Fabric, FabricBuilder, FabricCounters, FabricError, InjectionProcess, Lid,
-        Network, NodeId, NodeLabel, PathSelection, PhaseProfile, Probe, RouteBackend, RouteOracle,
-        Routing, RoutingKind, SimConfig, SimReport, SubnetManager, SwitchLabel, TrafficPattern,
-        TreeParams, VlArbitration, VlAssignment, Workload, WorkloadReport,
+        Network, NodeId, NodeLabel, PathSelection, PhaseProfile, Probe, RouteOracle, Routing,
+        RoutingKind, SimConfig, SimReport, SubnetManager, SwitchLabel, TrafficPattern, TreeParams,
+        VlArbitration, VlAssignment, Workload, WorkloadReport,
     };
 }

@@ -14,7 +14,7 @@
 //! the per-shard vectors by element-wise addition; the N² pair set is
 //! never materialized.
 
-use crate::{RouteOracle, Routing, RoutingError, RoutingKind};
+use crate::{RouteOracle, Routing, RoutingError};
 use ibfat_topology::{par_map_indexed, DeviceRef, Network, NodeId, PortNum, PortSlots, TreeParams};
 
 /// Load statistics over the directed links of a subnet.
@@ -140,12 +140,42 @@ fn add_route(
 /// Compute channel loads for the all-to-all traffic matrix under the
 /// routing's own path selection (every ordered pair sends one flow).
 ///
-/// Sources are streamed in parallel shards — each shard walks its own
-/// rows of the (never materialized) pair matrix into a private load
-/// vector, and the shards merge by addition. Memory is O(links · threads).
+/// Where [`RouteOracle::for_fabric`] vouches for the routing, flows are
+/// replayed through the closed form with no table or graph read;
+/// otherwise they walk the tables. Both give the same loads. Sources are
+/// streamed in parallel shards — each shard walks its own rows of the
+/// (never materialized) pair matrix into a private load vector, and the
+/// shards merge by addition. Memory is O(links · threads).
 pub fn all_to_all_loads(net: &Network, routing: &Routing) -> Result<ChannelLoads, RoutingError> {
-    let params = net.params();
-    let slots = PortSlots::of(params);
+    let slots = PortSlots::of(net.params());
+    match RouteOracle::for_fabric(net, routing) {
+        Some(oracle) => stream_all_to_all(net.params(), slots, |loads, src, dst| {
+            let dlid = oracle.select_dlid(src, dst);
+            oracle.walk(src, dlid, |device, port| {
+                let slot = match device {
+                    DeviceRef::Node(node) => slots.node_slot(node),
+                    DeviceRef::Switch(sw) => slots.switch_slot(sw, port),
+                };
+                loads[slot] += 1;
+            })?;
+            Ok(())
+        }),
+        None => stream_all_to_all(net.params(), slots, |loads, src, dst| {
+            add_route(loads, &slots, net, routing, src, dst)
+        }),
+    }
+}
+
+/// Accumulate every ordered `(src, dst)` pair's flow through `flow`,
+/// sharding sources across the thread pool.
+fn stream_all_to_all<F>(
+    params: TreeParams,
+    slots: PortSlots,
+    flow: F,
+) -> Result<ChannelLoads, RoutingError>
+where
+    F: Fn(&mut [u32], NodeId, NodeId) -> Result<(), RoutingError> + Sync,
+{
     let nodes = params.num_nodes();
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -159,7 +189,7 @@ pub fn all_to_all_loads(net: &Network, routing: &Routing) -> Result<ChannelLoads
         for &src in *shard {
             for dst in 0..nodes {
                 if dst != src {
-                    add_route(&mut loads, &slots, net, routing, NodeId(src), NodeId(dst))?;
+                    flow(&mut loads, NodeId(src), NodeId(dst))?;
                 }
             }
         }
@@ -187,52 +217,6 @@ pub fn loads_for_matrix(
         add_route(&mut loads, &slots, net, routing, src, dst)?;
     }
     Ok(ChannelLoads::finalize(params, slots, loads))
-}
-
-/// All-to-all channel loads from the closed-form [`RouteOracle`] alone —
-/// no network graph, no tables, no trace allocations. `None` for kinds
-/// without a closed form (up*/down*).
-///
-/// This is what makes FT(32, 3) (67M flows, 2 GB of would-be tables)
-/// analyzable: each parallel shard walks its sources' flows through pure
-/// arithmetic into a private load vector.
-pub fn all_to_all_loads_oracle(params: TreeParams, kind: RoutingKind) -> Option<ChannelLoads> {
-    let oracle = RouteOracle::for_kind(params, kind)?;
-    let slots = PortSlots::of(params);
-    let nodes = params.num_nodes();
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let chunk = (nodes as usize).div_ceil(4 * threads).max(1);
-    let sources: Vec<u32> = (0..nodes).collect();
-    let shards: Vec<&[u32]> = sources.chunks(chunk).collect();
-    let partials = par_map_indexed(&shards, |_, shard| {
-        let mut loads = vec![0u32; slots.len()];
-        for &src in *shard {
-            for dst in 0..nodes {
-                if dst == src {
-                    continue;
-                }
-                let dlid = oracle.select_dlid(NodeId(src), NodeId(dst));
-                oracle
-                    .walk(NodeId(src), dlid, |device, port| {
-                        let slot = slots
-                            .slot(device, port)
-                            .expect("walks transmit only on slotted ports");
-                        loads[slot] += 1;
-                    })
-                    .expect("oracle walk cannot fail on a pristine fabric");
-            }
-        }
-        loads
-    });
-    let mut loads = vec![0u32; slots.len()];
-    for partial in partials {
-        for (total, shard) in loads.iter_mut().zip(partial) {
-            *total += shard;
-        }
-    }
-    Some(ChannelLoads::finalize(params, slots, loads))
 }
 
 #[cfg(test)]
@@ -407,18 +391,25 @@ mod tests {
 
     #[test]
     fn oracle_loads_match_table_walked_loads() {
+        // A built routing streams the closed form; the same tables
+        // assembled from parts walk the tables. The loads agree exactly.
         for (m, n) in [(4, 3), (8, 2)] {
             for kind in [RoutingKind::Mlid, RoutingKind::Slid] {
                 let params = TreeParams::new(m, n).unwrap();
                 let net = Network::mport_ntree(params);
                 let routing = Routing::build(&net, kind);
-                let table = all_to_all_loads(&net, &routing).unwrap();
-                let oracle = all_to_all_loads_oracle(params, kind).unwrap();
+                let tables = Routing::assemble(
+                    kind,
+                    params,
+                    routing.lid_space().clone(),
+                    routing.lfts().to_vec(),
+                );
+                assert!(RouteOracle::for_fabric(&net, &routing).is_some());
+                assert!(RouteOracle::for_fabric(&net, &tables).is_none());
+                let oracle = all_to_all_loads(&net, &routing).unwrap();
+                let table = all_to_all_loads(&net, &tables).unwrap();
                 assert_eq!(oracle, table, "FT({m},{n}) {kind:?}");
             }
         }
-        assert!(
-            all_to_all_loads_oracle(TreeParams::new(4, 2).unwrap(), RoutingKind::UpDown).is_none()
-        );
     }
 }

@@ -16,17 +16,19 @@
 //! contiguous node-id range, so the test is a prefix comparison of two
 //! integer divisions. On top of `route_hop`, [`RouteOracle::walk`] replays
 //! a whole route through the closed-form *wiring* rules of the m-port
-//! n-tree (digit surgery on level-major switch indices), which lets
-//! analyses stream through millions of flows on fabrics whose tables —
-//! gigabytes at FT(32, 3) — are never materialized.
+//! n-tree (digit surgery on level-major switch indices), so a lookup
+//! reads no table block and a route reads no network graph. At FT(32, 3)
+//! that streams the 67M all-to-all flows faster than walking the 85.8 MB
+//! of block-compressed tables.
 //!
-//! The oracle describes the *pristine* tables a scheme programs. A routing
-//! repaired around failed links (see [`crate::build_fault_tolerant`])
-//! intentionally deviates from it; table-backed tracing remains the source
-//! of truth there.
+//! The oracle describes the *pristine* tables a scheme programs on an
+//! intact tree. [`RouteOracle::for_fabric`] is the one place that decides
+//! whether it may answer for a routing: the engine and the channel-load
+//! analysis use it wherever it returns `Some`, and read the tables
+//! otherwise (up*/down*, repaired or assembled tables, a cut cable).
 
 use crate::{Lid, Routing, RoutingError, RoutingKind};
-use ibfat_topology::{DeviceRef, NodeId, PortNum, SwitchId, TreeParams};
+use ibfat_topology::{DeviceRef, Network, NodeId, PortNum, SwitchId, TreeParams};
 
 /// O(1) closed-form routing for the table-driven fat-tree schemes.
 #[derive(Debug, Clone)]
@@ -59,11 +61,15 @@ impl RouteOracle {
         })
     }
 
-    /// The oracle matching a built routing's scheme, or `None` when the
-    /// kind has no closed form. The result agrees with the routing's
-    /// tables only if they are the scheme's canonical ones (not repaired
-    /// around faults).
-    pub fn for_routing(routing: &Routing) -> Option<RouteOracle> {
+    /// The oracle that answers every lookup of `routing` on `net` exactly
+    /// as its tables do, or `None` unless both hold: [`Routing::build`]
+    /// programmed SLID or MLID tables (not up*/down*, not a fault repair,
+    /// not [`Routing::assemble`]), and `net` still has every cable of the
+    /// `FT(m, n)` the routing was built for.
+    pub fn for_fabric(net: &Network, routing: &Routing) -> Option<RouteOracle> {
+        if !(routing.is_closed_form() && net.params() == routing.params() && net.is_intact()) {
+            return None;
+        }
         Self::for_kind(routing.params(), routing.kind())
     }
 
@@ -213,7 +219,6 @@ impl RouteOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ibfat_topology::Network;
 
     const GRID: [(u32, u32); 7] = [(2, 2), (2, 3), (4, 2), (4, 3), (8, 2), (8, 3), (16, 2)];
 
@@ -227,7 +232,7 @@ mod tests {
                 let params = TreeParams::new(m, n).unwrap();
                 let net = Network::mport_ntree(params);
                 let routing = Routing::build(&net, kind);
-                let oracle = RouteOracle::for_routing(&routing).unwrap();
+                let oracle = RouteOracle::for_fabric(&net, &routing).unwrap();
                 assert_eq!(oracle.max_lid(), routing.lid_space().max_lid());
                 for sw in 0..params.num_switches() {
                     let lft = routing.lft(SwitchId(sw));
@@ -241,6 +246,48 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn only_built_closed_form_tables_on_an_intact_tree_get_an_oracle() {
+        let params = TreeParams::new(4, 3).unwrap();
+        let net = Network::mport_ntree(params);
+        for kind in [RoutingKind::Mlid, RoutingKind::Slid] {
+            let built = Routing::build(&net, kind);
+            assert!(RouteOracle::for_fabric(&net, &built).is_some(), "{kind}");
+            let repaired = crate::build_fault_tolerant(&net, kind);
+            assert!(RouteOracle::for_fabric(&net, &repaired).is_none(), "{kind}");
+            let assembled = Routing::assemble(
+                kind,
+                params,
+                built.lid_space().clone(),
+                built.lfts().to_vec(),
+            );
+            assert!(
+                RouteOracle::for_fabric(&net, &assembled).is_none(),
+                "{kind}"
+            );
+            // Built on a tree with one cable cut, the tables are still the
+            // closed form, but the tree is not: the tables are walked and
+            // the analysis fails exactly as the table walk does.
+            let mut cut = net.clone();
+            cut.remove_link(cut.inter_switch_link_indices()[0]);
+            let on_cut = Routing::build(&cut, kind);
+            assert!(RouteOracle::for_fabric(&cut, &on_cut).is_none(), "{kind}");
+            assert!(RouteOracle::for_fabric(&cut, &built).is_none(), "{kind}");
+            let pairs: Vec<_> = (0..params.num_nodes())
+                .flat_map(|s| (0..params.num_nodes()).map(move |d| (NodeId(s), NodeId(d))))
+                .filter(|(s, d)| s != d)
+                .collect();
+            let walked = crate::loads_for_matrix(&cut, &on_cut, &pairs).unwrap_err();
+            assert_eq!(
+                crate::all_to_all_loads(&cut, &on_cut),
+                Err(walked),
+                "{kind}"
+            );
+        }
+        let updown = Routing::build(&net, RoutingKind::UpDown);
+        assert!(RouteOracle::for_fabric(&net, &updown).is_none());
     }
 
     #[test]
@@ -267,7 +314,7 @@ mod tests {
                 let params = TreeParams::new(m, n).unwrap();
                 let net = Network::mport_ntree(params);
                 let routing = Routing::build(&net, kind);
-                let oracle = RouteOracle::for_routing(&routing).unwrap();
+                let oracle = RouteOracle::for_fabric(&net, &routing).unwrap();
                 for src in 0..params.num_nodes() {
                     for dst in 0..params.num_nodes() {
                         assert_eq!(
@@ -290,7 +337,7 @@ mod tests {
                 let params = TreeParams::new(m, n).unwrap();
                 let net = Network::mport_ntree(params);
                 let routing = Routing::build(&net, kind);
-                let oracle = RouteOracle::for_routing(&routing).unwrap();
+                let oracle = RouteOracle::for_fabric(&net, &routing).unwrap();
                 for src in 0..params.num_nodes() {
                     for dst in 0..params.num_nodes() {
                         let dlid = routing.select_dlid(NodeId(src), NodeId(dst));

@@ -80,6 +80,12 @@ pub struct Routing {
     params: ibfat_topology::TreeParams,
     space: LidSpace,
     lfts: Vec<Lft>,
+    /// Set only by [`Routing::build`] for SLID/MLID: the tables are the
+    /// scheme's Equations (1) and (2), so [`crate::RouteOracle`] may
+    /// answer for them. Assembled, repaired and deserialized routings
+    /// never carry it.
+    #[serde(skip)]
+    closed_form: bool,
 }
 
 impl Routing {
@@ -93,7 +99,10 @@ impl Routing {
         let space = scheme.lid_space(net);
         let lfts = scheme.build_lfts(net, &space);
         debug_assert_eq!(lfts.len(), net.num_switches());
-        Routing::assemble(kind, net.params(), space, lfts)
+        Routing {
+            closed_form: kind != RoutingKind::UpDown,
+            ..Routing::assemble(kind, net.params(), space, lfts)
+        }
     }
 
     /// Which scheme produced this routing.
@@ -150,7 +159,15 @@ impl Routing {
             params,
             space,
             lfts,
+            closed_form: false,
         }
+    }
+
+    /// Whether [`Routing::build`] programmed these tables from the
+    /// scheme's closed form (see [`crate::RouteOracle::for_fabric`]).
+    #[inline]
+    pub(crate) fn is_closed_form(&self) -> bool {
+        self.closed_form
     }
 
     /// The tree parameters of the routed subnet.

@@ -47,53 +47,6 @@ pub enum VlAssignment {
     SourceHash,
 }
 
-/// How the data plane answers "which output port does this DLID leave
-/// on" at each switch hop. Purely a representation choice: both
-/// backends return the same port for every `(switch, dlid)` (the
-/// backend equivalence tests assert bit-identical reports), so this is
-/// a memory/speed knob, not a semantic one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum RouteBackend {
-    /// Materialized flat forwarding tables (`num_switches × lid_space`
-    /// bytes), exactly as a subnet manager programs real switches. The
-    /// default; works for every scheme, including fault-repaired tables.
-    #[default]
-    Table,
-    /// Closed-form per-hop lookup through `ibfat_routing::RouteOracle`
-    /// (the paper's Eq. 1/Eq. 2) — the engine keeps no copy of the
-    /// forwarding tables. Only valid for pristine SLID/MLID routings on
-    /// intact fabrics; construction rejects anything the oracle cannot
-    /// model.
-    Oracle,
-}
-
-impl RouteBackend {
-    /// Short lowercase name (stable; used in CLI flags).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            RouteBackend::Table => "table",
-            RouteBackend::Oracle => "oracle",
-        }
-    }
-}
-
-impl std::str::FromStr for RouteBackend {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "table" => Ok(RouteBackend::Table),
-            "oracle" => Ok(RouteBackend::Oracle),
-            other => Err(format!("unknown route backend '{other}'")),
-        }
-    }
-}
-
-impl std::fmt::Display for RouteBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// Which generated flows the flight recorder samples (the recorder
 /// itself is armed by `SimConfig::trace_first_packets > 0`, which also
 /// bounds the trace buffer). Sampling is decided per packet from the
@@ -195,12 +148,9 @@ pub struct SimConfig {
     /// achievable with LFT lookup (the paper's setting) and it reorders
     /// flows. Valid on intact fat trees only.
     pub adaptive_up: bool,
-    /// Data-plane route lookup backend. Bit-identical reports across
-    /// backends wherever the oracle applies.
-    #[serde(default)]
-    pub route_backend: RouteBackend,
     /// Scheduled mid-run fabric failures (empty = subsystem disabled).
-    /// Requires the table backend and a non-adaptive MLID/SLID routing.
+    /// Requires a non-adaptive MLID/SLID routing; the run reads (and
+    /// patches) the routing's tables.
     #[serde(default)]
     pub faults: crate::FaultPlan,
 }
@@ -223,7 +173,6 @@ impl Default for SimConfig {
             trace_first_packets: 0,
             trace_sampling: TraceSampling::default(),
             adaptive_up: false,
-            route_backend: RouteBackend::default(),
             faults: crate::FaultPlan::default(),
         }
     }
@@ -287,13 +236,8 @@ impl SimConfig {
         self.vl_arbitration
             .validate(self.num_vls)
             .map_err(SimError::InvalidConfig)?;
-        if !self.faults.is_empty() {
-            if self.route_backend != RouteBackend::Table {
-                return invalid("fault plans require the table route backend");
-            }
-            if self.adaptive_up {
-                return invalid("fault plans cannot be combined with adaptive_up");
-            }
+        if !self.faults.is_empty() && self.adaptive_up {
+            return invalid("fault plans cannot be combined with adaptive_up");
         }
         Ok(())
     }

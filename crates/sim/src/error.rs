@@ -14,7 +14,7 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// The configuration, offered load or horizon is invalid, or does
-    /// not fit the network and routing (route backend, adaptive
+    /// not fit the network and routing (uncabled ports, adaptive
     /// climbing, tree parameters).
     InvalidConfig(String),
     /// The traffic pattern is inconsistent with the fabric (permutation

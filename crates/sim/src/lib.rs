@@ -66,9 +66,7 @@ mod traffic;
 mod vlarb;
 mod workload;
 
-pub use config::{
-    InjectionProcess, PathSelection, RouteBackend, SimConfig, TraceSampling, VlAssignment,
-};
+pub use config::{InjectionProcess, PathSelection, SimConfig, TraceSampling, VlAssignment};
 pub use counters::{
     FabricCounters, HotPort, NodeCounters, PortVlCounters, Sample, COUNTERS_SCHEMA_VERSION,
 };

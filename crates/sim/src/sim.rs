@@ -33,8 +33,7 @@ use crate::probe::{NoopProbe, Phase, Probe};
 use crate::trace::{PacketTrace, TraceEvent};
 use crate::vlarb::VlArbiter;
 use crate::{
-    InjectionProcess, PathSelection, RouteBackend, RunSpec, SimConfig, SimError, TrafficPattern,
-    VlAssignment,
+    InjectionProcess, PathSelection, RunSpec, SimConfig, SimError, TrafficPattern, VlAssignment,
 };
 use ibfat_routing::{Lft, Lid, RouteOracle, Routing};
 use ibfat_topology::{DeviceRef, Network, NodeId, PortNum};
@@ -156,8 +155,8 @@ pub(crate) struct NodeSt {
     pub(crate) busy_ns: u64,
 }
 
-/// How the data plane resolves `(switch, dlid) → output port` — the
-/// materialization behind [`RouteBackend`].
+/// How the data plane resolves `(switch, dlid) → output port`, chosen
+/// per run by [`RouteOracle::for_fabric`]. Both answer identically.
 #[derive(Debug)]
 pub(crate) enum RouteState<'a> {
     /// The routing's block-compressed forwarding tables, indexed by
@@ -246,7 +245,7 @@ pub struct Simulator<'a, P: Probe = NoopProbe> {
 
     pub(crate) routing: &'a Routing,
     /// Per-hop route lookup state (the tables or the closed-form
-    /// oracle), per `cfg.route_backend`.
+    /// oracle).
     pub(crate) route: RouteState<'a>,
     /// Per-switch 0-based first up-port (= m/2), or `u8::MAX` for roots
     /// (which have no up-ports). Used by adaptive upward routing.
@@ -361,40 +360,12 @@ impl<'a, P: Probe> Simulator<'a, P> {
                 ));
             }
         }
-        let oracle = match cfg.route_backend {
-            RouteBackend::Table => None,
-            RouteBackend::Oracle => Some(RouteOracle::for_routing(routing).ok_or_else(|| {
-                SimError::InvalidConfig(
-                    "the oracle route backend supports only the SLID/MLID schemes \
-                     (up*/down* has no closed-form route)"
-                        .into(),
-                )
-            })?),
-        };
-        if cfg.adaptive_up || oracle.is_some() {
-            let intact = (0..net.num_switches()).all(|sw| {
-                net.switch(ibfat_topology::SwitchId(sw as u32))
-                    .peers()
-                    .count()
-                    == params.m() as usize
-            });
-            // The oracle reproduces *pristine* tables; fault-repaired
-            // routings deviate from the closed form, so degraded fabrics
-            // must use the table backend.
-            if !intact && oracle.is_some() {
-                return invalid(
-                    "the oracle route backend requires an intact fabric (repaired \
-                     routings deviate from the closed-form tables)"
-                        .into(),
-                );
-            }
-            if !intact && cfg.adaptive_up {
-                return invalid("adaptive upward routing requires an intact fabric".into());
-            }
+        if cfg.adaptive_up && !net.is_intact() {
+            return invalid("adaptive upward routing requires an intact fabric".into());
         }
         pattern.validate(net.num_nodes() as u32)?;
         // Fault-injection state: the plan compiles eagerly against the
-        // full tables (`validate` already demanded the table backend).
+        // full tables.
         let faults = if cfg.faults.is_empty() {
             None
         } else {
@@ -410,13 +381,16 @@ impl<'a, P: Probe> Simulator<'a, P> {
         let cap = cfg.buffer_packets;
         let arb_table = cfg.vl_arbitration.table(cfg.num_vls);
 
-        let route = match oracle {
-            Some(oracle) => RouteState::Oracle(oracle),
-            // Patched tables are the run's own; all others stay shared.
-            None if faults.as_ref().is_some_and(|f| f.runtime.patches_tables()) => {
+        // The closed form answers where it matches the tables exactly and
+        // the run has no fault plan (reprogramming acts on tables);
+        // otherwise the run reads the tables, its own copy only when the
+        // plan's reprograms patch them.
+        let route = match (&faults, RouteOracle::for_fabric(net, routing)) {
+            (None, Some(oracle)) => RouteState::Oracle(oracle),
+            (Some(f), _) if f.runtime.patches_tables() => {
                 RouteState::Table(Cow::Owned(routing.lfts().to_vec()))
             }
-            None => RouteState::Table(Cow::Borrowed(routing.lfts())),
+            _ => RouteState::Table(Cow::Borrowed(routing.lfts())),
         };
 
         let up_ports_from: Vec<u8> = (0..net.num_switches())
@@ -806,7 +780,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
                     }
                 }
             }
-            RouteState::Oracle(_) => unreachable!("fault plans require the table backend"),
+            RouteState::Oracle(_) => unreachable!("fault plans run on the tables"),
         }
         let st = self.faults.as_ref().expect("checked above");
         if st.sw_killed[sw as usize] {
@@ -1651,35 +1625,41 @@ mod tests {
         }
     }
 
-    /// A run reads the routing's own tables; only a fault plan whose
-    /// reprograms patch entries gives the run a copy to patch.
+    /// A built MLID routing on its intact tree runs on the closed form.
+    /// Other routings read the routing's own tables; only a fault plan
+    /// whose reprograms patch entries gives the run a copy to patch.
     #[test]
     fn tables_are_borrowed_unless_a_fault_plan_patches_them() {
-        let net = Network::mport_ntree(TreeParams::new(4, 3).expect("valid params"));
+        let params = TreeParams::new(4, 3).expect("valid params");
+        let net = Network::mport_ntree(params);
         let routing = Routing::build(&net, RoutingKind::Mlid);
+        let assembled = Routing::assemble(
+            RoutingKind::Mlid,
+            params,
+            routing.lid_space().clone(),
+            routing.lfts().to_vec(),
+        );
         let spec = RunSpec::new(0.3, 5_000);
-        let build = |faults| {
+        let build = |routing, faults| {
             let cfg = SimConfig {
                 faults,
                 ..SimConfig::default()
             };
-            Simulator::build(
-                &net,
-                &routing,
-                cfg,
-                TrafficPattern::Uniform,
-                spec,
-                NoopProbe,
-            )
-            .unwrap()
+            Simulator::build(&net, routing, cfg, TrafficPattern::Uniform, spec, NoopProbe).unwrap()
         };
-        let sim = build(crate::FaultPlan::default());
+        let sim = build(&routing, crate::FaultPlan::default());
+        assert!(
+            matches!(sim.route, RouteState::Oracle(_)),
+            "expected the closed form, got {:?}",
+            sim.route
+        );
+        let sim = build(&assembled, crate::FaultPlan::default());
         let RouteState::Table(Cow::Borrowed(lfts)) = &sim.route else {
             panic!("expected borrowed tables, got {:?}", sim.route);
         };
-        assert!(std::ptr::eq(*lfts, routing.lfts()));
+        assert!(std::ptr::eq(*lfts, assembled.lfts()));
         let link = crate::FaultPlan::pick_links(&net, 1, 7);
-        let sim = build(crate::FaultPlan::kill_links_at(&link, 1_000));
+        let sim = build(&routing, crate::FaultPlan::kill_links_at(&link, 1_000));
         assert!(sim.faults.as_ref().unwrap().runtime.patches_tables());
         let RouteState::Table(Cow::Owned(lfts)) = &sim.route else {
             panic!("expected owned tables, got {:?}", sim.route);

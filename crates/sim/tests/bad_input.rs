@@ -10,7 +10,7 @@
 use ibfat_routing::{build_fault_tolerant, Routing, RoutingKind};
 use ibfat_sim::{
     generators, run, run_workload, FaultAction, FaultEvent, FaultPlan, FaultPolicy, NoopProbe,
-    RouteBackend, RunSpec, SimConfig, SimError, TrafficPattern, VlArbitration, Workload,
+    RunSpec, SimConfig, SimError, TrafficPattern, VlArbitration, Workload,
 };
 use ibfat_topology::{Network, NodeId, TreeParams};
 use proptest::test_runner::TestRng;
@@ -30,8 +30,6 @@ fn check_of(e: &SimError) -> &'static str {
         SimError::InvalidConfig(m) if has(m, "routing was built for") => "routing-tree",
         SimError::InvalidConfig(m) if has(m, "does not cable") => "routing-uncabled",
         SimError::InvalidConfig(m) if has(m, "packet-id space") => "packet-bound",
-        SimError::InvalidConfig(m) if has(m, "supports only the SLID/MLID") => "oracle-updown",
-        SimError::InvalidConfig(m) if has(m, "oracle route backend requires") => "oracle-degraded",
         SimError::InvalidConfig(m) if has(m, "adaptive upward") => "adaptive-degraded",
         SimError::InvalidConfig(_) => "config",
         SimError::InvalidPattern(_) => "pattern",
@@ -98,7 +96,7 @@ fn fabric(rng: &mut TestRng) -> (Network, Routing, String) {
 }
 
 /// Usually valid, sometimes out of range: VLs 0..=16, buffers 0..=2,
-/// packets 0..=512 bytes, either backend, adaptive climbing, and a
+/// packets 0..=512 bytes, adaptive climbing, and a
 /// weighted arbitration table that may miss lanes.
 fn config(rng: &mut TestRng) -> SimConfig {
     let num_vls = if one_in(rng, 8) {
@@ -129,11 +127,6 @@ fn config(rng: &mut TestRng) -> SimConfig {
         buffer_packets,
         packet_bytes,
         vl_arbitration,
-        route_backend: if one_in(rng, 4) {
-            RouteBackend::Oracle
-        } else {
-            RouteBackend::Table
-        },
         adaptive_up: one_in(rng, 6),
         trace_first_packets: if one_in(rng, 10) { 4 } else { 0 },
         seed: rng.next_u64(),
@@ -289,8 +282,6 @@ fn random_inputs_return_typed_errors_and_meet_every_check() {
         "routing-tree",
         "routing-uncabled",
         "packet-bound",
-        "oracle-updown",
-        "oracle-degraded",
         "adaptive-degraded",
         "pattern",
         "fault-plan",

@@ -251,6 +251,14 @@ impl Network {
             .collect()
     }
 
+    /// Whether every cable of the `IBFT(m, n)` is still present: every
+    /// switch port and every node endport cabled. Cables are only ever
+    /// removed from the built tree, so the full link count is the test.
+    pub fn is_intact(&self) -> bool {
+        let ports = self.num_switches() * self.params.m() as usize + self.num_nodes();
+        2 * self.links.len() == ports
+    }
+
     /// Whether every device can still reach every other over live cables.
     pub fn is_connected(&self) -> bool {
         let total = self.num_nodes() + self.num_switches();
@@ -370,10 +378,12 @@ mod tests {
     #[test]
     fn remove_link_uncables_both_ends() {
         let mut net = net();
+        assert!(net.is_intact());
         let idx = net.inter_switch_link_indices()[0];
         let link = net.remove_link(idx);
         assert_eq!(net.peer_of(link.a.device, link.a.port), None);
         assert_eq!(net.peer_of(link.b.device, link.b.port), None);
+        assert!(!net.is_intact());
         assert!(
             net.validate().is_err(),
             "degraded net fails strict validation"
@@ -417,6 +427,7 @@ mod tests {
             .unwrap();
         net.remove_link(node_link);
         assert!(!net.is_connected());
+        assert!(!net.is_intact());
     }
 
     #[test]
