@@ -11,6 +11,7 @@
 //! `error:` line and exit 2.
 
 use ib_fabric::prelude::*;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 /// The `--help` text.
@@ -93,10 +94,16 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    bench::exit_after_stdout(write_ablations(&mut io::stdout().lock(), m, n, load))
+}
 
-    println!(
+/// Run every ablation at `FT(m, n)` and `load`, one table per knob,
+/// writing each row as soon as its run ends.
+fn write_ablations(out: &mut impl Write, m: u32, n: u32, load: f64) -> io::Result<()> {
+    writeln!(
+        out,
         "Ablations on {m}-port {n}-tree at offered load {load} (uniform traffic unless noted)\n"
-    );
+    )?;
     let header = format!(
         "{:<34} {:>18} {:>14}",
         "variant", "accepted(B/ns/nd)", "avg-lat(ns)"
@@ -106,52 +113,62 @@ fn main() -> ExitCode {
     let hot = TrafficPattern::paper_centric();
     let det = InjectionProcess::Deterministic;
 
-    println!("-- buffer depth (paper: 1 packet per VL) --\n{header}");
+    writeln!(out, "-- buffer depth (paper: 1 packet per VL) --\n{header}")?;
     for buffers in [1u8, 2, 4, 8] {
         let r = run(m, n, RoutingKind::Mlid, 1, buffers, 256, det, load, &uni);
-        println!(
+        writeln!(
+            out,
             "{:<34} {:>18.4} {:>14.1}",
             format!("MLID VL1 buffers={buffers}"),
             r.accepted_bytes_per_ns_per_node,
             r.avg_latency_ns()
-        );
+        )?;
     }
 
-    println!("\n-- packet size (paper: 256 bytes) --\n{header}");
+    writeln!(out, "\n-- packet size (paper: 256 bytes) --\n{header}")?;
     for bytes in [64u32, 128, 256, 512, 1024] {
         let r = run(m, n, RoutingKind::Mlid, 1, 1, bytes, det, load, &uni);
-        println!(
+        writeln!(
+            out,
             "{:<34} {:>18.4} {:>14.1}",
             format!("MLID VL1 packet={bytes}B"),
             r.accepted_bytes_per_ns_per_node,
             r.avg_latency_ns()
-        );
+        )?;
     }
 
-    println!("\n-- injection process (paper: deterministic) --\n{header}");
+    writeln!(
+        out,
+        "\n-- injection process (paper: deterministic) --\n{header}"
+    )?;
     for (name, inj) in [
         ("deterministic", InjectionProcess::Deterministic),
         ("poisson", InjectionProcess::Poisson),
     ] {
         let r = run(m, n, RoutingKind::Mlid, 1, 1, 256, inj, load, &uni);
-        println!(
+        writeln!(
+            out,
             "{:<34} {:>18.4} {:>14.1}",
             format!("MLID VL1 {name}"),
             r.accepted_bytes_per_ns_per_node,
             r.avg_latency_ns()
-        );
+        )?;
     }
 
-    println!("\n-- routing scheme under 50%-centric traffic --\n{header}");
+    writeln!(
+        out,
+        "\n-- routing scheme under 50%-centric traffic --\n{header}"
+    )?;
     for kind in [RoutingKind::Slid, RoutingKind::Mlid, RoutingKind::UpDown] {
         for vls in [1u8, 2] {
             let r = run(m, n, kind, vls, 1, 256, det, load, &hot);
-            println!(
+            writeln!(
+                out,
                 "{:<34} {:>18.4} {:>14.1}",
                 format!("{} VL{vls} centric50", kind.as_str().to_uppercase()),
                 r.accepted_bytes_per_ns_per_node,
                 r.avg_latency_ns()
-            );
+            )?;
         }
     }
 
@@ -159,7 +176,10 @@ fn main() -> ExitCode {
     // source's subgroup rank ("there exists a one-to-one mapping"). The
     // alternatives break the upward-exclusivity property (and would
     // reorder packets in real InfiniBand).
-    println!("\n-- MLID path-selection policy (VL1, uniform) --\n{header}");
+    writeln!(
+        out,
+        "\n-- MLID path-selection policy (VL1, uniform) --\n{header}"
+    )?;
     for (name, policy) in [
         ("paper rank", ib_fabric::PathSelection::Paper),
         (
@@ -181,17 +201,18 @@ fn main() -> ExitCode {
             .offered_load(load)
             .duration_ns(200_000)
             .run();
-        println!(
+        writeln!(
+            out,
             "{:<34} {:>18.4} {:>14.1}",
             format!("MLID VL1 {name}"),
             r.accepted_bytes_per_ns_per_node,
             r.avg_latency_ns()
-        );
+        )?;
     }
 
     // VL assignment under the hot spot: confining the hot flows to one
     // lane isolates their head-of-line blocking.
-    println!("\n-- VL assignment under centric50 (VL4) --\n{header}");
+    writeln!(out, "\n-- VL assignment under centric50 (VL4) --\n{header}")?;
     for (name, policy) in [
         ("random", ib_fabric::VlAssignment::Random),
         ("by destination", ib_fabric::VlAssignment::DestinationHash),
@@ -209,23 +230,28 @@ fn main() -> ExitCode {
             .offered_load(load)
             .duration_ns(200_000)
             .run();
-        println!(
+        writeln!(
+            out,
             "{:<34} {:>18.4} {:>14.1}",
             format!("MLID VL4 {name}"),
             r.accepted_bytes_per_ns_per_node,
             r.avg_latency_ns()
-        );
+        )?;
     }
 
     // What deterministic LFT routing gives up: per-packet adaptive
     // up-port selection (impossible in IBA switches, which forward purely
     // by table lookup) against the paper's deterministic tables. Adaptive
     // reorders flows — the out-of-order column shows the price.
-    println!("\n-- deterministic tables vs adaptive climbing (VL1) --");
-    println!(
+    writeln!(
+        out,
+        "\n-- deterministic tables vs adaptive climbing (VL1) --"
+    )?;
+    writeln!(
+        out,
         "{:<34} {:>18} {:>14} {:>14}",
         "variant", "accepted(B/ns/nd)", "avg-lat(ns)", "out-of-order"
-    );
+    )?;
     for (name, adaptive, pattern) in [
         ("MLID deterministic uniform", false, &uni),
         ("MLID adaptive uniform", true, &uni),
@@ -243,20 +269,21 @@ fn main() -> ExitCode {
             .offered_load(load)
             .duration_ns(200_000)
             .run();
-        println!(
+        writeln!(
+            out,
             "{:<34} {:>18.4} {:>14.1} {:>14}",
             name,
             r.accepted_bytes_per_ns_per_node,
             r.avg_latency_ns(),
             r.out_of_order
-        );
+        )?;
     }
 
     // The OCR of the paper lost the hot-spot percentage ("·0 out of ·00
     // packets"); 50% is the literal best fit but 10–30% are equally
     // consistent. This sweep shows the reconstruction is robust: MLID
     // leads SLID at every fraction.
-    println!("\n-- hot-spot fraction sensitivity (VL1) --\n{header}");
+    writeln!(out, "\n-- hot-spot fraction sensitivity (VL1) --\n{header}")?;
     for frac in [0.1, 0.2, 0.3, 0.5] {
         let pattern = TrafficPattern::Centric {
             hotspot: NodeId(0),
@@ -264,7 +291,8 @@ fn main() -> ExitCode {
         };
         for kind in [RoutingKind::Slid, RoutingKind::Mlid] {
             let r = run(m, n, kind, 1, 1, 256, det, load, &pattern);
-            println!(
+            writeln!(
+                out,
                 "{:<34} {:>18.4} {:>14.1}",
                 format!(
                     "{} VL1 centric{}",
@@ -273,8 +301,8 @@ fn main() -> ExitCode {
                 ),
                 r.accepted_bytes_per_ns_per_node,
                 r.avg_latency_ns()
-            );
+            )?;
         }
     }
-    ExitCode::SUCCESS
+    out.flush()
 }

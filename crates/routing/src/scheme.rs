@@ -1,6 +1,8 @@
+use crate::mlid::build_all;
 use crate::{Hop, Lft, Lid, LidSpace, MlidScheme, Route, RoutingError, SlidScheme};
 use ibfat_topology::{Network, NodeId};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// A deterministic routing scheme for an InfiniBand subnet: it decides the
 /// LID assignment, programs every switch's forwarding table, and (for
@@ -70,16 +72,27 @@ impl std::fmt::Display for RoutingKind {
     }
 }
 
-/// A fully materialized routing: the LID assignment plus every switch's
-/// programmed forwarding table. This is the artifact a subnet manager
-/// leaves behind after initialization, and the only thing the simulator
-/// needs to forward packets.
+/// A routing: the LID assignment plus every switch's programmed
+/// forwarding table. This is the artifact a subnet manager leaves behind
+/// after initialization, and all the simulator needs to forward packets.
+///
+/// The tables of a SLID/MLID routing from [`Routing::build`] are a pure
+/// function of the tree parameters and the LID space (Equations (1) and
+/// (2)), so they are built on their first read ([`lfts`](Routing::lfts),
+/// [`lft`](Routing::lft), [`table_bytes`](Routing::table_bytes),
+/// [`trace`](Routing::trace), [`walk`](Routing::walk)), once, whichever
+/// thread reads first. A run or a channel-load analysis that the closed
+/// form ([`crate::RouteOracle`]) answers never builds them. Every other
+/// routing — up*/down*, [`Routing::assemble`], fault repair — holds its
+/// tables from construction.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Routing {
     kind: RoutingKind,
     params: ibfat_topology::TreeParams,
     space: LidSpace,
-    lfts: Vec<Lft>,
+    /// Per-switch tables, indexed by switch id; read only through
+    /// [`Routing::lfts`], which fills a closed-form routing's on demand.
+    lfts: OnceLock<Vec<Lft>>,
     /// Set only by [`Routing::build`] for SLID/MLID: the tables are the
     /// scheme's Equations (1) and (2), so [`crate::RouteOracle`] may
     /// answer for them. Assembled, repaired and deserialized routings
@@ -89,19 +102,25 @@ pub struct Routing {
 }
 
 impl Routing {
-    /// Run a scheme end-to-end over a subnet.
+    /// Run a scheme over a subnet: assign the LIDs and program the
+    /// tables. SLID and MLID defer the tables to their first read;
+    /// up*/down* derives them from the cabled graph here.
     pub fn build(net: &Network, kind: RoutingKind) -> Routing {
-        let scheme: Box<dyn RoutingScheme> = match kind {
-            RoutingKind::Slid => Box::new(SlidScheme),
-            RoutingKind::Mlid => Box::new(MlidScheme),
-            RoutingKind::UpDown => Box::new(crate::UpDownScheme),
+        let space = match kind {
+            RoutingKind::Slid => SlidScheme.lid_space(net),
+            RoutingKind::Mlid => MlidScheme.lid_space(net),
+            RoutingKind::UpDown => {
+                let space = crate::UpDownScheme.lid_space(net);
+                let lfts = crate::UpDownScheme.build_lfts(net, &space);
+                return Routing::assemble(kind, net.params(), space, lfts);
+            }
         };
-        let space = scheme.lid_space(net);
-        let lfts = scheme.build_lfts(net, &space);
-        debug_assert_eq!(lfts.len(), net.num_switches());
         Routing {
-            closed_form: kind != RoutingKind::UpDown,
-            ..Routing::assemble(kind, net.params(), space, lfts)
+            kind,
+            params: net.params(),
+            space,
+            lfts: OnceLock::new(),
+            closed_form: true,
         }
     }
 
@@ -113,7 +132,7 @@ impl Routing {
 
     /// Resident bytes held by the block-compressed forwarding tables.
     pub fn table_bytes(&self) -> usize {
-        self.lfts.iter().map(Lft::resident_bytes).sum()
+        self.lfts().iter().map(Lft::resident_bytes).sum()
     }
 
     /// The LID assignment.
@@ -122,21 +141,37 @@ impl Routing {
         &self.space
     }
 
-    /// Per-switch forwarding tables, indexed by switch id.
+    /// Per-switch forwarding tables, indexed by switch id. Every table
+    /// read goes through here: a closed-form routing builds its tables
+    /// from Equations (1) and (2) on the first call. The scheme builders
+    /// read only the tree parameters and the LID space, so the tables
+    /// equal the ones an eager build would have programmed.
     #[inline]
     pub fn lfts(&self) -> &[Lft] {
-        &self.lfts
+        self.lfts.get_or_init(|| {
+            let (params, space) = (self.params, &self.space);
+            match self.kind {
+                RoutingKind::Slid => build_all(params, space, |sw| {
+                    SlidScheme::build_switch_lft(params, space, sw)
+                }),
+                RoutingKind::Mlid => build_all(params, space, |sw| {
+                    MlidScheme::build_switch_lft(params, space, sw)
+                }),
+                RoutingKind::UpDown => unreachable!("up*/down* tables are built with the routing"),
+            }
+        })
     }
 
     /// The forwarding table of one switch.
     #[inline]
     pub fn lft(&self, switch: ibfat_topology::SwitchId) -> &Lft {
+        let lfts = self.lfts();
         debug_assert!(
-            switch.index() < self.lfts.len(),
+            switch.index() < lfts.len(),
             "switch {switch} out of range: this routing programs {} switches",
-            self.lfts.len()
+            lfts.len()
         );
-        &self.lfts[switch.index()]
+        &lfts[switch.index()]
     }
 
     /// Assemble a routing from externally computed parts — the entry
@@ -158,7 +193,7 @@ impl Routing {
             kind,
             params,
             space,
-            lfts,
+            lfts: OnceLock::from(lfts),
             closed_form: false,
         }
     }
@@ -189,7 +224,7 @@ impl Routing {
     /// Trace the route a packet from `src` with the given DLID takes
     /// through the programmed tables.
     pub fn trace(&self, net: &Network, src: NodeId, dlid: Lid) -> Result<Route, RoutingError> {
-        crate::path::trace(net, &self.space, &self.lfts, src, dlid)
+        crate::path::trace(net, &self.space, self.lfts(), src, dlid)
     }
 
     /// Follow the same route as [`trace`](Routing::trace) without
@@ -203,6 +238,112 @@ impl Routing {
         dlid: Lid,
         on_hop: impl FnMut(Hop),
     ) -> Result<NodeId, RoutingError> {
-        crate::path::walk(net, &self.space, &self.lfts, src, dlid, on_hop)
+        crate::path::walk(net, &self.space, self.lfts(), src, dlid, on_hop)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{build_fault_tolerant, RouteOracle};
+    use ibfat_topology::TreeParams;
+
+    const CLOSED_FORM: [RoutingKind; 2] = [RoutingKind::Slid, RoutingKind::Mlid];
+
+    fn built(routing: &Routing) -> bool {
+        routing.lfts.get().is_some()
+    }
+
+    /// The engine and the sweeps share one `Routing` across threads.
+    #[test]
+    fn an_unbuilt_routing_is_send_and_sync() {
+        fn shared<T: Send + Sync>() {}
+        shared::<Routing>();
+    }
+
+    #[test]
+    fn build_defers_closed_form_tables_past_every_table_free_read() {
+        let net = Network::mport_ntree(TreeParams::new(4, 3).unwrap());
+        for kind in CLOSED_FORM {
+            let routing = Routing::build(&net, kind);
+            assert!(!built(&routing), "{kind}: built eagerly");
+            assert!(RouteOracle::for_fabric(&net, &routing).is_some());
+            let dlid = routing.select_dlid(NodeId(0), NodeId(9));
+            assert!(routing.lid_space().resolve(dlid).is_some());
+            assert!(
+                !built(&routing),
+                "{kind}: a table-free read built the tables"
+            );
+            routing.trace(&net, NodeId(0), dlid).unwrap();
+            assert!(built(&routing), "{kind}: trace read no tables");
+        }
+        assert!(built(&Routing::build(&net, RoutingKind::UpDown)));
+    }
+
+    #[test]
+    fn first_read_equals_the_per_entry_reference() {
+        for (m, n) in [(4, 2), (4, 3), (8, 2), (8, 3)] {
+            let net = Network::mport_ntree(TreeParams::new(m, n).unwrap());
+            for kind in CLOSED_FORM {
+                let routing = Routing::build(&net, kind);
+                let reference = match kind {
+                    RoutingKind::Slid => {
+                        SlidScheme::build_lfts_reference(&net, routing.lid_space())
+                    }
+                    _ => MlidScheme::build_lfts_reference(&net, routing.lid_space()),
+                };
+                assert_eq!(routing.lfts(), reference.as_slice(), "FT({m},{n}) {kind}");
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_first_reads_see_one_table_set() {
+        // FT(16,3) is large enough that the first read builds over the
+        // thread pool itself, nested inside the readers' threads. The
+        // barrier lines the readers up on the empty lock.
+        let net = Network::mport_ntree(TreeParams::new(16, 3).unwrap());
+        let routing = Routing::build(&net, RoutingKind::Mlid);
+        let readers = 4;
+        let barrier = std::sync::Barrier::new(readers);
+        let seen: Vec<usize> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..readers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        routing.lfts().as_ptr() as usize
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("reader thread"))
+                .collect()
+        });
+        let first = routing.lfts().as_ptr() as usize;
+        assert!(seen.iter().all(|&p| p == first), "{seen:?} vs {first}");
+        // A clone of a built routing carries its tables along.
+        assert!(built(&routing.clone()));
+    }
+
+    #[test]
+    fn assembled_and_repaired_routings_hold_tables_from_construction() {
+        let net = Network::mport_ntree(TreeParams::new(4, 3).unwrap());
+        let mut degraded = net.clone();
+        degraded.remove_link(0);
+        for kind in CLOSED_FORM {
+            let source = Routing::build(&net, kind);
+            let assembled = Routing::assemble(
+                kind,
+                net.params(),
+                source.lid_space().clone(),
+                source.lfts().to_vec(),
+            );
+            assert!(built(&assembled), "{kind}: assemble");
+            assert!(
+                built(&build_fault_tolerant(&degraded, kind)),
+                "{kind}: repair"
+            );
+        }
     }
 }

@@ -43,7 +43,7 @@ pub fn run<P: Probe>(
     spec: RunSpec,
     probe: P,
 ) -> Result<(SimReport, P), SimError> {
-    Simulator::build(net, routing, cfg, pattern, spec, probe)?.run_pattern()
+    Simulator::build_pattern(net, routing, cfg, pattern, spec, probe)?.run_pattern()
 }
 
 /// Drive a message-level workload (see [`Workload`]) to completion,

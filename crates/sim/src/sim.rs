@@ -219,9 +219,12 @@ pub enum Ev {
 /// The discrete-event simulator for one (network, routing, traffic, load)
 /// operating point.
 ///
-/// Borrows the routing, forwarding tables included, for its whole
-/// lifetime; only a run with a fault plan that patches the tables copies
-/// them. Sweeps and replications share one `Routing` across threads.
+/// Borrows the routing for its whole lifetime. A run the closed form
+/// answers ([`RouteOracle::for_fabric`], no fault plan) reads none of
+/// its tables, so a SLID/MLID routing from `Routing::build` never builds
+/// them; any other run reads them in place, and only a fault plan that
+/// patches them copies them. Sweeps and replications share one
+/// `Routing` across threads.
 ///
 /// Generic over a [`Probe`] observability sink (default: the free
 /// [`NoopProbe`]). Every probe hook site is guarded by the probe's
@@ -271,8 +274,12 @@ pub struct Simulator<'a, P: Probe = NoopProbe> {
     // measurement
     /// Next sequence number per (src, dst, vl) flow. InfiniBand only
     /// orders traffic within a lane, so the flow key includes the VL.
+    /// Empty unless the run can reorder a flow
+    /// ([`build_pattern`](Simulator::build_pattern)); packets then carry
+    /// sequence number 0.
     pub(crate) flow_next_seq: Vec<u32>,
-    /// Highest delivered sequence per (src, dst, vl) flow (u32::MAX = none).
+    /// Highest delivered sequence per (src, dst, vl) flow (u32::MAX =
+    /// none). Allocated together with `flow_next_seq`.
     pub(crate) flow_delivered: Vec<u32>,
     pub(crate) out_of_order: u64,
     pub(crate) dropped: u64,
@@ -335,29 +342,47 @@ impl<'a, P: Probe> Simulator<'a, P> {
             ));
         }
         let params = net.params();
-        if routing.params() != params || routing.lfts().len() != net.num_switches() {
-            return invalid(format!(
+        let mismatch = || {
+            invalid(format!(
                 "the routing was built for {} but the network is {params}",
                 routing.params()
-            ));
+            ))
+        };
+        if routing.params() != params {
+            return mismatch();
         }
-        // Every table must span the LID space and forward only into
-        // ports this network cables: a routing for another degraded
-        // network may name a port that has no peer here. The check reads
-        // each switch's distinct blocks, not its entries.
-        let slots = routing.lid_space().max_lid().index() + 1;
-        for (sw, lft) in routing.lfts().iter().enumerate() {
-            if lft.len() != slots {
-                return invalid(format!("LFT {sw} does not span the LID space"));
+        // The closed form answers where it matches the tables exactly and
+        // the run has no fault plan (reprogramming acts on tables). It
+        // needs an intact tree with the routing's own parameters, where
+        // every port Equations (1) and (2) name is cabled, so such a run
+        // neither checks nor builds the tables.
+        let oracle = if cfg.faults.is_empty() {
+            RouteOracle::for_fabric(net, routing)
+        } else {
+            None
+        };
+        if oracle.is_none() {
+            // Every table must span the LID space and forward only into
+            // ports this network cables: a routing for another degraded
+            // network may name a port that has no peer here. The check
+            // reads each switch's distinct blocks, not its entries.
+            if routing.lfts().len() != net.num_switches() {
+                return mismatch();
             }
-            let here = DeviceRef::Switch(ibfat_topology::SwitchId(sw as u32));
-            let uncabled =
-                |p: PortNum| u32::from(p.0) > params.m() || net.peer_of(here, p).is_none();
-            if let Some(port) = lft.ports_used().find(|&p| uncabled(p)) {
-                return invalid(format!(
-                    "the routing forwards out of port {port} of switch {sw}, which this \
-                     network does not cable (a routing built for another network?)"
-                ));
+            let slots = routing.lid_space().max_lid().index() + 1;
+            for (sw, lft) in routing.lfts().iter().enumerate() {
+                if lft.len() != slots {
+                    return invalid(format!("LFT {sw} does not span the LID space"));
+                }
+                let here = DeviceRef::Switch(ibfat_topology::SwitchId(sw as u32));
+                let uncabled =
+                    |p: PortNum| u32::from(p.0) > params.m() || net.peer_of(here, p).is_none();
+                if let Some(port) = lft.ports_used().find(|&p| uncabled(p)) {
+                    return invalid(format!(
+                        "the routing forwards out of port {port} of switch {sw}, which this \
+                         network does not cable (a routing built for another network?)"
+                    ));
+                }
             }
         }
         if cfg.adaptive_up && !net.is_intact() {
@@ -381,16 +406,14 @@ impl<'a, P: Probe> Simulator<'a, P> {
         let cap = cfg.buffer_packets;
         let arb_table = cfg.vl_arbitration.table(cfg.num_vls);
 
-        // The closed form answers where it matches the tables exactly and
-        // the run has no fault plan (reprogramming acts on tables);
-        // otherwise the run reads the tables, its own copy only when the
-        // plan's reprograms patch them.
-        let route = match (&faults, RouteOracle::for_fabric(net, routing)) {
-            (None, Some(oracle)) => RouteState::Oracle(oracle),
-            (Some(f), _) if f.runtime.patches_tables() => {
+        // Without the closed form the run reads the tables, its own copy
+        // only when the plan's reprograms patch them.
+        let route = match (oracle, &faults) {
+            (Some(oracle), _) => RouteState::Oracle(oracle),
+            (None, Some(f)) if f.runtime.patches_tables() => {
                 RouteState::Table(Cow::Owned(routing.lfts().to_vec()))
             }
-            _ => RouteState::Table(Cow::Borrowed(routing.lfts())),
+            (None, _) => RouteState::Table(Cow::Borrowed(routing.lfts())),
         };
 
         let up_ports_from: Vec<u8> = (0..net.num_switches())
@@ -512,8 +535,8 @@ impl<'a, P: Probe> Simulator<'a, P> {
             slab: PacketSlab::new(),
             rng: ChaCha12Rng::seed_from_u64(cfg.seed),
             now: 0,
-            flow_next_seq: vec![0; net.num_nodes() * net.num_nodes() * num_vls],
-            flow_delivered: vec![u32::MAX; net.num_nodes() * net.num_nodes() * num_vls],
+            flow_next_seq: Vec::new(),
+            flow_delivered: Vec::new(),
             out_of_order: 0,
             dropped: 0,
             total_generated: 0,
@@ -535,6 +558,52 @@ impl<'a, P: Probe> Simulator<'a, P> {
             probe,
         })
     }
+
+    /// Build the engine for a pattern-mode run: [`Simulator::build`],
+    /// plus the per-flow state that counts `out_of_order` when a flow
+    /// can be reordered at all.
+    ///
+    /// Lanes are FIFO from source queue to delivery, so a flow (source,
+    /// destination, VL) arrives in order along any single path. It has
+    /// one path when the paper's path selection gives it one DLID and
+    /// the tables stay fixed. Only per-packet or round-robin DLIDs,
+    /// adaptive climbing or a fault plan (which reprograms tables
+    /// mid-run) can reorder it; every other run allocates no per-flow
+    /// state, nodes² × VLs × 8 bytes, and reports `out_of_order` 0.
+    pub(crate) fn build_pattern(
+        net: &Network,
+        routing: &'a Routing,
+        cfg: SimConfig,
+        pattern: TrafficPattern,
+        spec: RunSpec,
+        probe: P,
+    ) -> Result<Simulator<'a, P>, SimError> {
+        let can_reorder =
+            cfg.path_selection != PathSelection::Paper || cfg.adaptive_up || !cfg.faults.is_empty();
+        let mut sim = Simulator::build(net, routing, cfg, pattern, spec, probe)?;
+        if can_reorder {
+            sim.track_flow_order();
+        }
+        Ok(sim)
+    }
+
+    /// Allocate the per-flow sequence state: from here on every packet
+    /// is numbered within its flow and `deliver` counts late arrivals.
+    pub(crate) fn track_flow_order(&mut self) {
+        let flows = self.nodes.len() * self.nodes.len() * self.num_vls;
+        self.flow_next_seq = vec![0; flows];
+        self.flow_delivered = vec![u32::MAX; flows];
+    }
+}
+
+/// Hand out the next sequence number of `flow`, or 0 when the run does
+/// not track flow order (`next_seq` is empty).
+#[inline]
+pub(crate) fn take_flow_seq(next_seq: &mut [u32], flow: usize) -> u32 {
+    next_seq.get_mut(flow).map_or(0, |seq| {
+        *seq += 1;
+        *seq - 1
+    })
 }
 
 impl<'a, P: Probe> Simulator<'a, P> {
@@ -907,8 +976,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
             u32::MAX
         };
         let flow = (node as usize * self.nodes.len() + dst.index()) * self.num_vls + vl as usize;
-        let flow_seq = self.flow_next_seq[flow];
-        self.flow_next_seq[flow] += 1;
+        let flow_seq = take_flow_seq(&mut self.flow_next_seq, flow);
 
         // Draw the next generation instant.
         let next = match self.cfg.injection {
@@ -1013,10 +1081,8 @@ impl<'a, P: Probe> Simulator<'a, P> {
             Some(node),
             "packet delivered to a node that does not own its DLID"
         );
-        {
-            let flow =
-                (p.src as usize * self.nodes.len() + node as usize) * self.num_vls + vl as usize;
-            let last = &mut self.flow_delivered[flow];
+        let flow = (p.src as usize * self.nodes.len() + node as usize) * self.num_vls + vl as usize;
+        if let Some(last) = self.flow_delivered.get_mut(flow) {
             if *last != u32::MAX && p.flow_seq < *last {
                 self.out_of_order += 1;
             } else {
@@ -1726,6 +1792,130 @@ mod tests {
                 returns > 0 && starvations > 0,
                 "{buffer_packets}-deep: {starvations} starvations, {returns} returns"
             );
+        }
+    }
+}
+
+/// Skipping the per-flow order state is safe: on every configuration
+/// that cannot reorder a flow, forcing the state on counts no late
+/// packet and changes no other report field.
+#[cfg(test)]
+mod flow_order_tests {
+    use super::*;
+    use ibfat_routing::RoutingKind;
+    use ibfat_topology::TreeParams;
+
+    fn tracks_order(sim: &Simulator<'_>) -> bool {
+        !sim.flow_next_seq.is_empty() && !sim.flow_delivered.is_empty()
+    }
+
+    #[test]
+    fn untracked_pattern_runs_match_tracked_ones() {
+        let net = Network::mport_ntree(TreeParams::new(4, 3).expect("valid params"));
+        let spec = RunSpec::new(0.9, 20_000);
+        for kind in [RoutingKind::Slid, RoutingKind::Mlid] {
+            let routing = Routing::build(&net, kind);
+            for num_vls in [1, 2, 4] {
+                for pattern in [TrafficPattern::Uniform, TrafficPattern::paper_centric()] {
+                    for buffer_packets in [1, 2] {
+                        let cfg = SimConfig {
+                            buffer_packets,
+                            ..SimConfig::paper(num_vls)
+                        };
+                        let build = || {
+                            Simulator::build_pattern(
+                                &net,
+                                &routing,
+                                cfg.clone(),
+                                pattern.clone(),
+                                spec,
+                                NoopProbe,
+                            )
+                            .unwrap()
+                        };
+                        let plain = build();
+                        assert!(!tracks_order(&plain), "{kind} VL{num_vls}: tracked");
+                        let mut tracked = build();
+                        tracked.track_flow_order();
+                        let (mut plain, _) = plain.run_pattern().unwrap();
+                        let (mut tracked, _) = tracked.run_pattern().unwrap();
+                        let at = format!("{kind} VL{num_vls} {pattern:?} {buffer_packets}-deep");
+                        assert!(tracked.delivered > 0, "{at}: nothing delivered");
+                        assert_eq!(tracked.out_of_order, 0, "{at}: reordered");
+                        for r in [&mut plain, &mut tracked] {
+                            r.events_per_sec = 0.0;
+                            r.packets_per_sec = 0.0;
+                        }
+                        assert_eq!(plain, tracked, "{at}: reports differ");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn untracked_alltoall_workload_matches_a_tracked_one() {
+        let net = Network::mport_ntree(TreeParams::new(8, 3).expect("valid params"));
+        let routing = Routing::build(&net, RoutingKind::Mlid);
+        let wl = ibfat_workload::generators::all_to_all(net.num_nodes() as u32, 4096);
+        let build = || {
+            Simulator::build_workload(&net, &routing, SimConfig::default(), &wl, NoopProbe).unwrap()
+        };
+        let plain = build();
+        assert!(!tracks_order(&plain));
+        let (plain, _) = plain.run_to_completion().unwrap();
+        let mut tracked = build();
+        tracked.track_flow_order();
+        tracked.wl_prime();
+        tracked.drive().unwrap();
+        assert_eq!(tracked.out_of_order, 0, "the all-to-all reordered a flow");
+        let (tracked, _) = tracked.wl_finish().unwrap();
+        assert_eq!(plain, tracked);
+    }
+
+    #[test]
+    fn only_configs_that_can_reorder_allocate_flow_state() {
+        let params = TreeParams::new(4, 3).expect("valid params");
+        let net = Network::mport_ntree(params);
+        let routing = Routing::build(&net, RoutingKind::Mlid);
+        let spec = RunSpec::new(0.3, 5_000);
+        let link = crate::FaultPlan::pick_links(&net, 1, 7);
+        let reorders = [
+            SimConfig {
+                path_selection: PathSelection::RandomPerPacket,
+                ..SimConfig::default()
+            },
+            SimConfig {
+                path_selection: PathSelection::RoundRobinPerSource,
+                ..SimConfig::default()
+            },
+            SimConfig {
+                adaptive_up: true,
+                ..SimConfig::default()
+            },
+            SimConfig {
+                faults: crate::FaultPlan {
+                    policy: crate::FaultPolicy::Stall,
+                    ..crate::FaultPlan::kill_links_at(&link, 1_000)
+                },
+                ..SimConfig::default()
+            },
+        ];
+        let wl = ibfat_workload::generators::all_to_all(net.num_nodes() as u32, 256);
+        for cfg in reorders {
+            let sim = Simulator::build_pattern(
+                &net,
+                &routing,
+                cfg.clone(),
+                TrafficPattern::Uniform,
+                spec,
+                NoopProbe,
+            )
+            .unwrap();
+            assert!(tracks_order(&sim), "{cfg:?}");
+            let sim =
+                Simulator::build_workload(&net, &routing, cfg.clone(), &wl, NoopProbe).unwrap();
+            assert!(!tracks_order(&sim), "workload {cfg:?}");
         }
     }
 }

@@ -25,7 +25,7 @@
 use crate::engine::{ChainClass, Time};
 use crate::packet::{Packet, PacketId};
 use crate::probe::Probe;
-use crate::sim::{Ev, Simulator};
+use crate::sim::{take_flow_seq, Ev, Simulator};
 use crate::{PathSelection, RunSpec, SimError, TrafficPattern, VlAssignment};
 use ibfat_routing::Routing;
 use ibfat_topology::Network;
@@ -212,8 +212,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
                 VlAssignment::SourceHash => (node as usize % self.num_vls) as u8,
             };
             let flow = (node as usize * num_nodes + dst.index()) * self.num_vls + vl as usize;
-            let flow_seq = self.flow_next_seq[flow];
-            self.flow_next_seq[flow] += 1;
+            let flow_seq = take_flow_seq(&mut self.flow_next_seq, flow);
             let pkt = self.slab.insert(Packet {
                 src: node,
                 dlid,
@@ -271,7 +270,9 @@ impl<'a, P: Probe> Simulator<'a, P> {
 impl<'a, P: Probe> Simulator<'a, P> {
     /// Build the engine for a workload run: [`Simulator::build`] with an
     /// unreachable horizon and no warm-up (every message's full
-    /// lifecycle is measured), then the workload's own checks.
+    /// lifecycle is measured), then the workload's own checks. A
+    /// [`WorkloadReport`] has no `out_of_order`, so no path selection
+    /// allocates per-flow state here.
     pub(crate) fn build_workload(
         net: &Network,
         routing: &'a Routing,
@@ -293,7 +294,14 @@ impl<'a, P: Probe> Simulator<'a, P> {
     /// Drive the installed workload until the calendar drains, which
     /// (absent drops) is exactly when the last message completes.
     pub(crate) fn run_to_completion(mut self) -> Result<(WorkloadReport, P), SimError> {
-        // Prime the DAG roots node-major (per node, ascending id).
+        self.wl_prime();
+        self.schedule_fault_events();
+        self.drive()?;
+        self.wl_finish()
+    }
+
+    /// Prime the DAG roots node-major (per node, ascending id).
+    pub(crate) fn wl_prime(&mut self) {
         let wl = self.wl.as_ref().expect("no workload installed");
         let mut prime: Vec<(u32, u32)> = Vec::new();
         for (node, roots) in wl.roots_by_node.iter().enumerate() {
@@ -304,9 +312,6 @@ impl<'a, P: Probe> Simulator<'a, P> {
         for (node, msg) in prime {
             self.queue.schedule(0, Ev::WlArm { node, msg });
         }
-        self.schedule_fault_events();
-        self.drive()?;
-        self.wl_finish()
     }
 
     /// Build a probed workload simulator; run it with
@@ -338,7 +343,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
     /// Close out a drained workload run: every message must have
     /// completed (a drained calendar with missing completions means the
     /// fabric dropped packets — unroutable under a degraded LFT).
-    fn wl_finish(mut self) -> Result<(WorkloadReport, P), SimError> {
+    pub(crate) fn wl_finish(mut self) -> Result<(WorkloadReport, P), SimError> {
         let wl = self.wl.take().expect("no workload installed");
         if wl.completed != wl.wl.messages.len() as u64 {
             return Err(SimError::InvalidWorkload(format!(
