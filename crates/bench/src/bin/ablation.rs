@@ -94,7 +94,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    bench::exit_after_stdout(write_ablations(&mut io::stdout().lock(), m, n, load))
+    ib_fabric::exit_after_stdout(write_ablations(&mut io::stdout().lock(), m, n, load))
 }
 
 /// Run every ablation at `FT(m, n)` and `load`, one table per knob,

@@ -8,7 +8,7 @@ use std::io::{self, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    bench::exit_after_stdout(write_tables(&mut io::stdout().lock()))
+    ib_fabric::exit_after_stdout(write_tables(&mut io::stdout().lock()))
 }
 
 fn write_tables(out: &mut impl Write) -> io::Result<()> {

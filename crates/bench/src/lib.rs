@@ -4,20 +4,6 @@
 
 use ib_fabric::json::JsonBuf;
 use ib_fabric::prelude::*;
-use std::process::ExitCode;
-
-/// The exit code of a binary that wrote its report to stdout: success,
-/// also when the reader closed the pipe early (`table1 | head -2`); any
-/// other write error is an `error:` line and exit code 1.
-pub fn exit_after_stdout(written: std::io::Result<()>) -> ExitCode {
-    match written {
-        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
-            eprintln!("error: writing stdout: {e}");
-            ExitCode::FAILURE
-        }
-        _ => ExitCode::SUCCESS,
-    }
-}
 
 /// The four evaluated network sizes (Table 1). The OCR of the paper lost
 //  the digits; DESIGN.md §3 explains the reconstruction: two small-radix

@@ -6,27 +6,60 @@ use ib_fabric::prelude::*;
 use ib_fabric::sim::{self, NoopProbe, RunSpec};
 use ib_fabric::sm::SubnetManager;
 use ib_fabric::topology::analysis;
-use ib_fabric::{FaultPolicy, SwitchId};
+use ib_fabric::SwitchId;
+use std::fmt;
+use std::io::{self, Write};
 
-/// Run a parsed command.
-pub fn run(cmd: Cmd) -> Result<(), String> {
+/// Why a command stopped early.
+#[derive(Debug)]
+pub enum CmdError {
+    /// The command failed; the message is for the user.
+    Failed(String),
+    /// Writing the report failed (a reader that closed the pipe
+    /// included).
+    Write(io::Error),
+}
+
+impl From<String> for CmdError {
+    fn from(msg: String) -> Self {
+        CmdError::Failed(msg)
+    }
+}
+
+impl From<io::Error> for CmdError {
+    fn from(e: io::Error) -> Self {
+        CmdError::Write(e)
+    }
+}
+
+impl fmt::Display for CmdError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CmdError::Failed(msg) => f.write_str(msg),
+            CmdError::Write(e) => write!(f, "writing the report: {e}"),
+        }
+    }
+}
+
+/// Run a parsed command, writing its report to `out`.
+pub fn run(cmd: Cmd, out: &mut dyn Write) -> Result<(), CmdError> {
     let fabric = build_fabric(&cmd)?;
     match cmd.action {
-        Action::Info => info(&cmd, &fabric),
+        Action::Info => info(&cmd, &fabric, out),
         Action::Route { ref src, ref dst } => {
             let src = src.resolve(fabric.params())?;
             let dst = dst.resolve(fabric.params())?;
-            route(&cmd, &fabric, src, dst)
+            route(&cmd, &fabric, src, dst, out)
         }
-        Action::Verify => verify(&fabric),
-        Action::Discover => discover(&cmd, &fabric),
-        Action::Simulate => simulate(&cmd, &fabric),
-        Action::Sweep => sweep(&cmd, &fabric),
-        Action::Counters => counters(&cmd, &fabric),
-        Action::Loads => loads(&cmd, &fabric),
-        Action::Workload => workload(&cmd, &fabric),
-        Action::Trace => trace(&cmd, &fabric),
-        Action::Faults => faults(&cmd, &fabric),
+        Action::Verify => verify(&fabric, out),
+        Action::Discover => discover(&cmd, &fabric, out),
+        Action::Simulate => simulate(&cmd, &fabric, out),
+        Action::Sweep => sweep(&cmd, &fabric, out),
+        Action::Counters => counters(&cmd, &fabric, out),
+        Action::Loads => loads(&cmd, &fabric, out),
+        Action::Workload => workload(&cmd, &fabric, out),
+        Action::Trace => trace(&cmd, &fabric, out),
+        Action::Faults => faults(&cmd, &fabric, out),
     }
 }
 
@@ -85,7 +118,7 @@ fn pattern_of(cmd: &Cmd, fabric: &Fabric) -> TrafficPattern {
         .unwrap_or_else(|| TrafficPattern::bit_complement(fabric.num_nodes()))
 }
 
-fn info(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
+fn info(cmd: &Cmd, fabric: &Fabric, out: &mut dyn Write) -> Result<(), CmdError> {
     let p = fabric.params();
     if cmd.json {
         let mut j = JsonBuf::new();
@@ -105,38 +138,59 @@ fn info(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
         j.field_str("scheme", cmd.scheme.as_str());
         j.field_u64("table_bytes", fabric.routing().table_bytes() as u64);
         j.end_obj();
-        println!("{}", j.into_string());
+        writeln!(out, "{}", j.into_string())?;
         return Ok(());
     }
-    println!("{p} under {} routing", cmd.scheme.as_str().to_uppercase());
-    println!("  processing nodes : {}", p.num_nodes());
-    println!("  switches         : {}", p.num_switches());
-    println!("  cables           : {}", fabric.network().links().len());
-    println!("  height           : {}", p.height());
-    println!(
+    writeln!(
+        out,
+        "{p} under {} routing",
+        cmd.scheme.as_str().to_uppercase()
+    )?;
+    writeln!(out, "  processing nodes : {}", p.num_nodes())?;
+    writeln!(out, "  switches         : {}", p.num_switches())?;
+    writeln!(
+        out,
+        "  cables           : {}",
+        fabric.network().links().len()
+    )?;
+    writeln!(out, "  height           : {}", p.height())?;
+    writeln!(
+        out,
         "  LMC              : {} ({} LIDs per node)",
         p.lmc(),
         p.lids_per_node()
-    );
-    println!("  max disjoint LCAs: {}", p.num_lcas(0));
-    println!("  avg minimal hops : {:.3}", analysis::average_min_hops(p));
-    println!(
+    )?;
+    writeln!(out, "  max disjoint LCAs: {}", p.num_lcas(0))?;
+    writeln!(
+        out,
+        "  avg minimal hops : {:.3}",
+        analysis::average_min_hops(p)
+    )?;
+    writeln!(
+        out,
         "  forwarding tables: {} bytes (block-compressed)",
         fabric.routing().table_bytes()
-    );
+    )?;
     for w in analysis::level_wiring(p) {
-        println!(
+        writeln!(
+            out,
             "  level {}: {} switches, {} down / {} up cables each",
             w.level, w.switches, w.down_per_switch, w.up_per_switch
-        );
+        )?;
     }
     Ok(())
 }
 
-fn route(cmd: &Cmd, fabric: &Fabric, src: NodeId, dst: NodeId) -> Result<(), String> {
+fn route(
+    cmd: &Cmd,
+    fabric: &Fabric,
+    src: NodeId,
+    dst: NodeId,
+    out: &mut dyn Write,
+) -> Result<(), CmdError> {
     let nodes = fabric.num_nodes();
     if src.0 >= nodes || dst.0 >= nodes {
-        return Err(format!("node ids must be < {nodes}"));
+        return Err(format!("node ids must be < {nodes}").into());
     }
     let route = fabric.route(src, dst).map_err(|e| e.to_string())?;
     let params = fabric.params();
@@ -157,62 +211,68 @@ fn route(cmd: &Cmd, fabric: &Fabric, src: NodeId, dst: NodeId) -> Result<(), Str
         }
         j.end_arr();
         j.end_obj();
-        println!("{}", j.into_string());
+        writeln!(out, "{}", j.into_string())?;
         return Ok(());
     }
-    println!(
+    writeln!(
+        out,
         "{} -> {} via DLID {} ({} links):",
         NodeLabel::from_id(params, src),
         NodeLabel::from_id(params, dst),
         route.dlid.0,
         route.num_links()
-    );
+    )?;
     for hop in &route.hops {
-        println!(
+        writeln!(
+            out,
             "  {:<12} in p{} -> out p{}",
             SwitchLabel::from_id(params, hop.switch).to_string(),
             hop.in_port.0,
             hop.out_port.0
-        );
+        )?;
     }
     Ok(())
 }
 
-fn verify(fabric: &Fabric) -> Result<(), String> {
+fn verify(fabric: &Fabric, out: &mut dyn Write) -> Result<(), CmdError> {
     let start = std::time::Instant::now();
     fabric.verify().map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        out,
         "ok: every LID delivers from every source, selected routes are minimal,\n\
          and the channel dependency graph is acyclic ({} switches, {:.2?})",
         fabric.num_switches(),
         start.elapsed()
-    );
+    )?;
     Ok(())
 }
 
-fn discover(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
+fn discover(cmd: &Cmd, fabric: &Fabric, out: &mut dyn Write) -> Result<(), CmdError> {
     let sm = SubnetManager::new(cmd.scheme, NodeId(0));
     match sm.initialize(fabric.network()) {
         Ok(outcome) => {
             let p = outcome.recovered.params;
-            println!(
+            writeln!(
+                out,
                 "sweep from N0 found {} devices over {} cables",
                 outcome.discovery.devices.len(),
                 outcome.discovery.edges.len()
-            );
-            println!("recognized as {p}; labels recovered for every device");
-            println!(
+            )?;
+            writeln!(out, "recognized as {p}; labels recovered for every device")?;
+            writeln!(
+                out,
                 "installed {} forwarding tables ({} entries each), LMC {}",
                 outcome.routing.lfts().len(),
                 outcome.routing.lid_space().max_lid().0,
                 outcome.routing.lid_space().lmc()
-            );
+            )?;
             let (bring_up, _) = ib_fabric::sm::time_bring_up(
                 fabric.network(),
                 NodeId(0),
                 ib_fabric::sm::MadCosts::default(),
             );
-            println!(
+            writeln!(
+                out,
                 "bring-up cost: {} SMPs ({} discovery, {} LID, {} LFT blocks), \
                  ~{:.2} ms serially, longest directed route {} hops",
                 bring_up.total_smps(),
@@ -221,59 +281,66 @@ fn discover(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
                 bring_up.lft_smps,
                 bring_up.total_time_ns as f64 / 1e6,
                 bring_up.max_route_hops
-            );
+            )?;
             Ok(())
         }
-        Err(e) => Err(e.to_string()),
+        Err(e) => Err(e.to_string().into()),
     }
 }
 
-fn simulate(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
+fn simulate(cmd: &Cmd, fabric: &Fabric, out: &mut dyn Write) -> Result<(), CmdError> {
     let (report, _) = run_point(cmd, fabric, sim_config(cmd), NoopProbe)?;
     if cmd.json {
-        println!("{}", report_to_json(&report));
+        writeln!(out, "{}", report_to_json(&report))?;
         return Ok(());
     }
-    println!(
+    writeln!(
+        out,
         "simulated {} µs of {} under {} ({} VLs, offered {:.2}):",
         report.sim_time_ns / 1000,
         fabric.params(),
         pattern_of(cmd, fabric).name(),
         cmd.vls,
         cmd.load
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  accepted   : {:.4} bytes/ns/node (offered {:.4})",
         report.accepted_bytes_per_ns_per_node, report.offered_bytes_per_ns_per_node
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  latency    : avg {:.0} ns, p99 {} ns, min {} ns (network-only avg {:.0} ns)",
         report.avg_latency_ns(),
         report.latency.quantile(0.99),
         report.latency.min(),
         report.network_latency.mean()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  packets    : {} delivered, {} dropped, {} in flight at end",
         report.delivered, report.dropped, report.in_flight_at_end
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  links      : mean utilization {:.1}%, peak {:.1}%",
         100.0 * report.mean_link_utilization,
         100.0 * report.max_link_utilization
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  engine     : {} events ({:.2} Mev/s, {:.0} kpkt/s)",
         report.events_processed,
         report.events_per_sec / 1e6,
         report.packets_per_sec / 1e3
-    );
+    )?;
     Ok(())
 }
 
-/// Render a [`SimReport`] as one compact JSON object on the shared
-/// [`JsonBuf`] writer (the offline serde stub cannot derive this).
-/// Flight-recorder timelines are left to the `trace` subcommand.
+/// Render a [`SimReport`]'s summary as one compact JSON object: latency
+/// as mean and percentiles, rates rounded for reading. The lossless form
+/// is the report's [`Codec`] encoding; flight-recorder timelines are left
+/// to the `trace` subcommand.
 pub fn report_to_json(report: &SimReport) -> String {
     fn latency(j: &mut JsonBuf, key: &str, s: &ib_fabric::sim::LatencyStats) {
         j.key(key);
@@ -346,8 +413,8 @@ pub fn collect_trace(cmd: &Cmd, fabric: &Fabric) -> Result<String, String> {
     Ok(ib_fabric::traces_to_jsonl(traces))
 }
 
-fn trace(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
-    print!("{}", collect_trace(cmd, fabric)?);
+fn trace(cmd: &Cmd, fabric: &Fabric, out: &mut dyn Write) -> Result<(), CmdError> {
+    write!(out, "{}", collect_trace(cmd, fabric)?)?;
     Ok(())
 }
 
@@ -434,30 +501,32 @@ pub fn collect_counters(cmd: &Cmd, fabric: &Fabric) -> Result<CountersReport, St
     })
 }
 
-fn counters(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
-    let out = collect_counters(cmd, fabric)?;
+fn counters(cmd: &Cmd, fabric: &Fabric, out: &mut dyn Write) -> Result<(), CmdError> {
+    let res = collect_counters(cmd, fabric)?;
     if cmd.json {
-        println!("{}", out.counters.to_json());
+        writeln!(out, "{}", res.counters.to_json())?;
         return Ok(());
     }
     let params = fabric.params();
-    println!(
+    writeln!(
+        out,
         "counters for {} µs of {} under {} ({}, {} VLs, offered {:.2}):",
-        out.report.sim_time_ns / 1000,
+        res.report.sim_time_ns / 1000,
         params,
         pattern_of(cmd, fabric).name(),
         cmd.scheme.as_str().to_uppercase(),
         cmd.vls,
         cmd.load
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  accepted {:.4} bytes/ns/node, {} delivered, {} in flight at end",
-        out.report.accepted_bytes_per_ns_per_node,
-        out.report.delivered,
-        out.report.in_flight_at_end
-    );
-    println!("\nper-level link utilization (transmit side):");
-    for l in &out.levels {
+        res.report.accepted_bytes_per_ns_per_node,
+        res.report.delivered,
+        res.report.in_flight_at_end
+    )?;
+    writeln!(out, "\nper-level link utilization (transmit side):")?;
+    for l in &res.levels {
         let role = if l.level == 0 { "roots " } else { "level " };
         let peak = l
             .max_port
@@ -469,7 +538,8 @@ fn counters(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
                 )
             })
             .unwrap_or_else(|| "idle".into());
-        println!(
+        writeln!(
+            out,
             "  {role}{}: mean {:5.1}% over {} active ports, {}; \
              xmit-wait {:.1} µs, credit-stall {:.1} µs",
             l.level,
@@ -478,28 +548,30 @@ fn counters(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
             peak,
             l.xmit_wait_ns as f64 / 1e3,
             l.credit_stall_ns as f64 / 1e3
-        );
+        )?;
     }
-    println!("\ntop {} ports by transmitted bytes:", cmd.top);
-    for h in out.counters.hottest_ports(cmd.top) {
-        let c = out.counters.port(h.sw, h.port - 1);
-        println!(
+    writeln!(out, "\ntop {} ports by transmitted bytes:", cmd.top)?;
+    for h in res.counters.hottest_ports(cmd.top) {
+        let c = res.counters.port(h.sw, h.port - 1);
+        writeln!(
+            out,
             "  {:<12} p{}: {:7.1}% util, {} pkts, xmit-wait {:.1} µs",
             SwitchLabel::from_id(params, SwitchId(h.sw)).to_string(),
             h.port,
-            100.0 * h.xmit_bytes as f64 / out.report.sim_time_ns as f64,
+            100.0 * h.xmit_bytes as f64 / res.report.sim_time_ns as f64,
             c.xmit_pkts,
             c.xmit_wait_ns as f64 / 1e3
-        );
+        )?;
     }
-    println!("\ntop {} congested ports by xmit-wait:", cmd.top);
-    let congested = out.counters.most_congested_ports(cmd.top);
+    writeln!(out, "\ntop {} congested ports by xmit-wait:", cmd.top)?;
+    let congested = res.counters.most_congested_ports(cmd.top);
     if congested.is_empty() {
-        println!("  none — no packet ever waited for an output buffer");
+        writeln!(out, "  none — no packet ever waited for an output buffer")?;
     }
     for h in &congested {
-        let c = out.counters.port(h.sw, h.port - 1);
-        println!(
+        let c = res.counters.port(h.sw, h.port - 1);
+        writeln!(
+            out,
             "  {:<12} p{}: waited {:.1} µs, credit-stalled {:.1} µs, high-water in {} / out {}",
             SwitchLabel::from_id(params, SwitchId(h.sw)).to_string(),
             h.port,
@@ -507,16 +579,20 @@ fn counters(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
             c.credit_stall_ns as f64 / 1e3,
             c.in_buf_high_water,
             c.out_buf_high_water
-        );
+        )?;
     }
-    let samples = out.counters.samples();
+    let samples = res.counters.samples();
     if !samples.is_empty() {
-        println!(
+        writeln!(
+            out,
             "\ntime-series: {} samples every {} ns (showing last 5)",
             samples.len(),
-            out.counters.sample_interval_ns()
-        );
-        println!("  t_ns        delivered  in_flight  events  p50/p95/p99 ns");
+            res.counters.sample_interval_ns()
+        )?;
+        writeln!(
+            out,
+            "  t_ns        delivered  in_flight  events  p50/p95/p99 ns"
+        )?;
         for s in samples
             .iter()
             .rev()
@@ -525,7 +601,8 @@ fn counters(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
             .iter()
             .rev()
         {
-            println!(
+            writeln!(
+                out,
                 "  {:<11} {:<10} {:<10} {:<7} {}/{}/{}",
                 s.t_ns,
                 s.delivered_pkts,
@@ -534,7 +611,7 @@ fn counters(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
                 s.latency_p50_ns,
                 s.latency_p95_ns,
                 s.latency_p99_ns
-            );
+            )?;
         }
     }
     Ok(())
@@ -651,32 +728,30 @@ pub fn collect_loads(cmd: &Cmd, fabric: &Fabric) -> Result<LoadsReport, String> 
     })
 }
 
-fn loads(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
+fn loads(cmd: &Cmd, fabric: &Fabric, out: &mut dyn Write) -> Result<(), CmdError> {
     use ib_fabric::topology::DeviceRef;
-    let out = collect_loads(cmd, fabric)?;
+    let res = collect_loads(cmd, fabric)?;
     let params = fabric.params();
     let matrix = match &cmd.hotspot {
         Some(dst) => format!("all-to-one towards N{}", dst.resolve(params)?.0),
         None => "all-to-all".into(),
     };
     if cmd.json {
-        // Hand-rolled JSON (via the shared ib_fabric::json writer): the
-        // offline serde_json stub cannot serialize.
         let mut j = JsonBuf::new();
         j.begin_obj();
         j.field_u64("m", u64::from(params.m()));
         j.field_u64("n", u64::from(params.n()));
         j.field_str("scheme", cmd.scheme.as_str());
         j.field_str("matrix", &matrix);
-        j.field_u64("flows", out.flows);
-        j.field_u64("used_links", out.loads.used_links as u64);
-        j.field_u64("max", u64::from(out.loads.max()));
-        j.field_u64("max_up", u64::from(out.loads.max_up));
-        j.field_u64("max_down", u64::from(out.loads.max_down));
-        j.field_u64("max_injection", u64::from(out.max_injection));
+        j.field_u64("flows", res.flows);
+        j.field_u64("used_links", res.loads.used_links as u64);
+        j.field_u64("max", u64::from(res.loads.max()));
+        j.field_u64("max_up", u64::from(res.loads.max_up));
+        j.field_u64("max_down", u64::from(res.loads.max_down));
+        j.field_u64("max_injection", u64::from(res.max_injection));
         j.key("levels");
         j.begin_arr();
-        for l in &out.levels {
+        for l in &res.levels {
             j.begin_obj();
             j.field_u64("level", u64::from(l.level));
             j.field_u64("up_links", l.up_links as u64);
@@ -689,31 +764,38 @@ fn loads(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
         }
         j.end_arr();
         j.end_obj();
-        println!("{}", j.into_string());
+        writeln!(out, "{}", j.into_string())?;
         return Ok(());
     }
-    println!(
+    writeln!(
+        out,
         "static channel loads for {} under {} ({matrix}, {} flows):",
         params,
         cmd.scheme.as_str().to_uppercase(),
-        out.flows
-    );
-    println!(
+        res.flows
+    )?;
+    writeln!(
+        out,
         "  links carrying traffic : {} of {}",
-        out.loads.used_links,
+        res.loads.used_links,
         fabric.network().links().len() * 2
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  heaviest channel       : {} flows (injection links top out at {})",
-        out.loads.max(),
-        out.max_injection
-    );
-    println!(
+        res.loads.max(),
+        res.max_injection
+    )?;
+    writeln!(
+        out,
         "  max upward / downward  : {} / {} flows",
-        out.loads.max_up, out.loads.max_down
-    );
-    println!("\nper-level roll-up (switch transmit side, roots first):");
-    for l in &out.levels {
+        res.loads.max_up, res.loads.max_down
+    )?;
+    writeln!(
+        out,
+        "\nper-level roll-up (switch transmit side, roots first):"
+    )?;
+    for l in &res.levels {
         let role = if l.level == 0 { "roots " } else { "level " };
         let up = if l.level == 0 {
             "no up-ports".into()
@@ -725,16 +807,17 @@ fn loads(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
                 l.up_links
             )
         };
-        println!(
+        writeln!(
+            out,
             "  {role}{}: {up}; down max {:>4} / mean {:7.2} over {:>3} links",
             l.level,
             l.max_down,
             l.mean_down(),
             l.down_links
-        );
+        )?;
     }
-    println!("\ntop {} hottest channels:", cmd.top);
-    for (device, port, load) in out.loads.hottest(cmd.top) {
+    writeln!(out, "\ntop {} hottest channels:", cmd.top)?;
+    for (device, port, load) in res.loads.hottest(cmd.top) {
         let what = match device {
             DeviceRef::Switch(sw) => {
                 let level = params.switch_level_of(sw.0);
@@ -751,7 +834,7 @@ fn loads(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
             }
             DeviceRef::Node(node) => format!("N{:<11} p{} (injection)", node.0, port.0),
         };
-        println!("  {what}: {load} flows");
+        writeln!(out, "  {what}: {load} flows")?;
     }
     Ok(())
 }
@@ -810,26 +893,28 @@ pub fn collect_workload<P: Probe>(
     .map_err(|e| e.to_string())
 }
 
-fn print_phase_table(profile: &PhaseProfile) {
-    println!("\nengine self-profile (dispatch wall time per phase):");
+fn print_phase_table(profile: &PhaseProfile, out: &mut dyn Write) -> io::Result<()> {
+    writeln!(out, "\nengine self-profile (dispatch wall time per phase):")?;
     let total = profile.total_wall_ns().max(1);
-    println!("  phase        wall µs    share   events");
+    writeln!(out, "  phase        wall µs    share   events")?;
     for (phase, wall_ns, events) in profile.rows() {
-        println!(
+        writeln!(
+            out,
             "  {:<12} {:>8.1}   {:>5.1}%   {events}",
             phase.name(),
             wall_ns as f64 / 1e3,
             100.0 * wall_ns as f64 / total as f64
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "  total        {:>8.1}            {}",
         profile.total_wall_ns() as f64 / 1e3,
         profile.total_events()
-    );
+    )
 }
 
-fn workload(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
+fn workload(cmd: &Cmd, fabric: &Fabric, out: &mut dyn Write) -> Result<(), CmdError> {
     let (r, profile) = if cmd.profile {
         let (r, p) = collect_workload(cmd, fabric, PhaseProfile::new())?;
         (r, Some(p))
@@ -838,8 +923,6 @@ fn workload(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
     };
     let params = fabric.params();
     if cmd.json {
-        // Hand-rolled JSON (via the shared ib_fabric::json writer): the
-        // offline serde_json stub cannot serialize.
         let mut j = JsonBuf::new();
         j.begin_obj();
         j.field_u64("m", u64::from(params.m()));
@@ -887,26 +970,30 @@ fn workload(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
             j.end_arr();
         }
         j.end_obj();
-        println!("{}", j.into_string());
+        writeln!(out, "{}", j.into_string())?;
         return Ok(());
     }
-    println!(
+    writeln!(
+        out,
         "workload {} on {} under {} ({} VLs, {} B payload):",
         cmd.wl_kind.as_str(),
         params,
         cmd.scheme.as_str().to_uppercase(),
         cmd.vls,
         cmd.bytes
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  messages   : {} over {} nodes ({} packets, {} bytes)",
         r.messages, r.num_nodes, r.packets, r.total_bytes
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  makespan   : {} ns (first arm to last delivery), node skew {} ns",
         r.makespan_ns, r.node_skew_ns
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  msg latency: p50 {} ns, p95 {} ns, p99 {} ns (min {}, max {}, mean {})",
         r.latency.p50_ns,
         r.latency.p95_ns,
@@ -914,19 +1001,20 @@ fn workload(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
         r.latency.min_ns,
         r.latency.max_ns,
         r.latency.mean_ns
-    );
+    )?;
     for g in &r.groups {
-        println!(
+        writeln!(
+            out,
             "  collective : {} — {} messages, {} bytes, completed in {} ns",
             g.name,
             g.messages,
             g.bytes,
             g.completion_ns - g.start_ns
-        );
+        )?;
     }
-    println!("  engine     : {} events", r.events);
+    writeln!(out, "  engine     : {} events", r.events)?;
     if let Some(p) = &profile {
-        print_phase_table(p);
+        print_phase_table(p, out)?;
     }
     Ok(())
 }
@@ -986,16 +1074,6 @@ pub fn collect_faults(cmd: &Cmd, fabric: &Fabric) -> Result<FaultsReport, String
     })
 }
 
-fn fault_action_parts(action: ib_fabric::FaultAction) -> (&'static str, u32) {
-    use ib_fabric::FaultAction;
-    match action {
-        FaultAction::KillLink(id) => ("kill_link", id),
-        FaultAction::KillSwitch(id) => ("kill_switch", id),
-        FaultAction::ReviveLink(id) => ("revive_link", id),
-        FaultAction::ReviveSwitch(id) => ("revive_switch", id),
-    }
-}
-
 /// Render a [`FaultsReport`] as JSON. Deliberately excludes the
 /// wall-clock throughput fields (`events_per_sec`, `packets_per_sec`):
 /// everything here is deterministic, so the output is byte-identical
@@ -1021,26 +1099,7 @@ pub fn faults_to_json(cmd: &Cmd, fabric: &Fabric, out: &FaultsReport) -> String 
     j.field_u64("m", u64::from(params.m()));
     j.field_u64("n", u64::from(params.n()));
     j.field_str("scheme", cmd.scheme.as_str());
-    j.field_str(
-        "policy",
-        match out.plan.policy {
-            FaultPolicy::Drop => "drop",
-            FaultPolicy::Stall => "stall",
-        },
-    );
-    j.field_u64("detect_ns", out.plan.detect_ns);
-    j.field_u64("per_switch_ns", out.plan.per_switch_ns);
-    j.key("events");
-    j.begin_arr();
-    for e in &out.plan.events {
-        let (kind, id) = fault_action_parts(e.action);
-        j.begin_obj();
-        j.field_u64("at_ns", e.at_ns);
-        j.field_str("action", kind);
-        j.field_u64("id", u64::from(id));
-        j.end_obj();
-    }
-    j.end_arr();
+    out.plan.encode_fields(&mut j);
     j.key("run");
     j.begin_obj();
     j.field_f64("offered_load", r.offered_load, 4);
@@ -1064,11 +1123,9 @@ pub fn faults_to_json(cmd: &Cmd, fabric: &Fabric, out: &FaultsReport) -> String 
     j.key("faults");
     j.begin_arr();
     for f in &d.faults {
-        let (kind, id) = fault_action_parts(f.action);
         j.begin_obj();
         j.field_u64("at_ns", f.at_ns);
-        j.field_str("action", kind);
-        j.field_u64("id", u64::from(id));
+        f.action.encode_fields(&mut j);
         j.field_u64("reprogram_at_ns", f.reprogram_at_ns);
         j.field_u64("reconvergence_ns", f.reconvergence_ns);
         j.field_u64("switches_reprogrammed", f.switches_reprogrammed as u64);
@@ -1096,41 +1153,42 @@ pub fn faults_to_json(cmd: &Cmd, fabric: &Fabric, out: &FaultsReport) -> String 
     j.into_string()
 }
 
-fn faults(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
-    let out = collect_faults(cmd, fabric)?;
+fn faults(cmd: &Cmd, fabric: &Fabric, out: &mut dyn Write) -> Result<(), CmdError> {
+    let res = collect_faults(cmd, fabric)?;
     if cmd.json {
-        println!("{}", faults_to_json(cmd, fabric, &out));
+        writeln!(out, "{}", faults_to_json(cmd, fabric, &res))?;
         return Ok(());
     }
     let params = fabric.params();
-    let r = &out.report;
-    let d = &out.disruption;
-    println!(
+    let r = &res.report;
+    let d = &res.disruption;
+    writeln!(
+        out,
         "faulted run of {} under {} ({} VLs, offered {:.2}, {} µs, {} policy):",
         params,
         cmd.scheme.as_str().to_uppercase(),
         cmd.vls,
         cmd.load,
         cmd.time_ns / 1000,
-        match out.plan.policy {
-            FaultPolicy::Drop => "drop",
-            FaultPolicy::Stall => "stall",
-        }
-    );
-    println!(
+        res.plan.policy.name()
+    )?;
+    writeln!(
+        out,
         "  plan       : kill {} inter-switch cable(s) {:?} at {} ns (seed {})",
-        out.killed_links.len(),
-        out.killed_links,
-        out.plan.events.first().map(|e| e.at_ns).unwrap_or(0),
+        res.killed_links.len(),
+        res.killed_links,
+        res.plan.events.first().map(|e| e.at_ns).unwrap_or(0),
         cmd.seed.unwrap_or(1)
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  SM model   : detect {} ns, then {} ns per reprogrammed switch",
-        out.plan.detect_ns, out.plan.per_switch_ns
-    );
+        res.plan.detect_ns, res.plan.per_switch_ns
+    )?;
     for f in &d.faults {
-        let (kind, id) = fault_action_parts(f.action);
-        println!(
+        let (kind, id) = f.action.parts();
+        writeln!(
+            out,
             "  {kind} {id} @{} ns: SM patched {} switches / {} LFT entries \
              (full rebuild = {}) by {} ns (+{} ns)",
             f.at_ns,
@@ -1139,21 +1197,23 @@ fn faults(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
             f.table_entries,
             f.reprogram_at_ns,
             f.reconvergence_ns
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "  disruption : {} lost, {} stalled, {} rescued by reprogramming; \
          reconvergence total {} ns",
         r.fault_lost, r.fault_stalled, r.fault_rerouted, d.total_reconvergence_ns
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  delivered  : {} packets ({} load-dropped), accepted {:.4} bytes/ns/node, \
          p99 latency {} ns",
         r.delivered,
         r.dropped,
         r.accepted_bytes_per_ns_per_node,
         r.latency.quantile(0.99)
-    );
+    )?;
     let surv = |s: &ib_fabric::PathSurvival| {
         format!(
             "{:.2} of {} paths/pair (min {}, {} pairs disconnected)",
@@ -1163,15 +1223,20 @@ fn faults(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
             s.disconnected_pairs
         )
     };
-    println!(
+    writeln!(
+        out,
         "  survival   : {} keeps {}",
         d.survival.kind.as_str().to_uppercase(),
         surv(&d.survival)
-    );
-    println!("    vs SLID  : {}", surv(&d.slid_survival));
-    println!("  tier loads : all-to-all channel load, healthy -> degraded");
+    )?;
+    writeln!(out, "    vs SLID  : {}", surv(&d.slid_survival))?;
+    writeln!(
+        out,
+        "  tier loads : all-to-all channel load, healthy -> degraded"
+    )?;
     for l in &d.level_loads {
-        println!(
+        writeln!(
+            out,
             "    levels {}-{}: max {} -> {}, mean {:.2} -> {:.2}",
             l.level,
             l.level + 1,
@@ -1179,12 +1244,12 @@ fn faults(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
             l.degraded_max,
             l.healthy_mean,
             l.degraded_mean
-        );
+        )?;
     }
     Ok(())
 }
 
-fn sweep(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
+fn sweep(cmd: &Cmd, fabric: &Fabric, out: &mut dyn Write) -> Result<(), CmdError> {
     let reports = sim::sweep(
         fabric.network(),
         fabric.routing(),
@@ -1194,9 +1259,13 @@ fn sweep(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
         cmd.time_ns,
     )
     .map_err(|e| e.to_string())?;
-    println!("offered,accepted,avg_latency_ns,p99_latency_ns,delivered,dropped");
+    writeln!(
+        out,
+        "offered,accepted,avg_latency_ns,p99_latency_ns,delivered,dropped"
+    )?;
     for r in &reports {
-        println!(
+        writeln!(
+            out,
             "{},{},{},{},{},{}",
             r.offered_load,
             r.accepted_bytes_per_ns_per_node,
@@ -1204,7 +1273,7 @@ fn sweep(cmd: &Cmd, fabric: &Fabric) -> Result<(), String> {
             r.latency.quantile(0.99),
             r.delivered,
             r.dropped
-        );
+        )?;
     }
     Ok(())
 }

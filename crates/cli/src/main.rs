@@ -12,21 +12,30 @@
 //! ibfat workload 8x3 --kind replay --trace trace.jsonl
 //! ```
 
-use ibfat_cli::{args, commands};
+use ibfat_cli::args;
+use ibfat_cli::commands::{self, CmdError};
+use std::io::{self, Write};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match args::parse(&argv) {
-        Ok(cmd) => {
-            if let Err(e) = commands::run(cmd) {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
+    let cmd = match args::parse(&argv) {
+        Ok(cmd) => cmd,
         Err(e) => {
             eprintln!("error: {e}\n");
             eprintln!("{}", args::USAGE);
-            std::process::exit(2);
+            return ExitCode::from(2);
+        }
+    };
+    // One locked stdout for the whole report; a reader that closes the
+    // pipe early (`ibfat run … | head -1`) ends the run quietly.
+    let mut out = io::stdout().lock();
+    match commands::run(cmd, &mut out) {
+        Ok(()) => ib_fabric::exit_after_stdout(out.flush()),
+        Err(CmdError::Write(e)) => ib_fabric::exit_after_stdout(Err(e)),
+        Err(CmdError::Failed(e)) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
         }
     }
 }

@@ -114,7 +114,8 @@ proptest! {
         }
         let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            args::parse(&argv).and_then(commands::run)
+            args::parse(&argv)
+                .and_then(|cmd| commands::run(cmd, &mut std::io::sink()).map_err(|e| e.to_string()))
         }));
         prop_assert!(outcome.is_ok(), "`ibfat {}` unwound", line);
     }

@@ -1,5 +1,5 @@
-//! End-to-end CLI command tests (through the library layer; output goes
-//! to stdout, so these assert on success/failure and side effects).
+//! End-to-end CLI command tests (through the library layer; the report
+//! goes to a sink, so these assert on success/failure and side effects).
 
 use ib_fabric::{NoopProbe, PhaseProfile};
 use ibfat_cli::{args, commands};
@@ -7,7 +7,7 @@ use ibfat_cli::{args, commands};
 fn run(line: &str) -> Result<(), String> {
     let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
     let cmd = args::parse(&argv).map_err(|e| format!("parse: {e}"))?;
-    commands::run(cmd)
+    commands::run(cmd, &mut std::io::sink()).map_err(|e| e.to_string())
 }
 
 #[test]
@@ -524,4 +524,39 @@ fn counters_expose_the_slid_root_hot_spot_that_mlid_avoids() {
         imbalance(slid_roots),
         imbalance(mlid_roots)
     );
+}
+
+#[test]
+fn a_closed_stdout_ends_every_subcommand_quietly() {
+    // `ibfat … | head -1`: the reader is gone before the report is
+    // written. Each subcommand must exit 0 with nothing on stderr, not
+    // panic with "failed printing to stdout" (exit 101).
+    let exe = env!("CARGO_BIN_EXE_ibfat");
+    for line in [
+        "info 4x2",
+        "route 4x2 0 5",
+        "verify 4x2",
+        "discover 4x2",
+        "run 4x2 --time-us 20",
+        "run 4x2 --time-us 20 --json",
+        "sweep 4x2 --loads 0.1,0.2 --time-us 20",
+        "counters 4x2 --time-us 20",
+        "loads 4x2",
+        "workload 4x2 --kind alltoall",
+        "trace 4x2 --time-us 20",
+        "faults 4x2 --kill 1 --time-us 20",
+        "faults 4x2 --kill 1 --time-us 20 --json",
+    ] {
+        let mut child = std::process::Command::new(exe)
+            .args(line.split_whitespace())
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("binary exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "`ibfat {line}`: {stderr}");
+        assert!(stderr.is_empty(), "`ibfat {line}`: {stderr}");
+    }
 }

@@ -70,12 +70,26 @@ pub use ibfat_topology::{
     Network, NodeId, NodeLabel, PortNum, SwitchId, SwitchLabel, TopologyError, TreeParams,
 };
 
+/// The exit code of a binary that wrote its report to stdout: success,
+/// also when the reader closed the pipe early (`table1 | head -2`,
+/// `ibfat run … | head -1`); any other write error is an `error:` line
+/// and exit code 1.
+pub fn exit_after_stdout(written: std::io::Result<()>) -> std::process::ExitCode {
+    match written {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            eprintln!("error: writing stdout: {e}");
+            std::process::ExitCode::FAILURE
+        }
+        _ => std::process::ExitCode::SUCCESS,
+    }
+}
+
 /// Convenient glob import: `use ib_fabric::prelude::*;`.
 pub mod prelude {
     pub use crate::{
-        ChannelLoads, Fabric, FabricBuilder, FabricCounters, FabricError, InjectionProcess, Lid,
-        Network, NodeId, NodeLabel, PathSelection, PhaseProfile, Probe, RouteOracle, Routing,
-        RoutingKind, SimConfig, SimReport, SubnetManager, SwitchLabel, TrafficPattern, TreeParams,
-        VlArbitration, VlAssignment, Workload, WorkloadReport,
+        json::Codec, ChannelLoads, Fabric, FabricBuilder, FabricCounters, FabricError,
+        InjectionProcess, Lid, Network, NodeId, NodeLabel, PathSelection, PhaseProfile, Probe,
+        RouteOracle, Routing, RoutingKind, SimConfig, SimReport, SubnetManager, SwitchLabel,
+        TrafficPattern, TreeParams, VlArbitration, VlAssignment, Workload, WorkloadReport,
     };
 }

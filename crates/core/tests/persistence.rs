@@ -1,15 +1,16 @@
 //! Serialization and degraded-fabric behaviour through the public API.
 
 use ib_fabric::prelude::*;
+use ib_fabric::TraceSampling;
 
 #[test]
-fn routing_survives_a_serde_round_trip() {
+fn routing_survives_a_json_round_trip() {
     // A subnet manager might persist its computed state; the routing must
     // round-trip losslessly.
     for kind in [RoutingKind::Mlid, RoutingKind::Slid] {
         let fabric = Fabric::builder(4, 3).routing(kind).build().unwrap();
-        let json = serde_json::to_string(fabric.routing()).unwrap();
-        let back: Routing = serde_json::from_str(&json).unwrap();
+        let json = fabric.routing().to_json();
+        let back = Routing::from_json(&json).unwrap();
         assert_eq!(back.lfts(), fabric.routing().lfts());
         assert_eq!(back.lid_space(), fabric.routing().lid_space());
         assert_eq!(back.kind(), kind);
@@ -26,10 +27,10 @@ fn routing_survives_a_serde_round_trip() {
 }
 
 #[test]
-fn network_survives_a_serde_round_trip() {
+fn network_survives_a_json_round_trip() {
     let net = Network::mport_ntree(TreeParams::new(8, 2).unwrap());
-    let json = serde_json::to_string(&net).unwrap();
-    let back: Network = serde_json::from_str(&json).unwrap();
+    let json = net.to_json();
+    let back = Network::from_json(&json).unwrap();
     back.validate().unwrap();
     assert_eq!(back.num_nodes(), net.num_nodes());
     assert_eq!(back.links().len(), net.links().len());
@@ -45,8 +46,8 @@ fn sim_report_serializes_with_all_extensions_enabled() {
         .collect_link_stats(true)
         .trace_first_packets(4)
         .run();
-    let json = serde_json::to_string(&report).unwrap();
-    let back: SimReport = serde_json::from_str(&json).unwrap();
+    let json = report.to_json();
+    let back = SimReport::from_json(&json).unwrap();
     assert_eq!(back.delivered, report.delivered);
     assert_eq!(
         back.link_utilization.as_ref().map(Vec::len),
@@ -76,7 +77,119 @@ fn config_round_trips_including_policies() {
     cfg.vl_assignment = VlAssignment::DestinationHash;
     cfg.vl_arbitration = VlArbitration::Weighted(vec![(0, 3), (1, 1), (2, 1), (3, 1)]);
     cfg.adaptive_up = true;
-    let json = serde_json::to_string(&cfg).unwrap();
-    let back: SimConfig = serde_json::from_str(&json).unwrap();
+    let json = cfg.to_json();
+    let back = SimConfig::from_json(&json).unwrap();
     assert_eq!(back, cfg);
+}
+
+/// Network and Routing equality after a round trip is checked next to
+/// their codecs (`ibfat-topology`, `ibfat-routing`); these are the
+/// simulator's persisted types.
+#[test]
+fn configs_and_reports_read_back_equal() {
+    // SimConfig: every policy variant, exact seeds, a non-empty fault plan.
+    let plan = ib_fabric::FaultPlan {
+        events: vec![
+            ib_fabric::FaultEvent {
+                at_ns: 1_000,
+                action: ib_fabric::FaultAction::KillLink(7),
+            },
+            ib_fabric::FaultEvent {
+                at_ns: 2_000,
+                action: ib_fabric::FaultAction::KillSwitch(3),
+            },
+            ib_fabric::FaultEvent {
+                at_ns: 3_000,
+                action: ib_fabric::FaultAction::ReviveLink(7),
+            },
+            ib_fabric::FaultEvent {
+                at_ns: 4_000,
+                action: ib_fabric::FaultAction::ReviveSwitch(3),
+            },
+        ],
+        policy: ib_fabric::FaultPolicy::Stall,
+        detect_ns: 123,
+        per_switch_ns: u64::MAX,
+    };
+    let samplings = [
+        TraceSampling::FirstN,
+        TraceSampling::OneInN(4),
+        TraceSampling::Pairs(vec![(0, 5), (3, 1)]),
+        TraceSampling::Pairs(Vec::new()),
+    ];
+    let arbitrations = [
+        VlArbitration::RoundRobin,
+        VlArbitration::Weighted(vec![(0, 3), (1, 0), (2, 255)]),
+    ];
+    let mut configs = Vec::new();
+    for (i, path_selection) in [
+        PathSelection::Paper,
+        PathSelection::RandomPerPacket,
+        PathSelection::RoundRobinPerSource,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        for vl_assignment in [
+            VlAssignment::Random,
+            VlAssignment::DestinationHash,
+            VlAssignment::SourceHash,
+        ] {
+            for injection in [InjectionProcess::Deterministic, InjectionProcess::Poisson] {
+                for (k, sampling) in samplings.iter().enumerate() {
+                    configs.push(SimConfig {
+                        path_selection,
+                        vl_assignment,
+                        injection,
+                        vl_arbitration: arbitrations[k % 2].clone(),
+                        trace_sampling: sampling.clone(),
+                        trace_first_packets: k as u32,
+                        seed: [u64::MAX, (1 << 53) + 1, 0][i],
+                        adaptive_up: k == 1,
+                        collect_link_stats: k == 2,
+                        faults: if k == 3 {
+                            plan.clone()
+                        } else {
+                            ib_fabric::FaultPlan::default()
+                        },
+                        ..SimConfig::paper(4)
+                    });
+                }
+            }
+        }
+    }
+    for cfg in configs {
+        assert_eq!(SimConfig::from_json(&cfg.to_json()).unwrap(), cfg);
+    }
+
+    // SimReport: link stats and traces, and a faulted run's counters.
+    let fabric = Fabric::builder(4, 3).build().unwrap();
+    let traced = fabric
+        .experiment()
+        .duration_ns(20_000)
+        .collect_link_stats(true)
+        .trace_first_packets(8)
+        .run();
+    assert!(traced.traces.as_ref().is_some_and(|t| !t.is_empty()));
+    let faulted = ib_fabric::sim::run(
+        fabric.network(),
+        fabric.routing(),
+        SimConfig {
+            faults: ib_fabric::FaultPlan::kill_links_at(
+                &ib_fabric::FaultPlan::pick_links(fabric.network(), 2, 1),
+                5_000,
+            ),
+            ..SimConfig::paper(2)
+        },
+        TrafficPattern::Uniform,
+        ib_fabric::RunSpec::new(0.6, 20_000),
+        ib_fabric::NoopProbe,
+    )
+    .unwrap()
+    .0;
+    for mut report in [traced, faulted] {
+        report.events_per_sec = 0.0;
+        report.packets_per_sec = 0.0;
+        assert_eq!(SimReport::from_json(&report.to_json()).unwrap(), report);
+    }
 }

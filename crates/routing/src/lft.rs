@@ -1,6 +1,6 @@
 use crate::Lid;
+use ibfat_topology::json::{Codec, Json, JsonBuf};
 use ibfat_topology::PortNum;
-use serde::{Deserialize, Serialize};
 
 /// LIDs per storage block: the 64-entry `LinearForwardingTable` block a
 /// subnet manager programs with one SMP.
@@ -26,7 +26,7 @@ type Block = [u8; BLOCK_LIDS];
 /// and copies it on write otherwise; [`compact`](Lft::compact) merges
 /// the duplicates patches can leave. Equality compares entries, not
 /// storage.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Lft {
     /// Table slots: max LID + 1.
     len: usize,
@@ -411,6 +411,87 @@ impl PartialEq for Lft {
 
 impl Eq for Lft {}
 
+/// A table persists in its block form: `{"len":…,"index":[…],"pool":[…]}`
+/// with one 64-entry array per pool block, so its size tracks the
+/// distinct blocks, not the LID space. Decoding checks every pool id
+/// and keeps the slots outside `0..len` empty.
+impl Codec for Lft {
+    fn encode(&self, j: &mut JsonBuf) {
+        j.begin_obj();
+        j.field_u64("len", self.len as u64);
+        j.key("index");
+        j.begin_arr();
+        for &id in &self.index {
+            j.u64_value(u64::from(id));
+        }
+        j.end_arr();
+        j.key("pool");
+        j.begin_arr();
+        for block in &self.pool {
+            j.begin_arr();
+            for &port in block {
+                j.u64_value(u64::from(port));
+            }
+            j.end_arr();
+        }
+        j.end_arr();
+        j.end_obj();
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        let o = v.as_object("LFT")?;
+        let len: usize = o.int("len")?;
+        if len == 0 || len - 1 > Lid::MAX_EXTENDED.index() {
+            return Err(format!(
+                "len {len} is outside 1..={}",
+                Lid::MAX_EXTENDED.0 + 1
+            ));
+        }
+        let index = o
+            .arr("index")?
+            .iter()
+            .map(|id| id.as_int::<u16>("index"))
+            .collect::<Result<Vec<_>, _>>()?;
+        if index.len() != locate(len - 1).0 + 1 {
+            return Err(format!("{} blocks for {len} slots", index.len()));
+        }
+        let mut pool = Vec::new();
+        for block in o.arr("pool")? {
+            let ports = block.as_array("pool")?;
+            let mut b = [0; BLOCK_LIDS];
+            if ports.len() != BLOCK_LIDS {
+                return Err(format!("a pool block of {} entries", ports.len()));
+            }
+            for (slot, port) in b.iter_mut().zip(ports) {
+                *slot = port.as_int("pool")?;
+            }
+            pool.push(b);
+        }
+        let mut refs = vec![0u16; pool.len()];
+        for (k, &id) in index.iter().enumerate() {
+            let block = pool
+                .get(usize::from(id))
+                .ok_or_else(|| format!("block {k} names pool entry {id} of {}", pool.len()))?;
+            let live = (BLOCK_LIDS - 1 + len).saturating_sub(k * BLOCK_LIDS);
+            let first = if k == 0 { BLOCK_LIDS - 1 } else { 0 };
+            let outside = (0..first).chain(live.min(BLOCK_LIDS)..BLOCK_LIDS);
+            if outside.into_iter().any(|off| block[off] != 0) {
+                return Err(format!("block {k} has entries outside the table"));
+            }
+            refs[usize::from(id)] += 1;
+        }
+        let mut lft = Lft {
+            len,
+            index,
+            pool,
+            refs,
+            patched: true,
+        };
+        lft.compact();
+        Ok(lft)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,5 +590,48 @@ mod tests {
         lft.compact();
         assert_eq!(lft.bytes().collect::<Vec<_>>(), before);
         assert_eq!(lft.pool.len(), 2, "LID 0's block and one pattern block");
+    }
+
+    #[test]
+    fn json_round_trip_keeps_entries_and_blocks() {
+        let mut lft = Lft::new(Lid(300));
+        lft.fill(Lid(1), 300, PortNum(2));
+        lft.copy_block(Lid(65), &[3, 4, 3, 4]);
+        lft.set(Lid(0), PortNum(1));
+        let back = Lft::from_json(&lft.to_json()).unwrap();
+        assert_eq!(back, lft);
+        assert_eq!(
+            back.bytes().collect::<Vec<_>>(),
+            lft.bytes().collect::<Vec<_>>()
+        );
+        assert_eq!(back.resident_bytes(), lft.resident_bytes());
+    }
+
+    #[test]
+    fn json_decode_rejects_inconsistent_blocks() {
+        let block = |p: u8| format!("[{}]", vec![p.to_string(); BLOCK_LIDS].join(","));
+        let zero_then = |p: u8| {
+            let mut v = vec!["0".to_string(); BLOCK_LIDS];
+            v[BLOCK_LIDS - 1] = p.to_string();
+            format!("[{}]", v.join(","))
+        };
+        let doc = |len: usize, index: &str, pool: &[String]| {
+            format!(
+                r#"{{"len":{len},"index":{index},"pool":[{}]}}"#,
+                pool.join(",")
+            )
+        };
+        assert!(Lft::from_json(&doc(65, "[0,1]", &[zero_then(1), block(2)])).is_ok());
+        for bad in [
+            doc(65, "[0]", &[zero_then(1)]),
+            doc(65, "[0,2]", &[zero_then(1), block(2)]),
+            doc(65, "[1,1]", &[zero_then(1), block(2)]),
+            doc(64, "[0,1]", &[zero_then(1), block(2)]),
+            doc(0, "[]", &[]),
+            doc(65, "[0,1]", &[zero_then(1), "[1,2]".to_string()]),
+            doc(65, "[0,1]", &[zero_then(1), block(1).replace("1]", "256]")]),
+        ] {
+            assert!(Lft::from_json(&bad).is_err(), "{bad}");
+        }
     }
 }

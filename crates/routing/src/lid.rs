@@ -1,5 +1,5 @@
+use ibfat_topology::json::{Codec, Json, JsonBuf};
 use ibfat_topology::NodeId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A Local Identifier — the InfiniBand subnet-local address of an endport.
@@ -7,7 +7,7 @@ use std::fmt;
 /// as "none" in packed tables). Scale-out configurations (FT(16, 3) and up)
 /// exceed the 16-bit range, so LIDs carry a 32-bit payload and the modeled
 /// *extended* unicast space tops out at `2^21` — see [`Lid::MAX_EXTENDED`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Lid(pub u32);
 
 impl Lid {
@@ -45,7 +45,7 @@ impl fmt::Display for Lid {
 /// Base LIDs are laid out densely in node-id (PID) order starting at LID 1:
 /// `base(P) = PID(P) * 2^lmc + 1`. This is the paper's `BaseLID` formula
 /// (for `lmc = 0` it degenerates to the SLID scheme's `PID + 1`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LidSpace {
     lmc: u32,
     num_nodes: u32,
@@ -60,13 +60,20 @@ impl LidSpace {
     /// is deliberately not enforced: the extended-LID regime models
     /// fabrics (e.g. FT(32, 3), `lmc = 8`) past that limit.
     pub fn new(num_nodes: u32, lmc: u32) -> Self {
-        assert!(lmc <= 16, "LMC beyond 16 bits is unsupported, got {lmc}");
-        let total = u64::from(num_nodes) << lmc;
-        assert!(
-            total <= u64::from(Lid::MAX_EXTENDED.0),
-            "{num_nodes} nodes x 2^{lmc} LIDs exceeds the extended LID space"
-        );
-        LidSpace { lmc, num_nodes }
+        LidSpace::checked(num_nodes, lmc).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`LidSpace::new`] with the two limits as an error.
+    fn checked(num_nodes: u32, lmc: u32) -> Result<Self, String> {
+        if lmc > 16 {
+            return Err(format!("LMC beyond 16 bits is unsupported, got {lmc}"));
+        }
+        if u64::from(num_nodes) << lmc > u64::from(Lid::MAX_EXTENDED.0) {
+            return Err(format!(
+                "{num_nodes} nodes x 2^{lmc} LIDs exceeds the extended LID space"
+            ));
+        }
+        Ok(LidSpace { lmc, num_nodes })
     }
 
     /// The LID Mask Control value.
@@ -131,6 +138,21 @@ impl LidSpace {
             NodeId(linear >> self.lmc),
             linear & (self.lids_per_node() - 1),
         ))
+    }
+}
+
+/// `{"lmc":2,"num_nodes":16}`.
+impl Codec for LidSpace {
+    fn encode(&self, j: &mut JsonBuf) {
+        j.begin_obj();
+        j.field_u64("lmc", u64::from(self.lmc));
+        j.field_u64("num_nodes", u64::from(self.num_nodes));
+        j.end_obj();
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        let o = v.as_object("LID space")?;
+        LidSpace::checked(o.int("num_nodes")?, o.int("lmc")?)
     }
 }
 

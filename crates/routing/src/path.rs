@@ -3,10 +3,9 @@
 
 use crate::{Lft, Lid, LidSpace, RoutingError};
 use ibfat_topology::{DeviceRef, Network, NodeId, PortNum, SwitchId};
-use serde::{Deserialize, Serialize};
 
 /// One switch traversal of a route.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hop {
     /// The switch traversed.
     pub switch: SwitchId,
@@ -17,7 +16,7 @@ pub struct Hop {
 }
 
 /// A fully resolved source→destination route.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Route {
     /// The source node.
     pub src: NodeId,

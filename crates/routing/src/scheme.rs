@@ -1,7 +1,7 @@
 use crate::mlid::build_all;
 use crate::{Hop, Lft, Lid, LidSpace, MlidScheme, Route, RoutingError, SlidScheme};
-use ibfat_topology::{Network, NodeId};
-use serde::{Deserialize, Serialize};
+use ibfat_topology::json::{Codec, Json, JsonBuf};
+use ibfat_topology::{Network, NodeId, TreeParams};
 use std::sync::OnceLock;
 
 /// A deterministic routing scheme for an InfiniBand subnet: it decides the
@@ -27,7 +27,7 @@ pub trait RoutingScheme {
 }
 
 /// The built-in scheme selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RoutingKind {
     /// Single LID per node; forwarding tables spread *destinations* over
     /// the up-ports (the paper's baseline).
@@ -85,19 +85,18 @@ impl std::fmt::Display for RoutingKind {
 /// form ([`crate::RouteOracle`]) answers never builds them. Every other
 /// routing — up*/down*, [`Routing::assemble`], fault repair — holds its
 /// tables from construction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Routing {
     kind: RoutingKind,
-    params: ibfat_topology::TreeParams,
+    params: TreeParams,
     space: LidSpace,
     /// Per-switch tables, indexed by switch id; read only through
     /// [`Routing::lfts`], which fills a closed-form routing's on demand.
     lfts: OnceLock<Vec<Lft>>,
     /// Set only by [`Routing::build`] for SLID/MLID: the tables are the
     /// scheme's Equations (1) and (2), so [`crate::RouteOracle`] may
-    /// answer for them. Assembled, repaired and deserialized routings
-    /// never carry it.
-    #[serde(skip)]
+    /// answer for them. Assembled, repaired and decoded routings never
+    /// carry it.
     closed_form: bool,
 }
 
@@ -184,7 +183,7 @@ impl Routing {
     /// [compacted](Lft::compact) on the way in.
     pub fn assemble(
         kind: RoutingKind,
-        params: ibfat_topology::TreeParams,
+        params: TreeParams,
         space: LidSpace,
         mut lfts: Vec<Lft>,
     ) -> Routing {
@@ -207,7 +206,7 @@ impl Routing {
 
     /// The tree parameters of the routed subnet.
     #[inline]
-    pub fn params(&self) -> ibfat_topology::TreeParams {
+    pub fn params(&self) -> TreeParams {
         self.params
     }
 
@@ -239,6 +238,66 @@ impl Routing {
         on_hop: impl FnMut(Hop),
     ) -> Result<NodeId, RoutingError> {
         crate::path::walk(net, &self.space, self.lfts(), src, dlid, on_hop)
+    }
+}
+
+/// Two routings are equal when they assign the same LIDs and program
+/// the same tables, however those tables are built or stored.
+impl PartialEq for Routing {
+    fn eq(&self, other: &Routing) -> bool {
+        self.kind == other.kind
+            && self.params == other.params
+            && self.space == other.space
+            && self.lfts() == other.lfts()
+    }
+}
+
+impl Eq for Routing {}
+
+/// A routing persists as its scheme, tree, LID space and block-form
+/// tables; decoding goes through [`Routing::assemble`], so a decoded
+/// routing runs on its tables (it carries no closed-form mark).
+impl Codec for Routing {
+    fn encode(&self, j: &mut JsonBuf) {
+        j.begin_obj();
+        j.field_str("kind", self.kind.as_str());
+        j.field_u64("m", u64::from(self.params.m()));
+        j.field_u64("n", u64::from(self.params.n()));
+        j.field("space", &self.space);
+        j.key("lfts");
+        j.begin_arr();
+        for lft in self.lfts() {
+            lft.encode(j);
+        }
+        j.end_arr();
+        j.end_obj();
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        let o = v.as_object("routing")?;
+        let kind = o.str("kind")?.parse::<RoutingKind>()?;
+        let params = TreeParams::new(o.int("m")?, o.int("n")?).map_err(|e| e.to_string())?;
+        let space: LidSpace = o.decode("space")?;
+        let lfts: Vec<Lft> = o.decode("lfts")?;
+        if space.num_nodes() != params.num_nodes() {
+            return Err(format!(
+                "a LID space of {} nodes on {params}",
+                space.num_nodes()
+            ));
+        }
+        if lfts.len() != params.num_switches() as usize {
+            return Err(format!("{} tables for {params}", lfts.len()));
+        }
+        let slots = space.max_lid().index() + 1;
+        for (sw, lft) in lfts.iter().enumerate() {
+            if lft.len() != slots {
+                return Err(format!("table {sw} has {} slots, not {slots}", lft.len()));
+            }
+            if let Some(port) = lft.ports_used().find(|p| u32::from(p.0) > params.m()) {
+                return Err(format!("table {sw} routes out of port {}", port.0));
+            }
+        }
+        Ok(Routing::assemble(kind, params, space, lfts))
     }
 }
 
@@ -345,5 +404,51 @@ mod tests {
                 "{kind}: repair"
             );
         }
+    }
+
+    #[test]
+    fn json_round_trip_reads_back_equal_tables() {
+        for (m, n) in [(4, 3), (8, 3)] {
+            let net = Network::mport_ntree(TreeParams::new(m, n).unwrap());
+            let mut degraded = net.clone();
+            let cut = degraded.inter_switch_link_indices()[5];
+            degraded.remove_link(cut);
+            for kind in CLOSED_FORM {
+                for routing in [
+                    Routing::build(&net, kind),
+                    build_fault_tolerant(&degraded, kind),
+                ] {
+                    let back = Routing::from_json(&routing.to_json()).unwrap();
+                    assert_eq!(back, routing, "FT({m},{n}) {kind}");
+                    // A decoded routing runs on its tables.
+                    assert!(!back.is_closed_form());
+                    assert!(RouteOracle::for_fabric(&net, &back).is_none());
+                }
+            }
+            let updown = Routing::build(&net, RoutingKind::UpDown);
+            assert_eq!(Routing::from_json(&updown.to_json()).unwrap(), updown);
+        }
+    }
+
+    #[test]
+    fn json_decode_rejects_a_routing_that_does_not_fit_its_tree() {
+        let net = Network::mport_ntree(TreeParams::new(4, 2).unwrap());
+        let json = Routing::build(&net, RoutingKind::Slid).to_json();
+        assert!(Routing::from_json(&json).is_ok());
+        for (from, to) in [
+            ("\"kind\":\"slid\"", "\"kind\":\"ecmp\""),
+            ("\"n\":2", "\"n\":3"),
+            ("\"num_nodes\":8", "\"num_nodes\":9"),
+            ("\"lmc\":0", "\"lmc\":17"),
+            ("\"len\":9", "\"len\":10"),
+        ] {
+            assert!(json.contains(from), "{from}");
+            let bad = json.replacen(from, to, 1);
+            assert!(Routing::from_json(&bad).is_err(), "{to}");
+        }
+        // Port 5 does not exist on a 4-port switch.
+        let bad = json.replacen("[1,1,", "[1,5,", 1);
+        assert_ne!(bad, json);
+        assert!(Routing::from_json(&bad).is_err());
     }
 }

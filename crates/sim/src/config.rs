@@ -1,8 +1,8 @@
+use crate::json::{enum_from, enum_name, Codec, Json, JsonBuf};
 use crate::{SimError, VlArbitration};
-use serde::{Deserialize, Serialize};
 
 /// Injection process shaping the per-node packet generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectionProcess {
     /// Constant inter-arrival time (the paper: "the packet generation rate
     /// is constant and the same for all processing nodes"). Each node gets
@@ -17,7 +17,7 @@ pub enum InjectionProcess {
 /// the knob the paper's path-selection scheme occupies. Single-LID
 /// schemes have a one-LID window, so every policy degenerates to the
 /// base LID there.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PathSelection {
     /// The paper's scheme: `BaseLID(dst) + rank(src)` — deterministic per
     /// pair, upward links private per source.
@@ -34,7 +34,7 @@ pub enum PathSelection {
 
 /// How packets are assigned to virtual lanes at generation (the SL→VL
 /// choice, with an identity SL2VL map along the path).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VlAssignment {
     /// Uniform random per packet (the default; matches an unmanaged
     /// multi-VL configuration).
@@ -51,7 +51,7 @@ pub enum VlAssignment {
 /// itself is armed by `SimConfig::trace_first_packets > 0`, which also
 /// bounds the trace buffer). Sampling is decided per packet from the
 /// `(src, dst)` pair alone — deterministically, with no shared counter.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum TraceSampling {
     /// Record the first N generated packets, whatever their flow — the
     /// original recorder behavior.
@@ -100,7 +100,7 @@ fn flow_hash(src: u32, dst: u32, seed: u64) -> u64 {
 /// switch routing time (forwarding-table lookup + arbitration + startup),
 /// one-packet input and output buffers per virtual lane, credit-based
 /// link-level flow control, virtual cut-through switching.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Packet size in bytes (everything is data; headers are not modeled
     /// separately, matching the paper's accounting).
@@ -140,7 +140,6 @@ pub struct SimConfig {
     /// `trace_first_packets` is 0). Recording never perturbs the
     /// simulation: the report of a recorded run is bit-identical to an
     /// unrecorded one.
-    #[serde(default)]
     pub trace_sampling: TraceSampling,
     /// Adaptive upward routing: when a packet must climb, pick the least
     /// occupied up-port instead of the forwarding table's designated one.
@@ -151,7 +150,6 @@ pub struct SimConfig {
     /// Scheduled mid-run fabric failures (empty = subsystem disabled).
     /// Requires a non-adaptive MLID/SLID routing; the run reads (and
     /// patches) the routing's tables.
-    #[serde(default)]
     pub faults: crate::FaultPlan,
 }
 
@@ -240,6 +238,114 @@ impl SimConfig {
             return invalid("fault plans cannot be combined with adaptive_up");
         }
         Ok(())
+    }
+}
+
+const INJECTIONS: [(InjectionProcess, &str); 2] = [
+    (InjectionProcess::Deterministic, "deterministic"),
+    (InjectionProcess::Poisson, "poisson"),
+];
+
+const PATH_SELECTIONS: [(PathSelection, &str); 3] = [
+    (PathSelection::Paper, "paper"),
+    (PathSelection::RandomPerPacket, "random_per_packet"),
+    (PathSelection::RoundRobinPerSource, "round_robin_per_source"),
+];
+
+const VL_ASSIGNMENTS: [(VlAssignment, &str); 3] = [
+    (VlAssignment::Random, "random"),
+    (VlAssignment::DestinationHash, "destination_hash"),
+    (VlAssignment::SourceHash, "source_hash"),
+];
+
+/// `"first_n"`, `{"one_in_n":4}` or `{"pairs":[[0,5],…]}`.
+impl Codec for TraceSampling {
+    fn encode(&self, j: &mut JsonBuf) {
+        match self {
+            TraceSampling::FirstN => j.str_value("first_n"),
+            TraceSampling::OneInN(n) => {
+                j.begin_obj();
+                j.field_u64("one_in_n", u64::from(*n));
+                j.end_obj();
+            }
+            TraceSampling::Pairs(pairs) => {
+                j.begin_obj();
+                j.field("pairs", pairs);
+                j.end_obj();
+            }
+        }
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        if let Json::String(name) = v {
+            return match name.as_str() {
+                "first_n" => Ok(TraceSampling::FirstN),
+                other => Err(format!("unknown trace sampling \"{other}\"")),
+            };
+        }
+        let o = v.as_object("trace sampling")?;
+        match (o.get("one_in_n"), o.get("pairs")) {
+            (Some(n), None) => Ok(TraceSampling::OneInN(n.as_int("one_in_n")?)),
+            (None, Some(_)) => Ok(TraceSampling::Pairs(o.decode("pairs")?)),
+            _ => Err("trace sampling: expected \"one_in_n\" or \"pairs\"".into()),
+        }
+    }
+}
+
+/// One object with a field per [`SimConfig`] field, in declaration
+/// order; `u64`s (the seed included) are exact.
+impl Codec for SimConfig {
+    fn encode(&self, j: &mut JsonBuf) {
+        j.begin_obj();
+        j.field_u64("packet_bytes", u64::from(self.packet_bytes));
+        j.field_u64("byte_time_ns", self.byte_time_ns);
+        j.field_u64("fly_time_ns", self.fly_time_ns);
+        j.field_u64("routing_time_ns", self.routing_time_ns);
+        j.field_u64("num_vls", u64::from(self.num_vls));
+        j.field_u64("buffer_packets", u64::from(self.buffer_packets));
+        j.field_str("injection", enum_name(&INJECTIONS, &self.injection));
+        j.field_str(
+            "path_selection",
+            enum_name(&PATH_SELECTIONS, &self.path_selection),
+        );
+        j.field_str(
+            "vl_assignment",
+            enum_name(&VL_ASSIGNMENTS, &self.vl_assignment),
+        );
+        j.field("vl_arbitration", &self.vl_arbitration);
+        j.field_u64("seed", self.seed);
+        j.field_bool("collect_link_stats", self.collect_link_stats);
+        j.field_u64("trace_first_packets", u64::from(self.trace_first_packets));
+        j.field("trace_sampling", &self.trace_sampling);
+        j.field_bool("adaptive_up", self.adaptive_up);
+        j.field("faults", &self.faults);
+        j.end_obj();
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        let o = v.as_object("config")?;
+        Ok(SimConfig {
+            packet_bytes: o.int("packet_bytes")?,
+            byte_time_ns: o.int("byte_time_ns")?,
+            fly_time_ns: o.int("fly_time_ns")?,
+            routing_time_ns: o.int("routing_time_ns")?,
+            num_vls: o.int("num_vls")?,
+            buffer_packets: o.int("buffer_packets")?,
+            injection: enum_from(&INJECTIONS, o.field("injection")?, "injection")?,
+            path_selection: enum_from(
+                &PATH_SELECTIONS,
+                o.field("path_selection")?,
+                "path_selection",
+            )?,
+            vl_assignment: enum_from(&VL_ASSIGNMENTS, o.field("vl_assignment")?, "vl_assignment")?,
+            vl_arbitration: o.decode("vl_arbitration")?,
+            seed: o.int("seed")?,
+            collect_link_stats: o.bool("collect_link_stats")?,
+            trace_first_packets: o.int("trace_first_packets")?,
+            trace_sampling: o.decode("trace_sampling")?,
+            adaptive_up: o.bool("adaptive_up")?,
+            faults: o.decode("faults")?,
+        })
     }
 }
 

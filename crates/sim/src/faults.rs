@@ -29,6 +29,7 @@
 //! per-level load imbalance against the healthy baseline.
 
 use crate::engine::Time;
+use crate::json::{enum_from, enum_name, Codec, Json, JsonBuf, Obj};
 use crate::metrics::SimReport;
 use crate::SimError;
 use ibfat_routing::{build_fault_tolerant, RepairState, Routing, RoutingKind};
@@ -36,14 +37,13 @@ use ibfat_sm::{ReconvergenceModel, SubnetManager};
 use ibfat_topology::{DeviceRef, Network, NodeId, PortNum};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// One scheduled change to the fabric's cabling. Link ids are indices
 /// into the *healthy* base network's [`Network::links`] array (they
 /// never shift, no matter how many links are currently dead).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
     /// Cut one inter-switch cable.
     KillLink(u32),
@@ -60,7 +60,7 @@ pub enum FaultAction {
 }
 
 /// A fault action pinned to a simulation instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
     /// When the fault fires (ns).
     pub at_ns: Time,
@@ -70,7 +70,7 @@ pub struct FaultEvent {
 
 /// What happens to a packet that meets a dead port before the SM has
 /// reprogrammed the switch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FaultPolicy {
     /// Lossy fabric: arrivals over a dead cable and heads routed onto a
     /// dead port are discarded (counted in `fault_lost`).
@@ -86,12 +86,11 @@ pub enum FaultPolicy {
 ///
 /// The empty plan (the [`Default`]) disables the subsystem entirely —
 /// the engine takes the exact pre-fault code paths.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Fault events, nondecreasing in `at_ns`.
     pub events: Vec<FaultEvent>,
     /// Dead-port packet treatment during the stale-table window.
-    #[serde(default)]
     pub policy: FaultPolicy,
     /// SM detection latency (trap/sweep), paid once per fault.
     pub detect_ns: Time,
@@ -220,6 +219,96 @@ impl FaultPlan {
             }
         }
         kill
+    }
+}
+
+const POLICIES: [(FaultPolicy, &str); 2] =
+    [(FaultPolicy::Drop, "drop"), (FaultPolicy::Stall, "stall")];
+
+impl FaultPolicy {
+    /// `"drop"` or `"stall"`.
+    pub fn name(self) -> &'static str {
+        enum_name(&POLICIES, &self)
+    }
+}
+
+impl FaultAction {
+    /// The action's name (`"kill_link"`, …) and the link or switch id.
+    pub fn parts(self) -> (&'static str, u32) {
+        match self {
+            FaultAction::KillLink(id) => ("kill_link", id),
+            FaultAction::KillSwitch(id) => ("kill_switch", id),
+            FaultAction::ReviveLink(id) => ("revive_link", id),
+            FaultAction::ReviveSwitch(id) => ("revive_switch", id),
+        }
+    }
+
+    /// Write the action as the `"action"` and `"id"` fields of an open
+    /// object: `"action":"kill_link","id":3`.
+    pub fn encode_fields(&self, j: &mut JsonBuf) {
+        let (name, id) = self.parts();
+        j.field_str("action", name);
+        j.field_u64("id", u64::from(id));
+    }
+
+    /// Read the fields [`encode_fields`](FaultAction::encode_fields) wrote.
+    pub fn decode_fields(o: &Obj) -> Result<FaultAction, String> {
+        let id = o.int("id")?;
+        match o.str("action")? {
+            "kill_link" => Ok(FaultAction::KillLink(id)),
+            "kill_switch" => Ok(FaultAction::KillSwitch(id)),
+            "revive_link" => Ok(FaultAction::ReviveLink(id)),
+            "revive_switch" => Ok(FaultAction::ReviveSwitch(id)),
+            other => Err(format!("unknown fault action \"{other}\"")),
+        }
+    }
+}
+
+/// `{"at_ns":…,"action":…,"id":…}`.
+impl Codec for FaultEvent {
+    fn encode(&self, j: &mut JsonBuf) {
+        j.begin_obj();
+        j.field_u64("at_ns", self.at_ns);
+        self.action.encode_fields(j);
+        j.end_obj();
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        let o = v.as_object("fault event")?;
+        Ok(FaultEvent {
+            at_ns: o.int("at_ns")?,
+            action: FaultAction::decode_fields(&o)?,
+        })
+    }
+}
+
+impl FaultPlan {
+    /// Write the plan as the `policy`, `detect_ns`, `per_switch_ns` and
+    /// `events` fields of an open object (`ibfat faults --json` prints
+    /// them at its top level).
+    pub fn encode_fields(&self, j: &mut JsonBuf) {
+        j.field_str("policy", self.policy.name());
+        j.field_u64("detect_ns", self.detect_ns);
+        j.field_u64("per_switch_ns", self.per_switch_ns);
+        j.field("events", &self.events);
+    }
+}
+
+impl Codec for FaultPlan {
+    fn encode(&self, j: &mut JsonBuf) {
+        j.begin_obj();
+        self.encode_fields(j);
+        j.end_obj();
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        let o = v.as_object("fault plan")?;
+        Ok(FaultPlan {
+            events: o.decode("events")?,
+            policy: enum_from(&POLICIES, o.field("policy")?, "policy")?,
+            detect_ns: o.int("detect_ns")?,
+            per_switch_ns: o.int("per_switch_ns")?,
+        })
     }
 }
 
@@ -438,7 +527,7 @@ impl FaultState {
 // ---------------------------------------------------------------------
 
 /// Per-fault reconvergence summary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSummary {
     /// The fault instant (ns).
     pub at_ns: Time,
@@ -458,7 +547,7 @@ pub struct FaultSummary {
 
 /// Surviving `2^LMC` LID paths per ordered node pair on the degraded
 /// fabric, under one scheme's tables.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PathSurvival {
     /// Routing scheme the tables follow.
     pub kind: RoutingKind,
@@ -489,7 +578,7 @@ impl PathSurvival {
 /// `level` and `level + 1`), healthy vs degraded. Loads count directed
 /// traversals of an all-to-all trace under the scheme's paper path
 /// selection; pairs left unroutable by the faults are skipped.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LevelLoad {
     /// Upper level of the tier (0 = root tier).
     pub level: u32,
@@ -506,7 +595,7 @@ pub struct LevelLoad {
 /// What a faulted run did to the fabric: engine loss/stall counters,
 /// per-fault reconvergence cost, surviving multipath (MLID's headline
 /// claim vs the SLID baseline), and per-level load imbalance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DisruptionReport {
     /// Per-fault reconvergence summaries, in schedule order.
     pub faults: Vec<FaultSummary>,

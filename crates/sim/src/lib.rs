@@ -54,7 +54,6 @@ mod counters;
 mod engine;
 mod error;
 mod faults;
-pub mod json;
 mod lanes;
 mod metrics;
 mod packet;
@@ -76,6 +75,8 @@ pub use faults::{
     disruption_report, DisruptionReport, FaultAction, FaultEvent, FaultPlan, FaultPolicy,
     FaultSummary, LevelLoad, PathSurvival,
 };
+/// The workspace's JSON codec, from `ibfat-topology`.
+pub use ibfat_topology::json;
 pub use metrics::{LatencyStats, LinkUse, Percentiles, SimReport};
 pub use packet::{Packet, PacketId, PacketSlab};
 pub use probe::{NoopProbe, Phase, PhaseProfile, Probe, NUM_PHASES};

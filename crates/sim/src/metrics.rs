@@ -1,16 +1,20 @@
 //! Measurement: accepted traffic, latency distributions, link utilization.
 
-use serde::{Deserialize, Serialize};
+use crate::json::{Codec, Json, JsonBuf};
+use crate::trace::PacketTrace;
+
+/// Log2 histogram buckets of [`LatencyStats`]: 1 ns .. ~1 s.
+const LATENCY_BUCKETS: usize = 40;
 
 /// Streaming latency statistics with a logarithmic histogram for
 /// percentile estimates (buckets: `[2^k, 2^(k+1))` ns).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyStats {
     count: u64,
     sum: u64,
     min: u64,
     max: u64,
-    /// Log2 buckets over 1 ns .. ~1 s.
+    /// [`LATENCY_BUCKETS`] log2 buckets.
     buckets: Vec<u64>,
 }
 
@@ -22,7 +26,7 @@ impl LatencyStats {
             sum: 0,
             min: u64::MAX,
             max: 0,
-            buckets: vec![0; 40],
+            buckets: vec![0; LATENCY_BUCKETS],
         }
     }
 
@@ -113,9 +117,41 @@ impl Default for LatencyStats {
     }
 }
 
+/// The raw state, `{"count","sum","min","max","buckets"}`, so
+/// percentiles and merges work on a decoded copy as on the original.
+impl Codec for LatencyStats {
+    fn encode(&self, j: &mut JsonBuf) {
+        j.begin_obj();
+        j.field_u64("count", self.count);
+        j.field_u64("sum", self.sum);
+        j.field_u64("min", self.min);
+        j.field_u64("max", self.max);
+        j.field("buckets", &self.buckets);
+        j.end_obj();
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        let o = v.as_object("latency")?;
+        let buckets: Vec<u64> = o.decode("buckets")?;
+        if buckets.len() != LATENCY_BUCKETS {
+            return Err(format!(
+                "{} latency buckets, not {LATENCY_BUCKETS}",
+                buckets.len()
+            ));
+        }
+        Ok(LatencyStats {
+            count: o.int("count")?,
+            sum: o.int("sum")?,
+            min: o.int("min")?,
+            max: o.int("max")?,
+            buckets,
+        })
+    }
+}
+
 /// The p50/p95/p99 trio from one latency distribution (ns). Zeroes when
 /// the distribution is empty.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Percentiles {
     pub p50: u64,
     pub p95: u64,
@@ -123,7 +159,7 @@ pub struct Percentiles {
 }
 
 /// Utilization of one directed link (the sending side identifies it).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkUse {
     /// The transmitting device ("S3" for switches, "N7" for nodes).
     pub from: String,
@@ -133,6 +169,25 @@ pub struct LinkUse {
     pub utilization: f64,
 }
 
+impl Codec for LinkUse {
+    fn encode(&self, j: &mut JsonBuf) {
+        j.begin_obj();
+        j.field_str("from", &self.from);
+        j.field_u64("port", u64::from(self.port));
+        j.field_float("utilization", self.utilization);
+        j.end_obj();
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        let o = v.as_object("link")?;
+        Ok(LinkUse {
+            from: o.str("from")?.to_string(),
+            port: o.int("port")?,
+            utilization: o.f64("utilization")?,
+        })
+    }
+}
+
 /// Everything measured during one simulation run.
 ///
 /// `PartialEq` compares every field, including the wall-clock-derived
@@ -140,7 +195,7 @@ pub struct LinkUse {
 /// [`packets_per_sec`](SimReport::packets_per_sec); comparisons that only
 /// care about simulated behaviour (e.g. the calendar equivalence tests)
 /// should zero those fields first.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Offered load as configured (fraction of link bandwidth per node).
     pub offered_load: f64,
@@ -181,7 +236,6 @@ pub struct SimReport {
     /// [`packets_per_sec`](SimReport::packets_per_sec), one of the two
     /// report fields that are not a deterministic function of the inputs
     /// and seed.
-    #[serde(default)]
     pub events_per_sec: f64,
     /// Packets delivered per wall-clock second, measured inside `run()`.
     /// The engine-throughput currency that stays comparable when the
@@ -190,7 +244,6 @@ pub struct SimReport {
     /// packets). Host-dependent, like
     /// [`events_per_sec`](SimReport::events_per_sec); equality
     /// comparisons should zero both.
-    #[serde(default)]
     pub packets_per_sec: f64,
     /// Mean utilization (busy fraction) over all directed links.
     pub mean_link_utilization: f64,
@@ -210,14 +263,11 @@ pub struct SimReport {
     /// Packets discarded because of a live fault (dead-port arrivals and
     /// dead-port routing under [`crate::FaultPolicy::Drop`]). Zero when
     /// the run has no [`crate::FaultPlan`].
-    #[serde(default)]
     pub fault_lost: u64,
     /// Heads parked on a dead output port under
     /// [`crate::FaultPolicy::Stall`] while tables were stale.
-    #[serde(default)]
     pub fault_stalled: u64,
     /// Parked heads re-routed when the SM reprogrammed their switch.
-    #[serde(default)]
     pub fault_rerouted: u64,
 }
 
@@ -252,6 +302,97 @@ impl Default for SimReport {
             fault_stalled: 0,
             fault_rerouted: 0,
         }
+    }
+}
+
+/// Every field, losslessly: floats in their shortest exact form,
+/// latency histograms raw, and traces as
+/// [`PacketTrace::to_json_line`] objects (`null` when not collected).
+impl Codec for SimReport {
+    fn encode(&self, j: &mut JsonBuf) {
+        j.begin_obj();
+        j.field_float("offered_load", self.offered_load);
+        j.field_u64("sim_time_ns", self.sim_time_ns);
+        j.field_u64("warmup_ns", self.warmup_ns);
+        j.field_u64("generated", self.generated);
+        j.field_u64("dropped", self.dropped);
+        j.field_u64("total_generated", self.total_generated);
+        j.field_u64("total_delivered", self.total_delivered);
+        j.field_u64("delivered", self.delivered);
+        j.field_u64("delivered_bytes", self.delivered_bytes);
+        j.field_u64("in_flight_at_end", self.in_flight_at_end);
+        j.field_float(
+            "accepted_bytes_per_ns_per_node",
+            self.accepted_bytes_per_ns_per_node,
+        );
+        j.field_float(
+            "offered_bytes_per_ns_per_node",
+            self.offered_bytes_per_ns_per_node,
+        );
+        j.field("latency", &self.latency);
+        j.field("network_latency", &self.network_latency);
+        j.field_u64("events_processed", self.events_processed);
+        j.field_float("events_per_sec", self.events_per_sec);
+        j.field_float("packets_per_sec", self.packets_per_sec);
+        j.field_float("mean_link_utilization", self.mean_link_utilization);
+        j.field_float("max_link_utilization", self.max_link_utilization);
+        j.field("link_utilization", &self.link_utilization);
+        j.key("traces");
+        match &self.traces {
+            Some(traces) => {
+                j.begin_arr();
+                for (slot, t) in traces.iter().enumerate() {
+                    t.encode(j, slot);
+                }
+                j.end_arr();
+            }
+            None => j.raw_value("null"),
+        }
+        j.field_u64("out_of_order", self.out_of_order);
+        j.field_u64("fault_lost", self.fault_lost);
+        j.field_u64("fault_stalled", self.fault_stalled);
+        j.field_u64("fault_rerouted", self.fault_rerouted);
+        j.end_obj();
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        let o = v.as_object("report")?;
+        let traces = match o.field("traces")? {
+            Json::Null => None,
+            t => Some(
+                t.as_array("traces")?
+                    .iter()
+                    .map(PacketTrace::decode)
+                    .collect::<Result<_, _>>()?,
+            ),
+        };
+        Ok(SimReport {
+            offered_load: o.f64("offered_load")?,
+            sim_time_ns: o.int("sim_time_ns")?,
+            warmup_ns: o.int("warmup_ns")?,
+            generated: o.int("generated")?,
+            dropped: o.int("dropped")?,
+            total_generated: o.int("total_generated")?,
+            total_delivered: o.int("total_delivered")?,
+            delivered: o.int("delivered")?,
+            delivered_bytes: o.int("delivered_bytes")?,
+            in_flight_at_end: o.int("in_flight_at_end")?,
+            accepted_bytes_per_ns_per_node: o.f64("accepted_bytes_per_ns_per_node")?,
+            offered_bytes_per_ns_per_node: o.f64("offered_bytes_per_ns_per_node")?,
+            latency: o.decode("latency")?,
+            network_latency: o.decode("network_latency")?,
+            events_processed: o.int("events_processed")?,
+            events_per_sec: o.f64("events_per_sec")?,
+            packets_per_sec: o.f64("packets_per_sec")?,
+            mean_link_utilization: o.f64("mean_link_utilization")?,
+            max_link_utilization: o.f64("max_link_utilization")?,
+            link_utilization: o.decode("link_utilization")?,
+            traces,
+            out_of_order: o.int("out_of_order")?,
+            fault_lost: o.int("fault_lost")?,
+            fault_stalled: o.int("fault_stalled")?,
+            fault_rerouted: o.int("fault_rerouted")?,
+        })
     }
 }
 

@@ -5,10 +5,10 @@
 //! a packet saw the latency it did — which buffer it waited in, which
 //! grant it lost — and anchor the timing model in tests.
 
-use serde::{Deserialize, Serialize};
+use crate::json::{Json, JsonBuf};
 
 /// One recorded packet lifecycle event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// Entered the source queue.
     Generated,
@@ -62,7 +62,7 @@ pub enum TraceEvent {
 }
 
 /// The timeline of one packet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PacketTrace {
     /// Source node id.
     pub src: u32,
@@ -140,7 +140,13 @@ impl PacketTrace {
     /// [`render`](PacketTrace::render) and InfiniBand convention.
     /// `slot` is the flight-recorder slot.
     pub fn to_json_line(&self, slot: usize) -> String {
-        let mut j = crate::json::JsonBuf::with_capacity(128 + 48 * self.events.len());
+        let mut j = JsonBuf::with_capacity(128 + 48 * self.events.len());
+        self.encode(&mut j, slot);
+        j.into_string()
+    }
+
+    /// Write the [`to_json_line`](PacketTrace::to_json_line) object.
+    pub fn encode(&self, j: &mut JsonBuf, slot: usize) {
         j.begin_obj();
         j.field_u64("slot", slot as u64);
         j.field_u64("src", u64::from(self.src));
@@ -186,7 +192,57 @@ impl PacketTrace {
         }
         j.end_arr();
         j.end_obj();
-        j.into_string()
+    }
+
+    /// Read a trace back from its [`to_json_line`](PacketTrace::to_json_line)
+    /// object. `slot`, `latency_ns` and `completed` are derived from the
+    /// events, so they are not read.
+    pub fn decode(v: &Json) -> Result<PacketTrace, String> {
+        let o = v.as_object("trace")?;
+        let mut events = Vec::new();
+        for ev in o.arr("events")? {
+            let e = ev.as_object("event")?;
+            let sw = || e.int::<u32>("sw");
+            let port = || match e.int::<u8>("port")? {
+                0 => Err("event port 0: ports are 1-based".to_string()),
+                p => Ok(p - 1),
+            };
+            let event = match e.str("ev")? {
+                "generated" => TraceEvent::Generated,
+                "injection_start" => TraceEvent::InjectionStart,
+                "header_arrive" => TraceEvent::HeaderArrive {
+                    sw: sw()?,
+                    port: port()?,
+                },
+                "routed" => TraceEvent::Routed {
+                    sw: sw()?,
+                    out_port: port()?,
+                },
+                "granted" => TraceEvent::Granted {
+                    sw: sw()?,
+                    out_port: port()?,
+                },
+                "transmit_start" => TraceEvent::TransmitStart {
+                    sw: sw()?,
+                    out_port: port()?,
+                },
+                "credit_stalled" => TraceEvent::CreditStalled {
+                    sw: sw()?,
+                    out_port: port()?,
+                },
+                "delivered" => TraceEvent::Delivered,
+                "dropped" => TraceEvent::Dropped { sw: sw()? },
+                other => return Err(format!("unknown trace event \"{other}\"")),
+            };
+            events.push((e.int("t_ns")?, event));
+        }
+        Ok(PacketTrace {
+            src: o.int("src")?,
+            dst: o.int("dst")?,
+            dlid: o.int("dlid")?,
+            vl: o.int("vl")?,
+            events,
+        })
     }
 }
 
@@ -328,5 +384,29 @@ mod tests {
         for line in doc.lines() {
             crate::json::parse(line).expect("valid JSON");
         }
+    }
+
+    #[test]
+    fn json_line_reads_back_as_the_trace() {
+        let mut t = sample();
+        t.events.insert(
+            3,
+            (
+                180,
+                TraceEvent::CreditStalled {
+                    sw: 12,
+                    out_port: 2,
+                },
+            ),
+        );
+        let mut dropped = sample();
+        dropped.events.pop();
+        dropped.events.push((900, TraceEvent::Dropped { sw: 3 }));
+        for t in [t, dropped] {
+            let doc = crate::json::parse(&t.to_json_line(5)).unwrap();
+            assert_eq!(PacketTrace::decode(&doc).unwrap(), t);
+        }
+        let zero_port = r#"{"src":0,"dst":1,"dlid":2,"vl":0,"events":[{"t_ns":1,"ev":"routed","sw":0,"port":0}]}"#;
+        assert!(PacketTrace::decode(&crate::json::parse(zero_port).unwrap()).is_err());
     }
 }

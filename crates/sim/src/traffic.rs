@@ -8,10 +8,9 @@
 use crate::SimError;
 use ibfat_topology::NodeId;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A destination-selection pattern.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TrafficPattern {
     /// Every packet picks a destination uniformly at random among the
     /// other nodes.

@@ -9,10 +9,10 @@
 //! packets (IBA counts 64-byte units; with fixed-size packets the two are
 //! proportional).
 
-use serde::{Deserialize, Serialize};
+use crate::json::{Codec, Json, JsonBuf};
 
 /// Arbitration policy for a port's egress.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum VlArbitration {
     /// One packet per VL in cyclic order (the paper's implicit policy).
     #[default]
@@ -47,6 +47,30 @@ impl VlArbitration {
             }
         }
         Ok(())
+    }
+}
+
+/// `"round_robin"` or `{"weighted":[[vl,weight],…]}`.
+impl Codec for VlArbitration {
+    fn encode(&self, j: &mut JsonBuf) {
+        match self {
+            VlArbitration::RoundRobin => j.str_value("round_robin"),
+            VlArbitration::Weighted(entries) => {
+                j.begin_obj();
+                j.field("weighted", entries);
+                j.end_obj();
+            }
+        }
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        match v {
+            Json::String(name) if name == "round_robin" => Ok(VlArbitration::RoundRobin),
+            Json::Object(_) => Ok(VlArbitration::Weighted(
+                v.as_object("vl_arbitration")?.decode("weighted")?,
+            )),
+            _ => Err("expected \"round_robin\" or {\"weighted\":[…]}".into()),
+        }
     }
 }
 

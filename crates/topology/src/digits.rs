@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -12,7 +11,7 @@ pub const MAX_DIGITS: usize = 16;
 /// Labels in the m-port n-tree are short (at most `n <= 16` digits), so this
 /// avoids heap allocation entirely — labels are created in hot loops when
 /// building forwarding tables for every (switch, LID) pair.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Digits {
     buf: [u8; MAX_DIGITS],
     len: u8,

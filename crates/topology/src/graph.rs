@@ -1,9 +1,9 @@
+use crate::json::{Codec, Json, JsonBuf};
 use crate::{NodeId, PortNum, SwitchId, TopologyError, TreeParams};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A reference to either kind of device in the subnet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceRef {
     /// A processing node (end node with one endport).
     Node(NodeId),
@@ -21,7 +21,7 @@ impl fmt::Display for DeviceRef {
 }
 
 /// The kind of a device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceKind {
     /// Processing node / HCA endport.
     Node,
@@ -30,7 +30,7 @@ pub enum DeviceKind {
 }
 
 /// The far side of a link as seen from one port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Peer {
     /// The device on the other end of the link.
     pub device: DeviceRef,
@@ -41,14 +41,14 @@ pub struct Peer {
 /// One port of a device. Switch ports are numbered `1..=m` (port 0 is the
 /// management port, represented implicitly and never wired); node endports
 /// are port 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Port {
     /// What this port is cabled to, if anything.
     pub peer: Option<Peer>,
 }
 
 /// A device: a switch with `m` external ports or a node with one endport.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Device {
     kind: DeviceKind,
     /// `ports[k]` is external port `k+1` (IB numbering).
@@ -89,7 +89,7 @@ impl Device {
 
 /// An undirected cable between two device ports. Links are full duplex;
 /// the simulator models each direction independently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Link {
     /// One end of the cable.
     pub a: Peer,
@@ -103,7 +103,7 @@ pub struct Link {
 /// Built via [`Network::mport_ntree`] for the paper's fat trees; the type
 /// itself is topology-agnostic (the up*/down* routing engine in
 /// `ibfat-routing` works on any `Network`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Network {
     params: TreeParams,
     switches: Vec<Device>,
@@ -366,6 +366,73 @@ impl Network {
     }
 }
 
+/// A network persists as its tree parameters and its cables in
+/// [`Network::links`] order: `{"m":4,"n":2,"links":[["S2",1,"N0",1],…]}`.
+/// Decoding re-cables an empty `IBFT(m, n)`, so a degraded network
+/// reads back with the same cables, ports and link indices.
+impl Codec for Network {
+    fn encode(&self, j: &mut JsonBuf) {
+        j.begin_obj();
+        j.field_u64("m", u64::from(self.params.m()));
+        j.field_u64("n", u64::from(self.params.n()));
+        j.key("links");
+        j.begin_arr();
+        for link in &self.links {
+            j.begin_arr();
+            for end in [link.a, link.b] {
+                j.str_value(&end.device.to_string());
+                j.u64_value(u64::from(end.port.0));
+            }
+            j.end_arr();
+        }
+        j.end_arr();
+        j.end_obj();
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        let o = v.as_object("network")?;
+        let params = TreeParams::new(o.int("m")?, o.int("n")?).map_err(|e| e.to_string())?;
+        let mut net = Network::new_empty(params);
+        for (i, link) in o.arr("links")?.iter().enumerate() {
+            let what = format!("links[{i}]");
+            let [da, pa, db, pb] = link.as_array(&what)? else {
+                return Err(format!("{what}: expected [device, port, device, port]"));
+            };
+            let a = net.free_port(da, pa, &what)?;
+            let b = net.free_port(db, pb, &what)?;
+            if a == b {
+                return Err(format!("{what}: a port cabled to itself"));
+            }
+            net.connect(a, b);
+        }
+        Ok(net)
+    }
+}
+
+impl Network {
+    /// The uncabled port a decoded link end names.
+    fn free_port(&self, device: &Json, port: &Json, what: &str) -> Result<Peer, String> {
+        let name = device.as_string(what)?;
+        let id = |rest: &str| rest.parse::<u32>().ok();
+        let device = match (name.get(..1), name.get(1..).and_then(id)) {
+            (Some("N"), Some(i)) if (i as usize) < self.nodes.len() => DeviceRef::Node(NodeId(i)),
+            (Some("S"), Some(i)) if (i as usize) < self.switches.len() => {
+                DeviceRef::Switch(SwitchId(i))
+            }
+            _ => return Err(format!("{what}: no device \"{name}\"")),
+        };
+        let port = PortNum(port.as_int(what)?);
+        let ports = self.device(device).num_ports();
+        if port.0 == 0 || port.index() > ports {
+            return Err(format!("{what}: {name} has no port {}", port.0));
+        }
+        if self.peer_of(device, port).is_some() {
+            return Err(format!("{what}: port {name}:{} is already cabled", port.0));
+        }
+        Ok(Peer { device, port })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -446,5 +513,38 @@ mod tests {
         net.remove_link(idx);
         assert_eq!(net.switch(SwitchId(0)).peers().count(), before - 1);
         let _ = NodeId(0); // keep import used under cfg(test)
+    }
+
+    #[test]
+    fn json_round_trip_keeps_cables_and_link_order() {
+        let mut degraded = Network::mport_ntree(TreeParams::new(4, 3).unwrap());
+        for _ in 0..2 {
+            let idx = degraded.inter_switch_link_indices()[3];
+            degraded.remove_link(idx);
+        }
+        for net in [
+            Network::mport_ntree(TreeParams::new(4, 3).unwrap()),
+            degraded,
+        ] {
+            assert_eq!(Network::from_json(&net.to_json()).unwrap(), net);
+        }
+    }
+
+    #[test]
+    fn json_decode_rejects_bad_cabling() {
+        let ok = r#"{"m":4,"n":1,"links":[["S0",1,"N0",1]]}"#;
+        assert!(Network::from_json(ok).is_ok());
+        for bad in [
+            r#"{"m":3,"n":1,"links":[]}"#,
+            r#"{"m":4,"n":1,"links":[["S0",1,"N0",1],["S0",1,"N1",1]]}"#,
+            r#"{"m":4,"n":1,"links":[["S0",5,"N0",1]]}"#,
+            r#"{"m":4,"n":1,"links":[["S0",0,"N0",1]]}"#,
+            r#"{"m":4,"n":1,"links":[["S9",1,"N0",1]]}"#,
+            r#"{"m":4,"n":1,"links":[["X0",1,"N0",1]]}"#,
+            r#"{"m":4,"n":1,"links":[["S0",1,"S0",1]]}"#,
+            r#"{"m":4,"n":1,"links":[["S0",1,"N0"]]}"#,
+        ] {
+            assert!(Network::from_json(bad).is_err(), "{bad}");
+        }
     }
 }

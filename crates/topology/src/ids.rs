@@ -1,25 +1,24 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Dense id of a processing node (end node). Node ids coincide with the
 /// paper's `PID` ordering: `NodeId(i)` is the node whose rank in
 /// `gcpg(ε, 0)` — the group of all processing nodes — is `i`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 /// Dense id of a switch, level-major: all level-0 switches first (roots),
 /// then level 1, and so on down to the leaf level `n-1`. Within a level,
 /// switches are ordered by their digit string read as a mixed-radix number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SwitchId(pub u32);
 
 /// An InfiniBand switch port number. Port 0 is the management port and never
 /// carries subnet traffic here; external ports are numbered `1..=m`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PortNum(pub u8);
 
 /// A level in the tree: 0 for the roots, `n-1` for the leaf switches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Level(pub u8);
 
 impl NodeId {

@@ -1,5 +1,4 @@
 use crate::{Digits, Level, NodeId, SwitchId, TopologyError, TreeParams};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The label `P(p0 p1 ... p_{n-1})` of a processing node in `FT(m, n)`.
@@ -7,7 +6,7 @@ use std::fmt;
 /// Digit `p0` ranges over `0..m`; every other digit over `0..m/2`. The
 /// node's dense id is its `PID`: the digit string read as a mixed-radix
 /// number, so labels and ids sort identically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NodeLabel {
     digits: Digits,
 }
@@ -140,7 +139,7 @@ impl fmt::Display for NodeLabel {
 /// Level `l = 0` holds the roots; level `n-1` the leaf switches. Digit `w0`
 /// ranges over `0..m/2` for roots and `0..m` for every other level; the
 /// remaining digits range over `0..m/2`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SwitchLabel {
     w: Digits,
     level: Level,

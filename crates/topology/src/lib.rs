@@ -44,6 +44,7 @@ mod digits;
 mod error;
 mod graph;
 mod ids;
+pub mod json;
 mod label;
 mod par;
 mod params;

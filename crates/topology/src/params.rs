@@ -1,5 +1,4 @@
 use crate::TopologyError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Validated parameters of an m-port n-tree `FT(m, n)`.
@@ -15,7 +14,7 @@ use std::fmt;
 /// unchanged, only the identifier width grows. Construction rejects
 /// combinations beyond the 2^21 extended-LID budget
 /// (`num_nodes * (m/2)^(n-1) > 1 << 21`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TreeParams {
     m: u32,
     n: u32,

@@ -34,7 +34,6 @@ pub use generators::ClosedLoopKind;
 pub use report::{GroupReport, MessageTiming, MsgLatency, WorkloadReport};
 
 use ibfat_topology::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Index of a message within its [`Workload`].
 pub type MsgId = u32;
@@ -42,7 +41,7 @@ pub type MsgId = u32;
 /// One message: a multi-packet transfer from `src` to `dst`, eligible
 /// for injection only once every message in `deps` has completed
 /// (last packet delivered at its destination).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     /// Sending node.
     pub src: NodeId,
@@ -63,7 +62,7 @@ pub struct Message {
 /// A complete workload: the message DAG plus the node universe it is
 /// meant for. Build one with the [`generators`], parse one from JSONL
 /// with [`trace::parse_jsonl`], or assemble messages by hand.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Workload {
     /// Number of processing nodes the workload addresses; every `src`
     /// and `dst` must be below this.

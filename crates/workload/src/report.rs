@@ -7,10 +7,9 @@
 //! bit-comparable across runs by simple `==`.
 
 use crate::Workload;
-use serde::{Deserialize, Serialize};
 
 /// The lifecycle timestamps of one message, recorded by the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MessageTiming {
     /// All dependencies satisfied; packets entered the source queue.
     pub armed_ns: u64,
@@ -22,7 +21,7 @@ pub struct MessageTiming {
 
 /// Completion summary for one message group (a collective instance or
 /// a phase).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupReport {
     /// The group's name from [`Workload::group_names`].
     pub name: String,
@@ -39,7 +38,7 @@ pub struct GroupReport {
 
 /// Exact nearest-rank latency percentiles over message service times
 /// (`completed - armed`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MsgLatency {
     pub min_ns: u64,
     pub p50_ns: u64,
@@ -51,7 +50,7 @@ pub struct MsgLatency {
 }
 
 /// The outcome of driving a [`Workload`] to completion.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkloadReport {
     /// Node universe of the workload.
     pub num_nodes: u32,

@@ -10,11 +10,12 @@
 //! `depends_on` holds message ids, where a message's id is its
 //! zero-based line number; dependencies must point at earlier lines
 //! (the same topological-order invariant as [`Workload::validate`]).
-//! The parser and writer are hand-rolled: the format is small enough
-//! that a JSON dependency would be pure weight, and it keeps the crate
-//! usable where `serde_json` is stubbed out.
+//! Lines are read with the workspace's JSON parser
+//! ([`ibfat_topology::json`]), which bounds nesting, so a hostile line
+//! is an error, not a stack overflow.
 
 use crate::{Message, Workload};
+use ibfat_topology::json;
 use ibfat_topology::NodeId;
 
 /// Serialize a workload to JSONL, one message per line. The group
@@ -51,136 +52,38 @@ pub fn parse_jsonl(text: &str, num_nodes: u32) -> Result<Workload, String> {
         if line.is_empty() {
             continue;
         }
-        let rec = parse_line(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        w.push(Message {
-            src: NodeId(rec.src),
-            dst: NodeId(rec.dst),
-            bytes: rec.bytes,
-            deps: rec.depends_on,
-            group,
-        });
+        let msg = parse_line(line, group).map_err(|e| format!("line {}: {e}", lineno + 1))?;
+        w.push(msg);
     }
     Ok(w)
 }
 
-struct Record {
-    src: u32,
-    dst: u32,
-    bytes: u64,
-    depends_on: Vec<u32>,
-}
-
-/// A minimal single-line JSON object reader for the fixed record shape.
-fn parse_line(line: &str) -> Result<Record, String> {
-    let mut p = Parser {
-        b: line.as_bytes(),
-        i: 0,
+/// Read one record as a message of `group`. Ids must fit in `u32`: an
+/// out-of-range one is an error, never wrapped.
+fn parse_line(line: &str, group: u32) -> Result<Message, String> {
+    let doc = json::parse(line)?;
+    let o = doc.as_object("record")?;
+    if let Some((key, _)) =
+        o.0.iter()
+            .find(|(k, _)| !matches!(k.as_str(), "src" | "dst" | "bytes" | "depends_on"))
+    {
+        return Err(format!("unknown key {key:?}"));
+    }
+    let deps = match o.get("depends_on") {
+        Some(deps) => deps
+            .as_array("depends_on")?
+            .iter()
+            .map(|d| d.as_int("depends_on"))
+            .collect::<Result<_, _>>()?,
+        None => Vec::new(),
     };
-    p.expect(b'{')?;
-    let (mut src, mut dst, mut bytes) = (None, None, None);
-    let mut depends_on = Vec::new();
-    loop {
-        p.skip_ws();
-        if p.eat(b'}') {
-            break;
-        }
-        let key = p.string()?;
-        p.expect(b':')?;
-        match key.as_str() {
-            "src" => src = Some(p.number()? as u32),
-            "dst" => dst = Some(p.number()? as u32),
-            "bytes" => bytes = Some(p.number()?),
-            "depends_on" => {
-                p.expect(b'[')?;
-                loop {
-                    p.skip_ws();
-                    if p.eat(b']') {
-                        break;
-                    }
-                    depends_on.push(p.number()? as u32);
-                    p.skip_ws();
-                    if !p.eat(b',') {
-                        p.expect(b']')?;
-                        break;
-                    }
-                }
-            }
-            other => return Err(format!("unknown key {other:?}")),
-        }
-        p.skip_ws();
-        if !p.eat(b',') {
-            p.expect(b'}')?;
-            break;
-        }
-    }
-    Ok(Record {
-        src: src.ok_or("missing \"src\"")?,
-        dst: dst.ok_or("missing \"dst\"")?,
-        bytes: bytes.ok_or("missing \"bytes\"")?,
-        depends_on,
+    Ok(Message {
+        src: NodeId(o.int("src")?),
+        dst: NodeId(o.int("dst")?),
+        bytes: o.int("bytes")?,
+        deps,
+        group,
     })
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> bool {
-        self.skip_ws();
-        if self.i < self.b.len() && self.b[self.i] == c {
-            self.i += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.eat(c) {
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", c as char, self.i))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let start = self.i;
-        while self.i < self.b.len() && self.b[self.i] != b'"' {
-            self.i += 1;
-        }
-        if self.i == self.b.len() {
-            return Err("unterminated string".into());
-        }
-        let s = std::str::from_utf8(&self.b[start..self.i])
-            .map_err(|_| "non-utf8 string")?
-            .to_string();
-        self.i += 1;
-        Ok(s)
-    }
-
-    fn number(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let start = self.i;
-        while self.i < self.b.len() && self.b[self.i].is_ascii_digit() {
-            self.i += 1;
-        }
-        if self.i == start {
-            return Err(format!("expected a number at byte {start}"));
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .unwrap()
-            .parse()
-            .map_err(|e| format!("bad number: {e}"))
-    }
 }
 
 #[cfg(test)]
@@ -222,5 +125,25 @@ mod tests {
         assert!(err.contains("unknown key"), "{err}");
         let err = parse_jsonl("{\"src\":1,\"dst\":0,\"depends_on\":[]}", 2).unwrap_err();
         assert!(err.contains("missing \"bytes\""), "{err}");
+        // Ids beyond u32 are errors, not wrapped onto small node ids.
+        for line in [
+            "{\"src\": 4294967297, \"dst\": 1, \"bytes\": 64}",
+            "{\"src\": 0, \"dst\": 4294967298, \"bytes\": 64}",
+            "{\"src\": 0, \"dst\": 1, \"bytes\": 64, \"depends_on\": [4294967296]}",
+        ] {
+            let text = format!("{{\"src\":1,\"dst\":0,\"bytes\":64}}\n{line}");
+            let err = parse_jsonl(&text, 2).unwrap_err();
+            assert!(
+                err.contains("line 2") && err.contains("out of range"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_deep_nesting_without_overflowing_the_stack() {
+        let line = "[".repeat(1_000_000);
+        let err = parse_jsonl(&line, 2).unwrap_err();
+        assert!(err.contains("line 1") && err.contains("nesting"), "{err}");
     }
 }
