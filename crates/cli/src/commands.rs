@@ -6,7 +6,7 @@ use ib_fabric::prelude::*;
 use ib_fabric::sim::{self, NoopProbe, RunSpec};
 use ib_fabric::sm::SubnetManager;
 use ib_fabric::topology::analysis;
-use ib_fabric::SwitchId;
+use ib_fabric::{FlightRecorder, SwitchId, TraceSampling};
 use std::fmt;
 use std::io::{self, Write};
 
@@ -339,8 +339,7 @@ fn simulate(cmd: &Cmd, fabric: &Fabric, out: &mut dyn Write) -> Result<(), CmdEr
 
 /// Render a [`SimReport`]'s summary as one compact JSON object: latency
 /// as mean and percentiles, rates rounded for reading. The lossless form
-/// is the report's [`Codec`] encoding; flight-recorder timelines are left
-/// to the `trace` subcommand.
+/// is the report's [`Codec`] encoding.
 pub fn report_to_json(report: &SimReport) -> String {
     fn latency(j: &mut JsonBuf, key: &str, s: &ib_fabric::sim::LatencyStats) {
         j.key(key);
@@ -383,18 +382,6 @@ pub fn report_to_json(report: &SimReport) -> String {
     j.field_f64("packets_per_sec", report.packets_per_sec, 0);
     j.field_f64("mean_link_utilization", report.mean_link_utilization, 6);
     j.field_f64("max_link_utilization", report.max_link_utilization, 6);
-    if let Some(links) = &report.link_utilization {
-        j.key("link_utilization");
-        j.begin_arr();
-        for l in links {
-            j.begin_obj();
-            j.field_str("from", &l.from);
-            j.field_u64("port", u64::from(l.port));
-            j.field_f64("utilization", l.utilization, 6);
-            j.end_obj();
-        }
-        j.end_arr();
-    }
     j.field_u64("out_of_order", report.out_of_order);
     j.end_obj();
     j.into_string()
@@ -403,14 +390,16 @@ pub fn report_to_json(report: &SimReport) -> String {
 /// Run the flight recorder over the configured scenario and render the
 /// sampled packet spans as JSONL (exposed for tests).
 pub fn collect_trace(cmd: &Cmd, fabric: &Fabric) -> Result<String, String> {
-    let cfg = SimConfig {
-        trace_first_packets: cmd.trace_packets,
-        trace_sampling: cmd.sampling.clone(),
-        ..sim_config(cmd)
-    };
-    let (report, _) = run_point(cmd, fabric, cfg, NoopProbe)?;
-    let traces = report.traces.as_deref().unwrap_or(&[]);
-    Ok(ib_fabric::traces_to_jsonl(traces))
+    if let TraceSampling::Pairs(pairs) = &cmd.sampling {
+        let nodes = fabric.num_nodes();
+        if pairs.iter().any(|&(src, dst)| src >= nodes || dst >= nodes) {
+            return Err(format!("node ids must be < {nodes}"));
+        }
+    }
+    let cfg = sim_config(cmd);
+    let recorder = FlightRecorder::new(cmd.trace_packets, cmd.sampling.clone(), cfg.seed);
+    let (_, recorder) = run_point(cmd, fabric, cfg, recorder)?;
+    Ok(ib_fabric::traces_to_jsonl(recorder.traces()))
 }
 
 fn trace(cmd: &Cmd, fabric: &Fabric, out: &mut dyn Write) -> Result<(), CmdError> {

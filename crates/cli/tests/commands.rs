@@ -349,6 +349,11 @@ fn trace_and_profile_run_end_to_end() {
     run("trace 4x2 --packets 4 --time-us 30 --seed 1").unwrap();
     run("trace 4x2 --one-in 2 --time-us 30").unwrap();
     run("trace 4x2 --pairs 0:1,2:3 --time-us 30").unwrap();
+    // Node ids are checked against the fabric, as `route` checks them.
+    let err = run("trace 4x2 --pairs 0:999 --time-us 5").unwrap_err();
+    assert_eq!(err, "node ids must be < 8");
+    assert!(run("trace 4x2 --pairs 8:0 --time-us 5").is_err());
+    assert_eq!(run("route 4x2 0 999").unwrap_err(), err);
     run("workload 4x2 --kind bcast --profile").unwrap();
     run("workload 4x2 --kind bcast --profile --json").unwrap();
 }

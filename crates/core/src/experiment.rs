@@ -179,27 +179,6 @@ impl<'a> ExperimentBuilder<'a> {
             .0
     }
 
-    /// Collect per-link utilization into the report.
-    pub fn collect_link_stats(mut self, on: bool) -> Self {
-        self.cfg.collect_link_stats = on;
-        self
-    }
-
-    /// Record full event timelines for the first `n` generated packets.
-    pub fn trace_first_packets(mut self, n: u32) -> Self {
-        self.cfg.trace_first_packets = n;
-        self
-    }
-
-    /// Which flows fill the flight-recorder slots (default: the first
-    /// packets generated, whatever their flow; see
-    /// [`ibfat_sim::TraceSampling`] for 1-in-N flow sampling and
-    /// explicit (src, dst) filters).
-    pub fn trace_sampling(mut self, sampling: ibfat_sim::TraceSampling) -> Self {
-        self.cfg.trace_sampling = sampling;
-        self
-    }
-
     /// Adaptive upward routing (extension; see
     /// [`ibfat_sim::SimConfig::adaptive_up`]).
     pub fn adaptive_up(mut self, on: bool) -> Self {

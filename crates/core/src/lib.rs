@@ -60,7 +60,7 @@ pub use ibfat_routing::{
 pub use ibfat_sim::{
     aggregate, disruption_report, generators, json, traces_to_jsonl, workload_trace, Aggregate,
     ClosedLoopKind, DisruptionReport, FabricCounters, FaultAction, FaultEvent, FaultPlan,
-    FaultPolicy, FaultSummary, HotPort, InjectionProcess, LevelLoad, LinkUse, NoopProbe,
+    FaultPolicy, FaultSummary, FlightRecorder, HotPort, InjectionProcess, LevelLoad, NoopProbe,
     PacketTrace, PathSelection, PathSurvival, Phase, PhaseProfile, Probe, RunSpec, SimConfig,
     SimReport, TraceEvent, TraceSampling, TrafficPattern, VlArbitration, VlAssignment, Workload,
     WorkloadReport,

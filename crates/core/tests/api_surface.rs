@@ -1,7 +1,8 @@
 //! Exercise the remaining public API surface of the high-level crate.
 
 use ib_fabric::prelude::*;
-use ib_fabric::{aggregate, LidSpace, RunSpec};
+use ib_fabric::topology::DeviceRef;
+use ib_fabric::{aggregate, LidSpace, PortNum, RunSpec, SwitchId};
 
 #[test]
 fn replicated_experiments_aggregate() {
@@ -23,20 +24,34 @@ fn replicated_experiments_aggregate() {
 }
 
 #[test]
-fn link_stats_cover_every_directed_link() {
+fn counters_cover_every_cabled_port() {
     let fabric = Fabric::builder(4, 2).build().unwrap();
-    let report = fabric
+    let net = fabric.network();
+    let (report, counters) = fabric
         .experiment()
         .offered_load(0.3)
         .duration_ns(60_000)
-        .collect_link_stats(true)
-        .run();
-    let links = report.link_utilization.unwrap();
-    // m ports per switch + one injection side per node.
-    let expected = fabric.num_switches() as usize * 4 + fabric.num_nodes() as usize;
-    assert_eq!(links.len(), expected);
-    assert!(links.iter().all(|l| (0.0..=1.0).contains(&l.utilization)));
-    assert!(links.iter().any(|l| l.utilization > 0.0));
+        .run_observed(FabricCounters::new(net, 1));
+    // m ports per switch, all cabled on the intact tree, plus one
+    // injection side per node: each carried traffic.
+    assert_eq!(counters.num_switches(), fabric.num_switches() as usize);
+    assert_eq!(counters.ports_per_switch(), 4);
+    for sw in 0..fabric.num_switches() {
+        for port in 0..4u8 {
+            let peer = net.peer_of(DeviceRef::Switch(SwitchId(sw)), PortNum(port + 1));
+            assert!(peer.is_some(), "S{sw} port {} is uncabled", port + 1);
+            assert!(
+                counters.port(sw, port).xmit_pkts > 0,
+                "S{sw} port {}",
+                port + 1
+            );
+        }
+    }
+    for node in 0..fabric.num_nodes() {
+        assert!(counters.node(node).xmit_pkts > 0, "N{node}");
+    }
+    assert!(report.max_link_utilization <= 1.0);
+    assert!(report.mean_link_utilization > 0.0);
 }
 
 #[test]

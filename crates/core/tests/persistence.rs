@@ -1,7 +1,7 @@
 //! Serialization and degraded-fabric behaviour through the public API.
 
 use ib_fabric::prelude::*;
-use ib_fabric::TraceSampling;
+use ib_fabric::{FlightRecorder, PacketTrace, TraceSampling};
 
 #[test]
 fn routing_survives_a_json_round_trip() {
@@ -40,20 +40,26 @@ fn network_survives_a_json_round_trip() {
 #[test]
 fn sim_report_serializes_with_all_extensions_enabled() {
     let fabric = Fabric::builder(4, 2).build().unwrap();
-    let report = fabric
-        .experiment()
-        .duration_ns(50_000)
-        .collect_link_stats(true)
-        .trace_first_packets(4)
-        .run();
-    let json = report.to_json();
-    let back = SimReport::from_json(&json).unwrap();
+    let cfg = SimConfig::default();
+    let recorder = FlightRecorder::new(4, TraceSampling::FirstN, cfg.seed);
+    let (report, recorder) = ib_fabric::sim::run(
+        fabric.network(),
+        fabric.routing(),
+        cfg,
+        TrafficPattern::Uniform,
+        ib_fabric::RunSpec::new(0.3, 50_000),
+        recorder,
+    )
+    .unwrap();
+    let back = SimReport::from_json(&report.to_json()).unwrap();
     assert_eq!(back.delivered, report.delivered);
-    assert_eq!(
-        back.link_utilization.as_ref().map(Vec::len),
-        report.link_utilization.as_ref().map(Vec::len)
-    );
-    assert_eq!(back.traces.as_ref().map(Vec::len), Some(4));
+    // The recorder's spans read back through their JSONL form.
+    let jsonl = ib_fabric::traces_to_jsonl(recorder.traces());
+    assert_eq!(jsonl.lines().count(), 4);
+    for (line, trace) in jsonl.lines().zip(recorder.traces()) {
+        let doc = ib_fabric::json::parse(line).unwrap();
+        assert_eq!(&PacketTrace::decode(&doc).unwrap(), trace);
+    }
 }
 
 #[test]
@@ -111,12 +117,6 @@ fn configs_and_reports_read_back_equal() {
         detect_ns: 123,
         per_switch_ns: u64::MAX,
     };
-    let samplings = [
-        TraceSampling::FirstN,
-        TraceSampling::OneInN(4),
-        TraceSampling::Pairs(vec![(0, 5), (3, 1)]),
-        TraceSampling::Pairs(Vec::new()),
-    ];
     let arbitrations = [
         VlArbitration::RoundRobin,
         VlArbitration::Weighted(vec![(0, 3), (1, 0), (2, 255)]),
@@ -136,17 +136,14 @@ fn configs_and_reports_read_back_equal() {
             VlAssignment::SourceHash,
         ] {
             for injection in [InjectionProcess::Deterministic, InjectionProcess::Poisson] {
-                for (k, sampling) in samplings.iter().enumerate() {
+                for k in 0..4 {
                     configs.push(SimConfig {
                         path_selection,
                         vl_assignment,
                         injection,
                         vl_arbitration: arbitrations[k % 2].clone(),
-                        trace_sampling: sampling.clone(),
-                        trace_first_packets: k as u32,
                         seed: [u64::MAX, (1 << 53) + 1, 0][i],
                         adaptive_up: k == 1,
-                        collect_link_stats: k == 2,
                         faults: if k == 3 {
                             plan.clone()
                         } else {
@@ -162,15 +159,25 @@ fn configs_and_reports_read_back_equal() {
         assert_eq!(SimConfig::from_json(&cfg.to_json()).unwrap(), cfg);
     }
 
-    // SimReport: link stats and traces, and a faulted run's counters.
+    // SimReport: a recorded run (its spans through their own codec) and
+    // a faulted run's counters.
     let fabric = Fabric::builder(4, 3).build().unwrap();
-    let traced = fabric
-        .experiment()
-        .duration_ns(20_000)
-        .collect_link_stats(true)
-        .trace_first_packets(8)
-        .run();
-    assert!(traced.traces.as_ref().is_some_and(|t| !t.is_empty()));
+    let cfg = SimConfig::default();
+    let recorder = FlightRecorder::new(8, TraceSampling::OneInN(2), cfg.seed);
+    let (traced, recorder) = ib_fabric::sim::run(
+        fabric.network(),
+        fabric.routing(),
+        cfg,
+        TrafficPattern::Uniform,
+        ib_fabric::RunSpec::new(0.3, 20_000),
+        recorder,
+    )
+    .unwrap();
+    assert!(!recorder.traces().is_empty());
+    for (slot, trace) in recorder.traces().iter().enumerate() {
+        let doc = ib_fabric::json::parse(&trace.to_json_line(slot)).unwrap();
+        assert_eq!(&PacketTrace::decode(&doc).unwrap(), trace);
+    }
     let faulted = ib_fabric::sim::run(
         fabric.network(),
         fabric.routing(),

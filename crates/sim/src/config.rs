@@ -47,52 +47,6 @@ pub enum VlAssignment {
     SourceHash,
 }
 
-/// Which generated flows the flight recorder samples (the recorder
-/// itself is armed by `SimConfig::trace_first_packets > 0`, which also
-/// bounds the trace buffer). Sampling is decided per packet from the
-/// `(src, dst)` pair alone — deterministically, with no shared counter.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum TraceSampling {
-    /// Record the first N generated packets, whatever their flow — the
-    /// original recorder behavior.
-    #[default]
-    FirstN,
-    /// Record packets of roughly one in N flows: a packet is sampled
-    /// when `hash(src, dst, seed) % n == 0`. All packets of a sampled
-    /// flow are eligible (until the buffer fills), so whole flow
-    /// lifecycles stay observable at scale.
-    OneInN(u32),
-    /// Record only packets of the listed `(src, dst)` flows.
-    Pairs(Vec<(u32, u32)>),
-}
-
-impl TraceSampling {
-    /// Whether a packet of flow `(src, dst)` is eligible for a trace
-    /// slot under this policy. Pure function of the flow and the seed.
-    #[inline]
-    pub fn samples(&self, src: u32, dst: u32, seed: u64) -> bool {
-        match self {
-            TraceSampling::FirstN => true,
-            TraceSampling::OneInN(n) => {
-                let n = (*n).max(1);
-                flow_hash(src, dst, seed).is_multiple_of(u64::from(n))
-            }
-            TraceSampling::Pairs(pairs) => pairs.iter().any(|&(s, d)| s == src && d == dst),
-        }
-    }
-}
-
-/// SplitMix64 finalizer over the flow pair, mixed with the run seed so
-/// different seeds sample different 1-in-N flow subsets.
-#[inline]
-fn flow_hash(src: u32, dst: u32, seed: u64) -> u64 {
-    let mut z = (u64::from(src) << 32 | u64::from(dst)) ^ seed.rotate_left(17);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Simulator configuration: the IBA subnet model constants of Section 5.
 ///
 /// Defaults reproduce the paper's setup: 256-byte packets on a 4X link
@@ -129,18 +83,6 @@ pub struct SimConfig {
     pub vl_arbitration: VlArbitration,
     /// RNG seed — simulations are bit-for-bit reproducible per seed.
     pub seed: u64,
-    /// Collect per-link utilization into the report (off by default to
-    /// keep sweep outputs lean).
-    pub collect_link_stats: bool,
-    /// Record full event timelines for up to N generated packets
-    /// (the flight recorder; 0 disables). `trace_sampling` chooses
-    /// *which* packets compete for the N slots.
-    pub trace_first_packets: u32,
-    /// Flow-sampling policy for the flight recorder (ignored while
-    /// `trace_first_packets` is 0). Recording never perturbs the
-    /// simulation: the report of a recorded run is bit-identical to an
-    /// unrecorded one.
-    pub trace_sampling: TraceSampling,
     /// Adaptive upward routing: when a packet must climb, pick the least
     /// occupied up-port instead of the forwarding table's designated one.
     /// This models what IBA's deterministic tables *give up*: it is not
@@ -167,9 +109,6 @@ impl Default for SimConfig {
             vl_assignment: VlAssignment::Random,
             vl_arbitration: VlArbitration::RoundRobin,
             seed: 0xF47_7EE,
-            collect_link_stats: false,
-            trace_first_packets: 0,
-            trace_sampling: TraceSampling::default(),
             adaptive_up: false,
             faults: crate::FaultPlan::default(),
         }
@@ -258,40 +197,6 @@ const VL_ASSIGNMENTS: [(VlAssignment, &str); 3] = [
     (VlAssignment::SourceHash, "source_hash"),
 ];
 
-/// `"first_n"`, `{"one_in_n":4}` or `{"pairs":[[0,5],…]}`.
-impl Codec for TraceSampling {
-    fn encode(&self, j: &mut JsonBuf) {
-        match self {
-            TraceSampling::FirstN => j.str_value("first_n"),
-            TraceSampling::OneInN(n) => {
-                j.begin_obj();
-                j.field_u64("one_in_n", u64::from(*n));
-                j.end_obj();
-            }
-            TraceSampling::Pairs(pairs) => {
-                j.begin_obj();
-                j.field("pairs", pairs);
-                j.end_obj();
-            }
-        }
-    }
-
-    fn decode(v: &Json) -> Result<Self, String> {
-        if let Json::String(name) = v {
-            return match name.as_str() {
-                "first_n" => Ok(TraceSampling::FirstN),
-                other => Err(format!("unknown trace sampling \"{other}\"")),
-            };
-        }
-        let o = v.as_object("trace sampling")?;
-        match (o.get("one_in_n"), o.get("pairs")) {
-            (Some(n), None) => Ok(TraceSampling::OneInN(n.as_int("one_in_n")?)),
-            (None, Some(_)) => Ok(TraceSampling::Pairs(o.decode("pairs")?)),
-            _ => Err("trace sampling: expected \"one_in_n\" or \"pairs\"".into()),
-        }
-    }
-}
-
 /// One object with a field per [`SimConfig`] field, in declaration
 /// order; `u64`s (the seed included) are exact.
 impl Codec for SimConfig {
@@ -314,9 +219,6 @@ impl Codec for SimConfig {
         );
         j.field("vl_arbitration", &self.vl_arbitration);
         j.field_u64("seed", self.seed);
-        j.field_bool("collect_link_stats", self.collect_link_stats);
-        j.field_u64("trace_first_packets", u64::from(self.trace_first_packets));
-        j.field("trace_sampling", &self.trace_sampling);
         j.field_bool("adaptive_up", self.adaptive_up);
         j.field("faults", &self.faults);
         j.end_obj();
@@ -340,9 +242,6 @@ impl Codec for SimConfig {
             vl_assignment: enum_from(&VL_ASSIGNMENTS, o.field("vl_assignment")?, "vl_assignment")?,
             vl_arbitration: o.decode("vl_arbitration")?,
             seed: o.int("seed")?,
-            collect_link_stats: o.bool("collect_link_stats")?,
-            trace_first_packets: o.int("trace_first_packets")?,
-            trace_sampling: o.decode("trace_sampling")?,
             adaptive_up: o.bool("adaptive_up")?,
             faults: o.decode("faults")?,
         })
@@ -397,28 +296,5 @@ mod tests {
     #[should_panic(expected = "offered load")]
     fn zero_load_panics() {
         SimConfig::default().interarrival_ns(0.0);
-    }
-
-    #[test]
-    fn trace_sampling_is_a_pure_flow_function() {
-        // Deterministic per (flow, seed), seed-sensitive overall.
-        let one_in_4 = TraceSampling::OneInN(4);
-        for src in 0..8 {
-            for dst in 0..8 {
-                assert_eq!(one_in_4.samples(src, dst, 7), one_in_4.samples(src, dst, 7));
-            }
-        }
-        // Roughly one in four flows sampled over a 64x64 flow matrix.
-        let hits = (0..64u32)
-            .flat_map(|s| (0..64u32).map(move |d| (s, d)))
-            .filter(|&(s, d)| one_in_4.samples(s, d, 1))
-            .count();
-        assert!((64 * 64 / 8..64 * 64 / 2).contains(&hits), "hits = {hits}");
-        let pairs = TraceSampling::Pairs(vec![(1, 2)]);
-        assert!(pairs.samples(1, 2, 0));
-        assert!(!pairs.samples(2, 1, 0));
-        assert!(TraceSampling::FirstN.samples(9, 9, 0));
-        // OneInN(0) clamps to 1 (sample everything), not a div-by-zero.
-        assert!(TraceSampling::OneInN(0).samples(3, 4, 5));
     }
 }

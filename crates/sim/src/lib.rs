@@ -16,9 +16,12 @@
 //!   and VL-assignment policies at the source,
 //! * constant-rate (or Poisson) traffic under uniform, hot-spot, and
 //!   permutation patterns,
-//! * a flight recorder ([`SimConfig::trace_first_packets`]), per-link
-//!   utilization, out-of-order accounting, analytic bounds
-//!   ([`bounds`]), and multi-seed replication ([`replicate`]).
+//! * mean and peak link utilization, out-of-order accounting, analytic
+//!   bounds ([`bounds`]), and multi-seed replication ([`replicate`]),
+//! * observation from outside the model through [`Probe`]s: per-port
+//!   [`FabricCounters`], the per-packet [`FlightRecorder`] and the
+//!   [`PhaseProfile`] self-profiler. A report holds only the run's
+//!   statistics, whatever observes it.
 //!
 //! The full event semantics are specified in `docs/MODEL.md`.
 //!
@@ -65,7 +68,7 @@ mod traffic;
 mod vlarb;
 mod workload;
 
-pub use config::{InjectionProcess, PathSelection, SimConfig, TraceSampling, VlAssignment};
+pub use config::{InjectionProcess, PathSelection, SimConfig, VlAssignment};
 pub use counters::{
     FabricCounters, HotPort, NodeCounters, PortVlCounters, Sample, COUNTERS_SCHEMA_VERSION,
 };
@@ -77,14 +80,14 @@ pub use faults::{
 };
 /// The workspace's JSON codec, from `ibfat-topology`.
 pub use ibfat_topology::json;
-pub use metrics::{LatencyStats, LinkUse, Percentiles, SimReport};
+pub use metrics::{LatencyStats, Percentiles, SimReport};
 pub use packet::{Packet, PacketId, PacketSlab};
 pub use probe::{NoopProbe, Phase, PhaseProfile, Probe, NUM_PHASES};
 pub use runner::{
     aggregate, par_map_indexed, replicate, run, run_workload, sweep, Aggregate, RunSpec,
 };
 pub use sim::Simulator;
-pub use trace::{traces_to_jsonl, PacketTrace, TraceEvent};
+pub use trace::{traces_to_jsonl, FlightRecorder, PacketTrace, TraceEvent, TraceSampling};
 pub use traffic::TrafficPattern;
 pub use vlarb::{VlArbiter, VlArbitration};
 // The message-level workload layer: the data model re-exported from

@@ -1,7 +1,6 @@
 //! Measurement: accepted traffic, latency distributions, link utilization.
 
 use crate::json::{Codec, Json, JsonBuf};
-use crate::trace::PacketTrace;
 
 /// Log2 histogram buckets of [`LatencyStats`]: 1 ns .. ~1 s.
 const LATENCY_BUCKETS: usize = 40;
@@ -158,36 +157,6 @@ pub struct Percentiles {
     pub p99: u64,
 }
 
-/// Utilization of one directed link (the sending side identifies it).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LinkUse {
-    /// The transmitting device ("S3" for switches, "N7" for nodes).
-    pub from: String,
-    /// The transmitting port (IB numbering; 1 for nodes).
-    pub port: u8,
-    /// Busy fraction over the whole run.
-    pub utilization: f64,
-}
-
-impl Codec for LinkUse {
-    fn encode(&self, j: &mut JsonBuf) {
-        j.begin_obj();
-        j.field_str("from", &self.from);
-        j.field_u64("port", u64::from(self.port));
-        j.field_float("utilization", self.utilization);
-        j.end_obj();
-    }
-
-    fn decode(v: &Json) -> Result<Self, String> {
-        let o = v.as_object("link")?;
-        Ok(LinkUse {
-            from: o.str("from")?.to_string(),
-            port: o.int("port")?,
-            utilization: o.f64("utilization")?,
-        })
-    }
-}
-
 /// Everything measured during one simulation run.
 ///
 /// `PartialEq` compares every field, including the wall-clock-derived
@@ -249,10 +218,6 @@ pub struct SimReport {
     pub mean_link_utilization: f64,
     /// Peak utilization over all directed links.
     pub max_link_utilization: f64,
-    /// Per-link utilization (only when `collect_link_stats` is set).
-    pub link_utilization: Option<Vec<LinkUse>>,
-    /// Flight-recorder timelines (only when `trace_first_packets > 0`).
-    pub traces: Option<Vec<crate::trace::PacketTrace>>,
     /// Packets delivered out of order within their (src, dst) flow, over
     /// the whole run. InfiniBand transport expects in-order delivery on a
     /// path, so multipath policies that reorder (random/round-robin
@@ -295,8 +260,6 @@ impl Default for SimReport {
             packets_per_sec: 0.0,
             mean_link_utilization: 0.0,
             max_link_utilization: 0.0,
-            link_utilization: None,
-            traces: None,
             out_of_order: 0,
             fault_lost: 0,
             fault_stalled: 0,
@@ -305,9 +268,8 @@ impl Default for SimReport {
     }
 }
 
-/// Every field, losslessly: floats in their shortest exact form,
-/// latency histograms raw, and traces as
-/// [`PacketTrace::to_json_line`] objects (`null` when not collected).
+/// Every field, losslessly: floats in their shortest exact form and
+/// latency histograms raw.
 impl Codec for SimReport {
     fn encode(&self, j: &mut JsonBuf) {
         j.begin_obj();
@@ -336,18 +298,6 @@ impl Codec for SimReport {
         j.field_float("packets_per_sec", self.packets_per_sec);
         j.field_float("mean_link_utilization", self.mean_link_utilization);
         j.field_float("max_link_utilization", self.max_link_utilization);
-        j.field("link_utilization", &self.link_utilization);
-        j.key("traces");
-        match &self.traces {
-            Some(traces) => {
-                j.begin_arr();
-                for (slot, t) in traces.iter().enumerate() {
-                    t.encode(j, slot);
-                }
-                j.end_arr();
-            }
-            None => j.raw_value("null"),
-        }
         j.field_u64("out_of_order", self.out_of_order);
         j.field_u64("fault_lost", self.fault_lost);
         j.field_u64("fault_stalled", self.fault_stalled);
@@ -357,15 +307,6 @@ impl Codec for SimReport {
 
     fn decode(v: &Json) -> Result<Self, String> {
         let o = v.as_object("report")?;
-        let traces = match o.field("traces")? {
-            Json::Null => None,
-            t => Some(
-                t.as_array("traces")?
-                    .iter()
-                    .map(PacketTrace::decode)
-                    .collect::<Result<_, _>>()?,
-            ),
-        };
         Ok(SimReport {
             offered_load: o.f64("offered_load")?,
             sim_time_ns: o.int("sim_time_ns")?,
@@ -386,8 +327,6 @@ impl Codec for SimReport {
             packets_per_sec: o.f64("packets_per_sec")?,
             mean_link_utilization: o.f64("mean_link_utilization")?,
             max_link_utilization: o.f64("max_link_utilization")?,
-            link_utilization: o.decode("link_utilization")?,
-            traces,
             out_of_order: o.int("out_of_order")?,
             fault_lost: o.int("fault_lost")?,
             fault_stalled: o.int("fault_stalled")?,

@@ -1,25 +1,31 @@
 //! Zero-cost observability probes.
 //!
 //! The simulator is generic over a [`Probe`] — a sink for fine-grained
-//! fabric events (per-port transmissions, crossbar waits, credit stalls)
-//! and for self-profiling timing. Dispatch is static: every hook call in
-//! the hot path is guarded by the associated consts [`Probe::COUNTERS`] /
+//! fabric events (per-port transmissions, crossbar waits, credit stalls),
+//! for per-packet lifecycle events and for self-profiling timing.
+//! Dispatch is static: every hook call in the hot path is guarded by the
+//! associated consts [`Probe::COUNTERS`] / [`Probe::PACKETS`] /
 //! [`Probe::TIMING`], so with the default [`NoopProbe`] the compiler
 //! removes both the calls *and* the computation of their arguments. The
 //! probed and unprobed simulators are separate monomorphizations; the
 //! unprobed one is bit-identical in behaviour and (to within measurement
-//! noise) in speed to a simulator with no probe layer at all.
+//! noise) in speed to a simulator with no probe layer at all. A probe
+//! only receives values, so no probe can change a run's report.
 //!
-//! Two probes ship with the crate:
+//! Three probes ship with the crate:
 //!
 //! * [`FabricCounters`](crate::FabricCounters) — IB-style per-port
 //!   counters plus a sampled time-series (see [`crate::counters`]);
+//! * [`FlightRecorder`](crate::FlightRecorder) — per-packet event
+//!   timelines of sampled packets, for `ibfat trace`;
 //! * [`PhaseProfile`] — wall-clock per event-loop phase, for
 //!   `ibfat workload --profile` and perfbench's `sim.phase.*` metrics.
 //!
 //! Probes compose: `(A, B)` is a probe that forwards every hook to both.
 
 use crate::engine::Time;
+use crate::packet::PacketId;
+use crate::trace::TraceEvent;
 
 /// Event-loop phases for self-profiling, classifying every simulator
 /// event by the pipeline stage it advances.
@@ -75,7 +81,8 @@ impl Phase {
 ///
 /// All hooks have empty default bodies, so a probe implements only what
 /// it consumes. Hook call sites in the simulator are guarded by
-/// [`COUNTERS`](Probe::COUNTERS) / [`TIMING`](Probe::TIMING): a probe
+/// [`COUNTERS`](Probe::COUNTERS) / [`PACKETS`](Probe::PACKETS) /
+/// [`TIMING`](Probe::TIMING): a probe
 /// that leaves a flag `false` pays nothing for the hooks behind it —
 /// including the computation of their arguments.
 ///
@@ -93,6 +100,10 @@ pub trait Probe {
     /// Enables wall-clock timing of each dispatched event by [`Phase`].
     /// Costs two `Instant::now()` calls per event when on.
     const TIMING: bool;
+    /// Enables the per-packet hooks
+    /// ([`packet_generated`](Probe::packet_generated) and
+    /// [`packet_event`](Probe::packet_event)).
+    const PACKETS: bool = false;
 
     /// A node started transmitting a packet on its injection link.
     #[inline]
@@ -161,6 +172,31 @@ pub trait Probe {
         let _ = (now, sw, port, vl);
     }
 
+    /// A packet entered its source queue (its
+    /// [`Generated`](TraceEvent::Generated) event). `pkt` names it in
+    /// later [`packet_event`](Probe::packet_event) calls until it is
+    /// delivered or dropped; the engine then reuses the id for a later
+    /// packet, which gets its own `packet_generated`.
+    #[inline]
+    fn packet_generated(
+        &mut self,
+        now: Time,
+        pkt: PacketId,
+        src: u32,
+        dst: u32,
+        dlid: u32,
+        vl: u8,
+    ) {
+        let _ = (now, pkt, src, dst, dlid, vl);
+    }
+
+    /// A later lifecycle event of packet `pkt`, from its injection to its
+    /// delivery or drop.
+    #[inline]
+    fn packet_event(&mut self, now: Time, pkt: PacketId, ev: TraceEvent) {
+        let _ = (now, pkt, ev);
+    }
+
     /// Called once per dispatched event, before dispatch. `in_flight` is
     /// the number of live packets (source queues included). Drives
     /// time-series sampling.
@@ -199,6 +235,7 @@ impl Probe for NoopProbe {
 impl<A: Probe, B: Probe> Probe for (A, B) {
     const COUNTERS: bool = A::COUNTERS || B::COUNTERS;
     const TIMING: bool = A::TIMING || B::TIMING;
+    const PACKETS: bool = A::PACKETS || B::PACKETS;
 
     #[inline]
     fn node_xmit(&mut self, now: Time, node: u32, vl: u8, bytes: u32) {
@@ -249,6 +286,24 @@ impl<A: Probe, B: Probe> Probe for (A, B) {
     fn credit_stall_end(&mut self, now: Time, sw: u32, port: u8, vl: u8) {
         self.0.credit_stall_end(now, sw, port, vl);
         self.1.credit_stall_end(now, sw, port, vl);
+    }
+    #[inline]
+    fn packet_generated(
+        &mut self,
+        now: Time,
+        pkt: PacketId,
+        src: u32,
+        dst: u32,
+        dlid: u32,
+        vl: u8,
+    ) {
+        self.0.packet_generated(now, pkt, src, dst, dlid, vl);
+        self.1.packet_generated(now, pkt, src, dst, dlid, vl);
+    }
+    #[inline]
+    fn packet_event(&mut self, now: Time, pkt: PacketId, ev: TraceEvent) {
+        self.0.packet_event(now, pkt, ev);
+        self.1.packet_event(now, pkt, ev);
     }
     #[inline]
     fn tick(&mut self, now: Time, in_flight: usize) {
@@ -349,11 +404,31 @@ mod tests {
 
     #[test]
     fn tuple_probe_forwards_to_both() {
+        use crate::{FlightRecorder, TraceSampling};
         let mut pair = (PhaseProfile::new(), PhaseProfile::new());
         pair.phase_time(Phase::Generation, 3);
         assert_eq!(pair.0.total_wall_ns(), 3);
         assert_eq!(pair.1.total_wall_ns(), 3);
         const { assert!(<(PhaseProfile, NoopProbe) as Probe>::TIMING) };
         const { assert!(!<(NoopProbe, NoopProbe) as Probe>::COUNTERS) };
+        const { assert!(!<(NoopProbe, PhaseProfile) as Probe>::PACKETS) };
+        const { assert!(<(NoopProbe, FlightRecorder) as Probe>::PACKETS) };
+        const { assert!(<(FlightRecorder, PhaseProfile) as Probe>::PACKETS) };
+
+        let recorder = || FlightRecorder::new(2, TraceSampling::FirstN, 0);
+        let mut pair = (recorder(), recorder());
+        pair.packet_generated(10, 0, 1, 2, 3, 0);
+        pair.packet_event(15, 0, TraceEvent::InjectionStart);
+        pair.packet_event(40, 0, TraceEvent::Delivered);
+        assert_eq!(pair.0.traces(), pair.1.traces());
+        let events = &pair.0.traces()[0].events;
+        assert_eq!(
+            events,
+            &[
+                (10, TraceEvent::Generated),
+                (15, TraceEvent::InjectionStart),
+                (40, TraceEvent::Delivered)
+            ]
+        );
     }
 }

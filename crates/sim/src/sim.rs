@@ -30,7 +30,7 @@ use crate::lanes::LaneRings;
 use crate::metrics::{LatencyStats, SimReport};
 use crate::packet::{Packet, PacketId, PacketSlab};
 use crate::probe::{NoopProbe, Phase, Probe};
-use crate::trace::{PacketTrace, TraceEvent};
+use crate::trace::TraceEvent;
 use crate::vlarb::VlArbiter;
 use crate::{
     InjectionProcess, PathSelection, RunSpec, SimConfig, SimError, TrafficPattern, VlAssignment,
@@ -291,11 +291,6 @@ pub struct Simulator<'a, P: Probe = NoopProbe> {
     pub(crate) latency: LatencyStats,
     pub(crate) network_latency: LatencyStats,
     pub(crate) events_processed: u64,
-    pub(crate) traces: Vec<PacketTrace>,
-    /// Flight-recorder slot per live packet id (`u32::MAX` = untraced) —
-    /// the side table that keeps the slot out of the 32-byte hot
-    /// [`Packet`]. Maintained only when tracing is enabled.
-    pub(crate) trace_slots: Vec<u32>,
     /// Workload-mode state (message DAG, dependency counters, timings);
     /// `None` in pattern mode — the hot-path hooks cost one branch.
     pub(crate) wl: Option<Box<crate::workload::WlState>>,
@@ -547,10 +542,6 @@ impl<'a, P: Probe> Simulator<'a, P> {
             latency: LatencyStats::new(),
             network_latency: LatencyStats::new(),
             events_processed: 0,
-            // Pre-size the flight recorder; clamp huge trace requests so
-            // an accidental `u32::MAX` does not reserve gigabytes.
-            traces: Vec::with_capacity(cfg.trace_first_packets.min(65_536) as usize),
-            trace_slots: Vec::new(),
             wl: None,
             invariant_err: None,
             faults,
@@ -801,7 +792,10 @@ impl<'a, P: Probe> Simulator<'a, P> {
         if P::COUNTERS {
             self.probe.sw_drop(self.now, sw);
         }
-        self.record(pkt, TraceEvent::Dropped { sw });
+        if P::PACKETS {
+            self.probe
+                .packet_event(self.now, pkt, TraceEvent::Dropped { sw });
+        }
         self.slab.remove(pkt);
         self.faults.as_mut().expect("fault drop without state").lost += 1;
     }
@@ -896,40 +890,12 @@ impl<'a, P: Probe> Simulator<'a, P> {
         self.faults.as_mut().expect("checked above").rerouted += rescued;
     }
 
-    /// Append a flight-recorder event for a traced packet.
-    #[inline]
-    fn record(&mut self, pkt: PacketId, ev: TraceEvent) {
-        if self.cfg.trace_first_packets == 0 {
-            return;
-        }
-        let slot = self.trace_slots[pkt as usize];
-        if slot != u32::MAX {
-            self.traces[slot as usize].events.push((self.now, ev));
-        }
-    }
-
-    /// Bind a packet id to a flight-recorder slot (`u32::MAX` = untraced).
-    /// Must be called at every slab insert while tracing, because slab ids
-    /// are reused and the side table would otherwise go stale.
-    #[inline]
-    fn set_trace_slot(&mut self, pkt: PacketId, slot: u32) {
-        if self.cfg.trace_first_packets == 0 {
-            return;
-        }
-        let i = pkt as usize;
-        if i >= self.trace_slots.len() {
-            self.trace_slots.resize(i + 1, u32::MAX);
-        }
-        self.trace_slots[i] = slot;
-    }
-
     // ----- end-node behaviour ------------------------------------------
 
     /// Generate one packet at `node`: sample the pattern, pick the DLID
-    /// and VL, assign the flight-recorder slot and flow sequence number,
-    /// draw the next generation instant (the injection-side draws are the
-    /// simulator's only RNG consumers), then queue the packet and
-    /// schedule the next `Inject`.
+    /// and VL, assign the flow sequence number, draw the next generation
+    /// instant (the injection-side draws are the simulator's only RNG
+    /// consumers), then queue the packet and schedule the next `Inject`.
     fn inject(&mut self, node: u32) {
         let num_nodes = self.nodes.len() as u32;
         let src = NodeId(node);
@@ -958,22 +924,6 @@ impl<'a, P: Probe> Simulator<'a, P> {
             VlAssignment::Random => self.rng.gen_range(0..self.num_vls) as u8,
             VlAssignment::DestinationHash => (dst.0 as usize % self.num_vls) as u8,
             VlAssignment::SourceHash => (node as usize % self.num_vls) as u8,
-        };
-        // Slot assignment is a pure function of (pattern draw, sampling
-        // policy, slots already taken) — no RNG, no time.
-        let trace_slot = if (self.traces.len() as u32) < self.cfg.trace_first_packets
-            && self.cfg.trace_sampling.samples(node, dst.0, self.cfg.seed)
-        {
-            self.traces.push(PacketTrace {
-                src: node,
-                dst: dst.0,
-                dlid: dlid.0,
-                vl,
-                events: Vec::new(),
-            });
-            (self.traces.len() - 1) as u32
-        } else {
-            u32::MAX
         };
         let flow = (node as usize * self.nodes.len() + dst.index()) * self.num_vls + vl as usize;
         let flow_seq = take_flow_seq(&mut self.flow_next_seq, flow);
@@ -1005,8 +955,10 @@ impl<'a, P: Probe> Simulator<'a, P> {
             t_inject: 0,
             flow_seq,
         });
-        self.set_trace_slot(pkt, trace_slot);
-        self.record(pkt, TraceEvent::Generated);
+        if P::PACKETS {
+            self.probe
+                .packet_generated(self.now, pkt, node, dst.0, dlid.0, vl);
+        }
         self.total_generated += 1;
         if self.now >= self.warmup_ns {
             self.generated_in_window += 1;
@@ -1049,7 +1001,10 @@ impl<'a, P: Probe> Simulator<'a, P> {
         n.busy_ns += self.pkt_ns.min(self.sim_time_ns - self.now);
         let (sw, port) = (n.peer_sw, n.peer_port);
         self.slab.get_mut(head).t_inject = self.now;
-        self.record(head, TraceEvent::InjectionStart);
+        if P::PACKETS {
+            self.probe
+                .packet_event(self.now, head, TraceEvent::InjectionStart);
+        }
         if self.wl.is_some() {
             self.wl_note_injected(head);
         }
@@ -1074,7 +1029,10 @@ impl<'a, P: Probe> Simulator<'a, P> {
     }
 
     fn deliver(&mut self, node: u32, vl: u8, pkt: PacketId) {
-        self.record(pkt, TraceEvent::Delivered);
+        if P::PACKETS {
+            self.probe
+                .packet_event(self.now, pkt, TraceEvent::Delivered);
+        }
         let p = self.slab.remove(pkt);
         debug_assert_eq!(
             self.routing.lid_space().resolve(p.dlid).map(|(n, _)| n.0),
@@ -1139,7 +1097,10 @@ impl<'a, P: Probe> Simulator<'a, P> {
                 return;
             }
         }
-        self.record(pkt, TraceEvent::HeaderArrive { sw, port });
+        if P::PACKETS {
+            self.probe
+                .packet_event(self.now, pkt, TraceEvent::HeaderArrive { sw, port });
+        }
         let lane = self.lane(sw, port, vl);
         let q = &mut self.lanes.in_q;
         debug_assert!(
@@ -1196,7 +1157,10 @@ impl<'a, P: Probe> Simulator<'a, P> {
             if P::COUNTERS {
                 self.probe.sw_drop(self.now, sw);
             }
-            self.record(head.pkt, TraceEvent::Dropped { sw });
+            if P::PACKETS {
+                self.probe
+                    .packet_event(self.now, head.pkt, TraceEvent::Dropped { sw });
+            }
             self.slab.remove(head.pkt);
             let head_mut = self.lanes.in_q.front_mut(lane).expect("checked nonempty");
             head_mut.state = InState::Departing;
@@ -1226,7 +1190,10 @@ impl<'a, P: Probe> Simulator<'a, P> {
                     if P::COUNTERS {
                         self.probe.sw_drop(self.now, sw);
                     }
-                    self.record(head.pkt, TraceEvent::Dropped { sw });
+                    if P::PACKETS {
+                        self.probe
+                            .packet_event(self.now, head.pkt, TraceEvent::Dropped { sw });
+                    }
                     self.slab.remove(head.pkt);
                     let head_mut = self.lanes.in_q.front_mut(lane).expect("checked nonempty");
                     head_mut.state = InState::Departing;
@@ -1247,7 +1214,10 @@ impl<'a, P: Probe> Simulator<'a, P> {
                 return;
             }
         }
-        self.record(head.pkt, TraceEvent::Routed { sw, out_port });
+        if P::PACKETS {
+            self.probe
+                .packet_event(self.now, head.pkt, TraceEvent::Routed { sw, out_port });
+        }
         self.sw_request_output(sw, port, vl, out_port);
     }
 
@@ -1322,7 +1292,10 @@ impl<'a, P: Probe> Simulator<'a, P> {
                 let pi = self.port_ix(sw, out_port);
                 self.ports[pi].ready |= 1 << vl;
             }
-            self.record(pkt, TraceEvent::Granted { sw, out_port });
+            if P::PACKETS {
+                self.probe
+                    .packet_event(self.now, pkt, TraceEvent::Granted { sw, out_port });
+            }
             self.queue.schedule_chain(
                 ChainClass::Pkt,
                 self.now + self.pkt_ns,
@@ -1423,7 +1396,6 @@ impl<'a, P: Probe> Simulator<'a, P> {
             // whatever credits remain.
             p.ready &= !(1 << vl);
             let tx_end = self.now + self.pkt_ns;
-            let tx_record = pkt;
             p.busy_until = tx_end;
             p.busy_ns += self.pkt_ns.min(self.sim_time_ns - self.now);
             let peer = p.peer;
@@ -1463,19 +1435,24 @@ impl<'a, P: Probe> Simulator<'a, P> {
                 // uncabled port, and fault repair routes around dead ones.
                 PeerRef::Dead => unreachable!("routing forwarded a packet into an uncabled port"),
             }
-            self.record(tx_record, TraceEvent::TransmitStart { sw, out_port: port });
+            if P::PACKETS {
+                self.probe.packet_event(
+                    self.now,
+                    pkt,
+                    TraceEvent::TransmitStart { sw, out_port: port },
+                );
+            }
             if P::COUNTERS {
                 self.probe
                     .sw_xmit(self.now, sw, port, vl as u8, self.cfg.packet_bytes);
             }
         }
-        if P::COUNTERS || self.cfg.trace_first_packets > 0 {
+        if P::COUNTERS || P::PACKETS {
             // Credit-stall detection at this arbitration instant: a VL
             // whose head is ready but holds no credits is stalled on
-            // link-level flow control (ended by `CreditToSwitch`). Both
-            // the probe and the flight recorder observe it; recording
-            // mutates nothing but the trace buffer, so a recorded run
-            // stays bit-identical to an unrecorded one.
+            // link-level flow control (ended by `CreditToSwitch`). The
+            // counters see the port stall and the packet hooks the
+            // stalled head; neither changes engine state.
             let lanes = &self.lanes;
             let mut stalled: u16 = 0;
             let mut heads: [PacketId; 16] = [0; 16];
@@ -1494,7 +1471,13 @@ impl<'a, P: Probe> Simulator<'a, P> {
                     if P::COUNTERS {
                         self.probe.credit_stall_start(self.now, sw, port, vl as u8);
                     }
-                    self.record(head, TraceEvent::CreditStalled { sw, out_port: port });
+                    if P::PACKETS {
+                        self.probe.packet_event(
+                            self.now,
+                            head,
+                            TraceEvent::CreditStalled { sw, out_port: port },
+                        );
+                    }
                 }
             }
         }
@@ -1562,25 +1545,6 @@ impl<'a, P: Probe> Simulator<'a, P> {
         }
         let span = self.sim_time_ns as f64;
 
-        let link_utilization = self.cfg.collect_link_stats.then(|| {
-            let mut out = Vec::new();
-            for (i, p) in self.ports.iter().enumerate() {
-                out.push(crate::metrics::LinkUse {
-                    from: format!("S{}", i / self.m),
-                    port: (i % self.m) as u8 + 1,
-                    utilization: p.busy_ns as f64 / span,
-                });
-            }
-            for (n, node) in self.nodes.iter().enumerate() {
-                out.push(crate::metrics::LinkUse {
-                    from: format!("N{n}"),
-                    port: 1,
-                    utilization: node.busy_ns as f64 / span,
-                });
-            }
-            out
-        });
-
         let report = SimReport {
             offered_load: self.offered_load,
             sim_time_ns: self.sim_time_ns,
@@ -1609,8 +1573,6 @@ impl<'a, P: Probe> Simulator<'a, P> {
             },
             mean_link_utilization: total_busy as f64 / (links as f64 * span),
             max_link_utilization: max_busy as f64 / span,
-            link_utilization,
-            traces: (self.cfg.trace_first_packets > 0).then_some(self.traces),
             out_of_order: self.out_of_order,
             fault_lost: self.faults.as_ref().map_or(0, |f| f.lost),
             fault_stalled: self.faults.as_ref().map_or(0, |f| f.stalled),

@@ -1,11 +1,144 @@
 //! The flight recorder: per-packet event timelines.
 //!
-//! When `SimConfig::trace_first_packets > 0`, the simulator records every
-//! lifecycle event of the first N generated packets. Traces explain *why*
-//! a packet saw the latency it did — which buffer it waited in, which
-//! grant it lost — and anchor the timing model in tests.
+//! [`FlightRecorder`] is a [`Probe`]: passed to [`crate::run`] or
+//! [`crate::run_workload`], it records every lifecycle event of up to N
+//! sampled packets. Traces explain *why* a packet saw the latency it
+//! did — which buffer it waited in, which grant it lost — and anchor the
+//! timing model in tests. Like every probe it only receives values, so a
+//! recorded run's report is the unrecorded run's report.
 
+use crate::engine::Time;
 use crate::json::{Json, JsonBuf};
+use crate::packet::PacketId;
+use crate::probe::Probe;
+
+/// Which generated flows the flight recorder samples (the recorder's
+/// slot count bounds the trace buffer). Sampling is decided per packet
+/// from the `(src, dst)` pair alone — deterministically, with no shared
+/// counter.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TraceSampling {
+    /// Record the first N generated packets, whatever their flow.
+    FirstN,
+    /// Record packets of roughly one in N flows: a packet is sampled
+    /// when `hash(src, dst, seed) % n == 0`. All packets of a sampled
+    /// flow are eligible (until the buffer fills), so whole flow
+    /// lifecycles stay observable at scale.
+    OneInN(u32),
+    /// Record only packets of the listed `(src, dst)` flows.
+    Pairs(Vec<(u32, u32)>),
+}
+
+impl TraceSampling {
+    /// Whether a packet of flow `(src, dst)` is eligible for a trace
+    /// slot under this policy. Pure function of the flow and the seed.
+    #[inline]
+    pub fn samples(&self, src: u32, dst: u32, seed: u64) -> bool {
+        match self {
+            TraceSampling::FirstN => true,
+            TraceSampling::OneInN(n) => {
+                let n = (*n).max(1);
+                flow_hash(src, dst, seed).is_multiple_of(u64::from(n))
+            }
+            TraceSampling::Pairs(pairs) => pairs.iter().any(|&(s, d)| s == src && d == dst),
+        }
+    }
+}
+
+/// SplitMix64 finalizer over the flow pair, mixed with the run seed so
+/// different seeds sample different 1-in-N flow subsets.
+#[inline]
+fn flow_hash(src: u32, dst: u32, seed: u64) -> u64 {
+    let mut z = (u64::from(src) << 32 | u64::from(dst)) ^ seed.rotate_left(17);
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The flight-recorder probe: the full timeline of up to `slots`
+/// generated packets that `sampling` admits, in generation order.
+#[derive(Debug, Clone)]
+pub struct FlightRecorder {
+    slots: u32,
+    sampling: TraceSampling,
+    seed: u64,
+    traces: Vec<PacketTrace>,
+    /// Slot per live packet id (`u32::MAX` = untraced). Packet ids are
+    /// reused, so every [`packet_generated`](Probe::packet_generated)
+    /// rebinds its id.
+    slot_of: Vec<u32>,
+}
+
+impl FlightRecorder {
+    /// A recorder with `slots` trace slots, filled by the packets whose
+    /// flows `sampling` admits under `seed` (pass the run's
+    /// [`SimConfig::seed`](crate::SimConfig::seed) to sample like
+    /// `ibfat trace`).
+    pub fn new(slots: u32, sampling: TraceSampling, seed: u64) -> FlightRecorder {
+        FlightRecorder {
+            slots,
+            sampling,
+            seed,
+            // Clamp the pre-size so an accidental `u32::MAX` does not
+            // reserve gigabytes.
+            traces: Vec::with_capacity(slots.min(65_536) as usize),
+            slot_of: Vec::new(),
+        }
+    }
+
+    /// The recorded timelines, in slot (generation) order.
+    pub fn traces(&self) -> &[PacketTrace] {
+        &self.traces
+    }
+}
+
+impl Probe for FlightRecorder {
+    const COUNTERS: bool = false;
+    const TIMING: bool = false;
+    const PACKETS: bool = true;
+
+    /// Slot assignment is a pure function of (pattern draw, sampling
+    /// policy, slots already taken) — no RNG, no time.
+    #[inline]
+    fn packet_generated(
+        &mut self,
+        now: Time,
+        pkt: PacketId,
+        src: u32,
+        dst: u32,
+        dlid: u32,
+        vl: u8,
+    ) {
+        let slot = if (self.traces.len() as u32) < self.slots
+            && self.sampling.samples(src, dst, self.seed)
+        {
+            self.traces.push(PacketTrace {
+                src,
+                dst,
+                dlid,
+                vl,
+                events: vec![(now, TraceEvent::Generated)],
+            });
+            (self.traces.len() - 1) as u32
+        } else {
+            u32::MAX
+        };
+        let i = pkt as usize;
+        if i >= self.slot_of.len() {
+            self.slot_of.resize(i + 1, u32::MAX);
+        }
+        self.slot_of[i] = slot;
+    }
+
+    #[inline]
+    fn packet_event(&mut self, now: Time, pkt: PacketId, ev: TraceEvent) {
+        let slot = self.slot_of[pkt as usize];
+        if slot != u32::MAX {
+            self.traces[slot as usize].events.push((now, ev));
+        }
+    }
+}
 
 /// One recorded packet lifecycle event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -408,5 +541,28 @@ mod tests {
         }
         let zero_port = r#"{"src":0,"dst":1,"dlid":2,"vl":0,"events":[{"t_ns":1,"ev":"routed","sw":0,"port":0}]}"#;
         assert!(PacketTrace::decode(&crate::json::parse(zero_port).unwrap()).is_err());
+    }
+
+    #[test]
+    fn trace_sampling_is_a_pure_flow_function() {
+        // Deterministic per (flow, seed), seed-sensitive overall.
+        let one_in_4 = TraceSampling::OneInN(4);
+        for src in 0..8 {
+            for dst in 0..8 {
+                assert_eq!(one_in_4.samples(src, dst, 7), one_in_4.samples(src, dst, 7));
+            }
+        }
+        // Roughly one in four flows sampled over a 64x64 flow matrix.
+        let hits = (0..64u32)
+            .flat_map(|s| (0..64u32).map(move |d| (s, d)))
+            .filter(|&(s, d)| one_in_4.samples(s, d, 1))
+            .count();
+        assert!((64 * 64 / 8..64 * 64 / 2).contains(&hits), "hits = {hits}");
+        let pairs = TraceSampling::Pairs(vec![(1, 2)]);
+        assert!(pairs.samples(1, 2, 0));
+        assert!(!pairs.samples(2, 1, 0));
+        assert!(TraceSampling::FirstN.samples(9, 9, 0));
+        // OneInN(0) clamps to 1 (sample everything), not a div-by-zero.
+        assert!(TraceSampling::OneInN(0).samples(3, 4, 5));
     }
 }

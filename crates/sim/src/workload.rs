@@ -58,8 +58,8 @@ pub(crate) struct WlState {
     timings: Vec<MessageTiming>,
     /// Messages whose last packet has been delivered.
     completed: u64,
-    /// Message id per live packet id — the same side-table idiom as
-    /// `trace_slots`, keeping the hot [`Packet`] at 32 bytes.
+    /// Message id per live packet id — a side table that keeps the hot
+    /// [`Packet`] at 32 bytes.
     wl_msg: Vec<u32>,
 }
 
@@ -90,11 +90,6 @@ impl<'a, P: Probe> Simulator<'a, P> {
                 "workload addresses {} nodes but the fabric has {num_nodes}",
                 wl.num_nodes
             )));
-        }
-        if self.cfg.trace_first_packets != 0 {
-            return Err(SimError::InvalidWorkload(
-                "flight recording (trace_first_packets) is not supported in workload mode".into(),
-            ));
         }
         for (id, m) in wl.messages.iter().enumerate() {
             for node in [m.src, m.dst] {
@@ -221,6 +216,10 @@ impl<'a, P: Probe> Simulator<'a, P> {
                 t_inject: 0,
                 flow_seq,
             });
+            if P::PACKETS {
+                self.probe
+                    .packet_generated(self.now, pkt, node, dst.0, dlid.0, vl);
+            }
             let slot = pkt as usize;
             if slot >= wl.wl_msg.len() {
                 wl.wl_msg.resize(slot + 1, u32::MAX);

@@ -128,7 +128,6 @@ fn config(rng: &mut TestRng) -> SimConfig {
         packet_bytes,
         vl_arbitration,
         adaptive_up: one_in(rng, 6),
-        trace_first_packets: if one_in(rng, 10) { 4 } else { 0 },
         seed: rng.next_u64(),
         ..SimConfig::default()
     }

@@ -8,7 +8,8 @@
 
 use ibfat_routing::{Routing, RoutingKind};
 use ibfat_sim::{
-    run, ChainClass, ChainQueue, HeapCalendar, NoopProbe, RunSpec, SimConfig, TrafficPattern,
+    run, ChainClass, ChainQueue, FlightRecorder, HeapCalendar, RunSpec, SimConfig, TraceSampling,
+    TrafficPattern,
 };
 use ibfat_topology::{Network, TreeParams};
 use proptest::prelude::*;
@@ -206,16 +207,16 @@ fn ft43_uniform_report_is_pinned() {
     let cfg = SimConfig {
         num_vls: 2,
         seed: 0xDEC0DE,
-        trace_first_packets: 32,
         ..SimConfig::default()
     };
+    let recorder = FlightRecorder::new(32, TraceSampling::FirstN, cfg.seed);
     let report = run(
         &net,
         &routing,
         cfg,
         TrafficPattern::Uniform,
         RunSpec::new(0.4, 60_000),
-        NoopProbe,
+        recorder,
     )
     .unwrap()
     .0;

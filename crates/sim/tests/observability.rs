@@ -4,8 +4,8 @@
 
 use ibfat_routing::{Routing, RoutingKind};
 use ibfat_sim::{
-    run, FabricCounters, NoopProbe, PhaseProfile, RunSpec, SimConfig, SimReport, TraceSampling,
-    TrafficPattern,
+    generators, run, run_workload, FabricCounters, FlightRecorder, NoopProbe, PhaseProfile,
+    RunSpec, SimConfig, SimReport, TraceEvent, TraceSampling, TrafficPattern,
 };
 use ibfat_topology::{Network, TreeParams};
 use proptest::prelude::*;
@@ -64,16 +64,15 @@ fn counters_obey_conservation_on_a_fault_free_fabric() {
 
 #[test]
 fn port_xmit_bytes_agree_with_link_utilization() {
-    // `busy_ns` (PR 1's link accounting) and `xmit_bytes` (this PR's
+    // `busy_ns` (the report's link accounting) and `xmit_bytes` (the
     // counters) measure the same transmissions two ways. They may differ
     // only by the tail clamp: a transmission cut off by the end of the
-    // run is clamped in busy_ns but counted whole in xmit_bytes.
+    // run is clamped in busy_ns but counted whole in xmit_bytes, so each
+    // directed link's counted time is its busy time plus less than one
+    // packet.
     let net = net(4, 2);
     let routing = Routing::build(&net, RoutingKind::Slid);
-    let cfg = SimConfig {
-        collect_link_stats: true,
-        ..SimConfig::paper(1)
-    };
+    let cfg = SimConfig::paper(1);
     let pkt_ns = cfg.packet_time_ns();
     let sim_time = 200_000u64;
     let (report, c) = run(
@@ -85,23 +84,29 @@ fn port_xmit_bytes_agree_with_link_utilization() {
         FabricCounters::new(&net, cfg.num_vls),
     )
     .unwrap();
-    let links = report.link_utilization.as_ref().expect("stats enabled");
-    let mut checked = 0;
-    for link in links {
-        let Some(sw) = link.from.strip_prefix('S') else {
-            continue; // node links are covered by node counters
-        };
-        let sw: u32 = sw.parse().unwrap();
-        let busy_ns = (link.utilization * sim_time as f64).round() as u64;
-        let sent_ns = c.port(sw, link.port - 1).xmit_bytes * cfg.byte_time_ns;
-        assert!(
-            sent_ns >= busy_ns && sent_ns - busy_ns < pkt_ns,
-            "S{sw} port {}: busy {busy_ns} vs sent {sent_ns}",
-            link.port
-        );
-        checked += 1;
-    }
-    assert!(checked > 0);
+    // Every directed link: m ports per switch, one injection side per
+    // node.
+    let sent_ns: Vec<u64> = (0..c.num_switches() as u32)
+        .flat_map(|sw| (0..c.ports_per_switch() as u8).map(move |port| (sw, port)))
+        .map(|(sw, port)| c.port(sw, port).xmit_bytes)
+        .chain((0..net.num_nodes() as u32).map(|n| c.node(n).xmit_bytes))
+        .map(|bytes| bytes * cfg.byte_time_ns)
+        .collect();
+    let links = sent_ns.len() as u64;
+    assert_eq!(links, 6 * 4 + 8);
+    let busy_total = (report.mean_link_utilization * (links * sim_time) as f64).round() as u64;
+    let sent_total: u64 = sent_ns.iter().sum();
+    assert!(
+        sent_total >= busy_total && sent_total - busy_total < links * pkt_ns,
+        "busy {busy_total} vs sent {sent_total} over {links} links"
+    );
+    let max_sent = *sent_ns.iter().max().unwrap();
+    let max_busy = (report.max_link_utilization * sim_time as f64).round() as u64;
+    assert!(
+        max_sent >= max_busy && max_sent - max_busy < pkt_ns,
+        "busiest link: busy {max_busy} vs sent {max_sent}"
+    );
+    assert!(max_busy > 0);
 }
 
 #[test]
@@ -226,12 +231,38 @@ fn normalized(mut r: SimReport) -> SimReport {
     r
 }
 
+#[test]
+fn recorded_workload_runs_equal_unrecorded() {
+    let net = net(4, 2);
+    let routing = Routing::build(&net, RoutingKind::Mlid);
+    let nodes = net.num_nodes() as u32;
+    for wl in [
+        generators::all_to_all(nodes, 1024),
+        generators::allreduce_ring(nodes, 2048),
+    ] {
+        let cfg = SimConfig::paper(2);
+        let (plain, NoopProbe) = run_workload(&net, &routing, cfg.clone(), &wl, NoopProbe).unwrap();
+        let recorder = FlightRecorder::new(64, TraceSampling::FirstN, cfg.seed);
+        let (recorded, recorder) = run_workload(&net, &routing, cfg, &wl, recorder).unwrap();
+        assert_eq!(recorded, plain);
+        // A drained workload run leaves no packet behind: every span
+        // runs from `Generated` to `Delivered`.
+        assert_eq!(recorder.traces().len(), 64);
+        for t in recorder.traces() {
+            assert_eq!(t.events[0].1, TraceEvent::Generated, "{}", t.render());
+            let last = t.events.last().unwrap().1;
+            assert_eq!(last, TraceEvent::Delivered, "{}", t.render());
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The flight recorder only ever writes its own buffer: stripped of
-    /// the traces, a recorded run's report is the unrecorded report,
-    /// under every sampling policy.
+    /// The flight recorder only ever writes its own buffer: a recorded
+    /// run's report is the unrecorded report under every sampling
+    /// policy, and recording next to the counters changes neither
+    /// probe's findings.
     #[test]
     fn recorded_runs_equal_unrecorded(
         (m, n) in prop_oneof![Just((4u32, 2u32)), Just((4, 3)), Just((8, 2))],
@@ -245,29 +276,27 @@ proptest! {
     ) {
         let net = net(m, n);
         let routing = Routing::build(&net, scheme);
-        let base = SimConfig {
+        let cfg = SimConfig {
             num_vls: 2,
             seed,
             ..SimConfig::default()
         };
         let pattern = TrafficPattern::Uniform;
         let spec = RunSpec::new(0.5, 25_000);
+        let recorder = || FlightRecorder::new(16, sampling.clone(), seed);
+        let counters = || FabricCounters::new(&net, 2).with_sampling(5_000, 4);
 
-        let plain = normalized(run(
-            &net, &routing, base.clone(), pattern.clone(), spec, NoopProbe,
-        ).unwrap().0);
-        prop_assert!(plain.traces.is_none());
-
-        let recorded_cfg = SimConfig {
-            trace_first_packets: 16,
-            trace_sampling: sampling,
-            ..base
-        };
-        let mut recorded = normalized(run(
-            &net, &routing, recorded_cfg, pattern, spec, NoopProbe,
-        ).unwrap().0);
-        prop_assert!(recorded.traces.is_some(), "recording was on");
-        recorded.traces = None;
-        prop_assert_eq!(&recorded, &plain);
+        let plain = run(&net, &routing, cfg.clone(), pattern.clone(), spec, NoopProbe).unwrap().0;
+        let plain = normalized(plain);
+        let (recorded, alone) =
+            run(&net, &routing, cfg.clone(), pattern.clone(), spec, recorder()).unwrap();
+        prop_assert_eq!(&normalized(recorded), &plain);
+        let (_, counted) =
+            run(&net, &routing, cfg.clone(), pattern.clone(), spec, counters()).unwrap();
+        let (both, (pair_counts, pair_traces)) =
+            run(&net, &routing, cfg, pattern, spec, (counters(), recorder())).unwrap();
+        prop_assert_eq!(&normalized(both), &plain);
+        prop_assert_eq!(pair_counts.to_json(), counted.to_json());
+        prop_assert_eq!(pair_traces.traces(), alone.traces());
     }
 }

@@ -567,13 +567,13 @@ fn simulation_respects_analytic_bounds() {
 
 #[test]
 fn flight_recorder_captures_exact_timeline() {
-    use ibfat_sim::TraceEvent;
+    use ibfat_sim::{FlightRecorder, TraceEvent, TraceSampling};
     // Quiet network: one traced packet shows the textbook pipeline.
     let net = net(4, 3);
     let routing = Routing::build(&net, RoutingKind::Mlid);
-    let mut cfg = SimConfig::paper(1);
-    cfg.trace_first_packets = 8;
-    let report = run(
+    let cfg = SimConfig::paper(1);
+    let recorder = FlightRecorder::new(8, TraceSampling::FirstN, cfg.seed);
+    let (_, recorder) = run(
         &net,
         &routing,
         cfg,
@@ -583,13 +583,12 @@ fn flight_recorder_captures_exact_timeline() {
             sim_time_ns: 500_000,
             warmup_ns: 10_000,
         },
-        NoopProbe,
+        recorder,
     )
-    .unwrap()
-    .0;
-    let traces = report.traces.expect("tracing enabled");
+    .unwrap();
+    let traces = recorder.traces();
     assert_eq!(traces.len(), 8);
-    for t in &traces {
+    for t in traces {
         assert!(t.completed(), "quiet network completes every packet");
         assert_eq!(t.latency_ns(), Some(876), "{}", t.render());
         // Generated, injected, then 5 switches x (arrive, route, grant,

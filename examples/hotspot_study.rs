@@ -11,8 +11,28 @@
 //! ```
 
 use ib_fabric::prelude::*;
+use ib_fabric::{NoopProbe, RunSpec};
+use std::error::Error;
 
-fn main() {
+/// 300 µs of the paper's 50%-centric traffic at `load` with `vls` lanes,
+/// observed by `probe`.
+fn hot_spot_run<P: Probe>(
+    fabric: &Fabric,
+    vls: u8,
+    load: f64,
+    probe: P,
+) -> Result<(SimReport, P), Box<dyn Error>> {
+    Ok(ib_fabric::sim::run(
+        fabric.network(),
+        fabric.routing(),
+        SimConfig::paper(vls),
+        TrafficPattern::paper_centric(),
+        RunSpec::new(load, 300_000),
+        probe,
+    )?)
+}
+
+fn main() -> Result<(), Box<dyn Error>> {
     let (m, n) = (8, 2);
     println!("50%-centric traffic on an {m}-port {n}-tree (paper's hot-spot pattern)\n");
     println!(
@@ -21,16 +41,10 @@ fn main() {
     );
 
     for kind in [RoutingKind::Slid, RoutingKind::Mlid] {
-        let fabric = Fabric::builder(m, n).routing(kind).build().expect("valid");
+        let fabric = Fabric::builder(m, n).routing(kind).build()?;
         for vls in [1u8, 2, 4] {
             for load in [0.2, 0.6, 1.0] {
-                let report = fabric
-                    .experiment()
-                    .virtual_lanes(vls)
-                    .traffic(TrafficPattern::paper_centric())
-                    .offered_load(load)
-                    .duration_ns(300_000)
-                    .run();
+                let (report, NoopProbe) = hot_spot_run(&fabric, vls, load, NoopProbe)?;
                 println!(
                     "{:<6} {:>4} {:>10.2} {:>20.4} {:>14.0}",
                     kind.as_str().to_uppercase(),
@@ -45,19 +59,13 @@ fn main() {
     }
 
     // Show *why*: the upward links used by the hot flows.
-    let slid = Fabric::builder(m, n)
-        .routing(RoutingKind::Slid)
-        .build()
-        .expect("valid");
-    let mlid = Fabric::builder(m, n)
-        .routing(RoutingKind::Mlid)
-        .build()
-        .expect("valid");
+    let slid = Fabric::builder(m, n).routing(RoutingKind::Slid).build()?;
+    let mlid = Fabric::builder(m, n).routing(RoutingKind::Mlid).build()?;
     let hot = NodeId(0);
     for (name, fabric) in [("SLID", &slid), ("MLID", &mlid)] {
         let mut up_links = std::collections::HashSet::new();
         for src in 1..fabric.num_nodes() {
-            let route = fabric.route(NodeId(src), hot).expect("routable");
+            let route = fabric.route(NodeId(src), hot)?;
             for link in route.upward_links(fabric.params()) {
                 up_links.insert(link);
             }
@@ -69,21 +77,18 @@ fn main() {
     }
 
     // And quantify the Figure 9 contrast with measured link utilization:
-    // the spread of traffic over the switch-to-switch links.
+    // the spread of traffic over the switch output ports, each port's
+    // transmitted bytes over the run read from the fabric counters.
     println!("\nmeasured inter-switch link utilization at offered load 0.3 (1 VL):");
     for (name, fabric) in [("SLID", &slid), ("MLID", &mlid)] {
-        let report = fabric
-            .experiment()
-            .traffic(TrafficPattern::paper_centric())
-            .offered_load(0.3)
-            .duration_ns(300_000)
-            .collect_link_stats(true)
-            .run();
-        let links = report.link_utilization.expect("collected");
-        let mut switch_links: Vec<f64> = links
-            .iter()
-            .filter(|l| l.from.starts_with('S'))
-            .map(|l| l.utilization)
+        let counters = FabricCounters::new(fabric.network(), 1);
+        let (report, counters) = hot_spot_run(fabric, 1, 0.3, counters)?;
+        let byte_ns = SimConfig::paper(1).byte_time_ns as f64;
+        let mut switch_links: Vec<f64> = (0..counters.num_switches() as u32)
+            .flat_map(|sw| (0..counters.ports_per_switch() as u8).map(move |port| (sw, port)))
+            .map(|(sw, port)| {
+                counters.port(sw, port).xmit_bytes as f64 * byte_ns / report.sim_time_ns as f64
+            })
             .collect();
         switch_links.sort_by(|a, b| b.partial_cmp(a).expect("finite"));
         let busy = switch_links.iter().filter(|&&u| u > 0.05).count();
@@ -95,4 +100,5 @@ fn main() {
             100.0 * gini_top
         );
     }
+    Ok(())
 }

@@ -8,20 +8,37 @@
 //! ```
 
 use ib_fabric::prelude::*;
-use ib_fabric::{traces_to_jsonl, TraceSampling};
+use ib_fabric::{traces_to_jsonl, FlightRecorder, PacketTrace, RunSpec, TraceSampling};
+use std::error::Error;
 
-fn main() {
-    let fabric = Fabric::builder(4, 3).build().expect("valid");
+/// Run 100 µs of `pattern` at `load` on `fabric` with the flight recorder
+/// attached, and return what it recorded.
+fn record(
+    fabric: &Fabric,
+    pattern: TrafficPattern,
+    load: f64,
+    slots: u32,
+    sampling: TraceSampling,
+) -> Result<Vec<PacketTrace>, Box<dyn Error>> {
+    let cfg = SimConfig::default();
+    let recorder = FlightRecorder::new(slots, sampling, cfg.seed);
+    let (_, recorder) = ib_fabric::sim::run(
+        fabric.network(),
+        fabric.routing(),
+        cfg,
+        pattern,
+        RunSpec::new(load, 100_000),
+        recorder,
+    )?;
+    Ok(recorder.traces().to_vec())
+}
+
+fn main() -> Result<(), Box<dyn Error>> {
+    let fabric = Fabric::builder(4, 3).build()?;
 
     println!("=== quiet network (0.01 load): the textbook pipeline ===\n");
-    let report = fabric
-        .experiment()
-        .traffic(TrafficPattern::bit_complement(16))
-        .offered_load(0.01)
-        .duration_ns(100_000)
-        .trace_first_packets(1)
-        .run();
-    for t in report.traces.expect("tracing on") {
+    let quiet = TrafficPattern::bit_complement(16);
+    for t in record(&fabric, quiet, 0.01, 1, TraceSampling::FirstN)? {
         print!("{}", t.render());
         println!(
             "  => {} ns end to end: 6 links x 20 ns flight + 5 switches x 100 ns\n     routing + 256 ns serialization\n",
@@ -30,14 +47,8 @@ fn main() {
     }
 
     println!("=== 50% hot spot (0.5 load): where time actually goes ===\n");
-    let report = fabric
-        .experiment()
-        .traffic(TrafficPattern::paper_centric())
-        .offered_load(0.5)
-        .duration_ns(100_000)
-        .trace_first_packets(40)
-        .run();
-    let traces = report.traces.expect("tracing on");
+    let hot = TrafficPattern::paper_centric();
+    let traces = record(&fabric, hot.clone(), 0.5, 40, TraceSampling::FirstN)?;
     // Show the slowest delivered packet of the sample.
     let slowest = traces
         .iter()
@@ -57,15 +68,7 @@ fn main() {
     // function of (src, dst, seed), so the slots (and the bytes below)
     // are identical from run to run.
     println!("\n=== sampled JSONL export (1-in-4 flows, credit stalls) ===\n");
-    let report = fabric
-        .experiment()
-        .traffic(TrafficPattern::paper_centric())
-        .offered_load(0.5)
-        .duration_ns(100_000)
-        .trace_first_packets(8)
-        .trace_sampling(TraceSampling::OneInN(4))
-        .run();
-    let traces = report.traces.expect("tracing on");
+    let traces = record(&fabric, hot, 0.5, 8, TraceSampling::OneInN(4))?;
     let jsonl = traces_to_jsonl(&traces);
     for line in jsonl.lines().take(2) {
         println!("{line}");
@@ -77,4 +80,5 @@ fn main() {
         jsonl.lines().count().min(2),
         stalls
     );
+    Ok(())
 }
