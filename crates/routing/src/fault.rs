@@ -41,10 +41,8 @@
 //! performs after a mid-run failure. The result is bit-identical to a
 //! from-scratch [`build_fault_tolerant`] on the same degraded network.
 
-use crate::{Lft, Lid, MlidScheme, Routing, RoutingKind, RoutingScheme, SlidScheme};
-use ibfat_topology::{
-    DeviceRef, Level, Network, NodeLabel, PortNum, SwitchId, SwitchLabel, TreeParams,
-};
+use crate::{Lft, Lid, LidSpace, RouteOracle, Routing, RoutingKind};
+use ibfat_topology::{DeviceRef, Network, NodeId, PortNum, SwitchId, SwitchLabel, TreeParams};
 
 /// A dense bitset over node ids.
 #[derive(Clone, PartialEq, Eq)]
@@ -161,7 +159,8 @@ fn live_port_masks(net: &Network) -> Vec<u64> {
 /// Pass 3 for one switch: program its forwarding row from the sweeps.
 fn program_switch(
     net: &Network,
-    space: &crate::LidSpace,
+    oracle: &RouteOracle,
+    space: &LidSpace,
     label: &SwitchLabel,
     reach_down: &[NodeSet],
     feasible: &[NodeSet],
@@ -169,7 +168,7 @@ fn program_switch(
     let params = net.params();
     let half = params.half();
     let sw = label.id(params);
-    let level = label.level();
+    let level = u32::from(label.level().0);
     let mut lft = Lft::new(space.max_lid());
 
     // Live, feasible up-port candidates are shared by every LID at
@@ -187,16 +186,15 @@ fn program_switch(
     let lids_per_node = space.lids_per_node() as usize;
     let mut candidates: Vec<u32> = Vec::with_capacity(live_up.len());
     let mut window: Vec<u8> = Vec::with_capacity(lids_per_node);
-    for node in NodeLabel::all(params) {
-        let nid = node.id(params);
+    for nid in (0..params.num_nodes()).map(NodeId) {
         if reach_down[sw.index()].contains(nid.0) {
-            if let Some(port) = down_port_live(net, params, sw, level, &node, reach_down) {
+            if let Some(port) = down_port_live(net, oracle, sw, level, nid, reach_down) {
                 lft.fill(space.base_lid(nid), lids_per_node, port);
             }
             continue;
         }
         // Climb. The candidates depend on the destination only; the
-        // designated digit (the base scheme's Equation 2) varies per LID.
+        // designated port (the base scheme's Equation 2) varies per LID.
         candidates.clear();
         candidates.extend(
             live_up
@@ -209,25 +207,17 @@ fn program_switch(
         }
         window.clear();
         window.extend(space.lids(nid).map(|lid| {
-            let designated = eq2_digit(params, lid, u32::from(level.0));
-            let port = if candidates.contains(&(designated + half)) {
-                designated + half
+            let designated = u32::from(oracle.up_port(level, lid).0) - 1;
+            let port = if candidates.contains(&designated) {
+                designated
             } else {
-                candidates[designated as usize % candidates.len()]
+                candidates[(designated - half) as usize % candidates.len()]
             };
             port as u8 + 1
         }));
         lft.copy_block(space.base_lid(nid), &window);
     }
     lft
-}
-
-fn lid_space_for(net: &Network, kind: RoutingKind) -> crate::LidSpace {
-    match kind {
-        RoutingKind::Mlid => MlidScheme.lid_space(net),
-        RoutingKind::Slid => SlidScheme.lid_space(net),
-        RoutingKind::UpDown => panic!("up*/down* handles degraded graphs natively"),
-    }
 }
 
 /// Build fault-tolerant forwarding tables for a (possibly degraded)
@@ -243,14 +233,22 @@ fn lid_space_for(net: &Network, kind: RoutingKind) -> crate::LidSpace {
 /// graph-generic — build it directly on the degraded network).
 pub fn build_fault_tolerant(net: &Network, kind: RoutingKind) -> Routing {
     let params = net.params();
-    let space = lid_space_for(net, kind);
+    let oracle = closed_form(params, kind);
+    let space = oracle.lid_space();
     let by_level = switches_by_level(params);
     let reach_down = sweep_reach_down(net, &by_level);
     let feasible = sweep_feasible(net, &by_level, &reach_down);
 
     let mut lfts = Vec::with_capacity(net.num_switches());
     for label in SwitchLabel::all(params) {
-        lfts.push(program_switch(net, &space, &label, &reach_down, &feasible));
+        lfts.push(program_switch(
+            net,
+            &oracle,
+            &space,
+            &label,
+            &reach_down,
+            &feasible,
+        ));
     }
     Routing::assemble(kind, params, space, lfts)
 }
@@ -321,7 +319,8 @@ pub fn repair_fault_tolerant(
 ) -> (Routing, Vec<LftPatch>, RepairStats) {
     let params = net.params();
     assert_eq!(prev.kind(), kind, "repair must continue the same scheme");
-    let space = lid_space_for(net, kind);
+    let oracle = closed_form(params, kind);
+    let space = oracle.lid_space();
     let by_level = switches_by_level(params);
     let reach_down = sweep_reach_down(net, &by_level);
     let feasible = sweep_feasible(net, &by_level, &reach_down);
@@ -378,7 +377,7 @@ pub fn repair_fault_tolerant(
             lfts.push(old.clone());
             continue;
         }
-        let fresh = program_switch(net, &space, &label, &reach_down, &feasible);
+        let fresh = program_switch(net, &oracle, &space, &label, &reach_down, &feasible);
         let before = patches.len();
         patches.extend(
             fresh
@@ -402,31 +401,28 @@ pub fn repair_fault_tolerant(
     (Routing::assemble(kind, params, space, lfts), patches, stats)
 }
 
-/// The unique live down-port toward `node`, if its subtree link survives
-/// and the subtree can still reach the node.
-fn down_port_live(
-    net: &Network,
-    params: TreeParams,
-    sw: SwitchId,
-    level: Level,
-    node: &NodeLabel,
-    reach_down: &[NodeSet],
-) -> Option<PortNum> {
-    let port = PortNum(node.digit(level.index()) + 1);
-    let peer = net.peer_of(DeviceRef::Switch(sw), port)?;
-    match peer.device {
-        DeviceRef::Node(n) => (n == node.id(params)).then_some(port),
-        DeviceRef::Switch(child) => reach_down[child.index()]
-            .contains(node.id(params).0)
-            .then_some(port),
-    }
+/// The base scheme's arithmetic, which the repaired tables follow
+/// wherever the fabric still allows.
+fn closed_form(params: TreeParams, kind: RoutingKind) -> RouteOracle {
+    RouteOracle::for_kind(params, kind).expect("up*/down* handles degraded graphs natively")
 }
 
-/// Digit `n-1-l` of `lid - 1` in base `m/2` — the up-port index the base
-/// schemes designate (Equation 2 without the port offset).
-fn eq2_digit(params: TreeParams, lid: Lid, level: u32) -> u32 {
-    let half = params.half();
-    ((lid.0 - 1) / half.pow(params.n() - 1 - level)) % half
+/// The unique live down-port toward `node` (Equation 1), if its subtree
+/// link survives and the subtree can still reach the node.
+fn down_port_live(
+    net: &Network,
+    oracle: &RouteOracle,
+    sw: SwitchId,
+    level: u32,
+    node: NodeId,
+    reach_down: &[NodeSet],
+) -> Option<PortNum> {
+    let port = oracle.down_port(level, node.0);
+    let peer = net.peer_of(DeviceRef::Switch(sw), port)?;
+    match peer.device {
+        DeviceRef::Node(n) => (n == node).then_some(port),
+        DeviceRef::Switch(child) => reach_down[child.index()].contains(node.0).then_some(port),
+    }
 }
 
 #[cfg(test)]

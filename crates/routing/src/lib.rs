@@ -28,6 +28,11 @@
 //! concurrent senders to a common hot spot fan out over all available least
 //! common ancestors instead of colliding (the paper's Figure 9).
 //!
+//! SLID is the same rule set with `LMC = 0`. [`RouteOracle`] holds it
+//! once — the LID space of each kind, both equations, path selection and
+//! the table builder — and [`Routing`], fault repair and the subnet
+//! manager call it; up\*/down\* derives its tables from the cabled graph.
+//!
 //! ## Example
 //!
 //! ```
@@ -49,11 +54,9 @@ mod fault;
 mod lft;
 mod lid;
 mod load;
-mod mlid;
 mod oracle;
 mod path;
 mod scheme;
-mod slid;
 mod updown;
 mod verify;
 
@@ -63,10 +66,7 @@ pub use fault::{build_fault_tolerant, repair_fault_tolerant, LftPatch, RepairSta
 pub use lft::{Lft, BLOCK_LIDS};
 pub use lid::{Lid, LidSpace};
 pub use load::{all_to_all_loads, loads_for_matrix, ChannelLoads};
-pub use mlid::MlidScheme;
 pub use oracle::RouteOracle;
 pub use path::{Hop, Route};
-pub use scheme::{Routing, RoutingKind, RoutingScheme};
-pub use slid::SlidScheme;
-pub use updown::UpDownScheme;
+pub use scheme::{Routing, RoutingKind};
 pub use verify::{verify_all_lids_deliver, verify_minimality, verify_upward_link_exclusivity};

@@ -1,30 +1,7 @@
-use crate::mlid::build_all;
-use crate::{Hop, Lft, Lid, LidSpace, MlidScheme, Route, RoutingError, SlidScheme};
+use crate::{Hop, Lft, Lid, LidSpace, Route, RouteOracle, RoutingError};
 use ibfat_topology::json::{Codec, Json, JsonBuf};
 use ibfat_topology::{Network, NodeId, TreeParams};
 use std::sync::OnceLock;
-
-/// A deterministic routing scheme for an InfiniBand subnet: it decides the
-/// LID assignment, programs every switch's forwarding table, and (for
-/// multipath schemes) picks which of the destination's LIDs a given source
-/// should address.
-pub trait RoutingScheme {
-    /// Human-readable scheme name (used in reports and plots).
-    fn name(&self) -> &'static str;
-
-    /// Partition the LID space, as the subnet manager would at subnet
-    /// initialization.
-    fn lid_space(&self, net: &Network) -> LidSpace;
-
-    /// Program the linear forwarding table of every switch (indexed by
-    /// [`ibfat_topology::SwitchId`]).
-    fn build_lfts(&self, net: &Network, space: &LidSpace) -> Vec<Lft>;
-
-    /// The DLID a packet from `src` to `dst` should carry. For single-LID
-    /// schemes this is just the destination's base LID; the MLID scheme
-    /// implements the paper's rank-based path selection.
-    fn select_dlid(&self, net: &Network, space: &LidSpace, src: NodeId, dst: NodeId) -> Lid;
-}
 
 /// The built-in scheme selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -105,19 +82,13 @@ impl Routing {
     /// tables. SLID and MLID defer the tables to their first read;
     /// up*/down* derives them from the cabled graph here.
     pub fn build(net: &Network, kind: RoutingKind) -> Routing {
-        let space = match kind {
-            RoutingKind::Slid => SlidScheme.lid_space(net),
-            RoutingKind::Mlid => MlidScheme.lid_space(net),
-            RoutingKind::UpDown => {
-                let space = crate::UpDownScheme.lid_space(net);
-                let lfts = crate::UpDownScheme.build_lfts(net, &space);
-                return Routing::assemble(kind, net.params(), space, lfts);
-            }
+        let Some(oracle) = RouteOracle::for_kind(net.params(), kind) else {
+            return crate::updown::build(net);
         };
         Routing {
             kind,
             params: net.params(),
-            space,
+            space: oracle.lid_space(),
             lfts: OnceLock::new(),
             closed_form: true,
         }
@@ -142,22 +113,16 @@ impl Routing {
 
     /// Per-switch forwarding tables, indexed by switch id. Every table
     /// read goes through here: a closed-form routing builds its tables
-    /// from Equations (1) and (2) on the first call. The scheme builders
-    /// read only the tree parameters and the LID space, so the tables
-    /// equal the ones an eager build would have programmed.
+    /// from Equations (1) and (2) on the first call. The builder
+    /// ([`RouteOracle::switch_lft`]) reads only the tree parameters and
+    /// the scheme, so the tables equal the ones an eager build would have
+    /// programmed.
     #[inline]
     pub fn lfts(&self) -> &[Lft] {
         self.lfts.get_or_init(|| {
-            let (params, space) = (self.params, &self.space);
-            match self.kind {
-                RoutingKind::Slid => build_all(params, space, |sw| {
-                    SlidScheme::build_switch_lft(params, space, sw)
-                }),
-                RoutingKind::Mlid => build_all(params, space, |sw| {
-                    MlidScheme::build_switch_lft(params, space, sw)
-                }),
-                RoutingKind::UpDown => unreachable!("up*/down* tables are built with the routing"),
-            }
+            RouteOracle::for_kind(self.params, self.kind)
+                .expect("up*/down* tables are built with the routing")
+                .build_lfts()
         })
     }
 
@@ -215,7 +180,9 @@ impl Routing {
     /// base LID for the single-path schemes.
     pub fn select_dlid(&self, src: NodeId, dst: NodeId) -> Lid {
         match self.kind {
-            RoutingKind::Mlid => MlidScheme::select(self.params, &self.space, src, dst),
+            RoutingKind::Mlid => self
+                .space
+                .lid_with_offset(dst, RouteOracle::path_offset(self.params, src, dst)),
             _ => self.space.base_lid(dst),
         }
     }
@@ -304,7 +271,8 @@ impl Codec for Routing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{build_fault_tolerant, RouteOracle};
+    use crate::build_fault_tolerant;
+    use crate::oracle::build_lfts_reference;
     use ibfat_topology::TreeParams;
 
     const CLOSED_FORM: [RoutingKind; 2] = [RoutingKind::Slid, RoutingKind::Mlid];
@@ -345,12 +313,7 @@ mod tests {
             let net = Network::mport_ntree(TreeParams::new(m, n).unwrap());
             for kind in CLOSED_FORM {
                 let routing = Routing::build(&net, kind);
-                let reference = match kind {
-                    RoutingKind::Slid => {
-                        SlidScheme::build_lfts_reference(&net, routing.lid_space())
-                    }
-                    _ => MlidScheme::build_lfts_reference(&net, routing.lid_space()),
-                };
+                let reference = build_lfts_reference(net.params(), routing.lid_space());
                 assert_eq!(routing.lfts(), reference.as_slice(), "FT({m},{n}) {kind}");
             }
         }

@@ -15,13 +15,9 @@
 //!    legal path; ties are rotated by DLID so different destinations
 //!    spread over equivalent ports.
 
-use crate::{Lft, Lid, LidSpace, RoutingScheme};
+use crate::{Lft, LidSpace, Routing, RoutingKind};
 use ibfat_topology::{DeviceRef, Network, NodeId, PortNum, SwitchId};
 use std::collections::VecDeque;
-
-/// Up*/down* routing over the cabled graph (stateless).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct UpDownScheme;
 
 /// Precomputed orientation of the switch graph.
 struct Orientation {
@@ -72,103 +68,97 @@ impl Orientation {
     }
 }
 
-impl RoutingScheme for UpDownScheme {
-    fn name(&self) -> &'static str {
-        "UpDown"
-    }
+/// Up*/down* routing over the cabled graph: one LID per node, and every
+/// switch's table derived from the orientation.
+pub(crate) fn build(net: &Network) -> Routing {
+    let space = LidSpace::new(net.params().num_nodes(), 0);
+    let lfts = build_lfts(net, &space);
+    Routing::assemble(RoutingKind::UpDown, net.params(), space, lfts)
+}
 
-    fn lid_space(&self, net: &Network) -> LidSpace {
-        LidSpace::new(net.params().num_nodes(), 0)
-    }
+fn build_lfts(net: &Network, space: &LidSpace) -> Vec<Lft> {
+    let orient = Orientation::build(net);
+    let num = net.num_switches();
+    let mut lfts: Vec<Lft> = (0..num).map(|_| Lft::new(space.max_lid())).collect();
 
-    fn build_lfts(&self, net: &Network, space: &LidSpace) -> Vec<Lft> {
-        let orient = Orientation::build(net);
-        let num = net.num_switches();
-        let mut lfts: Vec<Lft> = (0..num).map(|_| Lft::new(space.max_lid())).collect();
+    // Process switches in ascending (depth, id) order when propagating
+    // the up-then-down distance, so parents are final before children.
+    let mut order: Vec<usize> = (0..num).collect();
+    order.sort_by_key(|&s| (orient.depth[s], s));
 
-        // Process switches in ascending (depth, id) order when propagating
-        // the up-then-down distance, so parents are final before children.
-        let mut order: Vec<usize> = (0..num).collect();
-        order.sort_by_key(|&s| (orient.depth[s], s));
+    for node in 0..net.num_nodes() as u32 {
+        let dst = NodeId(node);
+        let lid = space.base_lid(dst);
+        let attach = match net.peer_of(DeviceRef::Node(dst), PortNum(1)) {
+            Some(p) => p,
+            None => continue,
+        };
+        let (s_d, node_port) = match attach.device {
+            DeviceRef::Switch(s) => (s, attach.port),
+            _ => continue,
+        };
 
-        for node in 0..net.num_nodes() as u32 {
-            let dst = NodeId(node);
-            let lid = space.base_lid(dst);
-            let attach = match net.peer_of(DeviceRef::Node(dst), PortNum(1)) {
-                Some(p) => p,
-                None => continue,
-            };
-            let (s_d, node_port) = match attach.device {
-                DeviceRef::Switch(s) => (s, attach.port),
-                _ => continue,
-            };
-
-            // d_down[s]: shortest all-down path s -> s_d; BFS from s_d
-            // along *up* steps (the reverse of a down step).
-            let mut d_down = vec![u32::MAX; num];
-            let mut queue = VecDeque::new();
-            d_down[s_d.index()] = 0;
-            queue.push_back(s_d.index());
-            while let Some(s) = queue.pop_front() {
-                for &(t, _) in &orient.adj[s] {
-                    // Reverse edge t -> s must be a down step, i.e. s -> t
-                    // (the direction we walk) is an up step.
-                    if orient.is_up(SwitchId(s as u32), t) && d_down[t.index()] == u32::MAX {
-                        d_down[t.index()] = d_down[s] + 1;
-                        queue.push_back(t.index());
-                    }
+        // d_down[s]: shortest all-down path s -> s_d; BFS from s_d
+        // along *up* steps (the reverse of a down step).
+        let mut d_down = vec![u32::MAX; num];
+        let mut queue = VecDeque::new();
+        d_down[s_d.index()] = 0;
+        queue.push_back(s_d.index());
+        while let Some(s) = queue.pop_front() {
+            for &(t, _) in &orient.adj[s] {
+                // Reverse edge t -> s must be a down step, i.e. s -> t
+                // (the direction we walk) is an up step.
+                if orient.is_up(SwitchId(s as u32), t) && d_down[t.index()] == u32::MAX {
+                    d_down[t.index()] = d_down[s] + 1;
+                    queue.push_back(t.index());
                 }
-            }
-
-            // d[s] = min(d_down[s], 1 + min over up-neighbors d[parent]).
-            // Up-neighbors have strictly smaller (depth, id), so a single
-            // pass in that order is exact.
-            let mut d = d_down.clone();
-            for &s in &order {
-                let mut best = d[s];
-                for &(t, _) in &orient.adj[s] {
-                    if orient.is_up(SwitchId(s as u32), t) && d[t.index()] != u32::MAX {
-                        best = best.min(d[t.index()] + 1);
-                    }
-                }
-                d[s] = best;
-            }
-
-            // Program one out-port per switch.
-            for s in 0..num {
-                if s == s_d.index() {
-                    lfts[s].set(lid, node_port);
-                    continue;
-                }
-                debug_assert_ne!(d[s], u32::MAX, "unroutable destination");
-                // Prefer descending when a pure down path is as short as
-                // the best up-then-down alternative.
-                let descending = d_down[s] == d[s];
-                let mut candidates: Vec<PortNum> = Vec::new();
-                for &(t, port) in &orient.adj[s] {
-                    let up = orient.is_up(SwitchId(s as u32), t);
-                    let ok = if descending {
-                        !up && d_down[t.index()] != u32::MAX && d_down[t.index()] + 1 == d_down[s]
-                    } else {
-                        up && d[t.index()] + 1 == d[s]
-                    };
-                    if ok {
-                        candidates.push(port);
-                    }
-                }
-                debug_assert!(!candidates.is_empty(), "no legal next hop");
-                candidates.sort_unstable_by_key(|p| p.0);
-                // Rotate ties by destination so different LIDs spread.
-                let pick = candidates[((lid.0 - 1) as usize) % candidates.len()];
-                lfts[s].set(lid, pick);
             }
         }
-        lfts
-    }
 
-    fn select_dlid(&self, _net: &Network, space: &LidSpace, _src: NodeId, dst: NodeId) -> Lid {
-        space.base_lid(dst)
+        // d[s] = min(d_down[s], 1 + min over up-neighbors d[parent]).
+        // Up-neighbors have strictly smaller (depth, id), so a single
+        // pass in that order is exact.
+        let mut d = d_down.clone();
+        for &s in &order {
+            let mut best = d[s];
+            for &(t, _) in &orient.adj[s] {
+                if orient.is_up(SwitchId(s as u32), t) && d[t.index()] != u32::MAX {
+                    best = best.min(d[t.index()] + 1);
+                }
+            }
+            d[s] = best;
+        }
+
+        // Program one out-port per switch.
+        for s in 0..num {
+            if s == s_d.index() {
+                lfts[s].set(lid, node_port);
+                continue;
+            }
+            debug_assert_ne!(d[s], u32::MAX, "unroutable destination");
+            // Prefer descending when a pure down path is as short as
+            // the best up-then-down alternative.
+            let descending = d_down[s] == d[s];
+            let mut candidates: Vec<PortNum> = Vec::new();
+            for &(t, port) in &orient.adj[s] {
+                let up = orient.is_up(SwitchId(s as u32), t);
+                let ok = if descending {
+                    !up && d_down[t.index()] != u32::MAX && d_down[t.index()] + 1 == d_down[s]
+                } else {
+                    up && d[t.index()] + 1 == d[s]
+                };
+                if ok {
+                    candidates.push(port);
+                }
+            }
+            debug_assert!(!candidates.is_empty(), "no legal next hop");
+            candidates.sort_unstable_by_key(|p| p.0);
+            // Rotate ties by destination so different LIDs spread.
+            let pick = candidates[((lid.0 - 1) as usize) % candidates.len()];
+            lfts[s].set(lid, pick);
+        }
     }
+    lfts
 }
 
 #[cfg(test)]

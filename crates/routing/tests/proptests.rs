@@ -1,8 +1,7 @@
 //! Property-based tests for the routing schemes.
 
 use ibfat_routing::{
-    build_fault_tolerant, repair_fault_tolerant, Lid, MlidScheme, RepairState, Routing,
-    RoutingKind, RoutingScheme, SlidScheme,
+    build_fault_tolerant, repair_fault_tolerant, Lid, RepairState, Routing, RoutingKind,
 };
 use ibfat_topology::{analysis, gcp_len, Network, NodeId, NodeLabel, TreeParams};
 use proptest::prelude::*;
@@ -248,8 +247,6 @@ fn mlid_upward_exclusivity_on_all_eval_sizes() {
 
 #[test]
 fn scheme_names_are_stable() {
-    assert_eq!(MlidScheme.name(), "MLID");
-    assert_eq!(SlidScheme.name(), "SLID");
     assert_eq!(RoutingKind::Mlid.as_str(), "mlid");
     assert_eq!("MLID".parse::<RoutingKind>().unwrap(), RoutingKind::Mlid);
     assert!("bogus".parse::<RoutingKind>().is_err());

@@ -1530,17 +1530,22 @@ impl<'a, P: Probe> Simulator<'a, P> {
         let accepted = self.delivered_bytes_in_window as f64 / window / nodes;
         let offered = self.cfg.packet_bytes as f64 / self.interarrival_ns;
 
+        // Every cabled direction is one link: a switch port with a peer,
+        // and a node's injection side when its cable is there.
         let mut total_busy = 0u64;
         let mut max_busy = 0u64;
         let mut links = 0u64;
-        for p in &self.ports {
-            total_busy += p.busy_ns;
-            max_busy = max_busy.max(p.busy_ns);
-            links += 1;
-        }
-        for n in &self.nodes {
-            total_busy += n.busy_ns;
-            max_busy = max_busy.max(n.busy_ns);
+        let cabled_ports = self
+            .ports
+            .iter()
+            .filter(|p| !matches!(p.peer, PeerRef::Dead));
+        let cabled_nodes = self.nodes.iter().filter(|n| n.peer_sw != u32::MAX);
+        for busy in cabled_ports
+            .map(|p| p.busy_ns)
+            .chain(cabled_nodes.map(|n| n.busy_ns))
+        {
+            total_busy += busy;
+            max_busy = max_busy.max(busy);
             links += 1;
         }
         let span = self.sim_time_ns as f64;
@@ -1571,7 +1576,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
             } else {
                 0.0
             },
-            mean_link_utilization: total_busy as f64 / (links as f64 * span),
+            mean_link_utilization: total_busy as f64 / (links.max(1) as f64 * span),
             max_link_utilization: max_busy as f64 / span,
             out_of_order: self.out_of_order,
             fault_lost: self.faults.as_ref().map_or(0, |f| f.lost),

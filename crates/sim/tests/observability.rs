@@ -2,12 +2,12 @@
 //! report's own accounting, and non-perturbation (a probed or recorded
 //! run must be bit-identical to an unprobed, unrecorded one).
 
-use ibfat_routing::{Routing, RoutingKind};
+use ibfat_routing::{build_fault_tolerant, Routing, RoutingKind};
 use ibfat_sim::{
     generators, run, run_workload, FabricCounters, FlightRecorder, NoopProbe, PhaseProfile,
     RunSpec, SimConfig, SimReport, TraceEvent, TraceSampling, TrafficPattern,
 };
-use ibfat_topology::{Network, TreeParams};
+use ibfat_topology::{DeviceRef, Network, NodeId, PortNum, SwitchId, TreeParams};
 use proptest::prelude::*;
 
 fn net(m: u32, n: u32) -> Network {
@@ -69,44 +69,80 @@ fn port_xmit_bytes_agree_with_link_utilization() {
     // only by the tail clamp: a transmission cut off by the end of the
     // run is clamped in busy_ns but counted whole in xmit_bytes, so each
     // directed link's counted time is its busy time plus less than one
-    // packet.
-    let net = net(4, 2);
-    let routing = Routing::build(&net, RoutingKind::Slid);
-    let cfg = SimConfig::paper(1);
-    let pkt_ns = cfg.packet_time_ns();
-    let sim_time = 200_000u64;
-    let (report, c) = run(
+    // packet. The report averages over cabled directions only, so a cut
+    // cable (link 8, a node's) takes its two directions out of the mean.
+    let intact = net(4, 2);
+    let mut degraded = intact.clone();
+    degraded.remove_link(8);
+    for (net, cabled) in [(intact, 6 * 4 + 8), (degraded, 6 * 4 + 8 - 2)] {
+        let routing = build_fault_tolerant(&net, RoutingKind::Slid);
+        let cfg = SimConfig::paper(1);
+        let pkt_ns = cfg.packet_time_ns();
+        let sim_time = 200_000u64;
+        let (report, c) = run(
+            &net,
+            &routing,
+            cfg.clone(),
+            TrafficPattern::Uniform,
+            RunSpec::new(0.5, sim_time),
+            FabricCounters::new(&net, cfg.num_vls),
+        )
+        .unwrap();
+        // Every cabled directed link: the switch ports with a peer, and
+        // the injection side of every node with a cable.
+        let sent_ns: Vec<u64> = (0..c.num_switches() as u32)
+            .flat_map(|sw| (0..c.ports_per_switch() as u8).map(move |port| (sw, port)))
+            .filter(|&(sw, port)| {
+                net.peer_of(DeviceRef::Switch(SwitchId(sw)), PortNum(port + 1))
+                    .is_some()
+            })
+            .map(|(sw, port)| c.port(sw, port).xmit_bytes)
+            .chain(
+                (0..net.num_nodes() as u32)
+                    .filter(|&n| {
+                        net.peer_of(DeviceRef::Node(NodeId(n)), PortNum(1))
+                            .is_some()
+                    })
+                    .map(|n| c.node(n).xmit_bytes),
+            )
+            .map(|bytes| bytes * cfg.byte_time_ns)
+            .collect();
+        let links = sent_ns.len() as u64;
+        assert_eq!(links, cabled);
+        let busy_total = (report.mean_link_utilization * (links * sim_time) as f64).round() as u64;
+        let sent_total: u64 = sent_ns.iter().sum();
+        assert!(
+            sent_total >= busy_total && sent_total - busy_total < links * pkt_ns,
+            "busy {busy_total} vs sent {sent_total} over {links} links"
+        );
+        let max_sent = *sent_ns.iter().max().unwrap();
+        let max_busy = (report.max_link_utilization * sim_time as f64).round() as u64;
+        assert!(
+            max_sent >= max_busy && max_sent - max_busy < pkt_ns,
+            "busiest link: busy {max_busy} vs sent {max_sent}"
+        );
+        assert!(max_busy > 0);
+    }
+}
+
+#[test]
+fn a_fabric_without_cables_reports_zero_utilization() {
+    // With every cable cut there is no link to average over.
+    let mut net = net(2, 1);
+    net.remove_link(1);
+    net.remove_link(0);
+    let routing = build_fault_tolerant(&net, RoutingKind::Mlid);
+    let (report, _) = run(
         &net,
         &routing,
-        cfg.clone(),
+        SimConfig::paper(1),
         TrafficPattern::Uniform,
-        RunSpec::new(0.5, sim_time),
-        FabricCounters::new(&net, cfg.num_vls),
+        RunSpec::new(0.3, 5_000),
+        NoopProbe,
     )
     .unwrap();
-    // Every directed link: m ports per switch, one injection side per
-    // node.
-    let sent_ns: Vec<u64> = (0..c.num_switches() as u32)
-        .flat_map(|sw| (0..c.ports_per_switch() as u8).map(move |port| (sw, port)))
-        .map(|(sw, port)| c.port(sw, port).xmit_bytes)
-        .chain((0..net.num_nodes() as u32).map(|n| c.node(n).xmit_bytes))
-        .map(|bytes| bytes * cfg.byte_time_ns)
-        .collect();
-    let links = sent_ns.len() as u64;
-    assert_eq!(links, 6 * 4 + 8);
-    let busy_total = (report.mean_link_utilization * (links * sim_time) as f64).round() as u64;
-    let sent_total: u64 = sent_ns.iter().sum();
-    assert!(
-        sent_total >= busy_total && sent_total - busy_total < links * pkt_ns,
-        "busy {busy_total} vs sent {sent_total} over {links} links"
-    );
-    let max_sent = *sent_ns.iter().max().unwrap();
-    let max_busy = (report.max_link_utilization * sim_time as f64).round() as u64;
-    assert!(
-        max_sent >= max_busy && max_sent - max_busy < pkt_ns,
-        "busiest link: busy {max_busy} vs sent {max_sent}"
-    );
-    assert!(max_busy > 0);
+    assert_eq!(report.mean_link_utilization, 0.0);
+    assert_eq!(report.max_link_utilization, 0.0);
 }
 
 #[test]

@@ -3,8 +3,8 @@
 //! "the SM" at subnet initialization.
 
 use crate::{discover, recognize, DiscoveredTopology, RecognitionError, RecoveredFatTree};
-use ibfat_routing::{build_fault_tolerant, Lft, LidSpace, MlidScheme, Routing, RoutingKind};
-use ibfat_topology::{DeviceRef, Network, NodeId, SwitchId};
+use ibfat_routing::{build_fault_tolerant, Lft, RouteOracle, Routing, RoutingKind};
+use ibfat_topology::{DeviceRef, Network, NodeId};
 use std::fmt;
 
 /// Subnet-manager failures.
@@ -92,34 +92,18 @@ impl SubnetManager {
         let params = recovered.params;
 
         // LID assignment from recovered PIDs.
-        let lmc = match self.kind {
-            RoutingKind::Mlid => params.lmc(),
-            _ => 0,
-        };
-        let space = LidSpace::new(params.num_nodes(), lmc);
+        let oracle =
+            RouteOracle::for_kind(params, self.kind).expect("SLID and MLID are closed-form");
 
-        // Per-switch tables from recovered labels, installed through the
-        // device handles.
+        // Per-switch tables computed at the switch id each recovered label
+        // names, installed through the device handles.
         let mut lfts: Vec<Option<Lft>> = vec![None; net.num_switches()];
         for (i, dev) in discovery.devices.iter().enumerate() {
             let DeviceRef::Switch(install_at) = dev.handle else {
                 continue;
             };
             let label = recovered.switch_labels[i].expect("switches are labeled");
-            let level = label.level().index();
-            let mut lft = Lft::new(space.max_lid());
-            for node in ibfat_topology::NodeLabel::all(params) {
-                let below = (0..level).all(|j| label.digit(j) == node.digit(j));
-                for lid in space.lids(node.id(params)) {
-                    let port = if below {
-                        MlidScheme::eq1_down_port(&node, level)
-                    } else {
-                        MlidScheme::eq2_up_port(params, lid, level as u32)
-                    };
-                    lft.set(lid, port);
-                }
-            }
-            lfts[install_at.index()] = Some(lft);
+            lfts[install_at.index()] = Some(oracle.switch_lft(label.id(params)));
         }
         let lfts: Vec<Lft> = lfts
             .into_iter()
@@ -128,7 +112,7 @@ impl SubnetManager {
             .collect();
 
         Ok(SmOutcome {
-            routing: Routing::assemble(self.kind, params, space, lfts),
+            routing: Routing::assemble(self.kind, params, oracle.lid_space(), lfts),
             discovery,
             recovered,
         })
@@ -152,10 +136,6 @@ impl SubnetManager {
     }
 }
 
-/// Expose `SwitchId` for doc links without an unused import warning.
-#[allow(dead_code)]
-fn _doc(_: SwitchId) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,7 +144,7 @@ mod tests {
     #[test]
     fn sm_tables_match_direct_construction_exactly() {
         for kind in [RoutingKind::Mlid, RoutingKind::Slid] {
-            for (m, n) in [(4, 2), (4, 3), (8, 2), (16, 2)] {
+            for (m, n) in [(4, 2), (4, 3), (8, 2), (8, 3), (16, 2), (16, 3)] {
                 let net = Network::mport_ntree(TreeParams::new(m, n).unwrap());
                 let direct = Routing::build(&net, kind);
                 let sm = SubnetManager::new(kind, NodeId(0));

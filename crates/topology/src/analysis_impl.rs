@@ -1,7 +1,7 @@
 //! Structural analysis of `IBFT(m, n)`: hop distances, path multiplicity,
 //! and graph-wide sanity measures used by tests, examples and EXPERIMENTS.md.
 
-use crate::{gcp_len, DeviceRef, Network, NodeId, NodeLabel, Peer, PortNum, TreeParams};
+use crate::{gcp_len, DeviceRef, Network, NodeId, NodeLabel, Peer, TreeParams};
 use std::collections::VecDeque;
 
 /// The minimal number of *links* a packet traverses from node `a` to node
@@ -105,28 +105,9 @@ pub fn level_wiring(params: TreeParams) -> Vec<LevelWiring> {
         .collect()
 }
 
-/// The port on `switch` through which `node` is reached going *down*, if the
-/// node lies in the switch's subtree. Derived from labels, not BFS:
-/// `SW<w, l>` reaches `P(p)` downward iff `p_0..p_{l-1} = w_0..w_{l-1}`, in
-/// which case the next hop is down-port `p_l` (0-based).
-pub fn down_port_towards(
-    _params: TreeParams,
-    switch: crate::SwitchLabel,
-    node: &NodeLabel,
-) -> Option<PortNum> {
-    let l = switch.level().index();
-    let matches = (0..l).all(|i| switch.digit(i) == node.digit(i));
-    if matches {
-        Some(PortNum(node.digit(l) + 1))
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Level, SwitchLabel};
 
     #[test]
     fn bfs_agrees_with_analytic_min_hops() {
@@ -170,17 +151,6 @@ mod tests {
         let brute = total as f64 / (u64::from(n) * u64::from(n - 1)) as f64;
         let analytic = average_min_hops(params);
         assert!((brute - analytic).abs() < 1e-9, "{brute} vs {analytic}");
-    }
-
-    #[test]
-    fn down_port_lookup() {
-        let params = TreeParams::new(4, 3).unwrap();
-        let root = SwitchLabel::new(params, &[0, 0], Level(0)).unwrap();
-        let node = NodeLabel::new(params, &[3, 1, 0]).unwrap();
-        // A root reaches every node; next hop is digit 0 of the label.
-        assert_eq!(down_port_towards(params, root, &node), Some(PortNum(4)));
-        let wrong_leaf = SwitchLabel::new(params, &[0, 0], Level(2)).unwrap();
-        assert_eq!(down_port_towards(params, wrong_leaf, &node), None);
     }
 
     #[test]
