@@ -94,7 +94,8 @@ pub struct HotPort {
 /// previous sample.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sample {
-    /// Simulated time of the snapshot (ns).
+    /// Simulated time of the snapshot (ns): the sampling boundary that
+    /// closed the interval, or the run's end for the final sample.
     pub t_ns: Time,
     /// Packets delivered in the interval.
     pub delivered_pkts: u64,
@@ -170,8 +171,6 @@ pub struct FabricCounters {
     port_xmit_bytes: Vec<u64>,
     /// `port_xmit_bytes` as of the previous sample.
     last_port_xmit: Vec<u64>,
-    /// Most recent in-flight count seen by `tick` (for the final sample).
-    last_in_flight: u64,
 
     end_time: Time,
 }
@@ -205,7 +204,6 @@ impl FabricCounters {
             interval_latency: LatencyStats::new(),
             port_xmit_bytes: vec![0; num_switches * ports],
             last_port_xmit: vec![0; num_switches * ports],
-            last_in_flight: 0,
             end_time: 0,
         }
     }
@@ -256,7 +254,8 @@ impl FabricCounters {
         self.num_vls
     }
 
-    /// Simulated end time recorded by [`finish`](Probe::finish).
+    /// Simulated end time recorded by [`finish`](Probe::finish): the
+    /// horizon of a pattern run, the last event of a workload run.
     pub fn end_time_ns(&self) -> Time {
         self.end_time
     }
@@ -367,7 +366,8 @@ impl FabricCounters {
 
     // ----- sampling internals -------------------------------------------
 
-    fn flush_sample(&mut self, now: Time, in_flight: u64) {
+    /// Close the current interval with a sample stamped `t`.
+    fn flush_sample(&mut self, t: Time, in_flight: u64) {
         let mut deltas: Vec<(u64, usize)> = self
             .port_xmit_bytes
             .iter()
@@ -394,7 +394,7 @@ impl FabricCounters {
             self.samples_dropped += 1;
         }
         self.samples.push_back(Sample {
-            t_ns: now,
+            t_ns: t,
             delivered_pkts: self.interval_delivered_pkts,
             delivered_bytes: self.interval_delivered_bytes,
             in_flight,
@@ -411,7 +411,7 @@ impl FabricCounters {
         self.last_port_xmit.copy_from_slice(&self.port_xmit_bytes);
         // Re-align to the grid; a quiet stretch yields one late sample
         // covering the whole gap, not a burst of empty ones.
-        self.next_sample = (now / self.sample_interval_ns + 1) * self.sample_interval_ns;
+        self.next_sample = (t / self.sample_interval_ns + 1) * self.sample_interval_ns;
     }
 
     // ----- JSON export --------------------------------------------------
@@ -609,14 +609,17 @@ impl Probe for FabricCounters {
     fn tick(&mut self, now: Time, in_flight: usize) {
         if self.sample_interval_ns > 0 {
             self.interval_events += 1;
-            self.last_in_flight = in_flight as u64;
             if now >= self.next_sample {
-                self.flush_sample(now, in_flight as u64);
+                // Stamp the sample at the last boundary `now` crossed: no
+                // event fell between that boundary and `now`, so the
+                // snapshot is the fabric's state at the boundary.
+                let boundary = now - now % self.sample_interval_ns;
+                self.flush_sample(boundary, in_flight as u64);
             }
         }
     }
 
-    fn finish(&mut self, now: Time) {
+    fn finish(&mut self, now: Time, in_flight: usize) {
         self.end_time = now;
         // Close every open wait/stall interval at the end of the run so
         // a saturated fabric is not under-counted.
@@ -640,7 +643,7 @@ impl Probe for FabricCounters {
                 || self.interval_delivered_pkts > 0
                 || self.port_xmit_bytes != self.last_port_xmit)
         {
-            self.flush_sample(now, self.last_in_flight);
+            self.flush_sample(now, in_flight as u64);
         }
     }
 }
@@ -681,7 +684,7 @@ mod tests {
         let mut c = counters();
         c.xmit_wait_start(100, 1, 3, 0, 2);
         c.credit_stall_start(150, 1, 2, 0);
-        c.finish(500);
+        c.finish(500, 0);
         assert_eq!(c.port_vl(1, 2, 0).xmit_wait_ns, 400);
         assert_eq!(c.port_vl(1, 2, 0).credit_stall_ns, 350);
         assert_eq!(c.end_time_ns(), 500);
@@ -696,7 +699,7 @@ mod tests {
         c.tick(1_500, 3); // crosses the 1_000 boundary → sample
         assert_eq!(c.samples().len(), 1);
         let s = &c.samples()[0];
-        assert_eq!(s.t_ns, 1_500);
+        assert_eq!(s.t_ns, 1_000, "stamped at the boundary, not the event");
         assert_eq!(s.delivered_pkts, 1);
         assert_eq!(s.in_flight, 3);
         assert_eq!(s.top_ports.len(), 1);
@@ -704,7 +707,9 @@ mod tests {
         assert!(s.latency_p50_ns >= 480);
         // Partial tail flushed by finish.
         c.sw_xmit(1_600, 0, 1, 0, 256);
-        c.finish(1_700);
+        c.finish(1_700, 2);
+        assert_eq!(c.samples()[1].t_ns, 1_700);
+        assert_eq!(c.samples()[1].in_flight, 2);
         assert_eq!(c.samples().len(), 2);
         assert_eq!(c.samples()[1].top_ports[0].port, 2);
     }
@@ -741,7 +746,7 @@ mod tests {
         c.sw_xmit(10, 0, 0, 1, 256);
         c.node_xmit(10, 0, 1, 256);
         c.tick(150, 1);
-        c.finish(200);
+        c.finish(200, 0);
         let json = c.to_json();
         assert!(json.starts_with("{\"schema\":1,"));
         assert!(json.contains("\"sample_interval_ns\":100"));

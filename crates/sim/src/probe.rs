@@ -212,10 +212,12 @@ pub trait Probe {
         let _ = (phase, wall_ns);
     }
 
-    /// The run ended at simulation time `now` (final sample flush).
+    /// The run ended at simulation time `now` with `in_flight` live
+    /// packets (final sample flush). A pattern run ends at its horizon;
+    /// a workload run, which drains, at its last event.
     #[inline]
-    fn finish(&mut self, now: Time) {
-        let _ = now;
+    fn finish(&mut self, now: Time, in_flight: usize) {
+        let _ = (now, in_flight);
     }
 }
 
@@ -316,9 +318,9 @@ impl<A: Probe, B: Probe> Probe for (A, B) {
         self.1.phase_time(phase, wall_ns);
     }
     #[inline]
-    fn finish(&mut self, now: Time) {
-        self.0.finish(now);
-        self.1.finish(now);
+    fn finish(&mut self, now: Time, in_flight: usize) {
+        self.0.finish(now, in_flight);
+        self.1.finish(now, in_flight);
     }
 }
 
