@@ -6,7 +6,7 @@
 //!
 //! * [`HeapCalendar`] — a `BinaryHeap` ordered by one packed `(time, seq)`
 //!   key.
-//! * [`ChainQueue`] — the sequential engine's calendar: four
+//! * [`ChainQueue`] — the sequential engine's calendar: five
 //!   constant-delay FIFO delay lines plus a residual calendar (a sorted
 //!   FIFO run beside a [`HeapCalendar`]).
 //!
@@ -129,7 +129,7 @@ impl<E> Default for HeapCalendar<E> {
 }
 
 /// The fixed-latency event classes of the simulator's hot path. Every
-/// event a handler schedules at one of these four constant delays goes
+/// event a handler schedules at one of these five constant delays goes
 /// into a dedicated FIFO delay line instead of the general calendar —
 /// see [`ChainQueue`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,30 +137,37 @@ pub enum ChainClass {
     /// One wire flight (`fly_time_ns`): header arrivals, credit returns,
     /// workload arm notifications.
     Fly,
-    /// One routing stage (`routing_time_ns`): route-done completions.
+    /// One routing stage (`routing_time_ns`): route-done completions of
+    /// heads that reach the front of a buffer after their arrival.
     Route,
     /// One packet serialization (`packet_time_ns`): transmit completions
     /// and input-buffer departures.
     Pkt,
     /// Wire flight plus serialization: tail delivery at an endport.
     FlyPkt,
+    /// Wire flight plus one routing stage: the route-done a fused run
+    /// schedules when a transmission into a switch starts.
+    FlyRoute,
 }
 
-/// A calendar specialized for the simulator's event mix: four constant-
+/// Number of [`ChainClass`] delay lines.
+const CHAINS: usize = 5;
+
+/// A calendar specialized for the simulator's event mix: five constant-
 /// delay FIFO delay lines (one per [`ChainClass`]) beside a residual
-/// calendar for everything else (injections, busy-link retries, discard
-/// drains).
+/// calendar for everything else (injections, discard drains, fault and
+/// workload priming events).
 ///
 /// Because dispatch time is monotone and each chain's delay is a run
 /// constant, every chain is `(time, seq)`-sorted by construction — a
 /// `schedule_chain` is a plain `push_back`. The residual calendar is a
 /// FIFO *run* beside a [`HeapCalendar`]: a residual event whose key is
 /// at least the run's tail is appended to the run, which therefore stays
-/// sorted too; only out-of-order events (busy-port retries, the randomly
-/// phased priming round, Poisson draws) pay for the heap.
+/// sorted too; only out-of-order events (the randomly phased priming
+/// round, Poisson draws, discard drains) pay for the heap.
 ///
-/// The earliest event is the minimum over at most six sorted heads: the
-/// four chain fronts, the run's front and the heap's top. A single
+/// The earliest event is the minimum over at most seven sorted heads:
+/// the five chain fronts, the run's front and the heap's top. A single
 /// global sequence number, stamped at schedule time across all sources,
 /// reproduces the exact `(time, insertion order)` pop contract of a
 /// single [`HeapCalendar`] — same events, same order, same
@@ -168,7 +175,7 @@ pub enum ChainClass {
 /// calendar-equivalence suite pins exactly that.
 #[derive(Debug)]
 pub struct ChainQueue<E> {
-    chains: [VecDeque<Keyed<E>>; 4],
+    chains: [VecDeque<Keyed<E>>; CHAINS],
     /// Residual events scheduled in key order: sorted by construction.
     run: VecDeque<Keyed<E>>,
     /// Residual events that arrived below the run's tail.
@@ -177,8 +184,8 @@ pub struct ChainQueue<E> {
 }
 
 /// Index of the run among the FIFO sources popped by [`ChainQueue::pop`],
-/// after the four chains.
-const RUN: usize = 4;
+/// after the chains.
+const RUN: usize = CHAINS;
 
 impl<E> ChainQueue<E> {
     /// An empty queue.
@@ -338,8 +345,9 @@ mod tests {
             ChainClass::Route,
             ChainClass::Pkt,
             ChainClass::FlyPkt,
+            ChainClass::FlyRoute,
         ];
-        let delays = [20u64, 100, 256, 276];
+        let delays = [20u64, 100, 256, 276, 120];
         let mut cq = ChainQueue::new();
         let mut hq = HeapCalendar::new();
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -362,7 +370,7 @@ mod tests {
                     cq.schedule(at, id);
                     hq.schedule(at, id);
                 } else {
-                    let c = (next() % 4) as usize;
+                    let c = (next() % 5) as usize;
                     cq.schedule_chain(classes[c], now + delays[c], id);
                     hq.schedule(now + delays[c], id);
                 }

@@ -24,9 +24,9 @@ fn normalized(mut r: SimReport) -> SimReport {
 /// The counters a pinned scenario fixes: `[total_generated,
 /// total_delivered, delivered, dropped, fault_lost, fault_stalled,
 /// fault_rerouted, events_processed]`.
-const PIN_LINK_KILL: [u64; 8] = [2624, 1820, 1405, 33, 31, 0, 0, 51943];
-const PIN_STALL: [u64; 8] = [2626, 2088, 1665, 11, 0, 14, 14, 59584];
-const PIN_SWITCH_KILL: [u64; 8] = [2247, 1904, 1509, 21, 21, 0, 0, 52925];
+const PIN_LINK_KILL: [u64; 8] = [2624, 1820, 1405, 33, 31, 0, 0, 50082];
+const PIN_STALL: [u64; 8] = [2626, 2088, 1665, 11, 0, 14, 14, 56865];
+const PIN_SWITCH_KILL: [u64; 8] = [2247, 1904, 1509, 21, 21, 0, 0, 51180];
 /// `(makespan_ns, events)` of the workload-through-failure run.
 const PIN_WORKLOAD: (u64, u64) = (13868, 3128);
 
