@@ -180,24 +180,7 @@ impl Fabric {
     /// network is cloned once, and the tables are reprogrammed once for
     /// the combined damage — not per component.
     pub fn with_failed(&self, link_indices: &[usize], switches: &[u32]) -> Fabric {
-        use ibfat_topology::DeviceRef;
-        let mut dead: Vec<usize> = link_indices.to_vec();
-        if !switches.is_empty() {
-            for (i, link) in self.net.links().iter().enumerate() {
-                if [link.a, link.b]
-                    .iter()
-                    .any(|p| matches!(p.device, DeviceRef::Switch(s) if switches.contains(&s.0)))
-                {
-                    dead.push(i);
-                }
-            }
-        }
-        dead.sort_unstable_by(|a, b| b.cmp(a)); // high to low keeps indices valid
-        dead.dedup();
-        let mut net = self.net.clone();
-        for idx in dead {
-            net.remove_link(idx);
-        }
+        let net = self.net.without(link_indices, switches);
         let routing = match self.routing.kind() {
             RoutingKind::UpDown => Routing::build(&net, RoutingKind::UpDown),
             kind => ibfat_routing::build_fault_tolerant(&net, kind),

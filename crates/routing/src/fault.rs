@@ -137,25 +137,6 @@ fn sweep_feasible(
     feasible
 }
 
-/// Bitmask of cabled ports per switch (bit `k` = port `k+1` has a peer).
-fn live_port_masks(net: &Network) -> Vec<u64> {
-    let params = net.params();
-    (0..net.num_switches())
-        .map(|sw| {
-            let mut mask = 0u64;
-            for k in 0..params.m() {
-                if net
-                    .peer_of(DeviceRef::Switch(SwitchId(sw as u32)), PortNum(k as u8 + 1))
-                    .is_some()
-                {
-                    mask |= 1 << k;
-                }
-            }
-            mask
-        })
-        .collect()
-}
-
 /// Pass 3 for one switch: program its forwarding row from the sweeps.
 fn program_switch(
     net: &Network,
@@ -293,7 +274,7 @@ impl RepairState {
         RepairState {
             reach_down,
             feasible,
-            live_mask: live_port_masks(net),
+            live_mask: net.cabled_port_masks(),
         }
     }
 }
@@ -324,7 +305,7 @@ pub fn repair_fault_tolerant(
     let by_level = switches_by_level(params);
     let reach_down = sweep_reach_down(net, &by_level);
     let feasible = sweep_feasible(net, &by_level, &reach_down);
-    let live_mask = live_port_masks(net);
+    let live_mask = net.cabled_port_masks();
 
     let num_switches = net.num_switches();
     let half = params.half();

@@ -65,7 +65,7 @@ pub use error::RoutingError;
 pub use fault::{build_fault_tolerant, repair_fault_tolerant, LftPatch, RepairState, RepairStats};
 pub use lft::{Lft, BLOCK_LIDS};
 pub use lid::{Lid, LidSpace};
-pub use load::{all_to_all_loads, loads_for_matrix, ChannelLoads};
+pub use load::{all_to_all_loads, loads_for_matrix, routable_all_to_all_loads, ChannelLoads};
 pub use oracle::RouteOracle;
 pub use path::{Hop, Route};
 pub use scheme::{Routing, RoutingKind};

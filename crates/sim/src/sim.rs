@@ -46,7 +46,7 @@ use crate::vlarb::VlArbiter;
 use crate::{
     InjectionProcess, PathSelection, RunSpec, SimConfig, SimError, TrafficPattern, VlAssignment,
 };
-use ibfat_routing::{Lft, Lid, RouteOracle, Routing};
+use ibfat_routing::{Lft, RouteOracle, Routing};
 use ibfat_topology::{DeviceRef, Network, NodeId, PortNum};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
@@ -172,8 +172,8 @@ pub(crate) struct NodeSt {
 #[derive(Debug)]
 pub(crate) enum RouteState<'a> {
     /// The routing's block-compressed forwarding tables, indexed by
-    /// switch: borrowed, unless a fault plan patches them mid-run, in
-    /// which case the run owns a copy. The lookup reads the raw entry
+    /// switch: borrowed until a fault plan's first SM reprogram lands,
+    /// which gives the run its own copy. The lookup reads the raw entry
     /// and subtracts one with wrapping, so a hole reads as the `u8::MAX`
     /// drop sentinel.
     Table(Cow<'a, [Lft]>),
@@ -239,8 +239,8 @@ pub enum Ev {
 /// Borrows the routing for its whole lifetime. A run the closed form
 /// answers ([`RouteOracle::for_fabric`], no fault plan) reads none of
 /// its tables, so a SLID/MLID routing from `Routing::build` never builds
-/// them; any other run reads them in place, and only a fault plan that
-/// patches them copies them. Sweeps and replications share one
+/// them; any other run reads them in place, and copies them only when a
+/// fault plan's first reprogram lands. Sweeps and replications share one
 /// `Routing` across threads.
 ///
 /// Generic over a [`Probe`] observability sink (default: the free
@@ -412,11 +412,11 @@ impl<'a, P: Probe> Simulator<'a, P> {
         let faults = if cfg.faults.is_empty() {
             None
         } else {
-            let runtime = std::sync::Arc::new(crate::faults::compile(net, routing, &cfg.faults)?);
+            let compiled = crate::faults::compile(net, routing, &cfg.faults)?;
             Some(Box::new(crate::faults::FaultState::new(
                 net,
                 &cfg.faults,
-                runtime,
+                compiled,
             )))
         };
 
@@ -426,14 +426,11 @@ impl<'a, P: Probe> Simulator<'a, P> {
         let interarrival_ns = cfg.interarrival_ns(offered_load);
         let fuse_arrival = arrival_fuses(&cfg, interarrival_ns);
 
-        // Without the closed form the run reads the tables, its own copy
-        // only when the plan's reprograms patch them.
-        let route = match (oracle, &faults) {
-            (Some(oracle), _) => RouteState::Oracle(oracle),
-            (None, Some(f)) if f.runtime.patches_tables() => {
-                RouteState::Table(Cow::Owned(routing.lfts().to_vec()))
-            }
-            (None, _) => RouteState::Table(Cow::Borrowed(routing.lfts())),
+        // Without the closed form the run reads the routing's tables in
+        // place; the first SM reprogram makes the run its own copy.
+        let route = match oracle {
+            Some(oracle) => RouteState::Oracle(oracle),
+            None => RouteState::Table(Cow::Borrowed(routing.lfts())),
         };
 
         let up_ports_from: Vec<u8> = (0..net.num_switches())
@@ -826,13 +823,13 @@ impl<'a, P: Probe> Simulator<'a, P> {
     /// patched switch at the reprogram instant. Called once, right after
     /// injection priming, by both run loops.
     pub(crate) fn schedule_fault_events(&mut self) {
-        let Some(rt) = self.faults.as_ref().map(|f| f.runtime.clone()) else {
+        let Some(f) = &self.faults else {
             return;
         };
-        for (fi, cf) in rt.faults.iter().enumerate() {
+        for (fi, cf) in f.faults.iter().enumerate() {
             let fault = fi as u32;
             self.queue.schedule(cf.at, Ev::FaultApply { fault });
-            for &(sw, _) in &cf.patches {
+            for &(sw, _) in &cf.rows {
                 self.queue
                     .schedule(cf.reprogram_at, Ev::SwReprogram { fault, sw });
             }
@@ -864,41 +861,29 @@ impl<'a, P: Probe> Simulator<'a, P> {
         // Fault events are control-plane bookkeeping, not packet work:
         // they stay out of `events_processed`.
         self.events_processed -= 1;
-        let f = self.faults.as_mut().expect("fault event without state");
-        let rt = f.runtime.clone();
-        let cf = &rt.faults[fault as usize];
+        let f = &mut **self.faults.as_mut().expect("fault event without state");
+        let cf = &f.faults[fault as usize];
         f.sw_dead.copy_from_slice(&cf.sw_dead);
         f.sw_killed.copy_from_slice(&cf.sw_killed);
     }
 
-    /// The SM's reprogramming of one switch lands: apply the fault's LFT
-    /// patches to the forwarding buffer, then rescue input heads parked on
-    /// an output that is dead (or whose grant signal — an output
-    /// departure — can never come because the output buffer drained while
-    /// the port was dead): reset them to the routing stage so they look
-    /// up the freshly patched table.
+    /// The SM's reprogramming of one switch lands: install the fault's
+    /// repaired row in place of the switch's table (the first reprogram
+    /// of a run copies the borrowed tables), then rescue input heads
+    /// parked on an output that is dead (or whose grant signal — an
+    /// output departure — can never come because the output buffer
+    /// drained while the port was dead): reset them to the routing stage
+    /// so they look up the fresh row.
     fn sw_reprogram(&mut self, fault: u32, sw: u32) {
         self.events_processed -= 1;
         let st = self.faults.as_ref().expect("fault event without state");
-        let rt = st.runtime.clone();
-        let cf = &rt.faults[fault as usize];
-        let patches = cf
-            .patches
-            .iter()
-            .find(|(s, _)| *s == sw)
-            .map(|(_, p)| p.as_slice())
-            .unwrap_or(&[]);
+        let rows = &st.faults[fault as usize].rows;
+        let row = rows
+            .binary_search_by_key(&sw, |&(s, _)| s)
+            .map(|i| rows[i].1.clone())
+            .expect("a reprogram is scheduled for each patched switch");
         match &mut self.route {
-            RouteState::Table(lfts) => {
-                let lft = &mut lfts.to_mut()[sw as usize];
-                for &(lid, port) in patches {
-                    // 0-based patch port; `u8::MAX` clears the entry.
-                    match port {
-                        u8::MAX => lft.clear(Lid(lid)),
-                        p => lft.set(Lid(lid), PortNum(p + 1)),
-                    }
-                }
-            }
+            RouteState::Table(lfts) => lfts.to_mut()[sw as usize] = row,
             RouteState::Oracle(_) => unreachable!("fault plans run on the tables"),
         }
         let st = self.faults.as_ref().expect("checked above");
@@ -1244,24 +1229,8 @@ impl<'a, P: Probe> Simulator<'a, P> {
         };
         if out_port == u8::MAX {
             // No LFT entry (possible on degraded fabrics): the switch
-            // discards the packet, per IBA semantics. The input buffer
-            // frees once the tail has fully arrived; model that as the
-            // remaining serialization time from now (the header has been
-            // in the buffer for exactly `route_ns`).
-            self.dropped += 1;
-            if P::COUNTERS {
-                self.probe.sw_drop(self.now, sw);
-            }
-            if P::PACKETS {
-                self.probe
-                    .packet_event(self.now, head.pkt, TraceEvent::Dropped { sw });
-            }
-            self.slab.remove(head.pkt);
-            let head_mut = self.lanes.in_q.front_mut(lane).expect("checked nonempty");
-            head_mut.state = InState::Departing;
-            let drain = self.pkt_ns.saturating_sub(self.route_ns);
-            self.queue
-                .schedule(self.now + drain, Ev::SwDiscardDone { sw, port, vl });
+            // discards the packet, per IBA semantics.
+            self.discard_head(sw, port, vl, head.pkt);
             return;
         }
         // Adaptive upward routing: any parent reaches every destination
@@ -1281,20 +1250,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
             if f.sw_dead[sw as usize] & (1u64 << out_port) != 0 {
                 let drop = matches!(f.policy, crate::FaultPolicy::Drop);
                 if drop {
-                    self.dropped += 1;
-                    if P::COUNTERS {
-                        self.probe.sw_drop(self.now, sw);
-                    }
-                    if P::PACKETS {
-                        self.probe
-                            .packet_event(self.now, head.pkt, TraceEvent::Dropped { sw });
-                    }
-                    self.slab.remove(head.pkt);
-                    let head_mut = self.lanes.in_q.front_mut(lane).expect("checked nonempty");
-                    head_mut.state = InState::Departing;
-                    let drain = self.pkt_ns.saturating_sub(self.route_ns);
-                    self.queue
-                        .schedule(self.now + drain, Ev::SwDiscardDone { sw, port, vl });
+                    self.discard_head(sw, port, vl, head.pkt);
                     self.faults.as_mut().expect("checked above").lost += 1;
                 } else {
                     let head_mut = self.lanes.in_q.front_mut(lane).expect("checked nonempty");
@@ -1314,6 +1270,28 @@ impl<'a, P: Probe> Simulator<'a, P> {
                 .packet_event(self.now, head.pkt, TraceEvent::Routed { sw, out_port });
         }
         self.sw_request_output(sw, port, vl, out_port);
+    }
+
+    /// Discard the routed head of input lane `(sw, port, vl)`. The input
+    /// buffer frees once the tail has fully arrived; model that as the
+    /// remaining serialization time from now (the header has been in the
+    /// buffer for exactly `route_ns`).
+    fn discard_head(&mut self, sw: u32, port: u8, vl: u8, pkt: PacketId) {
+        self.dropped += 1;
+        if P::COUNTERS {
+            self.probe.sw_drop(self.now, sw);
+        }
+        if P::PACKETS {
+            self.probe
+                .packet_event(self.now, pkt, TraceEvent::Dropped { sw });
+        }
+        self.slab.remove(pkt);
+        let lane = self.lane(sw, port, vl);
+        let head = self.lanes.in_q.front_mut(lane).expect("a routed head");
+        head.state = InState::Departing;
+        let drain = self.pkt_ns.saturating_sub(self.route_ns);
+        self.queue
+            .schedule(self.now + drain, Ev::SwDiscardDone { sw, port, vl });
     }
 
     /// Pick the best up-port for a climbing packet: prefer output buffers
@@ -1741,8 +1719,10 @@ mod tests {
     }
 
     /// A built MLID routing on its intact tree runs on the closed form.
-    /// Other routings read the routing's own tables; only a fault plan
-    /// whose reprograms patch entries gives the run a copy to patch.
+    /// Other routings read the routing's own tables, and so does a run
+    /// with a fault plan until the first SM reprogram lands: that one
+    /// gives the run its copy, which then holds the routing's tables
+    /// with the repaired rows installed.
     #[test]
     fn tables_are_borrowed_unless_a_fault_plan_patches_them() {
         let params = TreeParams::new(4, 3).expect("valid params");
@@ -1774,12 +1754,48 @@ mod tests {
         };
         assert!(std::ptr::eq(*lfts, assembled.lfts()));
         let link = crate::FaultPlan::pick_links(&net, 1, 7);
-        let sim = build(&routing, crate::FaultPlan::kill_links_at(&link, 1_000));
-        assert!(sim.faults.as_ref().unwrap().runtime.patches_tables());
+        let plan = crate::FaultPlan {
+            detect_ns: 500,
+            per_switch_ns: 10,
+            ..crate::FaultPlan::kill_links_at(&link, 1_000)
+        };
+        let mut sim = build(&routing, plan);
+        let rows = sim.faults.as_ref().unwrap().faults[0].rows.clone();
+        assert!(!rows.is_empty());
+        sim.prime_injections();
+        sim.schedule_fault_events();
+        let mut reprogrammed = false;
+        while let Some((t, ev)) = sim.queue.pop() {
+            if t >= sim.sim_time_ns {
+                break;
+            }
+            match &sim.route {
+                RouteState::Table(Cow::Borrowed(lfts)) => {
+                    assert!(!reprogrammed, "a reprogram left the tables borrowed");
+                    assert!(std::ptr::eq(*lfts, routing.lfts()));
+                }
+                RouteState::Table(Cow::Owned(_)) => assert!(reprogrammed, "copied early"),
+                RouteState::Oracle(_) => panic!("a fault plan runs on the tables"),
+            }
+            reprogrammed |= matches!(ev, Ev::SwReprogram { .. });
+            sim.now = t;
+            sim.events_processed += 1;
+            sim.dispatch(ev);
+        }
+        assert!(reprogrammed, "the reprogram must land before the horizon");
         let RouteState::Table(Cow::Owned(lfts)) = &sim.route else {
             panic!("expected owned tables, got {:?}", sim.route);
         };
-        assert_eq!(lfts.as_slice(), routing.lfts());
+        let mut expect = routing.lfts().to_vec();
+        for (sw, row) in rows {
+            expect[sw as usize] = row;
+        }
+        assert_eq!(lfts, &expect);
+        let repaired = ibfat_routing::build_fault_tolerant(
+            &net.without(&[link[0] as usize], &[]),
+            routing.kind(),
+        );
+        assert_eq!(lfts.as_slice(), repaired.lfts());
     }
 
     /// Every switch port's cached ready mask equals the one recomputed

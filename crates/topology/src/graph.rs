@@ -237,6 +237,42 @@ impl Network {
         link
     }
 
+    /// A degraded copy: without the cables at `link_indices` and without
+    /// every cable incident to a switch in `switches` (a powered-off
+    /// switch). Order and duplicates in either list do not matter; the
+    /// dead cables are removed from the highest index down, so the
+    /// survivors keep their relative order in [`Network::links`].
+    ///
+    /// # Panics
+    /// Panics if a link index is out of range.
+    pub fn without(&self, link_indices: &[usize], switches: &[u32]) -> Network {
+        let mut dead = vec![false; self.links.len()];
+        for &i in link_indices {
+            dead[i] = true;
+        }
+        let powered_off =
+            |p: Peer| matches!(p.device, DeviceRef::Switch(s) if switches.contains(&s.0));
+        let mut net = self.clone();
+        for (i, link) in self.links.iter().enumerate().rev() {
+            if dead[i] || powered_off(link.a) || powered_off(link.b) {
+                net.remove_link(i);
+            }
+        }
+        net
+    }
+
+    /// Per switch, the bitmask of its cabled ports (bit `k` = port `k+1`
+    /// has a peer).
+    pub fn cabled_port_masks(&self) -> Vec<u64> {
+        self.switches
+            .iter()
+            .map(|sw| {
+                sw.peers()
+                    .fold(0u64, |mask, (port, _)| mask | 1 << (port.0 - 1))
+            })
+            .collect()
+    }
+
     /// Indices into [`Network::links`] of the switch-to-switch cables —
     /// the failures a fat tree can tolerate without isolating a node.
     pub fn inter_switch_link_indices(&self) -> Vec<usize> {
@@ -455,6 +491,58 @@ mod tests {
             net.validate().is_err(),
             "degraded net fails strict validation"
         );
+    }
+
+    #[test]
+    fn without_equals_sequential_removal_for_any_input_order() {
+        let net = Network::mport_ntree(TreeParams::new(4, 3).unwrap());
+        let inter = net.inter_switch_link_indices();
+        let (a, b, c) = (inter[2], inter[9], inter[17]);
+        // Sequential removal from the highest index down.
+        let mut expect = net.clone();
+        for i in [c, b, a] {
+            expect.remove_link(i);
+        }
+        for input in [vec![a, b, c], vec![c, a, b], vec![b, c, a, c, b, a, a]] {
+            assert_eq!(net.without(&input, &[]), expect, "{input:?}");
+        }
+        // A powered-off switch takes every incident cable with it, and
+        // naming one of those cables again changes nothing.
+        let sw = 5u32;
+        let incident: Vec<usize> = (0..net.links().len())
+            .filter(|&i| {
+                let l = net.links()[i];
+                [l.a, l.b]
+                    .iter()
+                    .any(|p| p.device == DeviceRef::Switch(SwitchId(sw)))
+            })
+            .collect();
+        let mut expect = net.clone();
+        let mut all: Vec<usize> = incident.iter().copied().chain([a]).collect();
+        all.sort_unstable();
+        for &i in all.iter().rev() {
+            expect.remove_link(i);
+        }
+        assert_eq!(net.without(&[a], &[sw, sw]), expect);
+        assert_eq!(net.without(&[incident[0], a], &[sw]), expect);
+        assert_eq!(net.without(&[], &[]), net);
+    }
+
+    #[test]
+    fn cabled_port_masks_drop_a_cut_cable_at_both_ends() {
+        let net = net();
+        let full = (1u64 << net.params().m()) - 1;
+        assert!(net.cabled_port_masks().iter().all(|&mask| mask == full));
+        let idx = net.inter_switch_link_indices()[0];
+        let link = net.links()[idx];
+        let masks = net.without(&[idx], &[]).cabled_port_masks();
+        for end in [link.a, link.b] {
+            let DeviceRef::Switch(s) = end.device else {
+                unreachable!("an inter-switch link")
+            };
+            assert_eq!(masks[s.index()], full & !(1 << (end.port.0 - 1)));
+        }
+        assert_eq!(masks.iter().filter(|&&mask| mask != full).count(), 2);
     }
 
     #[test]
