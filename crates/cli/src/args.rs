@@ -50,8 +50,10 @@ options:
                                  (default time/4)
   --policy drop|stall            faults: dead-port packet treatment during
                                  the stale-table window (default drop;
-                                 stall is lossless — heads park until the
-                                 SM reroutes them)
+                                 stall loses nothing at a dead port —
+                                 heads park until the SM reroutes them —
+                                 but a repaired table can still lack an
+                                 entry for a packet already past its turn)
   --detect-ns N                  faults: SM detection latency (default 10000)
   --per-switch-ns N              faults: SM per-switch reprogram latency
                                  (default 100)

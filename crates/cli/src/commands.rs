@@ -476,12 +476,12 @@ pub fn collect_counters(cmd: &Cmd, fabric: &Fabric) -> Result<CountersReport, St
             summary.credit_stall_ns += c.credit_stall_ns;
         }
     }
-    let ports_per_level = |l: &LevelSummary| {
-        let switches = params.switches_at_level(l.level);
-        (switches * params.m()) as f64
-    };
-    for l in &mut levels {
-        l.mean_utilization /= ports_per_level(l).max(1.0);
+    let mut cabled = vec![0u32; levels.len()];
+    for (sw, mask) in fabric.network().cabled_port_masks().iter().enumerate() {
+        cabled[params.switch_level_of(sw as u32) as usize] += mask.count_ones();
+    }
+    for (l, cabled) in levels.iter_mut().zip(cabled) {
+        l.mean_utilization /= f64::from(cabled.max(1));
     }
     Ok(CountersReport {
         report,
@@ -1196,10 +1196,11 @@ fn faults(cmd: &Cmd, fabric: &Fabric, out: &mut dyn Write) -> Result<(), CmdErro
     )?;
     writeln!(
         out,
-        "  delivered  : {} packets ({} load-dropped), accepted {:.4} bytes/ns/node, \
-         p99 latency {} ns",
+        "  delivered  : {} packets ({} lost at dead ports, {} discarded with no table \
+         entry), accepted {:.4} bytes/ns/node, p99 latency {} ns",
         r.delivered,
-        r.dropped,
+        r.fault_lost,
+        r.dropped - r.fault_lost,
         r.accepted_bytes_per_ns_per_node,
         r.latency.quantile(0.99)
     )?;

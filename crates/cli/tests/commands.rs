@@ -141,6 +141,62 @@ fn faults_disruption_pins_the_mlid_survival_story() {
 }
 
 #[test]
+fn a_stall_run_loses_nothing_at_dead_ports_but_discards_past_its_turn() {
+    // `faults 8x3 --kill 2 --policy stall`: no packet dies at a dead
+    // port, yet some are discarded. Each discard is a packet the repaired
+    // rows leave without an entry (up*/down* cannot climb back once a
+    // packet has turned down), so none falls before the reprogram.
+    let line = "faults 8x3 --kill 2 --policy stall";
+    let out = disrupt(line);
+    assert_eq!(out.report.fault_lost, 0);
+    assert!(out.report.dropped > 0, "the stall run must discard");
+    let reprogram = out
+        .disruption
+        .faults
+        .iter()
+        .map(|f| f.reprogram_at_ns)
+        .min();
+    let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+    let cmd = args::parse(&argv).unwrap();
+    let fabric = ib_fabric::Fabric::builder(cmd.m, cmd.n).build().unwrap();
+    let cfg = ib_fabric::SimConfig {
+        num_vls: cmd.vls,
+        faults: out.plan.clone(),
+        ..ib_fabric::SimConfig::default()
+    };
+    let recorder = ib_fabric::FlightRecorder::new(
+        u32::try_from(out.report.generated).unwrap(),
+        ib_fabric::TraceSampling::FirstN,
+        1,
+    );
+    let (report, recorder) = ib_fabric::sim::run(
+        fabric.network(),
+        fabric.routing(),
+        cfg,
+        cmd.pattern.clone().unwrap(),
+        ib_fabric::RunSpec::new(cmd.load, cmd.time_ns),
+        recorder,
+    )
+    .unwrap();
+    assert_eq!(
+        report.dropped, out.report.dropped,
+        "the traced run is the same run"
+    );
+    let drops: Vec<u64> = recorder
+        .traces()
+        .iter()
+        .flat_map(|t| &t.events)
+        .filter(|(_, ev)| matches!(ev, ib_fabric::TraceEvent::Dropped { .. }))
+        .map(|&(at, _)| at)
+        .collect();
+    assert_eq!(drops.len() as u64, report.dropped);
+    assert!(
+        drops.iter().all(|&at| Some(at) >= reprogram),
+        "a discard before the reprogram at {reprogram:?}: {drops:?}"
+    );
+}
+
+#[test]
 fn faults_json_is_byte_identical_across_runs() {
     // End-to-end through the real binary: the faults JSON deliberately
     // excludes wall-clock fields, so two runs of the same command must
@@ -529,6 +585,48 @@ fn counters_expose_the_slid_root_hot_spot_that_mlid_avoids() {
         imbalance(slid_roots),
         imbalance(mlid_roots)
     );
+}
+
+#[test]
+fn counters_level_means_average_over_cabled_ports() {
+    // FT(4,2) without link 8 (a leaf's cable to its node): level 1 keeps
+    // 15 of its 16 ports cabled, and its mean utilization averages over
+    // those 15. The intact tree averages over every port.
+    for line in [
+        "counters 4x2 --time-us 50",
+        "counters 4x2 --fail-links 8 --time-us 50",
+    ] {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        let cmd = args::parse(&argv).unwrap();
+        let fabric = ib_fabric::Fabric::builder(cmd.m, cmd.n)
+            .build()
+            .unwrap()
+            .with_failed_links(&cmd.fail_links);
+        let res = commands::collect_counters(&cmd, &fabric).unwrap();
+        let net = fabric.network();
+        let params = fabric.params();
+        let span = res.report.sim_time_ns as f64;
+        for l in &res.levels {
+            let (mut busy, mut cabled) = (0.0, 0);
+            for sw in (0..params.num_switches()).filter(|&sw| params.switch_level_of(sw) == l.level)
+            {
+                cabled += net.switch(ib_fabric::SwitchId(sw)).peers().count();
+                for port in 0..params.m() as u8 {
+                    busy += res.counters.port(sw, port).xmit_bytes as f64 / span;
+                }
+            }
+            let cut = usize::from(l.level == 1 && !cmd.fail_links.is_empty());
+            let expect_cabled = (params.switches_at_level(l.level) * params.m()) as usize - cut;
+            assert_eq!(cabled, expect_cabled, "{line}: level {}", l.level);
+            let mean = busy / cabled as f64;
+            assert!(
+                (l.mean_utilization - mean).abs() < 1e-12,
+                "{line}: level {} mean {} != {mean}",
+                l.level,
+                l.mean_utilization
+            );
+        }
+    }
 }
 
 #[test]

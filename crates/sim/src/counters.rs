@@ -608,14 +608,15 @@ impl Probe for FabricCounters {
     #[inline]
     fn tick(&mut self, now: Time, in_flight: usize) {
         if self.sample_interval_ns > 0 {
-            self.interval_events += 1;
             if now >= self.next_sample {
                 // Stamp the sample at the last boundary `now` crossed: no
                 // event fell between that boundary and `now`, so the
-                // snapshot is the fabric's state at the boundary.
+                // snapshot is the fabric's state at the boundary. The
+                // event at `now` belongs to the next interval.
                 let boundary = now - now % self.sample_interval_ns;
                 self.flush_sample(boundary, in_flight as u64);
             }
+            self.interval_events += 1;
         }
     }
 
@@ -700,6 +701,7 @@ mod tests {
         assert_eq!(c.samples().len(), 1);
         let s = &c.samples()[0];
         assert_eq!(s.t_ns, 1_000, "stamped at the boundary, not the event");
+        assert_eq!(s.events, 1);
         assert_eq!(s.delivered_pkts, 1);
         assert_eq!(s.in_flight, 3);
         assert_eq!(s.top_ports.len(), 1);

@@ -174,8 +174,9 @@ pub struct SimReport {
     pub warmup_ns: u64,
     /// Packets generated inside the measurement window.
     pub generated: u64,
-    /// Packets discarded by switches for lack of an LFT entry (only
-    /// possible on degraded fabrics), over the whole run.
+    /// Packets discarded by switches over the whole run: for lack of an
+    /// LFT entry (only possible on degraded fabrics), plus the
+    /// [`fault_lost`](Self::fault_lost) ones at dead ports.
     pub dropped: u64,
     /// Packets generated over the whole run (including warm-up).
     pub total_generated: u64,
