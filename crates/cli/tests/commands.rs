@@ -140,25 +140,22 @@ fn faults_disruption_pins_the_mlid_survival_story() {
     );
 }
 
-#[test]
-fn a_stall_run_loses_nothing_at_dead_ports_but_discards_past_its_turn() {
-    // `faults 8x3 --kill 2 --policy stall`: no packet dies at a dead
-    // port, yet some are discarded. Each discard is a packet the repaired
-    // rows leave without an entry (up*/down* cannot climb back once a
-    // packet has turned down), so none falls before the reprogram.
-    let line = "faults 8x3 --kill 2 --policy stall";
+/// Run one `faults` command line again with every packet traced: its
+/// analysis, the traced run's report, and each discard's time and cause.
+fn traced_drops(
+    line: &str,
+) -> (
+    commands::FaultsReport,
+    ib_fabric::SimReport,
+    Vec<(u64, ib_fabric::DropCause)>,
+) {
     let out = disrupt(line);
-    assert_eq!(out.report.fault_lost, 0);
-    assert!(out.report.dropped > 0, "the stall run must discard");
-    let reprogram = out
-        .disruption
-        .faults
-        .iter()
-        .map(|f| f.reprogram_at_ns)
-        .min();
     let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
     let cmd = args::parse(&argv).unwrap();
-    let fabric = ib_fabric::Fabric::builder(cmd.m, cmd.n).build().unwrap();
+    let fabric = ib_fabric::Fabric::builder(cmd.m, cmd.n)
+        .routing(cmd.scheme)
+        .build()
+        .unwrap();
     let cfg = ib_fabric::SimConfig {
         num_vls: cmd.vls,
         faults: out.plan.clone(),
@@ -182,18 +179,60 @@ fn a_stall_run_loses_nothing_at_dead_ports_but_discards_past_its_turn() {
         report.dropped, out.report.dropped,
         "the traced run is the same run"
     );
-    let drops: Vec<u64> = recorder
+    let drops: Vec<(u64, ib_fabric::DropCause)> = recorder
         .traces()
         .iter()
         .flat_map(|t| &t.events)
-        .filter(|(_, ev)| matches!(ev, ib_fabric::TraceEvent::Dropped { .. }))
-        .map(|&(at, _)| at)
+        .filter_map(|&(at, ev)| match ev {
+            ib_fabric::TraceEvent::Dropped { cause, .. } => Some((at, cause)),
+            _ => None,
+        })
         .collect();
     assert_eq!(drops.len() as u64, report.dropped);
+    (out, report, drops)
+}
+
+/// `(dead-port, no-entry)` discard counts.
+fn by_cause(drops: &[(u64, ib_fabric::DropCause)]) -> (u64, u64) {
+    let dead = drops
+        .iter()
+        .filter(|(_, c)| *c == ib_fabric::DropCause::DeadPort)
+        .count() as u64;
+    (dead, drops.len() as u64 - dead)
+}
+
+#[test]
+fn a_stall_run_loses_nothing_at_dead_ports_but_discards_past_its_turn() {
+    // `faults 8x3 --kill 2 --policy stall`: no packet dies at a dead
+    // port, yet some are discarded. Each discard is a packet the repaired
+    // rows leave without an entry (up*/down* cannot climb back once a
+    // packet has turned down), so none falls before the reprogram.
+    let (out, report, drops) = traced_drops("faults 8x3 --kill 2 --policy stall");
+    assert_eq!(out.report.fault_lost, 0);
+    assert!(out.report.dropped > 0, "the stall run must discard");
+    assert_eq!(by_cause(&drops), (0, 26));
+    assert_eq!(by_cause(&drops).0, report.fault_lost);
+    let reprogram = out
+        .disruption
+        .faults
+        .iter()
+        .map(|f| f.reprogram_at_ns)
+        .min();
     assert!(
-        drops.iter().all(|&at| Some(at) >= reprogram),
+        drops.iter().all(|&(at, _)| Some(at) >= reprogram),
         "a discard before the reprogram at {reprogram:?}: {drops:?}"
     );
+}
+
+#[test]
+fn a_drop_run_loses_at_dead_ports_and_discards_what_has_no_entry() {
+    // The same faults under the drop policy: nearly every discard is a
+    // packet meeting a dead port in the stale-table window, and exactly
+    // those are the report's `fault_lost`.
+    let (out, report, drops) = traced_drops("faults 8x3 --kill 2");
+    assert_eq!(by_cause(&drops), (69, 2));
+    assert_eq!(by_cause(&drops).0, report.fault_lost);
+    assert_eq!(report.fault_lost, out.report.fault_lost);
 }
 
 #[test]

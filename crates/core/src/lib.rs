@@ -59,11 +59,11 @@ pub use ibfat_routing::{
 };
 pub use ibfat_sim::{
     aggregate, disruption_report, generators, json, traces_to_jsonl, workload_trace, Aggregate,
-    ClosedLoopKind, DisruptionReport, FabricCounters, FaultAction, FaultEvent, FaultPlan,
-    FaultPolicy, FaultSummary, FlightRecorder, HotPort, InjectionProcess, LevelLoad, NoopProbe,
-    PacketTrace, PathSelection, PathSurvival, Phase, PhaseProfile, Probe, RunSpec, SimConfig,
-    SimReport, TraceEvent, TraceSampling, TrafficPattern, VlArbitration, VlAssignment, Workload,
-    WorkloadReport,
+    ClosedLoopKind, DisruptionReport, DropCause, FabricCounters, FaultAction, FaultEvent,
+    FaultPlan, FaultPolicy, FaultSummary, FlightRecorder, HotPort, InjectionProcess, LevelLoad,
+    NoopProbe, PacketTrace, PathSelection, PathSurvival, Phase, PhaseProfile, Probe, RunSpec,
+    SimConfig, SimReport, TraceEvent, TraceSampling, TrafficPattern, VlArbitration, VlAssignment,
+    Workload, WorkloadReport,
 };
 pub use ibfat_sm::SubnetManager;
 pub use ibfat_topology::{

@@ -36,12 +36,12 @@
 //! `feasible` of its up-peers. [`RepairState`] caches the sweep vectors of
 //! the previously routed network, so [`repair_fault_tolerant`] can re-run
 //! the (cheap) sweeps on the further-degraded network, reprogram **only**
-//! the switches whose inputs changed, and emit the exact `(switch, LID)`
-//! entry deltas as [`LftPatch`]es — the incremental reprogramming an SM
-//! performs after a mid-run failure. The result is bit-identical to a
-//! from-scratch [`build_fault_tolerant`] on the same degraded network.
+//! the switches whose inputs changed, and name the switches whose row
+//! actually changed — the incremental reprogramming an SM performs after
+//! a mid-run failure. The result is bit-identical to a from-scratch
+//! [`build_fault_tolerant`] on the same degraded network.
 
-use crate::{Lft, Lid, LidSpace, RouteOracle, Routing, RoutingKind};
+use crate::{Lft, LidSpace, RouteOracle, Routing, RoutingKind};
 use ibfat_topology::{DeviceRef, Network, NodeId, PortNum, SwitchId, SwitchLabel, TreeParams};
 
 /// A dense bitset over node ids.
@@ -234,15 +234,6 @@ pub fn build_fault_tolerant(net: &Network, kind: RoutingKind) -> Routing {
     Routing::assemble(kind, params, space, lfts)
 }
 
-/// One forwarding-table entry delta: set `(sw, lid)` to `port`
-/// (`None` = clear the entry; the destination became unreachable).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LftPatch {
-    pub sw: SwitchId,
-    pub lid: Lid,
-    pub port: Option<PortNum>,
-}
-
 /// What an incremental repair touched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RepairStats {
@@ -283,7 +274,8 @@ impl RepairState {
 /// captured on) for the further-degraded (or partially revived) network
 /// `net`: re-run the reachability sweeps, reprogram only the switches
 /// whose pass-3 inputs changed, and return the repaired routing plus the
-/// exact entry-level deltas.
+/// ascending ids of the switches whose row changed (`Lft::changes_from`
+/// on their old and new rows gives the exact entry deltas).
 ///
 /// The returned tables are bit-identical to
 /// `build_fault_tolerant(net, kind)`; `state` is advanced to `net` so
@@ -297,7 +289,7 @@ pub fn repair_fault_tolerant(
     kind: RoutingKind,
     prev: &Routing,
     state: &mut RepairState,
-) -> (Routing, Vec<LftPatch>, RepairStats) {
+) -> (Routing, Vec<SwitchId>, RepairStats) {
     let params = net.params();
     assert_eq!(prev.kind(), kind, "repair must continue the same scheme");
     let oracle = closed_form(params, kind);
@@ -349,8 +341,8 @@ pub fn repair_fault_tolerant(
 
     let max_lid = space.max_lid();
     let mut lfts = Vec::with_capacity(num_switches);
-    let mut patches = Vec::new();
-    let mut switches_reprogrammed = 0;
+    let mut changed = Vec::new();
+    let mut entries_patched = 0;
     for label in SwitchLabel::all(params) {
         let sw = label.id(params);
         let old = prev.lft(sw);
@@ -359,27 +351,23 @@ pub fn repair_fault_tolerant(
             continue;
         }
         let fresh = program_switch(net, &oracle, &space, &label, &reach_down, &feasible);
-        let before = patches.len();
-        patches.extend(
-            fresh
-                .changes_from(old)
-                .map(|(lid, port)| LftPatch { sw, lid, port }),
-        );
-        if patches.len() > before {
-            switches_reprogrammed += 1;
+        let entries = fresh.changes_from(old).count();
+        if entries > 0 {
+            changed.push(sw);
+            entries_patched += entries;
         }
         lfts.push(fresh);
     }
 
     let stats = RepairStats {
-        switches_reprogrammed,
-        entries_patched: patches.len(),
+        switches_reprogrammed: changed.len(),
+        entries_patched,
         table_entries: num_switches * (max_lid.index() + 1),
     };
     state.reach_down = reach_down;
     state.feasible = feasible;
     state.live_mask = live_mask;
-    (Routing::assemble(kind, params, space, lfts), patches, stats)
+    (Routing::assemble(kind, params, space, lfts), changed, stats)
 }
 
 /// The base scheme's arithmetic, which the repaired tables follow
@@ -409,7 +397,7 @@ fn down_port_live(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{verify_all_lids_deliver, verify_deadlock_free};
+    use crate::{verify_all_lids_deliver, verify_deadlock_free, Lid};
     use ibfat_topology::TreeParams;
 
     fn build(m: u32, n: u32) -> Network {
@@ -463,7 +451,7 @@ mod tests {
                 // Indices shift after a removal; recompute from the live set.
                 let live = degraded.inter_switch_link_indices();
                 degraded.remove_link(live[pick % live.len()]);
-                let (repaired, patches, stats) =
+                let (repaired, changed, stats) =
                     repair_fault_tolerant(&degraded, kind, &routing, &mut state);
                 let full = build_fault_tolerant(&degraded, kind);
                 assert_eq!(
@@ -471,12 +459,12 @@ mod tests {
                     full.lfts(),
                     "{kind} step {step}: incremental != full"
                 );
-                assert_eq!(stats.entries_patched, patches.len());
+                assert_eq!(stats.switches_reprogrammed, changed.len());
                 assert!(
                     stats.entries_patched < stats.table_entries,
                     "{kind} step {step}: repair touched the whole table"
                 );
-                assert!(!patches.is_empty(), "{kind} step {step}: a kill must patch");
+                assert!(!changed.is_empty(), "{kind} step {step}: a kill must patch");
                 routing = repaired;
             }
         }
@@ -487,10 +475,10 @@ mod tests {
         let net = build(4, 2);
         let routing = build_fault_tolerant(&net, RoutingKind::Mlid);
         let mut state = RepairState::new(&net);
-        let (repaired, patches, stats) =
+        let (repaired, changed, stats) =
             repair_fault_tolerant(&net, RoutingKind::Mlid, &routing, &mut state);
         assert_eq!(repaired.lfts(), routing.lfts());
-        assert!(patches.is_empty());
+        assert!(changed.is_empty());
         assert_eq!(stats.switches_reprogrammed, 0);
     }
 

@@ -62,7 +62,7 @@ mod verify;
 
 pub use deadlock::{channel_dependency_graph, verify_deadlock_free, CdgReport};
 pub use error::RoutingError;
-pub use fault::{build_fault_tolerant, repair_fault_tolerant, LftPatch, RepairState, RepairStats};
+pub use fault::{build_fault_tolerant, repair_fault_tolerant, RepairState, RepairStats};
 pub use lft::{Lft, BLOCK_LIDS};
 pub use lid::{Lid, LidSpace};
 pub use load::{all_to_all_loads, loads_for_matrix, routable_all_to_all_loads, ChannelLoads};

@@ -7,7 +7,7 @@
 //! a row is programmed must reproduce them byte for byte.
 
 use ibfat_routing::{
-    build_fault_tolerant, repair_fault_tolerant, LftPatch, RepairState, Routing, RoutingKind,
+    build_fault_tolerant, repair_fault_tolerant, RepairState, Routing, RoutingKind,
 };
 use ibfat_topology::{DeviceRef, Network, SwitchId, TreeParams};
 
@@ -32,11 +32,15 @@ impl Fnv {
         }
     }
 
-    fn patches(&mut self, patches: &[LftPatch]) {
-        for p in patches {
-            self.bytes(&p.sw.0.to_le_bytes());
-            self.bytes(&p.lid.0.to_le_bytes());
-            self.bytes(&[p.port.map_or(0, |port| port.0)]);
+    /// Every `(switch, LID, port)` entry delta from `old` to `new` on the
+    /// given switches, in order (port 0 = entry cleared).
+    fn patches(&mut self, changed: &[SwitchId], old: &Routing, new: &Routing) {
+        for &sw in changed {
+            for (lid, port) in new.lft(sw).changes_from(old.lft(sw)) {
+                self.bytes(&sw.0.to_le_bytes());
+                self.bytes(&lid.0.to_le_bytes());
+                self.bytes(&[port.map_or(0, |port| port.0)]);
+            }
         }
     }
 }
@@ -94,9 +98,9 @@ fn digests(m: u32, n: u32, kind: RoutingKind, sw: Option<u32>) -> (u64, u64) {
     let mut state = RepairState::new(&net);
     for dead in &steps {
         let dnet = without(&net, dead);
-        let (repaired, patches, stats) = repair_fault_tolerant(&dnet, kind, &routing, &mut state);
+        let (repaired, changed, stats) = repair_fault_tolerant(&dnet, kind, &routing, &mut state);
         chain.tables(&repaired);
-        chain.patches(&patches);
+        chain.patches(&changed, &routing, &repaired);
         chain.bytes(&(stats.switches_reprogrammed as u64).to_le_bytes());
         routing = repaired;
     }

@@ -7,13 +7,12 @@
 //! * a [`FaultPlan`] — an ordered schedule of link/switch kill and
 //!   revive events, with seeded selection helpers — travels inside
 //!   [`crate::SimConfig`] and is compiled once per run;
-//! * compilation replays the subnet manager's reaction
-//!   ([`ibfat_sm::SubnetManager::reconverge`]) fault by fault on the
-//!   degraded network [`Network::without`] builds, producing for each
-//!   event the dead-port masks (the base network's cabled ports minus
-//!   the degraded one's), the SM's repaired row of every switch the fault
-//!   patched, and the modeled reconvergence latency (detection +
-//!   per-switch reprogramming);
+//! * compilation repairs the tables ([`repair_fault_tolerant`]) fault by
+//!   fault on the degraded network [`Network::without`] builds, producing
+//!   for each event the dead-port masks (the base network's cabled ports
+//!   minus the degraded one's), the repaired row of every switch whose
+//!   row changed, and the plan's modeled reconvergence latency
+//!   (`detect_ns + per_switch_ns` × switches reprogrammed);
 //! * the engine schedules one `FaultApply` event at each fault instant
 //!   and one `SwReprogram` event per patched switch, in ascending switch
 //!   id, at the fault's reprogram time; each installs its row whole. The
@@ -38,10 +37,10 @@ use crate::json::{enum_from, enum_name, Codec, Json, JsonBuf, Obj};
 use crate::metrics::SimReport;
 use crate::SimError;
 use ibfat_routing::{
-    build_fault_tolerant, routable_all_to_all_loads, Lft, RepairState, Routing, RoutingKind,
+    build_fault_tolerant, repair_fault_tolerant, routable_all_to_all_loads, Lft, RepairState,
+    Routing, RoutingKind,
 };
-use ibfat_sm::{ReconvergenceModel, SubnetManager};
-use ibfat_topology::{DeviceRef, Network, NodeId, PortNum, SwitchId};
+use ibfat_topology::{DeviceRef, Network, NodeId, PortNum};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use std::collections::BTreeSet;
@@ -110,12 +109,13 @@ pub struct FaultPlan {
 
 impl Default for FaultPlan {
     fn default() -> Self {
-        let model = ReconvergenceModel::default();
+        // Detection dominated by a sweep interval, reprogramming by a few
+        // `SubnSet(LinearForwardingTable)` MADs per switch.
         FaultPlan {
             events: Vec::new(),
             policy: FaultPolicy::Drop,
-            detect_ns: model.detect_ns,
-            per_switch_ns: model.per_switch_ns,
+            detect_ns: 1_000_000,  // 1 ms
+            per_switch_ns: 10_000, // 10 µs per switch
         }
     }
 }
@@ -322,47 +322,30 @@ impl Codec for FaultPlan {
     }
 }
 
-/// One compiled fault: the engine state to install at `at`, and the
-/// reprogramming to perform at `reprogram_at`.
+/// One compiled fault: what the report says about it, the engine state
+/// to install at its instant, and the rows to install at its reprogram.
 #[derive(Debug, Clone)]
 pub(crate) struct CompiledFault {
-    /// The fault instant.
-    pub(crate) at: Time,
-    /// When the SM finishes reprogramming (`at + latency`, clamped
+    /// The fault's report line. Its `reprogram_at_ns` is clamped
     /// nondecreasing across faults so overlapping reconvergences keep a
-    /// deterministic apply order).
-    pub(crate) reprogram_at: Time,
+    /// deterministic apply order.
+    pub(crate) summary: FaultSummary,
     /// Per-switch dead-port bitmask after this fault (bit `k` = 0-based
     /// port `k` is dead).
     pub(crate) sw_dead: Vec<u64>,
     /// Switches that are powered off after this fault.
     pub(crate) sw_killed: Vec<bool>,
-    /// The SM's repaired row of every switch this fault patched, in
+    /// The repaired row of every switch whose row this fault changed, in
     /// ascending switch id: the row the reprogram installs whole.
     pub(crate) rows: Vec<(u32, Lft)>,
-    /// Repair cost counters (for the report).
-    pub(crate) switches_reprogrammed: usize,
-    pub(crate) entries_patched: usize,
-    pub(crate) table_entries: usize,
-    /// Modeled detection + reprogramming latency.
-    pub(crate) latency_ns: Time,
 }
 
-/// Compile a plan against the base network and routing. Pure and
-/// deterministic; fails on a plan that is invalid for `net` or a routing
-/// scheme without patch-level repair.
+/// Compile a plan against the base network and routing: the compiled
+/// faults in schedule order, plus the final degraded network and the
+/// final repaired routing (what the fabric forwards with after the last
+/// reprogram). Pure and deterministic; fails on a plan that is invalid
+/// for `net` or a routing scheme without patch-level repair.
 pub(crate) fn compile(
-    net: &Network,
-    routing: &Routing,
-    plan: &FaultPlan,
-) -> Result<Vec<CompiledFault>, SimError> {
-    Ok(compile_full(net, routing, plan)?.0)
-}
-
-/// [`compile`], also returning the final degraded network and the final
-/// repaired routing (what the fabric forwards with after the last
-/// reprogram) for post-run analysis.
-pub(crate) fn compile_full(
     net: &Network,
     routing: &Routing,
     plan: &FaultPlan,
@@ -377,11 +360,6 @@ pub(crate) fn compile_full(
         ));
     }
     let num_sw = net.num_switches();
-    let sm = SubnetManager::new(kind, NodeId(0));
-    let model = ReconvergenceModel {
-        detect_ns: plan.detect_ns,
-        per_switch_ns: plan.per_switch_ns,
-    };
     let mut state = RepairState::new(net);
     let base_masks = net.cabled_port_masks();
     let mut prev: Option<Routing> = None;
@@ -416,30 +394,33 @@ pub(crate) fn compile_full(
         let sw_killed: Vec<bool> = (0..num_sw as u32)
             .map(|s| killed_sws.contains(&s))
             .collect();
-        let rc = sm
-            .reconverge(&dnet, prev.as_ref().unwrap_or(routing), &mut state, model)
-            .expect("fat-tree reconvergence cannot fail for MLID/SLID");
-        let mut patched: Vec<SwitchId> = rc.patches.iter().map(|p| p.sw).collect();
-        patched.sort_unstable();
-        patched.dedup();
-        let reprogram_at = floor.max(ev.at_ns.saturating_add(rc.latency_ns));
+        let (repaired, changed, stats) =
+            repair_fault_tolerant(&dnet, kind, prev.as_ref().unwrap_or(routing), &mut state);
+        let latency_ns = plan.detect_ns.saturating_add(
+            plan.per_switch_ns
+                .saturating_mul(stats.switches_reprogrammed as u64),
+        );
+        let reprogram_at = floor.max(ev.at_ns.saturating_add(latency_ns));
         floor = reprogram_at;
         faults.push(CompiledFault {
-            at: ev.at_ns,
-            reprogram_at,
+            summary: FaultSummary {
+                at_ns: ev.at_ns,
+                action: ev.action,
+                reprogram_at_ns: reprogram_at,
+                reconvergence_ns: latency_ns,
+                switches_reprogrammed: stats.switches_reprogrammed,
+                entries_patched: stats.entries_patched,
+                table_entries: stats.table_entries,
+            },
             sw_dead,
             sw_killed,
-            rows: patched
+            rows: changed
                 .into_iter()
-                .map(|sw| (sw.0, rc.routing.lft(sw).clone()))
+                .map(|sw| (sw.0, repaired.lft(sw).clone()))
                 .collect(),
-            switches_reprogrammed: rc.stats.switches_reprogrammed,
-            entries_patched: rc.stats.entries_patched,
-            table_entries: rc.stats.table_entries,
-            latency_ns: rc.latency_ns,
         });
         final_net = dnet;
-        prev = Some(rc.routing);
+        prev = Some(repaired);
     }
     let final_routing = prev.unwrap_or_else(|| routing.clone());
     Ok((faults, final_net, final_routing))
@@ -670,8 +651,11 @@ fn tier_loads(net: &Network, routing: &Routing) -> (Vec<u32>, Vec<u64>, Vec<u64>
 
 /// Assemble the post-run [`DisruptionReport`] for a faulted run: engine
 /// counters come from `report`, everything else is recomputed from the
-/// plan (compilation is cheap and pure, so this needs no state carried
-/// out of the engine).
+/// plan. That compiles the plan a second time (the run compiled it once):
+/// every repair in the plan runs again, and at FT(32,3) each one is a set
+/// of sweeps over the whole LID space. Handing the run's compiled plan to
+/// the report waits on ROADMAP items 1 and 8, which move the benchmark
+/// onto the public run API.
 ///
 /// # Panics
 /// Panics with the [`SimError::InvalidFaultPlan`] text if the plan is
@@ -684,20 +668,9 @@ pub fn disruption_report(
     report: &SimReport,
 ) -> DisruptionReport {
     let (compiled, final_net, final_routing) =
-        compile_full(net, routing, plan).unwrap_or_else(|e| panic!("{e}"));
-    let faults: Vec<FaultSummary> = compiled
-        .iter()
-        .zip(&plan.events)
-        .map(|(cf, ev)| FaultSummary {
-            at_ns: cf.at,
-            action: ev.action,
-            reprogram_at_ns: cf.reprogram_at,
-            reconvergence_ns: cf.latency_ns,
-            switches_reprogrammed: cf.switches_reprogrammed,
-            entries_patched: cf.entries_patched,
-            table_entries: cf.table_entries,
-        })
-        .collect();
+        compile(net, routing, plan).unwrap_or_else(|e| panic!("{e}"));
+    let faults: Vec<FaultSummary> = compiled.into_iter().map(|cf| cf.summary).collect();
+    let total_reconvergence_ns = faults.iter().map(|f| f.reconvergence_ns).sum();
     let survival = survival_of(&final_net, &final_routing);
     let slid_survival = if routing.kind() == RoutingKind::Slid {
         survival.clone()
@@ -729,7 +702,7 @@ pub fn disruption_report(
         packets_lost: report.fault_lost,
         packets_stalled: report.fault_stalled,
         packets_rerouted: report.fault_rerouted,
-        total_reconvergence_ns: compiled.iter().map(|f| f.latency_ns).sum(),
+        total_reconvergence_ns,
         survival,
         slid_survival,
         level_loads,
@@ -858,7 +831,7 @@ mod tests {
                 ],
                 ..FaultPlan::default()
             };
-            let (rt, final_net, final_routing) = compile_full(&net, &routing, &plan).unwrap();
+            let (rt, final_net, final_routing) = compile(&net, &routing, &plan).unwrap();
             assert_eq!(rt.len(), 3);
             // Final fabric: only l1 dead.
             let expect_net = net.without(&[l1 as usize], &[]);
@@ -875,14 +848,26 @@ mod tests {
             assert!(!rt[2].rows.is_empty());
             assert!(rt[2].rows.windows(2).all(|w| w[0].0 < w[1].0));
             for (sw, row) in &rt[2].rows {
-                assert_eq!(row, final_routing.lft(SwitchId(*sw)), "{kind}: S{sw}");
+                assert_eq!(
+                    row,
+                    final_routing.lft(ibfat_topology::SwitchId(*sw)),
+                    "{kind}: S{sw}"
+                );
             }
-            // Reprogram times are nondecreasing and strictly after the fault.
+            // Each fault is priced from the plan, reprograms exactly the
+            // rows it carries, and its reprogram lands after the fault,
+            // nondecreasing across faults.
             let mut prev = 0;
             for f in &rt {
-                assert!(f.reprogram_at >= f.at + plan.detect_ns);
-                assert!(f.reprogram_at >= prev);
-                prev = f.reprogram_at;
+                let sum = &f.summary;
+                assert_eq!(
+                    sum.reconvergence_ns,
+                    plan.detect_ns + plan.per_switch_ns * sum.switches_reprogrammed as u64
+                );
+                assert_eq!(f.rows.len(), sum.switches_reprogrammed);
+                assert!(sum.reprogram_at_ns >= sum.at_ns + plan.detect_ns);
+                assert!(sum.reprogram_at_ns >= prev);
+                prev = sum.reprogram_at_ns;
             }
         }
     }
@@ -906,7 +891,7 @@ mod tests {
         assert_eq!(killed_nodes, net.params().half() as usize);
         assert!(kills.iter().all(|&t| t == 500 || t == Time::MAX));
         let routing = Routing::build(&net, RoutingKind::Mlid);
-        let rt = compile(&net, &routing, &plan).unwrap();
+        let (rt, _, _) = compile(&net, &routing, &plan).unwrap();
         let cf = &rt[0];
         assert!(cf.sw_killed[leaf as usize]);
         // Every port of the killed switch is dead, and so is the

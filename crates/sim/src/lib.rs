@@ -87,7 +87,9 @@ pub use runner::{
     aggregate, par_map_indexed, replicate, run, run_workload, sweep, Aggregate, RunSpec,
 };
 pub use sim::Simulator;
-pub use trace::{traces_to_jsonl, FlightRecorder, PacketTrace, TraceEvent, TraceSampling};
+pub use trace::{
+    traces_to_jsonl, DropCause, FlightRecorder, PacketTrace, TraceEvent, TraceSampling,
+};
 pub use traffic::TrafficPattern;
 pub use vlarb::{VlArbiter, VlArbitration};
 // The message-level workload layer: the data model re-exported from

@@ -41,7 +41,7 @@ use crate::lanes::LaneRings;
 use crate::metrics::{LatencyStats, SimReport};
 use crate::packet::{Packet, PacketId, PacketSlab};
 use crate::probe::{NoopProbe, Phase, Probe};
-use crate::trace::TraceEvent;
+use crate::trace::{DropCause, TraceEvent};
 use crate::vlarb::VlArbiter;
 use crate::{
     InjectionProcess, PathSelection, RunSpec, SimConfig, SimError, TrafficPattern, VlAssignment,
@@ -412,7 +412,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
         let faults = if cfg.faults.is_empty() {
             None
         } else {
-            let compiled = crate::faults::compile(net, routing, &cfg.faults)?;
+            let (compiled, _, _) = crate::faults::compile(net, routing, &cfg.faults)?;
             Some(Box::new(crate::faults::FaultState::new(
                 net,
                 &cfg.faults,
@@ -767,7 +767,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
             // filtered.
             match ev {
                 Ev::SwHeaderArrive { sw, pkt, .. } if f.sw_killed[sw as usize] => {
-                    self.fault_drop_arrival(sw, pkt);
+                    self.drop_packet(sw, pkt, DropCause::DeadPort);
                     return;
                 }
                 Ev::SwRouteDone { sw, .. }
@@ -828,29 +828,37 @@ impl<'a, P: Probe> Simulator<'a, P> {
         };
         for (fi, cf) in f.faults.iter().enumerate() {
             let fault = fi as u32;
-            self.queue.schedule(cf.at, Ev::FaultApply { fault });
+            self.queue
+                .schedule(cf.summary.at_ns, Ev::FaultApply { fault });
             for &(sw, _) in &cf.rows {
                 self.queue
-                    .schedule(cf.reprogram_at, Ev::SwReprogram { fault, sw });
+                    .schedule(cf.summary.reprogram_at_ns, Ev::SwReprogram { fault, sw });
             }
         }
     }
 
-    /// Discard a packet whose header arrived through a dead port (or at a
-    /// powered-off switch): it never occupies an input buffer, so no
-    /// credit returns — the upstream sender leaks that credit, which is
-    /// exactly as deterministic as the wire it lost.
-    fn fault_drop_arrival(&mut self, sw: u32, pkt: PacketId) {
+    /// Discard packet `pkt` at switch `sw` for `cause`; a dead-port
+    /// discard is a fault loss. Called directly for a header that arrives
+    /// through a dead port (or at a powered-off switch): it never
+    /// occupies an input buffer, so no credit returns — the upstream
+    /// sender leaks that credit, which is exactly as deterministic as the
+    /// wire it lost. A buffered head goes through `discard_head`.
+    fn drop_packet(&mut self, sw: u32, pkt: PacketId, cause: DropCause) {
         self.dropped += 1;
         if P::COUNTERS {
             self.probe.sw_drop(self.now, sw);
         }
         if P::PACKETS {
             self.probe
-                .packet_event(self.now, pkt, TraceEvent::Dropped { sw });
+                .packet_event(self.now, pkt, TraceEvent::Dropped { sw, cause });
         }
         self.slab.remove(pkt);
-        self.faults.as_mut().expect("fault drop without state").lost += 1;
+        if cause == DropCause::DeadPort {
+            self.faults
+                .as_mut()
+                .expect("dead port without fault state")
+                .lost += 1;
+        }
     }
 
     /// A scheduled fault fires: copy the compiled post-fault dead-port
@@ -1173,7 +1181,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
             if f.sw_dead[sw as usize] & (1u64 << port) != 0
                 && matches!(f.policy, crate::FaultPolicy::Drop)
             {
-                self.fault_drop_arrival(sw, pkt);
+                self.drop_packet(sw, pkt, DropCause::DeadPort);
                 return;
             }
         }
@@ -1230,7 +1238,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
         if out_port == u8::MAX {
             // No LFT entry (possible on degraded fabrics): the switch
             // discards the packet, per IBA semantics.
-            self.discard_head(sw, port, vl, head.pkt);
+            self.discard_head(sw, port, vl, head.pkt, DropCause::NoEntry);
             return;
         }
         // Adaptive upward routing: any parent reaches every destination
@@ -1243,15 +1251,13 @@ impl<'a, P: Probe> Simulator<'a, P> {
         };
         // The table still names a dead output in the window between a
         // fault and the SM's reprogram of this switch. Drop policy:
-        // discard exactly like a missing LFT entry. Stall policy: park
-        // the head; `sw_reprogram` re-routes it against the patched
-        // table.
+        // discard it as a dead-port loss. Stall policy: park the head;
+        // `sw_reprogram` re-routes it against the patched table.
         if let Some(f) = &self.faults {
             if f.sw_dead[sw as usize] & (1u64 << out_port) != 0 {
                 let drop = matches!(f.policy, crate::FaultPolicy::Drop);
                 if drop {
-                    self.discard_head(sw, port, vl, head.pkt);
-                    self.faults.as_mut().expect("checked above").lost += 1;
+                    self.discard_head(sw, port, vl, head.pkt, DropCause::DeadPort);
                 } else {
                     let head_mut = self.lanes.in_q.front_mut(lane).expect("checked nonempty");
                     head_mut.state = InState::Waiting(out_port);
@@ -1272,20 +1278,12 @@ impl<'a, P: Probe> Simulator<'a, P> {
         self.sw_request_output(sw, port, vl, out_port);
     }
 
-    /// Discard the routed head of input lane `(sw, port, vl)`. The input
-    /// buffer frees once the tail has fully arrived; model that as the
-    /// remaining serialization time from now (the header has been in the
-    /// buffer for exactly `route_ns`).
-    fn discard_head(&mut self, sw: u32, port: u8, vl: u8, pkt: PacketId) {
-        self.dropped += 1;
-        if P::COUNTERS {
-            self.probe.sw_drop(self.now, sw);
-        }
-        if P::PACKETS {
-            self.probe
-                .packet_event(self.now, pkt, TraceEvent::Dropped { sw });
-        }
-        self.slab.remove(pkt);
+    /// Discard the routed head of input lane `(sw, port, vl)` for
+    /// `cause`. The input buffer frees once the tail has fully arrived;
+    /// model that as the remaining serialization time from now (the
+    /// header has been in the buffer for exactly `route_ns`).
+    fn discard_head(&mut self, sw: u32, port: u8, vl: u8, pkt: PacketId, cause: DropCause) {
+        self.drop_packet(sw, pkt, cause);
         let lane = self.lane(sw, port, vl);
         let head = self.lanes.in_q.front_mut(lane).expect("a routed head");
         head.state = InState::Departing;

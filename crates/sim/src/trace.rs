@@ -8,7 +8,7 @@
 //! recorded run's report is the unrecorded run's report.
 
 use crate::engine::Time;
-use crate::json::{Json, JsonBuf};
+use crate::json::{enum_from, enum_name, Json, JsonBuf};
 use crate::packet::PacketId;
 use crate::probe::Probe;
 
@@ -187,12 +187,29 @@ pub enum TraceEvent {
     },
     /// Tail arrived at the destination endport.
     Delivered,
-    /// Discarded for lack of an LFT entry.
+    /// Discarded.
     Dropped {
         /// Switch id.
         sw: u32,
+        /// Why the switch discarded it.
+        cause: DropCause,
     },
 }
+
+/// Why a switch discarded a packet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DropCause {
+    /// A fault killed the port the packet arrived through or was routed
+    /// onto (or the whole switch): counted in `fault_lost`.
+    DeadPort,
+    /// The switch's table has no entry for the packet's DLID.
+    NoEntry,
+}
+
+const DROP_CAUSES: [(DropCause, &str); 2] = [
+    (DropCause::DeadPort, "dead_port"),
+    (DropCause::NoEntry, "no_entry"),
+];
 
 /// The timeline of one packet.
 #[derive(Debug, Clone, PartialEq)]
@@ -261,7 +278,13 @@ impl PacketTrace {
                     format!("credit-stalled at S{sw} out-port {}", out_port + 1)
                 }
                 TraceEvent::Delivered => "delivered".to_string(),
-                TraceEvent::Dropped { sw } => format!("DROPPED at S{sw} (no LFT entry)"),
+                TraceEvent::Dropped { sw, cause } => format!(
+                    "DROPPED at S{sw} ({})",
+                    match cause {
+                        DropCause::DeadPort => "dead port",
+                        DropCause::NoEntry => "no LFT entry",
+                    }
+                ),
             };
             let _ = writeln!(out, "  t+{:>6} ns  {what}", t - t0);
         }
@@ -312,7 +335,7 @@ impl PacketTrace {
                     ("credit_stalled", Some((sw, out_port)))
                 }
                 TraceEvent::Delivered => ("delivered", None),
-                TraceEvent::Dropped { sw } => ("dropped", Some((sw, u8::MAX))),
+                TraceEvent::Dropped { sw, .. } => ("dropped", Some((sw, u8::MAX))),
             };
             j.field_str("ev", kind);
             if let Some((sw, port)) = sw_port {
@@ -320,6 +343,9 @@ impl PacketTrace {
                 if port != u8::MAX {
                     j.field_u64("port", u64::from(port) + 1);
                 }
+            }
+            if let TraceEvent::Dropped { cause, .. } = ev {
+                j.field_str("cause", enum_name(&DROP_CAUSES, &cause));
             }
             j.end_obj();
         }
@@ -364,7 +390,10 @@ impl PacketTrace {
                     out_port: port()?,
                 },
                 "delivered" => TraceEvent::Delivered,
-                "dropped" => TraceEvent::Dropped { sw: sw()? },
+                "dropped" => TraceEvent::Dropped {
+                    sw: sw()?,
+                    cause: enum_from(&DROP_CAUSES, e.field("cause")?, "cause")?,
+                },
                 other => return Err(format!("unknown trace event \"{other}\"")),
             };
             events.push((e.int("t_ns")?, event));
@@ -532,10 +561,21 @@ mod tests {
                 },
             ),
         );
-        let mut dropped = sample();
-        dropped.events.pop();
-        dropped.events.push((900, TraceEvent::Dropped { sw: 3 }));
-        for t in [t, dropped] {
+        let mut traces = vec![t];
+        for cause in [DropCause::DeadPort, DropCause::NoEntry] {
+            let mut dropped = sample();
+            dropped.events.pop();
+            dropped
+                .events
+                .push((900, TraceEvent::Dropped { sw: 3, cause }));
+            let why = match cause {
+                DropCause::DeadPort => "DROPPED at S3 (dead port)",
+                DropCause::NoEntry => "DROPPED at S3 (no LFT entry)",
+            };
+            assert!(dropped.render().contains(why), "{}", dropped.render());
+            traces.push(dropped);
+        }
+        for t in traces {
             let doc = crate::json::parse(&t.to_json_line(5)).unwrap();
             assert_eq!(PacketTrace::decode(&doc).unwrap(), t);
         }

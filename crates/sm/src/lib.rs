@@ -22,15 +22,18 @@
 //!    tables from the recovered labels, and hand back a programmed
 //!    [`ibfat_routing::Routing`]. On a degraded fabric it falls back to
 //!    fault-repaired tables.
+//!
+//! Initialization is the whole of it. Repairing the tables after a
+//! mid-run fault is not an SM step here: the simulator's fault compiler
+//! calls [`ibfat_routing::repair_fault_tolerant`] itself and prices the
+//! reprogram from its fault plan.
 
 mod discovery;
 mod mad;
 mod manager;
 mod recognize;
-mod reconverge;
 
 pub use discovery::{discover, DiscoveredDevice, DiscoveredTopology, Edge};
 pub use mad::{directed_routes, time_bring_up, BringUpReport, DirectedRoute, MadCosts};
 pub use manager::{SmError, SmOutcome, SubnetManager};
 pub use recognize::{recognize, RecognitionError, RecoveredFatTree};
-pub use reconverge::{Reconvergence, ReconvergenceModel};
