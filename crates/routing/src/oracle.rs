@@ -89,8 +89,9 @@ pub struct RouteOracle {
     params: TreeParams,
     lmc: u32,
     max_lid: u32,
-    /// `pows[k] = (m/2)^k`, precomputed up to `half^n`.
-    pows: Vec<u32>,
+    /// `log2(m/2)`: `m` is a power of two, so every power of `m/2` the
+    /// equations divide by is a shift.
+    log_half: u32,
 }
 
 impl RouteOracle {
@@ -104,14 +105,12 @@ impl RouteOracle {
             RoutingKind::Slid => 0,
             RoutingKind::UpDown => return None,
         };
-        let half = params.half();
-        let pows: Vec<u32> = (0..=params.n()).map(|k| half.pow(k)).collect();
         Some(RouteOracle {
             kind,
             params,
             lmc,
             max_lid: params.num_nodes() << lmc,
-            pows,
+            log_half: params.half().trailing_zeros(),
         })
     }
 
@@ -151,11 +150,11 @@ impl RouteOracle {
         LidSpace::new(self.params.num_nodes(), self.lmc)
     }
 
-    /// `(m/2)^(n-1-level)`: the nodes below each down-port of a switch
-    /// at `level`, and the divisor of both equations.
+    /// log2 of `(m/2)^(n-1-level)`: the nodes below each down-port of a
+    /// switch at `level`, and the divisor of both equations.
     #[inline]
-    fn stride(&self, level: u32) -> u32 {
-        self.pows[(self.params.n() - 1 - level) as usize]
+    fn stride_shift(&self, level: u32) -> u32 {
+        self.log_half * (self.params.n() - 1 - level)
     }
 
     /// Equation (1): the down-port toward node `pid` from a switch at
@@ -167,7 +166,7 @@ impl RouteOracle {
         } else {
             self.params.half()
         };
-        PortNum(((pid / self.stride(level)) % radix + 1) as u8)
+        PortNum(((pid >> self.stride_shift(level) & (radix - 1)) + 1) as u8)
     }
 
     /// Equation (2): the up-port a switch at `level` climbs through for
@@ -175,7 +174,7 @@ impl RouteOracle {
     #[inline]
     pub(crate) fn up_port(&self, level: u32, lid: Lid) -> PortNum {
         let half = self.params.half();
-        PortNum(((lid.0 - 1) / self.stride(level) % half + half + 1) as u8)
+        PortNum((((lid.0 - 1) >> self.stride_shift(level) & (half - 1)) + half + 1) as u8)
     }
 
     /// The port a switch forwards `dlid` out of — exactly the entry its
@@ -190,9 +189,9 @@ impl RouteOracle {
         let level = self.params.switch_level_of(switch.0);
         let idx = switch.0 - self.params.level_offset(level);
         // The subtree below `idx` is the node range sharing its first
-        // `level` label digits: one integer-division prefix comparison.
-        let stride = self.stride(level);
-        let below = level == 0 || idx / stride == pid / (stride * self.params.half());
+        // `level` label digits: one shifted prefix comparison.
+        let shift = self.stride_shift(level);
+        let below = level == 0 || idx >> shift == pid >> (shift + self.log_half);
         Some(if below {
             self.down_port(level, pid)
         } else {
@@ -212,16 +211,16 @@ impl RouteOracle {
         if src == dst {
             return 0;
         }
-        let half = params.half();
-        // `(m/2)^(n-1-alpha)`, for alpha = n-1, n-2, …, 0 in turn.
-        let mut group = 1;
+        let log_half = params.half().trailing_zeros();
+        // log2 of `(m/2)^(n-1-alpha)`, for alpha = n-1, n-2, …, 0 in turn.
+        let mut group = 0;
         for _ in 1..params.n() {
-            if src.0 / (group * half) == dst.0 / (group * half) {
+            if src.0 >> (group + log_half) == dst.0 >> (group + log_half) {
                 break;
             }
-            group *= half;
+            group += log_half;
         }
-        src.0 % group
+        src.0 & ((1 << group) - 1)
     }
 
     /// The DLID a packet from `src` to `dst` carries — the paper's
@@ -244,7 +243,8 @@ impl RouteOracle {
         let half = params.half();
         let level = params.switch_level_of(sw.0);
         let idx = sw.0 - params.level_offset(level);
-        let stride = self.stride(level);
+        let shift = self.stride_shift(level);
+        let stride = 1 << shift;
         let mut lft = Lft::new(self.max_lid());
         if level >= 1 {
             let cycle: Vec<u8> = (1..=stride * half)
@@ -255,7 +255,7 @@ impl RouteOracle {
         let (first, radix) = if level == 0 {
             (0, params.m())
         } else {
-            (idx / stride * stride * half, half)
+            ((idx >> shift) << (shift + self.log_half), half)
         };
         for pid in (0..radix).map(|d| first + d * stride) {
             lft.fill(
@@ -289,14 +289,14 @@ impl RouteOracle {
     /// the leading digit is extracted without a modulus).
     #[inline]
     fn replace_digit(&self, idx: u32, pos: u32, digit: u32) -> u32 {
-        let w = self.pows[(self.params.n() - 2 - pos) as usize];
-        let hi = idx / w;
+        let shift = self.log_half * (self.params.n() - 2 - pos);
+        let hi = idx >> shift;
         let old = if pos == 0 {
             hi
         } else {
-            hi % self.params.half()
+            hi & (self.params.half() - 1)
         };
-        (hi - old + digit) * w + idx % w
+        ((hi - old + digit) << shift) | (idx & ((1 << shift) - 1))
     }
 
     /// Replay the route of `(src, dlid)` through the closed-form wiring,
@@ -386,7 +386,17 @@ mod tests {
     use super::*;
     use ibfat_topology::{gcp_len, rank_in, Gcpg, Level, NodeLabel, SwitchLabel};
 
-    const GRID: [(u32, u32); 7] = [(2, 2), (2, 3), (4, 2), (4, 3), (8, 2), (8, 3), (16, 2)];
+    const GRID: [(u32, u32); 9] = [
+        (2, 2),
+        (2, 3),
+        (4, 2),
+        (4, 3),
+        (4, 4),
+        (8, 2),
+        (8, 3),
+        (16, 2),
+        (32, 2),
+    ];
 
     #[test]
     fn oracle_equals_table_walk_everywhere() {

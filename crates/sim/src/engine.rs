@@ -6,16 +6,16 @@
 //!
 //! * [`HeapCalendar`] — a `BinaryHeap` ordered by one packed `(time, seq)`
 //!   key.
-//! * [`ChainQueue`] — the sequential engine's calendar: five
-//!   constant-delay FIFO delay lines plus a residual calendar (a sorted
-//!   FIFO run beside a [`HeapCalendar`]).
+//! * [`RingCalendar`] — the engine's calendar: a ring of one-nanosecond
+//!   FIFO buckets spanning the run's largest fixed delay, with a
+//!   [`HeapCalendar`] for the events beyond it.
 //!
 //! Tie-break order is part of the determinism contract (see
 //! `docs/MODEL.md` § Performance & determinism): both pop equal
 //! timestamps strictly in scheduling order.
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Simulation time in nanoseconds.
 pub type Time = u64;
@@ -81,26 +81,16 @@ impl<E> HeapCalendar<E> {
     pub fn schedule(&mut self, at: Time, event: E) {
         let seq = self.seq;
         self.seq += 1;
-        self.push_keyed(key(at, seq), event);
-    }
-
-    /// Push an event under a key stamped by the caller (the residual
-    /// heap of [`ChainQueue`], whose sequence spans all its sources).
-    #[inline]
-    fn push_keyed(&mut self, key: Key, event: E) {
-        self.heap.push(Reverse(Keyed { key, event }));
+        self.heap.push(Reverse(Keyed {
+            key: key(at, seq),
+            event,
+        }));
     }
 
     /// Pop the earliest event, if any.
     #[inline]
     pub fn pop(&mut self) -> Option<(Time, E)> {
         self.heap.pop().map(|Reverse(e)| (time_of(e.key), e.event))
-    }
-
-    /// Key of the earliest pending event.
-    #[inline]
-    fn peek_key(&self) -> Option<Key> {
-        self.heap.peek().map(|Reverse(e)| e.key)
     }
 
     /// Timestamp of the earliest pending event.
@@ -128,158 +118,188 @@ impl<E> Default for HeapCalendar<E> {
     }
 }
 
-/// The fixed-latency event classes of the simulator's hot path. Every
-/// event a handler schedules at one of these five constant delays goes
-/// into a dedicated FIFO delay line instead of the general calendar —
-/// see [`ChainQueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChainClass {
-    /// One wire flight (`fly_time_ns`): header arrivals, credit returns,
-    /// workload arm notifications.
-    Fly,
-    /// One routing stage (`routing_time_ns`): route-done completions of
-    /// heads that reach the front of a buffer after their arrival.
-    Route,
-    /// One packet serialization (`packet_time_ns`): transmit completions
-    /// and input-buffer departures.
-    Pkt,
-    /// Wire flight plus serialization: tail delivery at an endport.
-    FlyPkt,
-    /// Wire flight plus one routing stage: the route-done a fused run
-    /// schedules when a transmission into a switch starts.
-    FlyRoute,
-}
+/// Fewest ring slots: one occupancy word.
+const MIN_SLOTS: usize = 64;
 
-/// Number of [`ChainClass`] delay lines.
-const CHAINS: usize = 5;
+/// Most ring slots. A configuration whose fixed delays run past it (a
+/// microsecond wire, say) keeps its order through the far calendar; it
+/// costs speed, not memory.
+const MAX_SLOTS: usize = 1 << 12;
 
-/// A calendar specialized for the simulator's event mix: five constant-
-/// delay FIFO delay lines (one per [`ChainClass`]) beside a residual
-/// calendar for everything else (injections, discard drains, fault and
-/// workload priming events).
+/// The span of a [`RingCalendar::default`]: the largest fixed delay at
+/// the paper's constants, wire flight plus serialization, 20 + 256 ns.
+const DEFAULT_SPAN: Time = 276;
+
+/// The engine's calendar: a ring of one-nanosecond FIFO buckets over the
+/// window `[now, now + slots)`, where `now` is the time of the last pop.
 ///
-/// Because dispatch time is monotone and each chain's delay is a run
-/// constant, every chain is `(time, seq)`-sorted by construction — a
-/// `schedule_chain` is a plain `push_back`. The residual calendar is a
-/// FIFO *run* beside a [`HeapCalendar`]: a residual event whose key is
-/// at least the run's tail is appended to the run, which therefore stays
-/// sorted too; only out-of-order events (the randomly phased priming
-/// round, Poisson draws, discard drains) pay for the heap.
+/// * An event within the window is pushed onto its instant's bucket, `at
+///   & mask`; a bucket holds one instant only, so its FIFO order is the
+///   scheduling order.
+/// * An event beyond the window goes to a [`HeapCalendar`], the *far*
+///   calendar: low-load injections, the priming round, fault events.
+///   Each time `now` advances, every far event the window now covers is
+///   moved into its bucket, in `(time, seq)` order, before any handler
+///   runs. A near event can only be scheduled at an instant once the
+///   window covers it, so it lands behind every far event of that
+///   instant, which was scheduled earlier.
+/// * An occupancy bitmap lets `pop` skip empty buckets a word at a time,
+///   and a ring with nothing in it jumps straight to the far calendar's
+///   first instant.
+/// * A drained bucket gives its buffer to a spare list, and the next
+///   bucket to fill takes it from there, so the ring holds about as many
+///   buffers as it has busy instants, not one per slot.
 ///
-/// The earliest event is the minimum over at most seven sorted heads:
-/// the five chain fronts, the run's front and the heap's top. A single
-/// global sequence number, stamped at schedule time across all sources,
-/// reproduces the exact `(time, insertion order)` pop contract of a
-/// single [`HeapCalendar`] — same events, same order, same
-/// `events_processed`; only the per-event calendar cost changes. The
-/// calendar-equivalence suite pins exactly that.
+/// The result pops exactly what a single [`HeapCalendar`] pops: same
+/// events, same `(time, insertion order)`. Scheduling before the last
+/// popped time panics, since such an event would alias an instant one
+/// ring ahead.
 #[derive(Debug)]
-pub struct ChainQueue<E> {
-    chains: [VecDeque<Keyed<E>>; CHAINS],
-    /// Residual events scheduled in key order: sorted by construction.
-    run: VecDeque<Keyed<E>>,
-    /// Residual events that arrived below the run's tail.
-    heap: HeapCalendar<E>,
-    seq: u64,
+pub struct RingCalendar<E> {
+    /// Bucket `t & mask` holds the events at instant `t` of the window.
+    buckets: Vec<Vec<E>>,
+    /// Bit `i` is set iff bucket `i` is nonempty.
+    occupied: Vec<u64>,
+    /// Cleared buffers of drained buckets.
+    spare: Vec<Vec<E>>,
+    /// Events beyond the window.
+    far: HeapCalendar<E>,
+    /// `slots - 1`: the longest delay the ring holds.
+    mask: Time,
+    /// The time of the last pop; the current bucket is `now & mask`.
+    now: Time,
+    /// Events of the current bucket already popped.
+    head: usize,
+    len: usize,
 }
 
-/// Index of the run among the FIFO sources popped by [`ChainQueue::pop`],
-/// after the chains.
-const RUN: usize = CHAINS;
-
-impl<E> ChainQueue<E> {
-    /// An empty queue.
-    pub fn new() -> Self {
-        ChainQueue {
-            chains: std::array::from_fn(|_| VecDeque::with_capacity(64)),
-            run: VecDeque::with_capacity(64),
-            heap: HeapCalendar::new(),
-            seq: 0,
+impl<E: Copy> RingCalendar<E> {
+    /// An empty calendar whose ring holds every event up to `span` ns
+    /// ahead of the last pop: `next_power_of_two(span + 1)` slots,
+    /// clamped to `64..=4096`.
+    pub fn new(span: Time) -> Self {
+        let slots = usize::try_from(span.saturating_add(1))
+            .unwrap_or(usize::MAX)
+            .clamp(MIN_SLOTS, MAX_SLOTS)
+            .next_power_of_two();
+        RingCalendar {
+            buckets: (0..slots).map(|_| Vec::new()).collect(),
+            occupied: vec![0; slots / 64],
+            spare: Vec::new(),
+            far: HeapCalendar::new(),
+            mask: slots as Time - 1,
+            now: 0,
+            head: 0,
+            len: 0,
         }
     }
 
-    #[inline]
-    fn next_key(&mut self, at: Time) -> Key {
-        let k = key(at, self.seq);
-        self.seq += 1;
-        k
-    }
-
-    /// Schedule into the residual calendar (non-constant delays).
+    /// Schedule `event` at absolute time `at`.
+    ///
+    /// # Panics
+    /// Panics if `at` is before the time of the last pop.
     #[inline]
     pub fn schedule(&mut self, at: Time, event: E) {
-        let key = self.next_key(at);
-        if self.run.back().is_none_or(|tail| tail.key <= key) {
-            self.run.push_back(Keyed { key, event });
-        } else {
-            self.heap.push_keyed(key, event);
-        }
-    }
-
-    /// Schedule onto a constant-delay chain. The caller must pass the
-    /// chain matching the event's delay class: within a chain,
-    /// timestamps must be non-decreasing (dispatch time is monotone and
-    /// the delay constant, so this holds by construction; debug builds
-    /// assert it).
-    #[inline]
-    pub fn schedule_chain(&mut self, class: ChainClass, at: Time, event: E) {
-        let key = self.next_key(at);
-        let chain = &mut self.chains[class as usize];
-        debug_assert!(
-            chain.back().is_none_or(|tail| tail.key <= key),
-            "chain {class:?} scheduled out of order"
+        assert!(
+            at >= self.now,
+            "event scheduled at {at} ns, before the calendar's time {} ns",
+            self.now
         );
-        chain.push_back(Keyed { key, event });
+        self.len += 1;
+        if at - self.now > self.mask {
+            self.far.schedule(at, event);
+        } else {
+            self.push_near(at, event);
+        }
     }
 
-    /// Pop the earliest event: the minimum key over the chain fronts,
-    /// the run's front and the heap's top.
+    /// Append to the bucket of instant `at`, which the window covers.
+    #[inline]
+    fn push_near(&mut self, at: Time, event: E) {
+        let i = (at & self.mask) as usize;
+        let bucket = &mut self.buckets[i];
+        if bucket.is_empty() {
+            self.occupied[i >> 6] |= 1 << (i & 63);
+            if let Some(buf) = self.spare.pop() {
+                *bucket = buf;
+            }
+        }
+        bucket.push(event);
+    }
+
+    /// Pop the earliest event, if any.
+    #[inline]
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        // Reading the fronts measured faster than caching each source's
-        // head key (EXPERIMENTS.md, "Engine hot path").
-        let mut best: Option<(Key, usize)> = None;
-        for (i, chain) in self.chains.iter().enumerate() {
-            if let Some(e) = chain.front() {
-                if best.is_none_or(|(b, _)| e.key < b) {
-                    best = Some((e.key, i));
-                }
+        loop {
+            let i = (self.now & self.mask) as usize;
+            if let Some(&event) = self.buckets[i].get(self.head) {
+                self.head += 1;
+                self.len -= 1;
+                return Some((self.now, event));
             }
-        }
-        if let Some(e) = self.run.front() {
-            if best.is_none_or(|(b, _)| e.key < b) {
-                best = Some((e.key, RUN));
+            if self.len == 0 {
+                return None;
             }
+            self.advance(i);
         }
-        if let Some(k) = self.heap.peek_key() {
-            if best.is_none_or(|(b, _)| k < b) {
-                return self.heap.pop();
-            }
+    }
+
+    /// Retire the drained current bucket `i`, move `now` to the next
+    /// nonempty instant, and pull in the far events the window reaches.
+    fn advance(&mut self, i: usize) {
+        if !self.buckets[i].is_empty() {
+            let mut buf = std::mem::take(&mut self.buckets[i]);
+            buf.clear();
+            self.spare.push(buf);
+            self.occupied[i >> 6] &= !(1 << (i & 63));
         }
-        best.map(|(_, i)| {
-            let fifo = if i < RUN {
-                &mut self.chains[i]
-            } else {
-                &mut self.run
-            };
-            let e = fifo.pop_front().expect("checked nonempty");
-            (time_of(e.key), e.event)
+        self.head = 0;
+        self.now = match self.next_occupied(i) {
+            Some(j) => self.now + (j.wrapping_sub(i) as Time & self.mask),
+            None => self.far.peek_time().expect("a pending event is far"),
+        };
+        while self
+            .far
+            .peek_time()
+            .is_some_and(|t| t - self.now <= self.mask)
+        {
+            let (t, event) = self.far.pop().expect("peeked");
+            self.push_near(t, event);
+        }
+    }
+
+    /// The first nonempty bucket after `i`, going round the ring.
+    #[inline]
+    fn next_occupied(&self, i: usize) -> Option<usize> {
+        let (w0, words) = (i >> 6, self.occupied.len());
+        let above = self.occupied[w0] & (!1 << (i & 63));
+        if above != 0 {
+            return Some((w0 << 6) | above.trailing_zeros() as usize);
+        }
+        (1..=words).find_map(|k| {
+            let w = (w0 + k) & (words - 1);
+            let bits = self.occupied[w];
+            (bits != 0).then(|| (w << 6) | bits.trailing_zeros() as usize)
         })
     }
 
     /// Number of pending events.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.chains.iter().map(|c| c.len()).sum::<usize>() + self.run.len() + self.heap.len()
+        self.len
     }
 
-    /// Whether every chain and the residual calendar are drained.
+    /// Whether the calendar is drained.
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.chains.iter().all(|c| c.is_empty()) && self.run.is_empty() && self.heap.is_empty()
+        self.len == 0
     }
 }
 
-impl<E> Default for ChainQueue<E> {
+/// A ring sized for the paper's constants (512 slots).
+impl<E: Copy> Default for RingCalendar<E> {
     fn default() -> Self {
-        ChainQueue::new()
+        RingCalendar::new(DEFAULT_SPAN)
     }
 }
 
@@ -333,23 +353,98 @@ mod tests {
         assert_eq!(q.pop(), Some((7, 3)));
     }
 
-    /// Drive a `ChainQueue` and one shared `HeapCalendar` through the same
-    /// interleaved mix of chain and residual schedules (with a monotone
-    /// dispatch clock, as the simulator guarantees) and assert they pop
-    /// exactly the same sequence — same times, same tie-breaks.
-    /// `residual(now, r, k)` gives the time of the `k`-th residual event
-    /// of a step from a random draw `r`.
-    fn assert_matches_single_calendar(residual: impl Fn(u64, u64, u64) -> u64) {
-        let classes = [
-            ChainClass::Fly,
-            ChainClass::Route,
-            ChainClass::Pkt,
-            ChainClass::FlyPkt,
-            ChainClass::FlyRoute,
-        ];
-        let delays = [20u64, 100, 256, 276, 120];
-        let mut cq = ChainQueue::new();
-        let mut hq = HeapCalendar::new();
+    fn drain(q: &mut RingCalendar<u32>) -> Vec<(Time, u32)> {
+        let popped = std::iter::from_fn(|| q.pop()).collect();
+        assert!(q.is_empty());
+        popped
+    }
+
+    #[test]
+    fn ring_sizes_from_its_span() {
+        let slots = |span| RingCalendar::<u32>::new(span).buckets.len();
+        assert_eq!(slots(DEFAULT_SPAN), 512);
+        assert_eq!(slots(511), 512);
+        assert_eq!(slots(512), 1024);
+        assert_eq!(slots(0), MIN_SLOTS);
+        assert_eq!(slots(Time::MAX), MAX_SLOTS);
+    }
+
+    /// A far event whose instant the window reaches exactly when a near
+    /// event can first be scheduled there must pop first: it was
+    /// scheduled first.
+    #[test]
+    fn a_migrated_far_event_keeps_its_place_before_later_near_ones() {
+        let mut q = RingCalendar::new(63);
+        q.schedule(100, 0); // 100 ns ahead of a 64-slot window: far
+        q.schedule(37, 1);
+        assert_eq!(q.pop(), Some((37, 1)));
+        // The window is now [37, 101): 100 is a near instant, 63 ns out.
+        q.schedule(100, 2);
+        q.schedule(100, 3);
+        q.schedule(40, 4);
+        assert_eq!(q.pop(), Some((40, 4)));
+        q.schedule(100, 5);
+        assert_eq!(drain(&mut q), [(100, 0), (100, 2), (100, 3), (100, 5)]);
+    }
+
+    #[test]
+    fn delay_zero_schedules_join_the_draining_bucket() {
+        let mut q = RingCalendar::new(63);
+        q.schedule(5, 1u32);
+        q.schedule(5, 2);
+        q.schedule(6, 9);
+        assert_eq!(q.pop(), Some((5, 1)));
+        q.schedule(5, 3);
+        assert_eq!(q.pop(), Some((5, 2)));
+        assert_eq!(q.pop(), Some((5, 3)));
+        // The bucket is drained but still current: a delay-0 schedule
+        // pops before anything later.
+        q.schedule(5, 4);
+        assert_eq!(q.pop(), Some((5, 4)));
+        assert_eq!(drain(&mut q), [(6, 9)]);
+    }
+
+    #[test]
+    fn a_gap_longer_than_the_ring_jumps_to_the_far_instant() {
+        let mut q = RingCalendar::new(63);
+        q.schedule(10_000, 1u32);
+        q.schedule(10_000, 2);
+        q.schedule(50_000, 3);
+        assert_eq!(q.pop(), Some((10_000, 1)));
+        q.schedule(10_000, 4);
+        q.schedule(10_010, 5);
+        q.schedule(10_064, 6); // just past the window from 10,000: far
+        q.schedule(10_063, 7);
+        assert_eq!(
+            drain(&mut q),
+            [
+                (10_000, 2),
+                (10_000, 4),
+                (10_010, 5),
+                (10_063, 7),
+                (10_064, 6),
+                (50_000, 3)
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "before the calendar's time")]
+    fn scheduling_before_the_last_pop_panics() {
+        let mut q = RingCalendar::new(63);
+        q.schedule(10, 1u32);
+        assert_eq!(q.pop(), Some((10, 1)));
+        q.schedule(9, 2);
+    }
+
+    /// Drive a `RingCalendar` and a `HeapCalendar` through the same
+    /// stream, built only from `schedule` and `pop`, and assert they pop
+    /// exactly the same sequence. Each step schedules a few events at
+    /// `now + delay(r)` and pops a few; `now` follows the pops, as the
+    /// engine's clock does.
+    fn assert_matches_heap(span: Time, steps: usize, delay: impl Fn(u64) -> u64) {
+        let mut ring = RingCalendar::new(span);
+        let mut heap = HeapCalendar::new();
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
             state ^= state << 13;
@@ -357,29 +452,19 @@ mod tests {
             state ^= state << 17;
             state
         };
-        let mut now = 0u64;
-        let mut id = 0u32;
-        let mut max_len = 0;
-        for _ in 0..500 {
-            let mut k = 0;
+        let (mut now, mut id, mut max_len) = (0u64, 0u32, 0);
+        for _ in 0..steps {
             for _ in 0..next() % 6 {
                 id += 1;
-                if next() % 3 == 0 {
-                    let at = residual(now, next(), k);
-                    k += 1;
-                    cq.schedule(at, id);
-                    hq.schedule(at, id);
-                } else {
-                    let c = (next() % 5) as usize;
-                    cq.schedule_chain(classes[c], now + delays[c], id);
-                    hq.schedule(now + delays[c], id);
-                }
+                let at = now + delay(next());
+                ring.schedule(at, id);
+                heap.schedule(at, id);
             }
-            max_len = max_len.max(cq.len());
-            assert_eq!(cq.len(), hq.len());
-            for _ in 0..next() % 5 {
-                let a = cq.pop();
-                assert_eq!(a, hq.pop());
+            max_len = max_len.max(ring.len());
+            assert_eq!(ring.len(), heap.len());
+            for _ in 0..next() % 6 {
+                let a = ring.pop();
+                assert_eq!(a, heap.pop());
                 if let Some((t, _)) = a {
                     now = t;
                 }
@@ -387,50 +472,41 @@ mod tests {
         }
         assert!(max_len > 8, "the stream never built up a backlog");
         loop {
-            let a = cq.pop();
-            assert_eq!(a, hq.pop(), "drain");
+            let a = ring.pop();
+            assert_eq!(a, heap.pop(), "drain");
             if a.is_none() {
                 break;
             }
         }
-        assert!(cq.is_empty());
-        assert_eq!(cq.len(), 0);
-    }
-
-    #[test]
-    fn chain_queue_matches_single_calendar_pop_order() {
-        // Residual: arbitrary future delay (injections, retries).
-        assert_matches_single_calendar(|now, r, _| now + r % 8192);
-    }
-
-    #[test]
-    fn chain_queue_matches_single_calendar_on_decreasing_residuals() {
-        // Each step's residual events land ever earlier (every one after
-        // the first falls below the run's tail, into the heap), with
-        // frequent ties on the chain delays and on each other.
-        assert_matches_single_calendar(|now, r, k| {
-            let base = [276u64, 256, 100, 20][(r % 4) as usize];
-            now + base.saturating_sub(k * 20 * (r % 2))
-        });
-        assert_matches_single_calendar(|now, r, k| now + 2_000 - 400 * k.min(4) - r % 2);
-    }
-
-    #[test]
-    fn residual_events_at_equal_times_pop_in_scheduling_order() {
-        // 1 and 2 are in order (the run); 3 and 4 fall below the run's
-        // tail (the heap) yet tie with 1 and 2, so the run must win the
-        // ties; 5 ties with the chain event 0 scheduled before it.
-        let mut q = ChainQueue::new();
-        q.schedule_chain(ChainClass::Fly, 20, 0);
-        q.schedule(10, 1);
-        q.schedule(30, 2);
-        q.schedule(10, 3);
-        q.schedule(30, 4);
-        q.schedule(20, 5);
-        let popped: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(
-            popped,
-            [(10, 1), (10, 3), (20, 0), (20, 5), (30, 2), (30, 4)]
+        assert!(ring.is_empty());
+        assert!(
+            now > 50 * (ring.mask + 1),
+            "the stream went round the ring only {} times",
+            now / (ring.mask + 1)
         );
+    }
+
+    #[test]
+    fn ring_matches_the_heap_on_fixed_delays_and_far_jumps() {
+        // The engine's mix at the paper's constants: the five fixed
+        // delays, delay 0, and injections near and past the 512-slot
+        // ring.
+        assert_matches_heap(DEFAULT_SPAN, 20_000, |r| {
+            [0, 20, 100, 256, 276, 120, 511, 512, 513, 300 + r % 2_000][(r % 10) as usize]
+        });
+    }
+
+    #[test]
+    fn ring_matches_the_heap_at_the_window_edge() {
+        // On a 64-slot ring, delays cluster on both sides of the window
+        // edge, so far events keep migrating into buckets that near
+        // schedules then join; the odd long gap empties the ring.
+        assert_matches_heap(63, 20_000, |r| match r % 16 {
+            0 => 0,
+            1..=5 => 60 + r % 8,
+            6..=11 => r % 64,
+            12..=14 => 64 + r % 200,
+            _ => 1_000 + r % 5_000,
+        });
     }
 }

@@ -1,10 +1,12 @@
 //! Fixed-capacity FIFO rings for the engine's per-(port, VL) buffers.
 //!
 //! Every lane of a [`LaneRings`] is one bounded FIFO, and all lanes share
-//! one slot allocation: lane `i` owns the slot block `i << shift ..
-//! (i + 1) << shift`, where `1 << shift` is the requested capacity
-//! rounded up to a power of two. Reaching a lane's head is one cursor
-//! load and one slot load, with no per-lane allocation.
+//! two allocations: each lane's cursor sits beside its first slot, so a
+//! one-packet lane is a single small record, and the other slots of
+//! lane `i` fill the block `i * (cap - 1) .. (i + 1) * (cap - 1)` of a
+//! second array, where `cap` is the requested capacity rounded up to a
+//! power of two. Reaching a lane's head is one record load when the head
+//! is the first slot, with no per-lane allocation.
 
 /// Head index and length of one lane's ring.
 #[derive(Debug, Clone, Copy, Default)]
@@ -13,13 +15,22 @@ struct Cursor {
     len: u16,
 }
 
-/// `lanes` bounded FIFOs of `Copy` entries in one allocation.
+/// A lane's cursor and its first slot, kept together.
+#[derive(Debug, Clone, Copy)]
+struct Lane<T> {
+    cursor: Cursor,
+    first: T,
+}
+
+/// `lanes` bounded FIFOs of `Copy` entries.
 #[derive(Debug)]
 pub(crate) struct LaneRings<T> {
-    slots: Vec<T>,
-    cursors: Vec<Cursor>,
-    /// log2 of the per-lane slot block.
-    shift: u32,
+    lanes: Vec<Lane<T>>,
+    /// Slots `1..cap` of every lane, `mask` per lane.
+    rest: Vec<T>,
+    /// `cap - 1`: the ring-position mask and the per-lane block of
+    /// [`rest`](Self::rest).
+    mask: usize,
 }
 
 impl<T: Copy> LaneRings<T> {
@@ -30,39 +41,62 @@ impl<T: Copy> LaneRings<T> {
             (1..=1 << 15).contains(&capacity),
             "lane capacity {capacity} out of range"
         );
-        let shift = capacity.next_power_of_two().trailing_zeros();
+        let mask = capacity.next_power_of_two() - 1;
+        let lane = Lane {
+            cursor: Cursor::default(),
+            first: fill,
+        };
         LaneRings {
-            slots: vec![fill; lanes << shift],
-            cursors: vec![Cursor::default(); lanes],
-            shift,
+            lanes: vec![lane; lanes],
+            rest: vec![fill; lanes * mask],
+            mask,
+        }
+    }
+
+    /// The slot at ring position `pos` of `lane`.
+    #[inline]
+    fn slot(&self, lane: usize, pos: usize) -> &T {
+        if pos == 0 {
+            &self.lanes[lane].first
+        } else {
+            &self.rest[lane * self.mask + pos - 1]
         }
     }
 
     #[inline]
-    fn mask(&self) -> usize {
-        (1 << self.shift) - 1
+    fn slot_mut(&mut self, lane: usize, pos: usize) -> &mut T {
+        if pos == 0 {
+            &mut self.lanes[lane].first
+        } else {
+            &mut self.rest[lane * self.mask + pos - 1]
+        }
     }
 
-    /// Slot index of the `i`-th entry of `lane` (0 = head).
+    /// Ring position of the `i`-th entry of `lane` (0 = head).
     #[inline]
-    fn slot(&self, lane: usize, i: usize) -> usize {
-        let c = self.cursors[lane];
-        (lane << self.shift) | ((c.head as usize + i) & self.mask())
+    fn pos(&self, lane: usize, i: usize) -> usize {
+        (self.lanes[lane].cursor.head as usize + i) & self.mask
+    }
+
+    /// The `i`-th entry of `lane` (0 = head).
+    #[inline]
+    fn get(&self, lane: usize, i: usize) -> T {
+        *self.slot(lane, self.pos(lane, i))
     }
 
     #[inline]
     pub(crate) fn len(&self, lane: usize) -> usize {
-        self.cursors[lane].len as usize
+        self.lanes[lane].cursor.len as usize
     }
 
     #[inline]
     pub(crate) fn is_empty(&self, lane: usize) -> bool {
-        self.cursors[lane].len == 0
+        self.lanes[lane].cursor.len == 0
     }
 
     #[inline]
     pub(crate) fn front(&self, lane: usize) -> Option<T> {
-        (!self.is_empty(lane)).then(|| self.slots[self.slot(lane, 0)])
+        (!self.is_empty(lane)).then(|| self.get(lane, 0))
     }
 
     #[inline]
@@ -70,8 +104,8 @@ impl<T: Copy> LaneRings<T> {
         if self.is_empty(lane) {
             return None;
         }
-        let s = self.slot(lane, 0);
-        Some(&mut self.slots[s])
+        let pos = self.pos(lane, 0);
+        Some(self.slot_mut(lane, pos))
     }
 
     /// Append to `lane`.
@@ -83,17 +117,17 @@ impl<T: Copy> LaneRings<T> {
     #[inline]
     pub(crate) fn push_back(&mut self, lane: usize, v: T) {
         let len = self.len(lane);
-        assert!(len <= self.mask(), "lane ring overflow");
-        let s = self.slot(lane, len);
-        self.slots[s] = v;
-        self.cursors[lane].len += 1;
+        assert!(len <= self.mask, "lane ring overflow");
+        let pos = self.pos(lane, len);
+        *self.slot_mut(lane, pos) = v;
+        self.lanes[lane].cursor.len += 1;
     }
 
     #[inline]
     pub(crate) fn pop_front(&mut self, lane: usize) -> Option<T> {
         let v = self.front(lane)?;
-        let mask = self.mask();
-        let c = &mut self.cursors[lane];
+        let mask = self.mask;
+        let c = &mut self.lanes[lane].cursor;
         c.head = ((c.head as usize + 1) & mask) as u16;
         c.len -= 1;
         Some(v)
@@ -101,7 +135,7 @@ impl<T: Copy> LaneRings<T> {
 
     /// Iterate `lane` from head to tail.
     pub(crate) fn iter(&self, lane: usize) -> impl Iterator<Item = T> + '_ {
-        (0..self.len(lane)).map(move |i| self.slots[self.slot(lane, i)])
+        (0..self.len(lane)).map(move |i| self.get(lane, i))
     }
 }
 
@@ -113,10 +147,10 @@ impl<T: Copy + PartialEq> LaneRings<T> {
             return false;
         };
         for i in pos..self.len(lane) - 1 {
-            let (to, from) = (self.slot(lane, i), self.slot(lane, i + 1));
-            self.slots[to] = self.slots[from];
+            let (to, next) = (self.pos(lane, i), self.get(lane, i + 1));
+            *self.slot_mut(lane, to) = next;
         }
-        self.cursors[lane].len -= 1;
+        self.lanes[lane].cursor.len -= 1;
         true
     }
 }

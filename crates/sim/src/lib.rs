@@ -72,7 +72,7 @@ pub use config::{InjectionProcess, PathSelection, SimConfig, VlAssignment};
 pub use counters::{
     FabricCounters, HotPort, NodeCounters, PortVlCounters, Sample, COUNTERS_SCHEMA_VERSION,
 };
-pub use engine::{ChainClass, ChainQueue, HeapCalendar, Time};
+pub use engine::{HeapCalendar, RingCalendar, Time};
 pub use error::SimError;
 pub use faults::{
     disruption_report, DisruptionReport, FaultAction, FaultEvent, FaultPlan, FaultPolicy,

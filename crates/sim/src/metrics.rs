@@ -209,8 +209,8 @@ pub struct SimReport {
     pub events_per_sec: f64,
     /// Packets delivered per wall-clock second, measured inside `run()`.
     /// The engine-throughput currency that stays comparable when the
-    /// calendar changes how much bookkeeping one packet costs (fused
-    /// event chains do fewer calendar operations per packet, not fewer
+    /// engine changes how much bookkeeping one packet costs (a fused
+    /// arrival does fewer calendar operations per packet, not fewer
     /// packets). Host-dependent, like
     /// [`events_per_sec`](SimReport::events_per_sec); equality
     /// comparisons should zero both.

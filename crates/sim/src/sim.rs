@@ -36,7 +36,7 @@
 //! one wire flight after the transmission starts. No link schedules a
 //! retry while busy: the departure that frees it re-arbitrates.
 
-use crate::engine::{ChainClass, ChainQueue, Time};
+use crate::engine::{RingCalendar, Time};
 use crate::lanes::LaneRings;
 use crate::metrics::{LatencyStats, SimReport};
 use crate::packet::{Packet, PacketId, PacketSlab};
@@ -283,7 +283,7 @@ pub struct Simulator<'a, P: Probe = NoopProbe> {
     /// the others (per-VL queues avoid cross-VL head-of-line blocking).
     pub(crate) inj_q: Vec<VecDeque<PacketId>>,
 
-    pub(crate) queue: ChainQueue<Ev>,
+    pub(crate) queue: RingCalendar<Ev>,
     pub(crate) slab: PacketSlab,
     pub(crate) rng: ChaCha12Rng,
     pub(crate) now: Time,
@@ -546,7 +546,13 @@ impl<'a, P: Probe> Simulator<'a, P> {
             nodes,
             node_credits: vec![cap; node_lanes],
             inj_q: vec![VecDeque::new(); node_lanes],
-            queue: ChainQueue::new(),
+            // The ring spans the longest fixed delay a handler schedules:
+            // tail delivery `F + S` or a fused route-done `F + R` (a wire
+            // flight, a serialization and the discard drain are shorter).
+            queue: RingCalendar::new(
+                cfg.fly_time_ns
+                    .saturating_add(cfg.packet_time_ns().max(cfg.routing_time_ns)),
+            ),
             slab: PacketSlab::new(),
             rng: ChaCha12Rng::seed_from_u64(cfg.seed),
             now: 0,
@@ -924,8 +930,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
                 if P::COUNTERS {
                     self.probe.xmit_wait_end(self.now, sw, in_port, vl);
                 }
-                self.queue.schedule_chain(
-                    ChainClass::Route,
+                self.queue.schedule(
                     self.now + self.route_ns,
                     Ev::SwRouteDone {
                         sw,
@@ -1065,8 +1070,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
         }
         self.send_header(sw, port, vl as u8, head);
         // The next queued packet can follow once the link is clear.
-        self.queue
-            .schedule_chain(ChainClass::Pkt, tx_end, Ev::TryNodeSend { node });
+        self.queue.schedule(tx_end, Ev::TryNodeSend { node });
     }
 
     fn deliver(&mut self, node: u32, vl: u8, pkt: PacketId) {
@@ -1109,8 +1113,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
         // Immediate consumption: the endport buffer frees now; the credit
         // flies back to the leaf switch.
         let n = &self.nodes[node as usize];
-        self.queue.schedule_chain(
-            ChainClass::Fly,
+        self.queue.schedule(
             self.now + self.fly,
             Ev::CreditToSwitch {
                 sw: n.peer_sw,
@@ -1134,11 +1137,8 @@ impl<'a, P: Probe> Simulator<'a, P> {
     fn send_header(&mut self, sw: u32, port: u8, vl: u8, pkt: PacketId) {
         let arrive = self.now + self.fly;
         if !self.fuse_arrival {
-            self.queue.schedule_chain(
-                ChainClass::Fly,
-                arrive,
-                Ev::SwHeaderArrive { sw, port, vl, pkt },
-            );
+            self.queue
+                .schedule(arrive, Ev::SwHeaderArrive { sw, port, vl, pkt });
             return;
         }
         let lane = self.lane(sw, port, vl);
@@ -1154,11 +1154,8 @@ impl<'a, P: Probe> Simulator<'a, P> {
                 state: InState::Routing,
             },
         );
-        self.queue.schedule_chain(
-            ChainClass::FlyRoute,
-            arrive + self.route_ns,
-            Ev::SwRouteDone { sw, port, vl },
-        );
+        self.queue
+            .schedule(arrive + self.route_ns, Ev::SwRouteDone { sw, port, vl });
         // An arrival past the horizon is never observed.
         if arrive < self.sim_time_ns {
             if P::PACKETS {
@@ -1208,11 +1205,8 @@ impl<'a, P: Probe> Simulator<'a, P> {
                 .sw_rcv(self.now, sw, port, vl, self.cfg.packet_bytes, depth as u8);
         }
         if depth == 1 {
-            self.queue.schedule_chain(
-                ChainClass::Route,
-                self.now + self.route_ns,
-                Ev::SwRouteDone { sw, port, vl },
-            );
+            self.queue
+                .schedule(self.now + self.route_ns, Ev::SwRouteDone { sw, port, vl });
         }
     }
 
@@ -1367,8 +1361,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
                 self.probe
                     .packet_event(self.now, pkt, TraceEvent::Granted { sw, out_port });
             }
-            self.queue.schedule_chain(
-                ChainClass::Pkt,
+            self.queue.schedule(
                 self.now + self.pkt_ns,
                 Ev::SwInputDeparted {
                     sw,
@@ -1406,8 +1399,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
             PeerRef::SwitchPort {
                 sw: usw,
                 port: uport,
-            } => self.queue.schedule_chain(
-                ChainClass::Fly,
+            } => self.queue.schedule(
                 self.now + self.fly,
                 Ev::CreditToSwitch {
                     sw: usw,
@@ -1415,22 +1407,17 @@ impl<'a, P: Probe> Simulator<'a, P> {
                     vl,
                 },
             ),
-            PeerRef::Node { node } => self.queue.schedule_chain(
-                ChainClass::Fly,
-                self.now + self.fly,
-                Ev::CreditToNode { node, vl },
-            ),
+            PeerRef::Node { node } => self
+                .queue
+                .schedule(self.now + self.fly, Ev::CreditToNode { node, vl }),
             PeerRef::Dead => unreachable!("packets never arrive through a failed port"),
         }
         // The next buffered packet (fully or partially arrived) becomes
         // head and enters the routing stage.
         if let Some(entry) = next_head {
             debug_assert_eq!(entry.state, InState::Routing);
-            self.queue.schedule_chain(
-                ChainClass::Route,
-                self.now + self.route_ns,
-                Ev::SwRouteDone { sw, port, vl },
-            );
+            self.queue
+                .schedule(self.now + self.route_ns, Ev::SwRouteDone { sw, port, vl });
         }
     }
 
@@ -1468,8 +1455,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
             p.busy_until = tx_end;
             p.busy_ns += self.pkt_ns.min(self.sim_time_ns - self.now);
             let peer = p.peer;
-            self.queue.schedule_chain(
-                ChainClass::Pkt,
+            self.queue.schedule(
                 tx_end,
                 Ev::SwOutputDeparted {
                     sw,
@@ -1493,8 +1479,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
                     sw: dsw,
                     port: dport,
                 } => self.send_header(dsw, dport, vl as u8, pkt),
-                PeerRef::Node { node } => self.queue.schedule_chain(
-                    ChainClass::FlyPkt,
+                PeerRef::Node { node } => self.queue.schedule(
                     self.now + self.fly + self.pkt_ns,
                     Ev::Deliver {
                         node,

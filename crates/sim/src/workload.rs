@@ -22,7 +22,7 @@
 //! `Random` path/VL choices map to a deterministic hash of
 //! `(seed, message, packet)`.
 
-use crate::engine::{ChainClass, Time};
+use crate::engine::Time;
 use crate::packet::{Packet, PacketId};
 use crate::probe::Probe;
 use crate::sim::{take_flow_seq, Ev, Simulator};
@@ -260,8 +260,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
         for idx in 0..wl.dependents[i].len() {
             let d = wl.dependents[i][idx];
             let node = wl.wl.messages[d as usize].src.0;
-            self.queue
-                .schedule_chain(ChainClass::Fly, at, Ev::WlArm { node, msg: d });
+            self.queue.schedule(at, Ev::WlArm { node, msg: d });
         }
     }
 }

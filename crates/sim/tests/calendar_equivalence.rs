@@ -1,14 +1,14 @@
 //! The calendar contract: pop by ascending time, ties in scheduling
 //! order.
 //!
-//! `HeapCalendar` and the sequential engine's `ChainQueue` must pop
+//! `HeapCalendar` and the sequential engine's `RingCalendar` must pop
 //! exactly what a stable sort of the scheduled events by time produces,
 //! for any legal schedule/pop interleaving. The pinned FT(4,3) report
 //! guards the simulator built on top of them.
 
 use ibfat_routing::{Routing, RoutingKind};
 use ibfat_sim::{
-    run, ChainClass, ChainQueue, FlightRecorder, HeapCalendar, RunSpec, SimConfig, TraceSampling,
+    run, FlightRecorder, HeapCalendar, RingCalendar, RunSpec, SimConfig, TraceSampling,
     TrafficPattern,
 };
 use ibfat_topology::{Network, TreeParams};
@@ -18,13 +18,7 @@ use proptest::prelude::*;
 type Popped = Vec<(u64, u32)>;
 
 /// The five chains and their fixed delays at the paper's constants.
-const CHAINS: [(ChainClass, u64); 5] = [
-    (ChainClass::Fly, 20),
-    (ChainClass::Route, 100),
-    (ChainClass::Pkt, 256),
-    (ChainClass::FlyPkt, 276),
-    (ChainClass::FlyRoute, 120),
-];
+const CHAINS: [u64; 5] = [20, 100, 256, 276, 120];
 
 /// One step of a stream: events to schedule, then how many to pop. An
 /// event is `(lane, delta)`: lanes `0..5` are the constant-delay chains
@@ -48,7 +42,7 @@ impl SortedVec {
 #[derive(Default)]
 struct Calendars {
     heap: HeapCalendar<u32>,
-    chain: ChainQueue<u32>,
+    chain: RingCalendar<u32>,
     reference: SortedVec,
     popped: [Popped; 3],
 }
@@ -56,8 +50,8 @@ struct Calendars {
 impl Calendars {
     fn schedule(&mut self, now: u64, (lane, delta): (u8, u64), tag: u32) {
         let at = match CHAINS.get(lane as usize) {
-            Some(&(class, delay)) => {
-                self.chain.schedule_chain(class, now + delay, tag);
+            Some(&delay) => {
+                self.chain.schedule(now + delay, tag);
                 now + delay
             }
             None => {
@@ -79,7 +73,7 @@ impl Calendars {
     }
 }
 
-/// Drive `HeapCalendar`, `ChainQueue` and the reference through the same
+/// Drive `HeapCalendar`, `RingCalendar` and the reference through the same
 /// stream; return their pop sequences in that order. Times never go
 /// backwards, mirroring how the simulator uses its calendar.
 fn pop_sequences(steps: &[Step]) -> [Popped; 3] {

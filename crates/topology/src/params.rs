@@ -109,6 +109,13 @@ impl TreeParams {
         }
     }
 
+    /// log2 of `(m/2)^(n-1)`, the switches at level 0 (half as many as
+    /// at every lower level).
+    #[inline]
+    fn root_shift(&self) -> u32 {
+        (self.m.trailing_zeros() - 1) * (self.n - 1)
+    }
+
     /// Dense-id offset of the first switch of `level` (ids are level-major).
     #[inline]
     pub fn level_offset(&self, level: u32) -> u32 {
@@ -116,7 +123,7 @@ impl TreeParams {
         if level == 0 {
             0
         } else {
-            self.half().pow(self.n - 1) * (1 + 2 * (level - 1))
+            (2 * level - 1) << self.root_shift()
         }
     }
 
@@ -125,11 +132,11 @@ impl TreeParams {
     #[inline]
     pub fn switch_level_of(&self, id: u32) -> u32 {
         debug_assert!(id < self.num_switches());
-        let per = self.half().pow(self.n - 1);
-        if id < per {
+        let shift = self.root_shift();
+        if id >> shift == 0 {
             0
         } else {
-            (id - per) / (2 * per) + 1
+            ((id - (1 << shift)) >> (shift + 1)) + 1
         }
     }
 
