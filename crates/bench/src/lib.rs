@@ -303,13 +303,6 @@ pub fn saturation(series: &Series) -> f64 {
     series.points.iter().map(|p| p.accepted).fold(0.0, f64::max)
 }
 
-/// Find a curve by scheme and VL count.
-pub fn find_series<'a>(fig: &'a Figure, scheme: &str, vls: u8) -> Option<&'a Series> {
-    fig.series
-        .iter()
-        .find(|s| s.scheme.eq_ignore_ascii_case(scheme) && s.vls == vls)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,8 +337,8 @@ mod tests {
             &[1],
         );
         assert_eq!(fig.series.len(), 2);
-        let slid = find_series(&fig, "SLID", 1).unwrap();
-        let mlid = find_series(&fig, "MLID", 1).unwrap();
+        let curve = |scheme: &str| fig.series.iter().find(|s| s.scheme == scheme).unwrap();
+        let (slid, mlid) = (curve("SLID"), curve("MLID"));
         assert!(saturation(mlid) > saturation(slid));
         let text = render_figure_text(&fig);
         assert!(text.contains("MLID VL1"));

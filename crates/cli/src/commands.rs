@@ -444,9 +444,9 @@ pub fn collect_counters(cmd: &Cmd, fabric: &Fabric) -> Result<CountersReport, St
 
     let params = fabric.params();
     let span = report.sim_time_ns as f64;
-    // The CLI runs the paper's timing: 1 ns per byte, so transmitted
+    // The model's timing is the paper's: 1 ns per byte, so transmitted
     // bytes over elapsed time is exactly the busy fraction.
-    let byte_ns = SimConfig::default().byte_time_ns as f64;
+    let byte_ns = sim::BYTE_TIME_NS as f64;
     let mut levels: Vec<LevelSummary> = (0..params.n())
         .map(|level| LevelSummary {
             level,

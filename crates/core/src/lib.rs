@@ -62,8 +62,8 @@ pub use ibfat_sim::{
     ClosedLoopKind, DisruptionReport, DropCause, FabricCounters, FaultAction, FaultEvent,
     FaultPlan, FaultPolicy, FaultSummary, FlightRecorder, HotPort, InjectionProcess, LevelLoad,
     NoopProbe, PacketTrace, PathSelection, PathSurvival, Phase, PhaseProfile, Probe, RunSpec,
-    SimConfig, SimReport, TraceEvent, TraceSampling, TrafficPattern, VlArbitration, VlAssignment,
-    Workload, WorkloadReport,
+    SimConfig, SimReport, TraceEvent, TraceSampling, TrafficPattern, VlAssignment, Workload,
+    WorkloadReport,
 };
 pub use ibfat_sm::SubnetManager;
 pub use ibfat_topology::{
@@ -90,6 +90,6 @@ pub mod prelude {
         json::Codec, ChannelLoads, Fabric, FabricBuilder, FabricCounters, FabricError,
         InjectionProcess, Lid, Network, NodeId, NodeLabel, PathSelection, PhaseProfile, Probe,
         RouteOracle, Routing, RoutingKind, SimConfig, SimReport, SubnetManager, SwitchLabel,
-        TrafficPattern, TreeParams, VlArbitration, VlAssignment, Workload, WorkloadReport,
+        TrafficPattern, TreeParams, VlAssignment, Workload, WorkloadReport,
     };
 }

@@ -81,7 +81,6 @@ fn config_round_trips_including_policies() {
     let mut cfg = SimConfig::paper(4);
     cfg.path_selection = PathSelection::RoundRobinPerSource;
     cfg.vl_assignment = VlAssignment::DestinationHash;
-    cfg.vl_arbitration = VlArbitration::Weighted(vec![(0, 3), (1, 1), (2, 1), (3, 1)]);
     cfg.adaptive_up = true;
     let json = cfg.to_json();
     let back = SimConfig::from_json(&json).unwrap();
@@ -117,10 +116,6 @@ fn configs_and_reports_read_back_equal() {
         detect_ns: 123,
         per_switch_ns: u64::MAX,
     };
-    let arbitrations = [
-        VlArbitration::RoundRobin,
-        VlArbitration::Weighted(vec![(0, 3), (1, 0), (2, 255)]),
-    ];
     let mut configs = Vec::new();
     for (i, path_selection) in [
         PathSelection::Paper,
@@ -141,7 +136,6 @@ fn configs_and_reports_read_back_equal() {
                         path_selection,
                         vl_assignment,
                         injection,
-                        vl_arbitration: arbitrations[k % 2].clone(),
                         seed: [u64::MAX, (1 << 53) + 1, 0][i],
                         adaptive_up: k == 1,
                         faults: if k == 3 {

@@ -24,12 +24,6 @@ impl Lid {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// Whether this is a valid IBA 16-bit unicast LID.
-    #[inline]
-    pub fn is_unicast(self) -> bool {
-        self >= Self::MIN_UNICAST && self <= Self::MAX_UNICAST
-    }
 }
 
 impl fmt::Display for Lid {

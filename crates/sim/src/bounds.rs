@@ -5,7 +5,7 @@
 //! suite checks the simulator never exceeds them and approaches them in
 //! the regimes where they are tight.
 
-use crate::SimConfig;
+use crate::{SimConfig, FLY_TIME_NS, ROUTING_TIME_NS};
 use ibfat_topology::TreeParams;
 
 /// Zero-load end-to-end latency (generation → last byte delivered) for a
@@ -19,7 +19,7 @@ pub fn zero_load_latency_ns(params: TreeParams, cfg: &SimConfig, alpha: u32) -> 
     );
     let links = u64::from(2 * (params.n() - alpha));
     let switches = links - 1;
-    links * cfg.fly_time_ns + switches * cfg.routing_time_ns + cfg.packet_time_ns()
+    links * FLY_TIME_NS + switches * ROUTING_TIME_NS + cfg.packet_time_ns()
 }
 
 /// The credit-loop ceiling of a single switch-to-switch hop on one VL,
@@ -28,7 +28,7 @@ pub fn zero_load_latency_ns(params: TreeParams, cfg: &SimConfig, alpha: u32) -> 
 /// Never exceeds the raw link rate.
 pub fn hop_credit_rate(cfg: &SimConfig) -> f64 {
     let s = cfg.packet_time_ns() as f64;
-    let loop_ns = s + cfg.routing_time_ns as f64 + 2.0 * cfg.fly_time_ns as f64;
+    let loop_ns = s + ROUTING_TIME_NS as f64 + 2.0 * FLY_TIME_NS as f64;
     let per_vl = s / loop_ns * f64::from(cfg.buffer_packets);
     (per_vl * f64::from(cfg.num_vls)).min(cfg.link_bytes_per_ns())
 }
@@ -37,7 +37,7 @@ pub fn hop_credit_rate(cfg: &SimConfig) -> f64 {
 /// has no routing stage, so its credit loop is `packet + 2·fly`.
 pub fn sink_rate(cfg: &SimConfig) -> f64 {
     let s = cfg.packet_time_ns() as f64;
-    let loop_ns = s + 2.0 * cfg.fly_time_ns as f64;
+    let loop_ns = s + 2.0 * FLY_TIME_NS as f64;
     let per_vl = s / loop_ns * f64::from(cfg.buffer_packets);
     (per_vl * f64::from(cfg.num_vls)).min(cfg.link_bytes_per_ns())
 }

@@ -1,5 +1,18 @@
 use crate::json::{enum_from, enum_name, Codec, Json, JsonBuf};
-use crate::{SimError, VlArbitration};
+use crate::SimError;
+
+/// Serialization time of one byte on a link, in ns: a 4X link's 8 Gbit/s
+/// data rate (Section 5).
+pub const BYTE_TIME_NS: u64 = 1;
+
+/// Wire propagation ("flying") time between any two devices, in ns
+/// (Section 5).
+pub const FLY_TIME_NS: u64 = 20;
+
+/// Time to route a packet from an input port to an output port of a
+/// switch crossbar (table lookup, arbitration, message startup), in ns
+/// (Section 5).
+pub const ROUTING_TIME_NS: u64 = 100;
 
 /// Injection process shaping the per-node packet generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,25 +60,19 @@ pub enum VlAssignment {
     SourceHash,
 }
 
-/// Simulator configuration: the IBA subnet model constants of Section 5.
+/// Simulator configuration: what a run varies over the IBA subnet model
+/// of Section 5.
 ///
-/// Defaults reproduce the paper's setup: 256-byte packets on a 4X link
-/// (8 Gbit/s data rate ⇒ 1 ns per byte), 20 ns wire flying time, 100 ns
-/// switch routing time (forwarding-table lookup + arbitration + startup),
-/// one-packet input and output buffers per virtual lane, credit-based
-/// link-level flow control, virtual cut-through switching.
+/// Defaults reproduce the paper's setup: 256-byte packets, one-packet
+/// input and output buffers per virtual lane, deterministic injection.
+/// The model's timing is fixed at the paper's ([`BYTE_TIME_NS`],
+/// [`FLY_TIME_NS`], [`ROUTING_TIME_NS`]), and every egress port serves
+/// its VLs round-robin, one packet per VL in turn.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Packet size in bytes (everything is data; headers are not modeled
     /// separately, matching the paper's accounting).
     pub packet_bytes: u32,
-    /// Serialization time of one byte on a link, in ns (1 ns = 4X link).
-    pub byte_time_ns: u64,
-    /// Wire propagation ("flying") time between any two devices, in ns.
-    pub fly_time_ns: u64,
-    /// Time to route a packet from an input port to an output port of the
-    /// crossbar (table lookup, arbitration, message startup), in ns.
-    pub routing_time_ns: u64,
     /// Number of data virtual lanes in use (the paper sweeps 1, 2, 4; IBA
     /// allows up to 15 data VLs).
     pub num_vls: u8,
@@ -79,8 +86,6 @@ pub struct SimConfig {
     pub path_selection: PathSelection,
     /// VL assignment policy at the source.
     pub vl_assignment: VlAssignment,
-    /// Egress VL arbitration (switch output ports and HCA injection).
-    pub vl_arbitration: VlArbitration,
     /// RNG seed — simulations are bit-for-bit reproducible per seed.
     pub seed: u64,
     /// Adaptive upward routing: when a packet must climb, pick the least
@@ -99,15 +104,11 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             packet_bytes: 256,
-            byte_time_ns: 1,
-            fly_time_ns: 20,
-            routing_time_ns: 100,
             num_vls: 1,
             buffer_packets: 1,
             injection: InjectionProcess::Deterministic,
             path_selection: PathSelection::Paper,
             vl_assignment: VlAssignment::Random,
-            vl_arbitration: VlArbitration::RoundRobin,
             seed: 0xF47_7EE,
             adaptive_up: false,
             faults: crate::FaultPlan::default(),
@@ -127,13 +128,13 @@ impl SimConfig {
     /// Serialization time of a whole packet on a link, in ns.
     #[inline]
     pub fn packet_time_ns(&self) -> u64 {
-        u64::from(self.packet_bytes) * self.byte_time_ns
+        u64::from(self.packet_bytes) * BYTE_TIME_NS
     }
 
     /// Peak per-node bandwidth in bytes per ns (the link rate).
     #[inline]
     pub fn link_bytes_per_ns(&self) -> f64 {
-        1.0 / self.byte_time_ns as f64
+        1.0 / BYTE_TIME_NS as f64
     }
 
     /// Mean packet inter-arrival time (ns) for a normalized offered
@@ -158,9 +159,6 @@ impl SimConfig {
         if self.packet_bytes == 0 {
             return invalid("packet_bytes must be positive");
         }
-        if self.byte_time_ns == 0 {
-            return invalid("byte_time_ns must be positive");
-        }
         if self.num_vls == 0 || self.num_vls > 15 {
             return Err(SimError::InvalidConfig(format!(
                 "num_vls must be in 1..=15 (IBA data VLs), got {}",
@@ -170,9 +168,6 @@ impl SimConfig {
         if self.buffer_packets == 0 {
             return invalid("buffer_packets must be positive");
         }
-        self.vl_arbitration
-            .validate(self.num_vls)
-            .map_err(SimError::InvalidConfig)?;
         if !self.faults.is_empty() && self.adaptive_up {
             return invalid("fault plans cannot be combined with adaptive_up");
         }
@@ -203,9 +198,6 @@ impl Codec for SimConfig {
     fn encode(&self, j: &mut JsonBuf) {
         j.begin_obj();
         j.field_u64("packet_bytes", u64::from(self.packet_bytes));
-        j.field_u64("byte_time_ns", self.byte_time_ns);
-        j.field_u64("fly_time_ns", self.fly_time_ns);
-        j.field_u64("routing_time_ns", self.routing_time_ns);
         j.field_u64("num_vls", u64::from(self.num_vls));
         j.field_u64("buffer_packets", u64::from(self.buffer_packets));
         j.field_str("injection", enum_name(&INJECTIONS, &self.injection));
@@ -217,7 +209,6 @@ impl Codec for SimConfig {
             "vl_assignment",
             enum_name(&VL_ASSIGNMENTS, &self.vl_assignment),
         );
-        j.field("vl_arbitration", &self.vl_arbitration);
         j.field_u64("seed", self.seed);
         j.field_bool("adaptive_up", self.adaptive_up);
         j.field("faults", &self.faults);
@@ -228,9 +219,6 @@ impl Codec for SimConfig {
         let o = v.as_object("config")?;
         Ok(SimConfig {
             packet_bytes: o.int("packet_bytes")?,
-            byte_time_ns: o.int("byte_time_ns")?,
-            fly_time_ns: o.int("fly_time_ns")?,
-            routing_time_ns: o.int("routing_time_ns")?,
             num_vls: o.int("num_vls")?,
             buffer_packets: o.int("buffer_packets")?,
             injection: enum_from(&INJECTIONS, o.field("injection")?, "injection")?,
@@ -240,7 +228,6 @@ impl Codec for SimConfig {
                 "path_selection",
             )?,
             vl_assignment: enum_from(&VL_ASSIGNMENTS, o.field("vl_assignment")?, "vl_assignment")?,
-            vl_arbitration: o.decode("vl_arbitration")?,
             seed: o.int("seed")?,
             adaptive_up: o.bool("adaptive_up")?,
             faults: o.decode("faults")?,
@@ -256,8 +243,6 @@ mod tests {
     fn paper_constants() {
         let c = SimConfig::paper(2);
         assert_eq!(c.packet_time_ns(), 256);
-        assert_eq!(c.fly_time_ns, 20);
-        assert_eq!(c.routing_time_ns, 100);
         assert_eq!(c.num_vls, 2);
         assert_eq!(c.buffer_packets, 1);
         c.validate().unwrap();

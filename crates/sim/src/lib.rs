@@ -5,8 +5,8 @@
 //! (IPDPS 2004). It models:
 //!
 //! * `m`-port crossbar switches with per-(port, VL) input/output buffers,
-//! * up to 15 data virtual lanes with round-robin or weighted
-//!   (IBA VLArbitration-style) arbitration,
+//! * up to 15 data virtual lanes, served round-robin at every egress
+//!   port,
 //! * credit-based link-level flow control (IBA-style),
 //! * virtual cut-through switching,
 //! * forwarding purely by linear-forwarding-table lookup on the DLID
@@ -25,9 +25,11 @@
 //!
 //! The full event semantics are specified in `docs/MODEL.md`.
 //!
-//! Timing constants default to the paper's: 20 ns wire flight, 100 ns
-//! switch routing, 1 ns/byte (4X link), 256-byte packets, one-packet
-//! buffers per VL. Runs are bit-for-bit deterministic per seed.
+//! The timing is the paper's: 20 ns wire flight ([`FLY_TIME_NS`]), 100 ns
+//! switch routing ([`ROUTING_TIME_NS`]) and 1 ns/byte on a 4X link
+//! ([`BYTE_TIME_NS`]). The configuration defaults to its 256-byte packets
+//! and one-packet buffers per VL. Runs are bit-for-bit deterministic per
+//! seed.
 //!
 //! ## Example
 //!
@@ -68,7 +70,10 @@ mod traffic;
 mod vlarb;
 mod workload;
 
-pub use config::{InjectionProcess, PathSelection, SimConfig, VlAssignment};
+pub use config::{
+    InjectionProcess, PathSelection, SimConfig, VlAssignment, BYTE_TIME_NS, FLY_TIME_NS,
+    ROUTING_TIME_NS,
+};
 pub use counters::{
     FabricCounters, HotPort, NodeCounters, PortVlCounters, Sample, COUNTERS_SCHEMA_VERSION,
 };
@@ -91,7 +96,6 @@ pub use trace::{
     traces_to_jsonl, DropCause, FlightRecorder, PacketTrace, TraceEvent, TraceSampling,
 };
 pub use traffic::TrafficPattern;
-pub use vlarb::{VlArbiter, VlArbitration};
 // The message-level workload layer: the data model re-exported from
 // `ibfat-workload`; the engine entry point is `run_workload`.
 pub use ibfat_workload::{

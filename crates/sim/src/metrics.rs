@@ -341,11 +341,6 @@ impl SimReport {
     pub fn avg_latency_ns(&self) -> f64 {
         self.latency.mean()
     }
-
-    /// Throughput as a fraction of the per-node link bandwidth.
-    pub fn normalized_accepted(&self, link_bytes_per_ns: f64) -> f64 {
-        self.accepted_bytes_per_ns_per_node / link_bytes_per_ns
-    }
 }
 
 #[cfg(test)]

@@ -15,9 +15,11 @@
 //!   on a link only while it holds a credit for the downstream input
 //!   buffer of that VL; the credit returns (one wire flight later) when
 //!   the packet's tail vacates that buffer.
-//! * **Timing**: header routing costs `routing_time_ns` per switch; wire
-//!   propagation costs `fly_time_ns` per link; serialization costs
-//!   `packet_bytes * byte_time_ns` per link.
+//! * **Timing**: header routing costs [`ROUTING_TIME_NS`] per switch;
+//!   wire propagation costs [`FLY_TIME_NS`] per link; serialization costs
+//!   `packet_bytes *` [`BYTE_TIME_NS`](crate::BYTE_TIME_NS) per link.
+//! * **VL arbitration**: every egress port (switch output or injection
+//!   link) serves its ready VLs round-robin, one packet per VL in turn.
 //! * **End nodes** generate packets at a constant (or Poisson) rate into
 //!   an unbounded source queue, draining it in FIFO order onto their
 //!   injection link; they consume arriving packets immediately.
@@ -36,6 +38,7 @@
 //! one wire flight after the transmission starts. No link schedules a
 //! retry while busy: the departure that frees it re-arbitrates.
 
+use crate::config::{FLY_TIME_NS, ROUTING_TIME_NS};
 use crate::engine::{RingCalendar, Time};
 use crate::lanes::LaneRings;
 use crate::metrics::{LatencyStats, SimReport};
@@ -76,7 +79,7 @@ struct InEntry {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum InState {
-    /// Header is being routed (the `routing_time_ns` pipeline stage).
+    /// Header is being routed (the [`ROUTING_TIME_NS`] pipeline stage).
     Routing,
     /// Routed, waiting for space in the output buffer `out_port`.
     Waiting(u8),
@@ -103,7 +106,7 @@ pub(crate) struct SwPort {
     /// that is not yet transmitting ([`SwLanes::ready_mask`], kept
     /// current by every credit, grant, output push and output pop).
     ready: u16,
-    /// Egress VL arbitration state (table lives on the simulator).
+    /// Egress VL arbitration state.
     arb: VlArbiter,
     /// Accumulated transmission time on the outgoing direction (ns).
     pub(crate) busy_ns: u64,
@@ -256,12 +259,8 @@ pub struct Simulator<'a, P: Probe = NoopProbe> {
     pub(crate) warmup_ns: Time,
 
     pub(crate) pkt_ns: u64,
-    pub(crate) fly: u64,
-    pub(crate) route_ns: u64,
     pub(crate) num_vls: usize,
     pub(crate) cap: u8,
-    /// Shared VL arbitration entry table.
-    pub(crate) arb_table: Vec<(u8, u8)>,
 
     pub(crate) routing: &'a Routing,
     /// Per-hop route lookup state (the tables or the closed-form
@@ -422,7 +421,6 @@ impl<'a, P: Probe> Simulator<'a, P> {
 
         let num_vls = cfg.num_vls as usize;
         let cap = cfg.buffer_packets;
-        let arb_table = cfg.vl_arbitration.table(cfg.num_vls);
         let interarrival_ns = cfg.interarrival_ns(offered_load);
         let fuse_arrival = arrival_fuses(&cfg, interarrival_ns);
 
@@ -471,7 +469,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
                     peer,
                     busy_until: 0,
                     ready: 0,
-                    arb: VlArbiter::new(&arb_table),
+                    arb: VlArbiter::new(),
                     busy_ns: 0,
                 }
             })
@@ -514,7 +512,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
                 NodeSt {
                     peer_sw,
                     peer_port,
-                    arb: VlArbiter::new(&arb_table),
+                    arb: VlArbiter::new(),
                     busy_until: 0,
                     next_gen: 0.0,
                     active,
@@ -527,11 +525,8 @@ impl<'a, P: Probe> Simulator<'a, P> {
 
         Ok(Simulator {
             pkt_ns: cfg.packet_time_ns(),
-            fly: cfg.fly_time_ns,
-            route_ns: cfg.routing_time_ns,
             num_vls,
             cap,
-            arb_table,
             interarrival_ns,
             offered_load,
             sim_time_ns,
@@ -549,10 +544,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
             // The ring spans the longest fixed delay a handler schedules:
             // tail delivery `F + S` or a fused route-done `F + R` (a wire
             // flight, a serialization and the discard drain are shorter).
-            queue: RingCalendar::new(
-                cfg.fly_time_ns
-                    .saturating_add(cfg.packet_time_ns().max(cfg.routing_time_ns)),
-            ),
+            queue: RingCalendar::new(FLY_TIME_NS + cfg.packet_time_ns().max(ROUTING_TIME_NS)),
             slab: PacketSlab::new(),
             rng: ChaCha12Rng::seed_from_u64(cfg.seed),
             now: 0,
@@ -635,7 +627,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
 ///
 /// A switch hop then costs four events instead of five.
 fn arrival_fuses(cfg: &SimConfig, interarrival_ns: f64) -> bool {
-    let (f, r, s) = (cfg.fly_time_ns, cfg.routing_time_ns, cfg.packet_time_ns());
+    let (f, r, s) = (FLY_TIME_NS, ROUTING_TIME_NS, cfg.packet_time_ns());
     let window = r..=f + r;
     let gap = (interarrival_ns.floor() as u64)..=(interarrival_ns.ceil() as u64);
     let gap_clear = *gap.end() < *window.start() || *gap.start() > *window.end();
@@ -651,7 +643,7 @@ fn arrival_fuses(cfg: &SimConfig, interarrival_ns: f64) -> bool {
 /// Hand out the next sequence number of `flow`, or 0 when the run does
 /// not track flow order (`next_seq` is empty).
 #[inline]
-pub(crate) fn take_flow_seq(next_seq: &mut [u32], flow: usize) -> u32 {
+fn take_flow_seq(next_seq: &mut [u32], flow: usize) -> u32 {
     next_seq.get_mut(flow).map_or(0, |seq| {
         *seq += 1;
         *seq - 1
@@ -931,7 +923,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
                     self.probe.xmit_wait_end(self.now, sw, in_port, vl);
                 }
                 self.queue.schedule(
-                    self.now + self.route_ns,
+                    self.now + ROUTING_TIME_NS,
                     Ev::SwRouteDone {
                         sw,
                         port: in_port,
@@ -1042,11 +1034,11 @@ impl<'a, P: Probe> Simulator<'a, P> {
             return;
         }
         // VL arbitration on the injection link, mirroring the switches'
-        // egress arbitration (weighted tables included).
+        // egress arbitration.
         let mask: u16 = (0..num_vls)
             .filter(|&vl| sendable(vl))
             .fold(0, |m, vl| m | (1 << vl));
-        let Some(vl) = n.arb.grant_mask(&self.arb_table, mask).map(usize::from) else {
+        let Some(vl) = n.arb.grant(mask).map(usize::from) else {
             return; // woken by CreditToNode or the next Inject
         };
         // Start transmission.
@@ -1114,7 +1106,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
         // flies back to the leaf switch.
         let n = &self.nodes[node as usize];
         self.queue.schedule(
-            self.now + self.fly,
+            self.now + FLY_TIME_NS,
             Ev::CreditToSwitch {
                 sw: n.peer_sw,
                 port: n.peer_port,
@@ -1135,7 +1127,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
     /// route-done for the arrival plus one routing stage; the probes see
     /// the arrival at its own instant.
     fn send_header(&mut self, sw: u32, port: u8, vl: u8, pkt: PacketId) {
-        let arrive = self.now + self.fly;
+        let arrive = self.now + FLY_TIME_NS;
         if !self.fuse_arrival {
             self.queue
                 .schedule(arrive, Ev::SwHeaderArrive { sw, port, vl, pkt });
@@ -1155,7 +1147,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
             },
         );
         self.queue
-            .schedule(arrive + self.route_ns, Ev::SwRouteDone { sw, port, vl });
+            .schedule(arrive + ROUTING_TIME_NS, Ev::SwRouteDone { sw, port, vl });
         // An arrival past the horizon is never observed.
         if arrive < self.sim_time_ns {
             if P::PACKETS {
@@ -1206,7 +1198,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
         }
         if depth == 1 {
             self.queue
-                .schedule(self.now + self.route_ns, Ev::SwRouteDone { sw, port, vl });
+                .schedule(self.now + ROUTING_TIME_NS, Ev::SwRouteDone { sw, port, vl });
         }
     }
 
@@ -1275,13 +1267,13 @@ impl<'a, P: Probe> Simulator<'a, P> {
     /// Discard the routed head of input lane `(sw, port, vl)` for
     /// `cause`. The input buffer frees once the tail has fully arrived;
     /// model that as the remaining serialization time from now (the
-    /// header has been in the buffer for exactly `route_ns`).
+    /// header has been in the buffer for exactly [`ROUTING_TIME_NS`]).
     fn discard_head(&mut self, sw: u32, port: u8, vl: u8, pkt: PacketId, cause: DropCause) {
         self.drop_packet(sw, pkt, cause);
         let lane = self.lane(sw, port, vl);
         let head = self.lanes.in_q.front_mut(lane).expect("a routed head");
         head.state = InState::Departing;
-        let drain = self.pkt_ns.saturating_sub(self.route_ns);
+        let drain = self.pkt_ns.saturating_sub(ROUTING_TIME_NS);
         self.queue
             .schedule(self.now + drain, Ev::SwDiscardDone { sw, port, vl });
     }
@@ -1400,7 +1392,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
                 sw: usw,
                 port: uport,
             } => self.queue.schedule(
-                self.now + self.fly,
+                self.now + FLY_TIME_NS,
                 Ev::CreditToSwitch {
                     sw: usw,
                     port: uport,
@@ -1409,7 +1401,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
             ),
             PeerRef::Node { node } => self
                 .queue
-                .schedule(self.now + self.fly, Ev::CreditToNode { node, vl }),
+                .schedule(self.now + FLY_TIME_NS, Ev::CreditToNode { node, vl }),
             PeerRef::Dead => unreachable!("packets never arrive through a failed port"),
         }
         // The next buffered packet (fully or partially arrived) becomes
@@ -1417,7 +1409,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
         if let Some(entry) = next_head {
             debug_assert_eq!(entry.state, InState::Routing);
             self.queue
-                .schedule(self.now + self.route_ns, Ev::SwRouteDone { sw, port, vl });
+                .schedule(self.now + ROUTING_TIME_NS, Ev::SwRouteDone { sw, port, vl });
         }
     }
 
@@ -1439,10 +1431,10 @@ impl<'a, P: Probe> Simulator<'a, P> {
             // calls here itself.
             return;
         }
-        // VL arbitration (round-robin or weighted table). An empty mask
-        // still goes through `grant_mask`: that call refills the current
-        // entry's weight, and the reports depend on it.
-        let granted = p.arb.grant_mask(&self.arb_table, mask).map(usize::from);
+        // Round-robin VL arbitration. An empty mask still goes through
+        // `grant`: that call makes the arbiter fresh, and the reports
+        // depend on it.
+        let granted = p.arb.grant(mask).map(usize::from);
         if let Some(vl) = granted {
             let head = lanes.out_q.front_mut(base + vl).expect("checked nonempty");
             head.transmitting = true;
@@ -1480,7 +1472,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
                     port: dport,
                 } => self.send_header(dsw, dport, vl as u8, pkt),
                 PeerRef::Node { node } => self.queue.schedule(
-                    self.now + self.fly + self.pkt_ns,
+                    self.now + FLY_TIME_NS + self.pkt_ns,
                     Ev::Deliver {
                         node,
                         vl: vl as u8,
@@ -2136,10 +2128,10 @@ mod arrival_fusion_tests {
             ),
             // A 110 ns gap: an injection lands inside the window.
             (SimConfig::default(), 256.0 / 110.0),
-            // Routing no slower than the wire: `F` is in the window.
+            // A 110-byte packet: its serialization `S` is in the window.
             (
                 SimConfig {
-                    routing_time_ns: 20,
+                    packet_bytes: 110,
                     ..SimConfig::default()
                 },
                 0.5,

@@ -1,148 +1,50 @@
-//! Virtual-lane arbitration (IBA VLArbitration tables, simplified to
-//! packet granularity).
-//!
-//! Every egress port (switch output or HCA injection side) cycles through
-//! a table of `(vl, weight)` entries: while the current entry's VL has an
-//! eligible packet and remaining weight, it transmits; otherwise the
-//! arbiter advances to the next entry, replenishing its weight. Plain
-//! round-robin is the all-weights-one table. Weights are counted in
-//! packets (IBA counts 64-byte units; with fixed-size packets the two are
-//! proportional).
+//! Virtual-lane arbitration: one packet per VL in cyclic order, the
+//! paper's implicit policy (IBA's VLArbitration table with every weight
+//! one, at packet granularity).
 
-use crate::json::{Codec, Json, JsonBuf};
-
-/// Arbitration policy for a port's egress.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum VlArbitration {
-    /// One packet per VL in cyclic order (the paper's implicit policy).
-    #[default]
-    RoundRobin,
-    /// A weighted table of `(vl, weight)` entries, serviced cyclically.
-    /// VLs may appear multiple times; entries with weight 0 are skipped.
-    Weighted(Vec<(u8, u8)>),
-}
-
-impl VlArbitration {
-    /// Materialize the entry table for `num_vls` lanes.
-    pub fn table(&self, num_vls: u8) -> Vec<(u8, u8)> {
-        match self {
-            VlArbitration::RoundRobin => (0..num_vls).map(|vl| (vl, 1)).collect(),
-            VlArbitration::Weighted(entries) => entries
-                .iter()
-                .copied()
-                .filter(|&(vl, w)| vl < num_vls && w > 0)
-                .collect(),
-        }
-    }
-
-    /// Validate against a VL count.
-    pub fn validate(&self, num_vls: u8) -> Result<(), String> {
-        let table = self.table(num_vls);
-        if table.is_empty() {
-            return Err("VL arbitration table has no usable entries".into());
-        }
-        for vl in 0..num_vls {
-            if !table.iter().any(|&(v, _)| v == vl) {
-                return Err(format!("VL {vl} never serviced by the arbitration table"));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// `"round_robin"` or `{"weighted":[[vl,weight],…]}`.
-impl Codec for VlArbitration {
-    fn encode(&self, j: &mut JsonBuf) {
-        match self {
-            VlArbitration::RoundRobin => j.str_value("round_robin"),
-            VlArbitration::Weighted(entries) => {
-                j.begin_obj();
-                j.field("weighted", entries);
-                j.end_obj();
-            }
-        }
-    }
-
-    fn decode(v: &Json) -> Result<Self, String> {
-        match v {
-            Json::String(name) if name == "round_robin" => Ok(VlArbitration::RoundRobin),
-            Json::Object(_) => Ok(VlArbitration::Weighted(
-                v.as_object("vl_arbitration")?.decode("weighted")?,
-            )),
-            _ => Err("expected \"round_robin\" or {\"weighted\":[…]}".into()),
-        }
-    }
-}
-
-/// Per-port arbiter state over a shared entry table.
-#[derive(Debug, Clone)]
-pub struct VlArbiter {
-    /// Index of the current entry.
-    idx: usize,
-    /// Packets the current entry may still send before yielding.
-    remaining: u8,
+/// Per-port round-robin arbiter over a mask of ready VLs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct VlArbiter {
+    /// The VL granted last (VL 0 before the first grant).
+    cur: u8,
+    /// Whether `cur` may be granted again before the others: set at the
+    /// start and by every arbitration that finds nothing ready.
+    fresh: bool,
 }
 
 impl VlArbiter {
-    /// Fresh state positioned at the first entry.
-    pub fn new(table: &[(u8, u8)]) -> Self {
+    /// Fresh state positioned at VL 0.
+    pub(crate) fn new() -> Self {
         VlArbiter {
-            idx: 0,
-            remaining: table.first().map(|&(_, w)| w).unwrap_or(0),
+            cur: 0,
+            fresh: true,
         }
     }
 
-    /// Pick the VL to transmit next among those for which `eligible`
-    /// holds, honouring weights; `None` if nothing is eligible. The
-    /// arbiter state advances only when a grant is made or an entry is
-    /// exhausted/ineligible and skipped.
+    /// Grant a VL among those whose bit is set in `mask` (bit `vl` set =
+    /// ready; bits at or above the port's VL count are never set): `cur`
+    /// if the arbiter is fresh and `cur` is ready, otherwise the next
+    /// ready VL after `cur`, cyclically. `None` if the mask is empty.
     ///
-    /// A call with nothing eligible is not a no-op: it walks the whole
-    /// table back to the current entry and refills that entry's weight.
-    /// So with round-robin, a grant of VL0, an empty call, then a call
-    /// with every VL eligible grants VL0 again. The engine makes that
-    /// empty call (through [`grant_mask`](VlArbiter::grant_mask)) on
-    /// every idle arbitration and its pinned reports depend on the
-    /// refill: callers must not skip it when their eligibility mask is
-    /// empty.
-    pub fn grant<F: Fn(u8) -> bool>(&mut self, table: &[(u8, u8)], eligible: F) -> Option<u8> {
-        let len = table.len();
-        if len == 0 {
-            return None;
-        }
-        // At most one full cycle of the table plus the current entry.
-        for step in 0..=len {
-            let vl = table[self.idx].0;
-            if self.remaining > 0 && eligible(vl) {
-                self.remaining -= 1;
-                return Some(vl);
-            }
-            // Exhausted or ineligible: advance (but never spin forever).
-            if step == len {
-                break;
-            }
-            self.idx += 1;
-            if self.idx == len {
-                self.idx = 0;
-            }
-            self.remaining = table[self.idx].1;
-        }
-        None
-    }
-
-    /// [`grant`](VlArbiter::grant) over a bitmask of eligible VLs (bit
-    /// `vl` set = eligible). An empty mask goes straight to the state a
-    /// fruitless walk of the whole table ends in: the current entry
-    /// refilled.
+    /// An empty mask is not a no-op: it makes the arbiter fresh. So a
+    /// grant of VL0, an empty call, then a call with every VL ready
+    /// grants VL0 again. The engine arbitrates on every idle wake-up
+    /// and its pinned reports depend on that refill: callers must not
+    /// skip the call when their mask is empty.
     #[inline]
-    pub fn grant_mask(&mut self, table: &[(u8, u8)], mask: u16) -> Option<u8> {
+    pub(crate) fn grant(&mut self, mask: u16) -> Option<u8> {
         if mask == 0 {
-            if let Some(&(_, weight)) = table.get(self.idx) {
-                self.remaining = weight;
-            }
+            self.fresh = true;
             return None;
         }
-        self.grant(table, |vl| mask & (1 << vl) != 0)
+        // Search from `cur` when fresh, from the VL after it otherwise;
+        // the VLs past the port's count hold no bits, so cycling over
+        // all 16 positions is cycling over the port's VLs.
+        let start = u32::from(self.cur) + u32::from(!self.fresh);
+        let vl = (start + mask.rotate_right(start).trailing_zeros()) % 16;
+        self.cur = vl as u8;
+        self.fresh = false;
+        Some(self.cur)
     }
 }
 
@@ -150,100 +52,93 @@ impl VlArbiter {
 mod tests {
     use super::*;
 
-    fn drain(arb: &mut VlArbiter, table: &[(u8, u8)], n: usize) -> Vec<u8> {
-        (0..n)
-            .map(|_| arb.grant(table, |_| true).expect("always eligible"))
-            .collect()
-    }
-
     #[test]
     fn round_robin_alternates() {
-        let table = VlArbitration::RoundRobin.table(3);
-        let mut arb = VlArbiter::new(&table);
-        assert_eq!(drain(&mut arb, &table, 6), vec![0, 1, 2, 0, 1, 2]);
+        let mut arb = VlArbiter::new();
+        let grants: Vec<_> = (0..6).map(|_| arb.grant(0b111).unwrap()).collect();
+        assert_eq!(grants, vec![0, 1, 2, 0, 1, 2]);
     }
 
     #[test]
-    fn weights_are_respected() {
-        let table = VlArbitration::Weighted(vec![(0, 3), (1, 1)]).table(2);
-        let mut arb = VlArbiter::new(&table);
-        assert_eq!(drain(&mut arb, &table, 8), vec![0, 0, 0, 1, 0, 0, 0, 1]);
+    fn unready_vls_are_skipped_and_a_lone_vl_repeats() {
+        let mut arb = VlArbiter::new();
+        assert_eq!(arb.grant(0b010), Some(1));
+        assert_eq!(arb.grant(0b010), Some(1));
+        assert_eq!(arb.grant(0b111), Some(2));
+        assert_eq!(arb.grant(0b111), Some(0));
     }
 
     #[test]
-    fn ineligible_vls_are_skipped_without_starvation() {
-        let table = VlArbitration::Weighted(vec![(0, 2), (1, 2)]).table(2);
-        let mut arb = VlArbiter::new(&table);
-        // Only VL 1 has traffic.
-        assert_eq!(arb.grant(&table, |vl| vl == 1), Some(1));
-        assert_eq!(arb.grant(&table, |vl| vl == 1), Some(1));
-        // Then VL 0 becomes eligible again.
-        assert_eq!(arb.grant(&table, |_| true), Some(0));
+    fn empty_grant_refills_the_current_vl() {
+        let mut arb = VlArbiter::new();
+        assert_eq!(arb.grant(0b1111), Some(0));
+        // VL0 is spent; skipping the empty call would grant VL1 next.
+        assert_eq!(arb.grant(0), None);
+        assert_eq!(arb.grant(0b1111), Some(0));
+        assert_eq!(arb.grant(0b1111), Some(1));
     }
 
-    #[test]
-    fn nothing_eligible_returns_none_without_state_loss() {
-        let table = VlArbitration::RoundRobin.table(2);
-        let mut arb = VlArbiter::new(&table);
-        assert_eq!(arb.grant(&table, |_| false), None);
-        assert_eq!(arb.grant(&table, |_| true), Some(0));
+    /// The IBA table walk this arbiter replaced, at every weight one:
+    /// entry `i` serves VL `i`, and `remaining` is the current entry's
+    /// unspent weight.
+    struct TableWalk {
+        num_vls: usize,
+        idx: usize,
+        remaining: u8,
     }
 
-    #[test]
-    fn empty_grant_refills_the_current_entry() {
-        let table = VlArbitration::RoundRobin.table(4);
-        let mut arb = VlArbiter::new(&table);
-        assert_eq!(arb.grant(&table, |_| true), Some(0));
-        // VL0's weight is spent; skipping the empty call would grant VL1
-        // next.
-        assert_eq!(arb.grant(&table, |_| false), None);
-        assert_eq!(arb.grant(&table, |_| true), Some(0));
-        assert_eq!(arb.grant(&table, |_| true), Some(1));
-    }
-
-    #[test]
-    fn grant_mask_matches_grant() {
-        // A scrambled sequence of 512 masks over three VLs, empty ones
-        // included: both arbiters grant the same VLs and keep the same
-        // state.
-        let tables = [
-            VlArbitration::RoundRobin.table(3),
-            VlArbitration::Weighted(vec![(0, 3), (2, 1), (1, 2), (0, 1)]).table(3),
-        ];
-        for table in &tables {
-            let (mut by_fn, mut by_mask) = (VlArbiter::new(table), VlArbiter::new(table));
-            for step in 0u32..512 {
-                let mask = (step.wrapping_mul(2_654_435_761) >> 13) as u16 & 0b111;
-                assert_eq!(
-                    by_fn.grant(table, |vl| mask & (1 << vl) != 0),
-                    by_mask.grant_mask(table, mask),
-                    "step {step}, mask {mask:03b}"
-                );
-                assert_eq!(
-                    (by_fn.idx, by_fn.remaining),
-                    (by_mask.idx, by_mask.remaining)
-                );
+    impl TableWalk {
+        fn new(num_vls: usize) -> Self {
+            TableWalk {
+                num_vls,
+                idx: 0,
+                remaining: 1,
             }
+        }
+
+        fn grant_mask(&mut self, mask: u16) -> Option<u8> {
+            if mask == 0 {
+                // A fruitless walk of the whole table ends with the
+                // current entry refilled.
+                self.remaining = 1;
+                return None;
+            }
+            for step in 0..=self.num_vls {
+                if self.remaining > 0 && mask & (1 << self.idx) != 0 {
+                    self.remaining -= 1;
+                    return Some(self.idx as u8);
+                }
+                if step == self.num_vls {
+                    break;
+                }
+                self.idx = (self.idx + 1) % self.num_vls;
+                self.remaining = 1;
+            }
+            None
         }
     }
 
     #[test]
-    fn validation_requires_full_coverage() {
-        assert!(VlArbitration::RoundRobin.validate(4).is_ok());
-        assert!(VlArbitration::Weighted(vec![(0, 1)]).validate(2).is_err());
-        assert!(VlArbitration::Weighted(vec![(0, 0)]).validate(1).is_err());
-        assert!(VlArbitration::Weighted(vec![(0, 2), (1, 1)])
-            .validate(2)
-            .is_ok());
-        // Out-of-range VLs are filtered, leaving coverage incomplete.
-        assert!(VlArbitration::Weighted(vec![(0, 1), (5, 1)])
-            .validate(2)
-            .is_err());
-    }
-
-    #[test]
-    fn zero_weight_entries_are_dropped() {
-        let table = VlArbitration::Weighted(vec![(0, 0), (1, 2)]).table(2);
-        assert_eq!(table, vec![(1, 2)]);
+    fn matches_the_all_ones_table_walk() {
+        // A scrambled sequence of masks over 1..=15 VLs, with empty
+        // masks and one-VL masks frequent: both arbiters grant the same
+        // VLs and keep the same state.
+        for num_vls in 1..=15u32 {
+            let (mut walk, mut arb) = (TableWalk::new(num_vls as usize), VlArbiter::new());
+            for step in 0u32..4096 {
+                let h = step.wrapping_mul(2_654_435_761).rotate_left(step % 29);
+                let mask = match h % 5 {
+                    0 => 0,
+                    1 => 1 << ((h >> 8) % num_vls),
+                    _ => (h >> 5) & ((1 << num_vls) - 1),
+                };
+                let (want, got) = (walk.grant_mask(mask as u16), arb.grant(mask as u16));
+                assert_eq!(got, want, "{num_vls} VLs, step {step}, mask {mask:b}");
+                assert_eq!(
+                    (usize::from(arb.cur), arb.fresh),
+                    (walk.idx, walk.remaining == 1)
+                );
+            }
+        }
     }
 }

@@ -22,10 +22,11 @@
 //! `Random` path/VL choices map to a deterministic hash of
 //! `(seed, message, packet)`.
 
+use crate::config::FLY_TIME_NS;
 use crate::engine::Time;
 use crate::packet::{Packet, PacketId};
 use crate::probe::Probe;
-use crate::sim::{take_flow_seq, Ev, Simulator};
+use crate::sim::{Ev, Simulator};
 use crate::{PathSelection, RunSpec, SimError, TrafficPattern, VlAssignment};
 use ibfat_routing::Routing;
 use ibfat_topology::Network;
@@ -179,7 +180,6 @@ impl<'a, P: Probe> Simulator<'a, P> {
         let m = &wl.wl.messages[i];
         debug_assert_eq!(m.src.0, node, "arm fired at the wrong node");
         let (src, dst, npkts) = (m.src, m.dst, wl.pkts[i]);
-        let num_nodes = self.nodes.len();
         for k in 0..npkts {
             let dlid = match self.cfg.path_selection {
                 PathSelection::Paper => self.routing.select_dlid(src, dst),
@@ -206,15 +206,14 @@ impl<'a, P: Probe> Simulator<'a, P> {
                 VlAssignment::DestinationHash => (dst.index() % self.num_vls) as u8,
                 VlAssignment::SourceHash => (node as usize % self.num_vls) as u8,
             };
-            let flow = (node as usize * num_nodes + dst.index()) * self.num_vls + vl as usize;
-            let flow_seq = take_flow_seq(&mut self.flow_next_seq, flow);
             let pkt = self.slab.insert(Packet {
                 src: node,
                 dlid,
                 vl,
                 t_gen: self.now,
                 t_inject: 0,
-                flow_seq,
+                // Workload runs track no flow order.
+                flow_seq: 0,
             });
             if P::PACKETS {
                 self.probe
@@ -256,7 +255,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
         }
         wl.timings[i].completed_ns = self.now;
         wl.completed += 1;
-        let at = self.now + self.fly;
+        let at = self.now + FLY_TIME_NS;
         for idx in 0..wl.dependents[i].len() {
             let d = wl.dependents[i][idx];
             let node = wl.wl.messages[d as usize].src.0;

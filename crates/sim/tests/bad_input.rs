@@ -10,7 +10,7 @@
 use ibfat_routing::{build_fault_tolerant, Routing, RoutingKind};
 use ibfat_sim::{
     generators, run, run_workload, FaultAction, FaultEvent, FaultPlan, FaultPolicy, NoopProbe,
-    RunSpec, SimConfig, SimError, TrafficPattern, VlArbitration, Workload,
+    RunSpec, SimConfig, SimError, TrafficPattern, Workload,
 };
 use ibfat_topology::{Network, NodeId, TreeParams};
 use proptest::test_runner::TestRng;
@@ -96,8 +96,7 @@ fn fabric(rng: &mut TestRng) -> (Network, Routing, String) {
 }
 
 /// Usually valid, sometimes out of range: VLs 0..=16, buffers 0..=2,
-/// packets 0..=512 bytes, adaptive climbing, and a
-/// weighted arbitration table that may miss lanes.
+/// packets 0..=512 bytes, and adaptive climbing.
 fn config(rng: &mut TestRng) -> SimConfig {
     let num_vls = if one_in(rng, 8) {
         rng.below(17) as u8
@@ -114,19 +113,10 @@ fn config(rng: &mut TestRng) -> SimConfig {
     } else {
         32 + rng.below(481) as u32
     };
-    let vl_arbitration = if one_in(rng, 8) {
-        let entries = (0..rng.below(4))
-            .map(|_| (rng.below(5) as u8, rng.below(3) as u8))
-            .collect();
-        VlArbitration::Weighted(entries)
-    } else {
-        VlArbitration::RoundRobin
-    };
     SimConfig {
         num_vls,
         buffer_packets,
         packet_bytes,
-        vl_arbitration,
         adaptive_up: one_in(rng, 6),
         seed: rng.next_u64(),
         ..SimConfig::default()

@@ -122,12 +122,12 @@ fn tie_heavy_stream_pops_in_stable_time_order() {
 }
 
 #[test]
-fn residual_ties_across_run_and_heap_pop_in_scheduling_order() {
-    // `ChainQueue` appends a residual event to its sorted run when it is
-    // not below the run's tail and sends it to the heap otherwise. Here
-    // the 100s and 300s scheduled after the 500 fall into the heap and
-    // tie with earlier run events (and with chain events at 100 and
-    // 376): a wrong run/heap tie-break reorders them.
+fn residual_ties_within_ring_buckets_pop_in_scheduling_order() {
+    // Every event here lands inside `RingCalendar`'s 512-ns window, so
+    // each goes straight to its instant's bucket. The 100s and 300s
+    // scheduled after the 500 tie in their buckets with earlier residual
+    // events (and with chain events at 100 and 376): a bucket must pop
+    // in scheduling order, whatever order the instants were filled in.
     let steps = vec![
         (
             vec![
@@ -150,6 +150,42 @@ fn residual_ties_across_run_and_heap_pop_in_scheduling_order() {
     ];
     let [heap, chain, reference] = pop_sequences(&steps);
     assert_eq!(reference.len(), 18);
+    assert_eq!(heap, reference);
+    assert_eq!(chain, reference);
+}
+
+#[test]
+fn ties_across_the_ring_far_boundary_pop_in_scheduling_order() {
+    // `RingCalendar::default()` holds 512 slots: an event at most 511 ns
+    // ahead of the last pop goes to its bucket, a later one to the far
+    // heap until the window reaches it. Far events at 512 and 600 are
+    // scheduled first; once the window covers those instants, near
+    // events are scheduled to the same instants and must pop behind
+    // them. The 511 sits on the near side of the boundary at time 0.
+    let steps = vec![
+        // now = 0: far 512 (twice) and 600 (twice), near 511 and 1.
+        (
+            vec![(9, 512), (9, 600), (9, 511), (9, 1), (9, 600), (9, 512)],
+            1,
+        ),
+        // now = 1: the window reaches 512, where a near event joins the
+        // two far ones; 600 is still 599 ns ahead, so far.
+        (vec![(9, 511), (9, 599), (0, 0)], 2),
+        // now = 511: near events join the three far ones at 600 and the
+        // three events at 512; 1,111 is far.
+        (vec![(9, 89), (9, 1), (9, 600)], 0),
+    ];
+    let [heap, chain, reference] = pop_sequences(&steps);
+    assert_eq!(reference.len(), 12);
+    let at = |t: u64| -> Vec<u32> {
+        reference
+            .iter()
+            .filter(|&&(time, _)| time == t)
+            .map(|&(_, tag)| tag)
+            .collect()
+    };
+    assert_eq!(at(512), vec![0, 5, 6, 10]);
+    assert_eq!(at(600), vec![1, 4, 7, 9]);
     assert_eq!(heap, reference);
     assert_eq!(chain, reference);
 }

@@ -1,6 +1,6 @@
 //! Exact FT(4,3) reports for the engine paths the cap-1 golden figure
-//! CSVs never reach: deep buffers under weighted VL arbitration,
-//! adaptive upward routing, and the Stall fault policy, whose SM
+//! CSVs never reach: deep buffers arbitrated over four VLs, adaptive
+//! upward routing, and the Stall fault policy, whose SM
 //! reprogramming removes parked heads from the middle of a waiter
 //! queue.
 //!
@@ -10,7 +10,7 @@
 use ibfat_routing::{Routing, RoutingKind};
 use ibfat_sim::{
     run, FaultAction, FaultEvent, FaultPlan, FaultPolicy, NoopProbe, RunSpec, SimConfig, SimReport,
-    TrafficPattern, VlArbitration,
+    TrafficPattern,
 };
 use ibfat_topology::{Network, TreeParams};
 
@@ -47,16 +47,15 @@ fn ft43_run(cfg: SimConfig, pattern: TrafficPattern, load: f64) -> SimReport {
 }
 
 #[test]
-fn deep_buffers_under_weighted_vl4_arbitration() {
+fn deep_buffers_under_round_robin_vl4_arbitration() {
     let cfg = SimConfig {
         num_vls: 4,
         buffer_packets: 4,
-        vl_arbitration: VlArbitration::Weighted(vec![(0, 3), (1, 1), (2, 2), (3, 1)]),
         seed: 0xB0FF,
         ..SimConfig::default()
     };
     let got = pin(&ft43_run(cfg, TrafficPattern::Uniform, 0.8));
-    assert_eq!(got, PIN_DEEP_WEIGHTED);
+    assert_eq!(got, PIN_DEEP_VL4);
 }
 
 #[test]
@@ -103,8 +102,10 @@ fn stall_policy_reprogram_rescues_parked_heads() {
     assert_eq!(got, PIN_STALL);
 }
 
+// Recorded on the engine whose arbiter walked a `(vl, weight)` table,
+// at every weight one.
+const PIN_DEEP_VL4: Pin = (51809, 1602, 1921, 0, 4654922002118887520, 0, 0, 0);
 // Recorded on the `Vec<Vec<SwPort>>` / per-lane `VecDeque` engine that
 // the flat lane arrays replaced.
-const PIN_DEEP_WEIGHTED: Pin = (51800, 1603, 1920, 0, 4655017071462740270, 0, 0, 0);
 const PIN_ADAPTIVE: Pin = (45805, 1400, 1687, 0, 4653621605567732572, 0, 0, 0);
 const PIN_STALL: Pin = (51550, 1503, 1843, 10, 4662103602676846645, 0, 23, 23);

@@ -5,7 +5,7 @@
 use ibfat_routing::{build_fault_tolerant, Routing, RoutingKind};
 use ibfat_sim::{
     generators, run, run_workload, FabricCounters, FlightRecorder, NoopProbe, PhaseProfile,
-    RunSpec, SimConfig, SimReport, TraceEvent, TraceSampling, TrafficPattern,
+    RunSpec, SimConfig, SimReport, TraceEvent, TraceSampling, TrafficPattern, BYTE_TIME_NS,
 };
 use ibfat_topology::{DeviceRef, Network, NodeId, PortNum, SwitchId, TreeParams};
 use proptest::prelude::*;
@@ -105,7 +105,7 @@ fn port_xmit_bytes_agree_with_link_utilization() {
                     })
                     .map(|n| c.node(n).xmit_bytes),
             )
-            .map(|bytes| bytes * cfg.byte_time_ns)
+            .map(|bytes| bytes * BYTE_TIME_NS)
             .collect();
         let links = sent_ns.len() as u64;
         assert_eq!(links, cabled);

@@ -3,7 +3,10 @@
 //! qualitative results the paper's evaluation rests on.
 
 use ibfat_routing::{Routing, RoutingKind};
-use ibfat_sim::{run, sweep, InjectionProcess, NoopProbe, RunSpec, SimConfig, TrafficPattern};
+use ibfat_sim::{
+    run, sweep, InjectionProcess, NoopProbe, RunSpec, SimConfig, TrafficPattern, FLY_TIME_NS,
+    ROUTING_TIME_NS,
+};
 use ibfat_topology::{Network, NodeId, TreeParams};
 
 fn net(m: u32, n: u32) -> Network {
@@ -13,7 +16,7 @@ fn net(m: u32, n: u32) -> Network {
 /// Analytic zero-load latency for a route with `links` links and
 /// `switches` switch traversals.
 fn zero_load_latency(cfg: &SimConfig, links: u64, switches: u64) -> u64 {
-    links * cfg.fly_time_ns + switches * cfg.routing_time_ns + cfg.packet_time_ns()
+    links * FLY_TIME_NS + switches * ROUTING_TIME_NS + cfg.packet_time_ns()
 }
 
 #[test]

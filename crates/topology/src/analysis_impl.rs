@@ -18,16 +18,6 @@ pub fn min_hops(params: TreeParams, a: NodeId, b: NodeId) -> u32 {
     2 * (params.n() - alpha)
 }
 
-/// The number of distinct shortest paths between two distinct nodes:
-/// `(m/2)^(n-1-alpha)` — one per least common ancestor (the descent from a
-/// given LCA is unique).
-pub fn num_shortest_paths(params: TreeParams, a: NodeId, b: NodeId) -> u32 {
-    assert_ne!(a, b);
-    let la = NodeLabel::from_id(params, a);
-    let lb = NodeLabel::from_id(params, b);
-    params.num_lcas(gcp_len(&la, &lb))
-}
-
 /// Breadth-first hop distance over the actual cabled graph, for verifying
 /// [`min_hops`] against the construction. Distances are counted in links.
 pub fn bfs_hops(net: &Network, from: NodeId) -> Vec<u32> {
@@ -125,15 +115,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn shortest_path_counts() {
-        let params = TreeParams::new(4, 3).unwrap();
-        // Distant nodes: 4 paths (through the 4 roots).
-        assert_eq!(num_shortest_paths(params, NodeId(0), NodeId(15)), 4);
-        // Leaf siblings: unique path through their leaf switch.
-        assert_eq!(num_shortest_paths(params, NodeId(0), NodeId(1)), 1);
     }
 
     #[test]

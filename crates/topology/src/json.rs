@@ -131,11 +131,6 @@ impl JsonBuf {
         let _ = std::fmt::Write::write_fmt(&mut self.out, format_args!("{v}"));
     }
 
-    pub fn i64_value(&mut self, v: i64) {
-        self.sep();
-        let _ = std::fmt::Write::write_fmt(&mut self.out, format_args!("{v}"));
-    }
-
     pub fn bool_value(&mut self, v: bool) {
         self.sep();
         self.out.push_str(if v { "true" } else { "false" });
@@ -178,11 +173,6 @@ impl JsonBuf {
     pub fn field_u64(&mut self, k: &str, v: u64) {
         self.key(k);
         self.u64_value(v);
-    }
-
-    pub fn field_i64(&mut self, k: &str, v: i64) {
-        self.key(k);
-        self.i64_value(v);
     }
 
     pub fn field_bool(&mut self, k: &str, v: bool) {
@@ -684,7 +674,7 @@ mod tests {
         j.key("arr");
         j.begin_arr();
         j.begin_obj();
-        j.field_i64("neg", -7);
+        j.field_f64("neg", -7.0, 0);
         j.end_obj();
         j.u64_value(1);
         j.u64_value(2);

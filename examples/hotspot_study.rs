@@ -83,7 +83,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     for (name, fabric) in [("SLID", &slid), ("MLID", &mlid)] {
         let counters = FabricCounters::new(fabric.network(), 1);
         let (report, counters) = hot_spot_run(fabric, 1, 0.3, counters)?;
-        let byte_ns = SimConfig::paper(1).byte_time_ns as f64;
+        let byte_ns = ib_fabric::sim::BYTE_TIME_NS as f64;
         let mut switch_links: Vec<f64> = (0..counters.num_switches() as u32)
             .flat_map(|sw| (0..counters.ports_per_switch() as u8).map(move |port| (sw, port)))
             .map(|(sw, port)| {

@@ -2,6 +2,7 @@
 //! the public API, for every scheme and a spread of network sizes.
 
 use ib_fabric::prelude::*;
+use ib_fabric::sim::{FLY_TIME_NS, ROUTING_TIME_NS};
 
 #[test]
 fn full_pipeline_for_every_scheme() {
@@ -62,7 +63,7 @@ fn simulated_latency_is_never_below_the_analytic_minimum() {
     // The fastest possible delivery crosses 2 links and 1 switch.
     let fabric = Fabric::builder(8, 2).build().unwrap();
     let cfg = SimConfig::paper(1);
-    let min = 2 * cfg.fly_time_ns + cfg.routing_time_ns + cfg.packet_time_ns();
+    let min = 2 * FLY_TIME_NS + ROUTING_TIME_NS + cfg.packet_time_ns();
     let report = fabric
         .experiment()
         .offered_load(0.6)
